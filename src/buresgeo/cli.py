@@ -2,9 +2,10 @@
 
 Subcommands: rho, fidelity, metric, validate, scan, permtest, find-chart.
 Every command is a deterministic function of its flags, the seed and any
-input files. Exit codes: 0 success, 2 chart-range violation, 3 parse error,
-4 invalid density matrix, 5 degenerate/singular state, 6 a validation
-tolerance was exceeded (or a fit failed).
+input files. Exit codes: 0 success, 2 chart-range violation, 3 parse error
+(including command-line usage errors), 4 invalid density matrix,
+5 degenerate/singular state, 6 a validation tolerance was exceeded (or a fit
+failed).
 
 Matrix files are JSON objects {"dim": n, "re": [[...]], "im": [[...]]} with
 row-major arrays of decimal doubles; matrices emitted by ``rho`` parse back
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -628,12 +630,23 @@ def _resolve_tol(args) -> float:
     return DEFAULT_TOL
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use.
+
+    Building it costs about as much as a small command; parse_args keeps no
+    state in it between calls, so one instance serves every call of main.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 0 after --help and 2 on a usage error, and 2 is the
+        # chart-range code here: a usage error is a parse error
+        return EXIT_PARSE if exc.code else EXIT_OK
     try:
         cfg = RunConfig(
             command=args.command,

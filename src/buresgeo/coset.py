@@ -17,9 +17,10 @@ a chart, not a global cover.
 
 from __future__ import annotations
 
+import cmath
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -212,22 +213,29 @@ def sin_half_over(x: float) -> float:
 
 def omega2(chart: CosetChart2) -> np.ndarray:
     """2x2 coset representative [[cos a, e^{i phi} sin a], [-e^{-i phi} sin a, cos a]]."""
-    ca, sa = math.cos(chart.alpha), math.sin(chart.alpha)
-    ph = np.exp(1j * chart.phi)
-    return np.array([[ca, ph * sa], [-np.conj(ph) * sa, ca]], dtype=np.complex128)
+    ca = math.cos(chart.alpha)
+    e = cmath.rect(math.sin(chart.alpha), chart.phi)    # e^{i phi} sin a
+    return np.array([[ca, e], [-e.conjugate(), ca]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class CosetBlockSpec:
     """One coset block: ambient dimension n, block index k in 2..n, and the
-    complex (k-1)-vector B parameterizing the SU(k)/U(k-1) factor."""
+    complex (k-1)-vector B parameterizing the SU(k)/U(k-1) factor.
+
+    B is stored as a tuple of Python complex numbers; a tuple passes through
+    without a numpy round trip, any other array-like is flattened.
+    """
 
     n: int
     k: int
-    B: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.complex128))
+    B: tuple[complex, ...] = (0j,)
 
     def __post_init__(self):
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=np.complex128).reshape(-1))
+        b = self.B
+        if not isinstance(b, tuple):
+            b = np.asarray(b, dtype=np.complex128).reshape(-1).tolist()
+        object.__setattr__(self, "B", tuple(map(complex, b)))
         if not (2 <= self.k <= self.n):
             raise DimensionMismatch(f"block index k={self.k} must lie in 2..n={self.n}")
         if len(self.B) != self.k - 1:
@@ -245,34 +253,36 @@ def omega_block(spec: CosetBlockSpec) -> np.ndarray:
          [-sinc(|B|) B†,           cos |B|    ]]
 
     where B B† is rank one, so cos sqrt(B B†) = I + (cos|B| - 1) B B† / |B|^2.
-    B = 0 is handled by the sinc(0) = 1 limit.
+    B = 0 is handled by the sinc(0) = 1 limit. The entries are formed from
+    Python scalars and converted to an array once: at n <= 4 numpy's
+    per-operation overhead dominates the arithmetic.
     """
     n, k, b = spec.n, spec.k, spec.B
-    mat = np.eye(n, dtype=np.complex128)
-    babs = float(np.linalg.norm(b))
+    m = k - 1
+    babs = math.hypot(*map(abs, b))
     cfac = cosm1_over_sq(babs)          # (cos|B| - 1)/|B|^2
     sfac = sinc(babs)                   # sin|B|/|B|
-    top = np.eye(k - 1, dtype=np.complex128) + cfac * np.outer(b, b.conj())
-    mat[: k - 1, : k - 1] = top
-    mat[: k - 1, k - 1] = b * sfac
-    mat[k - 1, : k - 1] = -sfac * b.conj()
-    mat[k - 1, k - 1] = math.cos(babs)
-    return mat
+    flat = [0j] * (n * n)               # row-major n x n
+    flat[::n + 1] = [1 + 0j] * n
+    for i, bi in enumerate(b):
+        for j, bj in enumerate(b):
+            flat[i * n + j] += cfac * (bi * bj.conjugate())
+        flat[i * n + m] = bi * sfac
+        flat[m * n + i] = -sfac * bi.conjugate()
+    flat[m * n + m] = math.cos(babs)
+    return np.array(flat, dtype=np.complex128).reshape(n, n)
 
 
 def omega3_upper(beta1: float, beta2: float, psi1: float, psi2: float) -> np.ndarray:
     """The 3x3 block moving the third level: omega_block with
     B = (beta1 e^{i psi1}, beta2 e^{i psi2})."""
-    b = np.array(
-        [beta1 * np.exp(1j * psi1), beta2 * np.exp(1j * psi2)], dtype=np.complex128
-    )
+    b = (cmath.rect(beta1, psi1), cmath.rect(beta2, psi2))
     return omega_block(CosetBlockSpec(n=3, k=3, B=b))
 
 
 def omega3_lower(alpha: float, phi: float) -> np.ndarray:
     """The 3x3 block mixing levels 1 and 2: omega_block with B = (alpha e^{i phi},)."""
-    b = np.array([alpha * np.exp(1j * phi)], dtype=np.complex128)
-    return omega_block(CosetBlockSpec(n=3, k=2, B=b))
+    return omega_block(CosetBlockSpec(n=3, k=2, B=(cmath.rect(alpha, phi),)))
 
 
 def omega3(chart: CosetChart3) -> np.ndarray:
@@ -286,20 +296,27 @@ def omega3(chart: CosetChart3) -> np.ndarray:
 # diagonal factors and assembled states
 # ---------------------------------------------------------------------------
 
+def _entries2(theta: float) -> tuple[float, float]:
+    """(cos^2 theta, sin^2 theta) after the range check theta in [0, pi/4]."""
+    c2 = math.cos(_require_range("theta", theta, 0.0, math.pi / 4)) ** 2
+    return (c2, 1.0 - c2)
+
+
+def _entries3(theta1: float, theta2: float) -> tuple[float, float, float]:
+    """diag_entries3 after the range checks on theta1 and theta2."""
+    return diag_entries3(_require_range("theta1", theta1, 0.0, THETA1_MAX),
+                         _require_range("theta2", theta2, THETA2_MIN, THETA2_MAX))
+
+
 def diag2(theta: float) -> DensityMatrix:
     """diag(cos^2 theta, sin^2 theta) for theta in [0, pi/4]."""
-    t = _require_range("theta", theta, 0.0, math.pi / 4)
-    c2 = math.cos(t) ** 2
-    return DensityMatrix(np.diag([c2, 1.0 - c2]).astype(np.complex128), check=False)
+    return DensityMatrix(np.diag(_entries2(theta)).astype(np.complex128), check=False)
 
 
 def diag3(theta1: float, theta2: float) -> DensityMatrix:
     """diag(cos^2 t1, sin^2 t1 cos^2 t2, sin^2 t1 sin^2 t2); trace is 1 identically."""
-    t1 = _require_range("theta1", theta1, 0.0, THETA1_MAX)
-    t2 = _require_range("theta2", theta2, THETA2_MIN, THETA2_MAX)
-    s1sq = math.sin(t1) ** 2
-    lam = [1.0 - s1sq, s1sq * math.cos(t2) ** 2, s1sq * math.sin(t2) ** 2]
-    return DensityMatrix(np.diag(lam).astype(np.complex128), check=False)
+    return DensityMatrix(np.diag(_entries3(theta1, theta2)).astype(np.complex128),
+                         check=False)
 
 
 def diag_entries3(theta1: float, theta2: float) -> tuple[float, float, float]:
@@ -308,20 +325,19 @@ def diag_entries3(theta1: float, theta2: float) -> tuple[float, float, float]:
     return (1.0 - s1sq, s1sq * math.cos(theta2) ** 2, s1sq * math.sin(theta2) ** 2)
 
 
+def _assemble(om: np.ndarray, lam: tuple[float, ...]) -> DensityMatrix:
+    """rho = Omega diag(lam) Omega†, scaling the columns of Omega by lam."""
+    return DensityMatrix(matcore.hermitize((om * lam) @ om.conj().T), check=False)
+
+
 def rho2(chart: CosetChart2) -> DensityMatrix:
     """rho = Omega D Omega† on the 2-level chart."""
-    om = omega2(chart)
-    d = diag2(chart.theta).mat
-    mat = om @ d @ om.conj().T
-    return DensityMatrix(matcore.hermitize(mat), check=False)
+    return _assemble(omega2(chart), _entries2(chart.theta))
 
 
 def rho3(chart: CosetChart3) -> DensityMatrix:
     """rho = Omega D Omega† on the 3-level chart."""
-    om = omega3(chart)
-    d = diag3(chart.theta1, chart.theta2).mat
-    mat = om @ d @ om.conj().T
-    return DensityMatrix(matcore.hermitize(mat), check=False)
+    return _assemble(omega3(chart), _entries3(chart.theta1, chart.theta2))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from buresgeo import cli
 from buresgeo.cli import main
 
 
@@ -304,6 +305,46 @@ def test_find_chart_round_trip_through_rho(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "2", "--from", "0.1", "--to", "0.2", "--points", "2"],
+    ["validate", "--samples", "x"],
+    ["bogus"],
+    ["validate", "--step", "1"],
+], ids=["missing-coord", "non-numeric-samples", "unknown-subcommand", "step-too-large"])
+def test_usage_error_exit_3(argv, capsys):
+    assert main(argv) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"]])
+def test_help_exit_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+SCAN_ONE = ["scan", "--n", "2", "--coord", "theta", "--from", "0.1", "--to", "0.7",
+            "--points", "3", "--entries", "all"]
+
+
+def test_reused_parser_forgets_earlier_sweeps(capsys):
+    cli._parser.cache_clear()
+    fresh = run_cli(SCAN_ONE, capsys)
+    assert fresh[0] == 0
+    two = SCAN_ONE + ["--coord", "alpha", "--from", "0.0", "--to", "1.0", "--points", "2"]
+    assert run_cli(two, capsys)[0] == 0
+    assert run_cli(SCAN_ONE, capsys) == fresh
+
+
+def test_reused_parser_forgets_earlier_tol(capsys, monkeypatch):
+    monkeypatch.delenv("BURES_TOL", raising=False)
+    argv = ["validate", "--n", "2", "--samples", "3", "--seed", "1", "--format", "json"]
+    assert main(argv + ["--tol", "1e-300"]) == 6
+    capsys.readouterr()
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["tol"] == 1e-6
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

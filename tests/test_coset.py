@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,51 @@ def test_produced_states_trace_hermitian_tight():
         for r in (r2, r3):
             assert abs(np.trace(r).real - 1.0) <= 1e-12
             assert np.max(np.abs(r - r.conj().T)) <= 1e-12
+
+
+def omega3_lower_explicit(alpha, phi):
+    """The k=2 block written out: omega2 embedded in the leading 2x2 corner."""
+    ca, sa, e = math.cos(alpha), math.sin(alpha), np.exp(1j * phi)
+    return np.array([[ca, e * sa, 0], [-np.conj(e) * sa, ca, 0], [0, 0, 1]], dtype=complex)
+
+
+def rho3_reference(ch):
+    """Omega D Omega† from the entrywise blocks and np.diag, with no coset code."""
+    upper = (np.eye(3) if ch.beta == 0
+             else omega3_upper_printed(ch.beta1, ch.beta2, ch.psi1, ch.psi2))
+    om = upper @ omega3_lower_explicit(ch.alpha, ch.phi)
+    s1sq = math.sin(ch.theta1) ** 2
+    lam = [1 - s1sq, s1sq * math.cos(ch.theta2) ** 2, s1sq * math.sin(ch.theta2) ** 2]
+    return om @ np.diag(lam) @ om.conj().T
+
+
+_BASE3 = CosetChart3(0.7, 0.62, 0.4, 1.3, 0.9, -0.5, 2.2, -0.8)
+RHO3_CASES = {
+    "random": [random_chart3(make_rng(21)) for _ in range(300)],
+    "beta=0": [replace(_BASE3, beta1=0.0, beta2=0.0)],
+    "beta<cutoff": [replace(_BASE3, beta1=3e-5, beta2=-4e-5),
+                    replace(_BASE3, beta1=0.0, beta2=9.9e-5)],
+    "beta=3.1": [replace(_BASE3, beta1=3.1 * 0.6, beta2=3.1 * 0.8),
+                 replace(_BASE3, beta1=-3.1, beta2=0.0)],
+    "alpha<0": [replace(_BASE3, alpha=-0.4), replace(_BASE3, alpha=-2.9)],
+    "|alpha|>2pi": [replace(_BASE3, alpha=7.5), replace(_BASE3, alpha=-9.1)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RHO3_CASES))
+def test_rho3_matches_reference_assembly(case):
+    for ch in RHO3_CASES[case]:
+        np.testing.assert_allclose(rho3(ch).mat, rho3_reference(ch), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, -0.4, 7.5, -9.1])
+def test_rho2_matches_reference_assembly(alpha):
+    rng = make_rng(22)
+    for theta in (0.0, 0.2, math.pi / 8, math.pi / 4, *rng.uniform(0, math.pi / 4, 50)):
+        ch = CosetChart2(theta, alpha, rng.uniform(-7, 7))
+        om = omega2(ch)
+        ref = om @ np.diag([math.cos(theta) ** 2, math.sin(theta) ** 2]) @ om.conj().T
+        np.testing.assert_allclose(rho2(ch).mat, ref, rtol=0, atol=1e-14)
 
 
 def test_chart3_beta_range():
