@@ -85,15 +85,17 @@ def hubner_form(rho, d1, d2, eps_spec: float = EPS_SPEC) -> float:
     if dm.mat.shape != np.shape(d1) or dm.mat.shape != np.shape(d2):
         raise DimensionMismatch("tangents must match the state's dimension")
     v = spec.eigenvectors
-    w = spec.eigenvalues
-    x1 = v.conj().T @ np.asarray(d1, dtype=np.complex128) @ v
-    x2 = v.conj().T @ np.asarray(d2, dtype=np.complex128) @ v
+    vh = v.conj().T
+    # the products stay in numpy; the n^2 pair loop runs on Python scalars,
+    # which at n <= 3 costs less than indexing numpy arrays
+    x1 = (vh @ np.asarray(d1, dtype=np.complex128) @ v).tolist()
+    x2 = x1 if d2 is d1 else (vh @ np.asarray(d2, dtype=np.complex128) @ v).tolist()
+    w = spec.eigenvalues.tolist()
     total = 0.0
-    n = len(w)
-    for i in range(n):
-        for j in range(n):
-            s = w[i] + w[j]
-            term = x1[i, j] * x2[j, i]
+    for i, (wi, x1i) in enumerate(zip(w, x1)):
+        for j, wj in enumerate(w):
+            s = wi + wj
+            term = x1i[j] * x2[j][i]
             if s > eps_spec:
                 total += term.real / s
             elif abs(term) > SUPPORT_LEAK_TOL ** 2:
@@ -131,15 +133,28 @@ def dittmann3_form(rho, drho) -> float:
     if dm.dim != 3:
         raise DimensionMismatch(f"dittmann3_form needs a 3x3 state, got n={dm.dim}")
     d = np.asarray(drho, dtype=np.complex128)
-    tr3 = np.trace(dm.mat @ dm.mat @ dm.mat).real
-    if tr3 >= 1.0 - 1e-12:
-        # checked before the determinant: a nearly pure state is also nearly
-        # singular, and purity is the sharper diagnosis
-        raise PureState(f"Tr rho^3 = {tr3!r} is within 1e-12 of 1")
-    detr = matcore.det(dm.mat).real
-    if detr <= 1e-12:
-        raise SingularState(f"|rho| = {detr:.3e} <= 1e-12")
+    rho_inv, detr, coef = _dittmann3_invariants(dm)
     q1 = d - dm.mat @ d
-    q2 = d - np.linalg.inv(dm.mat) @ d
-    val = np.trace(d @ d + 3.0 / (1.0 - tr3) * (q1 @ q1 + detr * (q2 @ q2))).real
+    q2 = d - rho_inv @ d
+    val = np.trace(d @ d + coef * (q1 @ q1 + detr * (q2 @ q2))).real
     return 0.25 * float(val)
+
+
+def _dittmann3_invariants(dm: DensityMatrix) -> tuple[np.ndarray, float, float]:
+    """(rho^{-1}, |rho|, 3/(1 - Tr rho^3)) of a 3x3 state, computed once
+    per DensityMatrix and cached on it; a state that fails a check caches
+    nothing, so it raises again on every call. No eigendecomposition is used,
+    which keeps this route independent of the spectral one."""
+    inv = dm._dittmann3
+    if inv is None:
+        m = dm.mat
+        tr3 = np.trace(m @ m @ m).real
+        if tr3 >= 1.0 - 1e-12:
+            # checked before the determinant: a nearly pure state is also
+            # nearly singular, and purity is the sharper diagnosis
+            raise PureState(f"Tr rho^3 = {tr3!r} is within 1e-12 of 1")
+        detr = matcore.det(m).real
+        if detr <= 1e-12:
+            raise SingularState(f"|rho| = {detr:.3e} <= 1e-12")
+        inv = dm._dittmann3 = (np.linalg.inv(m), detr, 3.0 / (1.0 - tr3))
+    return inv

@@ -532,6 +532,13 @@ def _step_value(text: str) -> float:
     return v
 
 
+def _tol_value(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError("tol must be finite and > 0")
+    return v
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="output_format", default="pretty",
                    choices=("json", "csv", "pretty"))
@@ -576,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=_step_value, default=metric.DEFAULT_STEP)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tol_value, default=None,
                    help=f"tolerance (default {DEFAULT_TOL}, or ${TOL_ENV_VAR})")
     _add_common(p)
 
@@ -624,9 +631,9 @@ def _resolve_tol(args) -> float:
     env = os.environ.get(TOL_ENV_VAR)
     if env:
         try:
-            return float(env)
-        except ValueError as exc:
-            raise ParseError(f"bad {TOL_ENV_VAR} value {env!r}") from exc
+            return _tol_value(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ParseError(f"bad {TOL_ENV_VAR} value {env!r}: {exc}") from exc
     return DEFAULT_TOL
 
 

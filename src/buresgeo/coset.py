@@ -113,10 +113,14 @@ class CosetChart3:
 
 
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix with cached spectral data.
+    """Hermitian, PSD, unit-trace matrix with cached derived data.
 
     Hermiticity and trace are checked at construction (tolerance 1e-10);
     positivity is checked whenever the spectral decomposition is computed.
+    Two kinds of derived data are cached on first use: the spectral
+    decomposition and, for 3x3 states, the trace-form invariants of
+    ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}). ``mat`` must not be
+    mutated once either exists, or they describe a different matrix.
     """
 
     HERM_TOL = 1e-10
@@ -126,6 +130,8 @@ class DensityMatrix:
     def __init__(self, mat, *, check: bool = True):
         self.mat = matcore.as_matrix(mat)
         self._spectral: Optional[matcore.SpectralDecomposition] = None
+        # set by bures._dittmann3_invariants
+        self._dittmann3: Optional[tuple] = None
         if check:
             defect = matcore.hermiticity_defect(self.mat)
             if defect > self.HERM_TOL:
@@ -211,11 +217,15 @@ def sin_half_over(x: float) -> float:
 # coset representatives
 # ---------------------------------------------------------------------------
 
+def _omega2_rows(alpha: float, phi: float) -> list[list[complex]]:
+    ca = complex(math.cos(alpha))
+    e = cmath.rect(math.sin(alpha), phi)                # e^{i phi} sin a
+    return [[ca, e], [-e.conjugate(), ca]]
+
+
 def omega2(chart: CosetChart2) -> np.ndarray:
     """2x2 coset representative [[cos a, e^{i phi} sin a], [-e^{-i phi} sin a, cos a]]."""
-    ca = math.cos(chart.alpha)
-    e = cmath.rect(math.sin(chart.alpha), chart.phi)    # e^{i phi} sin a
-    return np.array([[ca, e], [-e.conjugate(), ca]], dtype=np.complex128)
+    return np.array(_omega2_rows(chart.alpha, chart.phi), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -244,6 +254,26 @@ class CosetBlockSpec:
             )
 
 
+def _block_rows(n: int, k: int, b: Sequence[complex]) -> list[list[complex]]:
+    """Rows of the n x n SU(k)/U(k-1) block (see omega_block) for B = b."""
+    m = k - 1
+    babs = math.hypot(*map(abs, b))
+    cfac = cosm1_over_sq(babs)          # (cos|B| - 1)/|B|^2
+    sfac = sinc(babs)                   # sin|B|/|B|
+    rows = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1 + 0j
+    row_m = rows[m]
+    for i, bi in enumerate(b):
+        row = rows[i]
+        for j, bj in enumerate(b):
+            row[j] += cfac * (bi * bj.conjugate())
+        row[m] = bi * sfac
+        row_m[i] = -sfac * bi.conjugate()
+    row_m[m] = complex(math.cos(babs))
+    return rows
+
+
 def omega_block(spec: CosetBlockSpec) -> np.ndarray:
     """n x n unitary equal to the identity outside the leading k x k block.
 
@@ -257,39 +287,39 @@ def omega_block(spec: CosetBlockSpec) -> np.ndarray:
     Python scalars and converted to an array once: at n <= 4 numpy's
     per-operation overhead dominates the arithmetic.
     """
-    n, k, b = spec.n, spec.k, spec.B
-    m = k - 1
-    babs = math.hypot(*map(abs, b))
-    cfac = cosm1_over_sq(babs)          # (cos|B| - 1)/|B|^2
-    sfac = sinc(babs)                   # sin|B|/|B|
-    flat = [0j] * (n * n)               # row-major n x n
-    flat[::n + 1] = [1 + 0j] * n
-    for i, bi in enumerate(b):
-        for j, bj in enumerate(b):
-            flat[i * n + j] += cfac * (bi * bj.conjugate())
-        flat[i * n + m] = bi * sfac
-        flat[m * n + i] = -sfac * bi.conjugate()
-    flat[m * n + m] = math.cos(babs)
-    return np.array(flat, dtype=np.complex128).reshape(n, n)
+    return np.array(_block_rows(spec.n, spec.k, spec.B), dtype=np.complex128)
+
+
+def _upper_rows(beta1: float, beta2: float, psi1: float, psi2: float) -> list[list[complex]]:
+    return _block_rows(3, 3, (cmath.rect(beta1, psi1), cmath.rect(beta2, psi2)))
+
+
+def _lower_rows(alpha: float, phi: float) -> list[list[complex]]:
+    return _block_rows(3, 2, (cmath.rect(alpha, phi),))
 
 
 def omega3_upper(beta1: float, beta2: float, psi1: float, psi2: float) -> np.ndarray:
     """The 3x3 block moving the third level: omega_block with
     B = (beta1 e^{i psi1}, beta2 e^{i psi2})."""
-    b = (cmath.rect(beta1, psi1), cmath.rect(beta2, psi2))
-    return omega_block(CosetBlockSpec(n=3, k=3, B=b))
+    return np.array(_upper_rows(beta1, beta2, psi1, psi2), dtype=np.complex128)
 
 
 def omega3_lower(alpha: float, phi: float) -> np.ndarray:
     """The 3x3 block mixing levels 1 and 2: omega_block with B = (alpha e^{i phi},)."""
-    return omega_block(CosetBlockSpec(n=3, k=2, B=(cmath.rect(alpha, phi),)))
+    return np.array(_lower_rows(alpha, phi), dtype=np.complex128)
+
+
+def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
+    """Rows of the k=3 block times the k=2 block. The k=2 block is the
+    identity in its last row and column, so only two columns are mixed."""
+    (l00, l01, _), (l10, l11, _), _ = _lower_rows(chart.alpha, chart.phi)
+    return [[u0 * l00 + u1 * l10, u0 * l01 + u1 * l11, u2]
+            for u0, u1, u2 in _upper_rows(chart.beta1, chart.beta2, chart.psi1, chart.psi2)]
 
 
 def omega3(chart: CosetChart3) -> np.ndarray:
     """Full coset representative for n=3: the k=3 block times the k=2 block."""
-    return omega3_upper(chart.beta1, chart.beta2, chart.psi1, chart.psi2) @ omega3_lower(
-        chart.alpha, chart.phi
-    )
+    return np.array(_omega3_rows(chart), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +355,57 @@ def diag_entries3(theta1: float, theta2: float) -> tuple[float, float, float]:
     return (1.0 - s1sq, s1sq * math.cos(theta2) ** 2, s1sq * math.sin(theta2) ** 2)
 
 
-def _assemble(om: np.ndarray, lam: tuple[float, ...]) -> DensityMatrix:
-    """rho = Omega diag(lam) Omega†, scaling the columns of Omega by lam."""
-    return DensityMatrix(matcore.hermitize((om * lam) @ om.conj().T), check=False)
+def _assemble2(om: list[list[complex]], lam: tuple[float, float]) -> DensityMatrix:
+    """rho = Omega diag(lam) Omega† from the rows of a 2x2 Omega.
+
+    Only rho_ij = sum_k (lam_k Omega_ik) conj(Omega_jk) for i <= j is formed:
+    the diagonal keeps its real part and rho_10 is the conjugate of rho_01,
+    so rho is exactly Hermitian with a real diagonal.
+    """
+    l0, l1 = lam
+    (a0, a1), (b0, b1) = om
+    wa0, wa1 = l0 * a0, l1 * a1
+    wb0, wb1 = l0 * b0, l1 * b1
+    a0, a1 = a0.conjugate(), a1.conjugate()
+    b0, b1 = b0.conjugate(), b1.conjugate()
+    r01 = wa0 * b0 + wa1 * b1
+    r00 = complex((wa0 * a0 + wa1 * a1).real)
+    r11 = complex((wb0 * b0 + wb1 * b1).real)
+    return DensityMatrix(np.array([[r00, r01], [r01.conjugate(), r11]],
+                                  dtype=np.complex128), check=False)
+
+
+def _assemble3(om: list[list[complex]], lam: tuple[float, float, float]) -> DensityMatrix:
+    """rho = Omega diag(lam) Omega† from the rows of a 3x3 Omega, written out
+    like _assemble2: the upper triangle is formed and mirrored."""
+    l0, l1, l2 = lam
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = om
+    wa0, wa1, wa2 = l0 * a0, l1 * a1, l2 * a2
+    wb0, wb1, wb2 = l0 * b0, l1 * b1, l2 * b2
+    wc0, wc1, wc2 = l0 * c0, l1 * c1, l2 * c2
+    a0, a1, a2 = a0.conjugate(), a1.conjugate(), a2.conjugate()
+    b0, b1, b2 = b0.conjugate(), b1.conjugate(), b2.conjugate()
+    c0, c1, c2 = c0.conjugate(), c1.conjugate(), c2.conjugate()
+    r01 = wa0 * b0 + wa1 * b1 + wa2 * b2
+    r02 = wa0 * c0 + wa1 * c1 + wa2 * c2
+    r12 = wb0 * c0 + wb1 * c1 + wb2 * c2
+    r00 = complex((wa0 * a0 + wa1 * a1 + wa2 * a2).real)
+    r11 = complex((wb0 * b0 + wb1 * b1 + wb2 * b2).real)
+    r22 = complex((wc0 * c0 + wc1 * c1 + wc2 * c2).real)
+    return DensityMatrix(np.array([[r00, r01, r02],
+                                   [r01.conjugate(), r11, r12],
+                                   [r02.conjugate(), r12.conjugate(), r22]],
+                                  dtype=np.complex128), check=False)
 
 
 def rho2(chart: CosetChart2) -> DensityMatrix:
     """rho = Omega D Omega† on the 2-level chart."""
-    return _assemble(omega2(chart), _entries2(chart.theta))
+    return _assemble2(_omega2_rows(chart.alpha, chart.phi), _entries2(chart.theta))
 
 
 def rho3(chart: CosetChart3) -> DensityMatrix:
     """rho = Omega D Omega† on the 3-level chart."""
-    return _assemble(omega3(chart), _entries3(chart.theta1, chart.theta2))
+    return _assemble3(_omega3_rows(chart), _entries3(chart.theta1, chart.theta2))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,44 @@ def test_hubner_support_restriction_tolerates_silent_zero():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
+def hubner_reference(rho, d1, d2):
+    """0.5 * sum_ij Re(X1_ij X2_ji) / (lambda_i + lambda_j) as one contraction,
+    X = V† d V from numpy's eigh; every pair kept (full-rank states only).
+    Returns the value and the same sum over absolute terms, the scale that
+    rounding errors are relative to when the terms cancel."""
+    w, v = np.linalg.eigh(rho)
+    x1, x2 = (v.conj().T @ d @ v for d in (d1, d2))
+    terms = np.einsum("ij,ji,ij->ij", x1, x2, 1.0 / (w[:, None] + w[None, :])).real
+    return 0.5 * terms.sum(), 0.5 * np.abs(terms).sum()
+
+
+def test_hubner_matches_vectorised_reference():
+    rng = make_rng(13)
+    for n in (2, 3):
+        for _ in range(200):
+            rho = random_density(rng, n)
+            g1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            g2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for d1, d2 in ((g1, g2), (g1, g1), (random_tangent(rng, n), g2)):
+                ref, scale = hubner_reference(rho.mat, d1, d2)
+                assert abs(hubner_form(rho, d1, d2) - ref) <= 1e-14 * scale
+
+
+def test_hubner_drops_null_pair_of_rank_deficient_state():
+    # rank 2 of 3, tangent inside the support: the (null, null) pair has
+    # lambda_i + lambda_j ~ 0, is dropped without raising, and the rest of
+    # the sum is the 2-level form on the support
+    rng = make_rng(14)
+    u = random_unitary(rng, 3)
+    rho = coset.DensityMatrix(u @ diag_rho(0.6, 0.4, 0.0) @ u.conj().T)
+    sub = random_tangent(rng, 2)
+    inside = np.zeros((3, 3), dtype=complex)
+    inside[:2, :2] = sub
+    d = u @ inside @ u.conj().T
+    val = hubner_form(rho, d, d)
+    assert val == pytest.approx(hubner_reference(diag_rho(0.6, 0.4), sub, sub)[0], rel=1e-12)
+
+
 def test_check_tangent():
     with pytest.raises(InvalidTangent):
         check_tangent(np.array([[0.5, 0], [0, 0.5]], dtype=complex))  # trace 1
@@ -254,6 +292,28 @@ def test_dittmann3_guards():
     with pytest.raises(PureState):
         dittmann3_form(diag_rho(1.0 - 2e-13, 1e-13, 1e-13),
                        np.zeros((3, 3), dtype=complex))
+
+
+def test_dittmann3_cached_invariants_match_fresh_states():
+    rng = make_rng(15)
+    for _ in range(50):
+        rho = random_density(rng, 3)
+        d1, d2 = random_tangent(rng, 3), random_tangent(rng, 3)
+        cached = (dittmann3_form(rho, d1), dittmann3_form(rho, d2))
+        fresh = tuple(dittmann3_form(coset.DensityMatrix(rho.mat.copy()), d)
+                      for d in (d1, d2))
+        assert cached == fresh
+        assert dittmann3_form(rho.mat, d1) == cached[0]  # ndarray input, as_density path
+
+
+def test_dittmann3_failed_check_caches_nothing():
+    zero = np.zeros((3, 3), dtype=complex)
+    near_pure = coset.DensityMatrix(diag_rho(1.0 - 2e-13, 1e-13, 1e-13))
+    singular = coset.DensityMatrix(diag_rho(0.5, 0.5, 0.0))
+    for rho, err in ((near_pure, PureState), (singular, SingularState)):
+        for _ in range(2):
+            with pytest.raises(err):
+                dittmann3_form(rho, zero)
 
 
 def test_dittmann_dimension_errors():

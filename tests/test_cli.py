@@ -221,6 +221,12 @@ def test_validate_env_tol(capsys, monkeypatch):
     assert code == 0
 
 
+def test_validate_env_tol_nan_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("BURES_TOL", "nan")
+    assert main(["validate", "--n", "2", "--samples", "1"]) == 3
+    assert "BURES_TOL" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -311,7 +317,12 @@ def test_find_chart_round_trip_through_rho(tmp_path, capsys):
     ["validate", "--samples", "x"],
     ["bogus"],
     ["validate", "--step", "1"],
-], ids=["missing-coord", "non-numeric-samples", "unknown-subcommand", "step-too-large"])
+    ["validate", "--tol", "nan"],
+    ["validate", "--tol", "inf"],
+    ["validate", "--tol", "-1"],
+    ["validate", "--tol", "0"],
+], ids=["missing-coord", "non-numeric-samples", "unknown-subcommand", "step-too-large",
+        "tol-nan", "tol-inf", "tol-negative", "tol-zero"])
 def test_usage_error_exit_3(argv, capsys):
     assert main(argv) == 3
     assert "usage:" in capsys.readouterr().err

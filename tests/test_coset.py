@@ -283,6 +283,25 @@ def test_rho2_matches_reference_assembly(alpha):
         np.testing.assert_allclose(rho2(ch).mat, ref, rtol=0, atol=1e-14)
 
 
+def assert_exactly_hermitian_unit_trace(mat):
+    assert np.array_equal(mat, mat.conj().T)
+    assert not np.any(np.diag(mat).imag)
+    assert abs(np.trace(mat).real - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("case", sorted(set(RHO3_CASES) - {"random"}))
+def test_rho3_assembly_exactly_hermitian_at_edge_charts(case):
+    for ch in RHO3_CASES[case]:
+        assert_exactly_hermitian_unit_trace(rho3(ch).mat)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.4, 7.5, -9.1])
+def test_rho2_assembly_exactly_hermitian_at_edge_charts(alpha):
+    for theta in (0.0, math.pi / 8, math.pi / 4):
+        for phi in (0.0, 2.5, -8.0):
+            assert_exactly_hermitian_unit_trace(rho2(CosetChart2(theta, alpha, phi)).mat)
+
+
 def test_chart3_beta_range():
     with pytest.raises(OutOfChartRange):
         CosetChart3(0.3, 0.6, beta1=3.0, beta2=1.5)  # hypot > pi
