@@ -401,57 +401,66 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, str]:
     return (EXIT_OK if ok else EXIT_TOLERANCE), "\n".join(lines)
 
 
+def _entry_picks(entries: str, mt: metric.MetricTensor) -> list[tuple[str, int, int]]:
+    """The ``--entries`` choice as ordered (key, i, j); a repeated key counts once."""
+    names = mt.ordering
+    if entries == "all":
+        keys = mt.entry_names()
+    elif entries == "diag":
+        keys = [f"g_{c}_{c}" for c in names]
+    else:
+        keys = entries.split(",")
+    # entry keys look like g_<coord>_<coord>; coordinate names hold no "_"
+    index = {f"{a}_{b}": (i, j) for i, a in enumerate(names) for j, b in enumerate(names)}
+    picks = {}
+    for key in keys:
+        if key[2:] not in index:
+            raise ParseError(f"unknown tensor entry {key!r}")
+        picks[key] = index[key[2:]]
+    return [(key, i, j) for key, (i, j) in picks.items()]
+
+
 def cmd_scan(cfg: RunConfig, sweeps: list[tuple[str, float, float, int]],
              entries: str) -> tuple[int, str]:
     names = metric.COORDS2 if cfg.n == 2 else metric.COORDS3
     base = dict(COORD_DEFAULTS2 if cfg.n == 2 else COORD_DEFAULTS3)
     base.update({k: _convert(v, cfg.degrees) for k, v in cfg.chart.items()})
-    for coord, _, _, _ in sweeps:
+    sweep_names = [s[0] for s in sweeps]
+    for coord in sweep_names:
         if coord not in names:
             raise ParseError(f"unknown sweep coordinate {coord!r} for n={cfg.n}")
+        if sweep_names.count(coord) > 1:
+            raise ParseError(f"coordinate {coord!r} is swept more than once")
     grids = [np.linspace(_convert(a, cfg.degrees), _convert(b, cfg.degrees), k)
              for _, a, b, k in sweeps]
-    sweep_names = [s[0] for s in sweeps]
+    chart_type = CosetChart2 if cfg.n == 2 else CosetChart3
+    if cfg.method == "pullback":
+        pull = metric.pullback_metric2 if cfg.n == 2 else metric.pullback_metric3
+        tensor = functools.partial(pull, h=cfg.step)
+    else:
+        tensor = metric.closed_metric2 if cfg.n == 2 else metric.closed_metric3
 
-    def selected(mt: metric.MetricTensor) -> dict[str, float]:
-        if entries == "all":
-            keys = mt.entry_names()
-        elif entries == "diag":
-            keys = [f"g_{c}_{c}" for c in names]
-        else:
-            keys = entries.split(",")
-        out = {}
-        for key in keys:
-            # entry keys look like g_<coord>_<coord>; split on the known names
-            a = b = None
-            body = key[2:]
-            for c in names:
-                if body.startswith(c + "_"):
-                    a, b = c, body[len(c) + 1:]
-                    break
-            if a is None or b not in names:
-                raise ParseError(f"unknown tensor entry {key!r}")
-            out[key] = mt.entry(a, b)
-        return out
-
+    picks = None
     rows = []
-    for combo in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, len(grids)):
+    for combo in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(
+            -1, len(grids)).tolist():
         values = dict(base)
-        values.update({nm: float(v) for nm, v in zip(sweep_names, combo)})
-        chart = (CosetChart2(**values) if cfg.n == 2 else CosetChart3(**values))
-        mt = (metric.closed_metric2(chart) if cfg.n == 2
-              else metric.closed_metric3(chart)) if cfg.method != "pullback" else (
-            metric.pullback_metric2(chart, cfg.step) if cfg.n == 2
-            else metric.pullback_metric3(chart, cfg.step))
-        row = {nm: values[nm] for nm in sweep_names}
-        row.update(selected(mt))
-        row["sqrt_det_g"] = metric.volume_element(mt)
-        rows.append(row)
+        values.update(zip(sweep_names, combo))
+        mt = tensor(chart_type(**values))
+        if picks is None:
+            # read the entry names only now: a bad first chart outranks a bad name
+            picks = _entry_picks(entries, mt)
+        g = mt.g.tolist()
+        rows.append((*combo, *[g[i][j] for _, i, j in picks], metric.volume_element(mt)))
+    header = sweep_names + [key for key, _, _ in picks] + ["sqrt_det_g"]
     if cfg.output_format == "json":
-        return EXIT_OK, json.dumps(
-            {"header": list(rows[0].keys()), "rows": [list(r.values()) for r in rows]},
-            indent=2)
-    return EXIT_OK, payload_to_csv(rows)
+        return EXIT_OK, json.dumps({"header": header, "rows": rows}, indent=2)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    # every value is a float, printed as _fmt prints it; none needs csv quoting
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    buf.writelines([line % row for row in rows])
+    return EXIT_OK, buf.getvalue()
 
 
 def cmd_permtest(cfg: RunConfig) -> tuple[int, str]:

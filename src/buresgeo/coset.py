@@ -119,8 +119,9 @@ class DensityMatrix:
     positivity is checked whenever the spectral decomposition is computed.
     Two kinds of derived data are cached on first use: the spectral
     decomposition and, for 3x3 states, the trace-form invariants of
-    ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}). ``mat`` must not be
-    mutated once either exists, or they describe a different matrix.
+    ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}). ``mat`` is a private
+    read-only copy of the input, so neither a write to it nor a later change
+    to the caller's array can leave the caches describing another matrix.
     """
 
     HERM_TOL = 1e-10
@@ -128,7 +129,8 @@ class DensityMatrix:
     EIG_TOL = 1e-10
 
     def __init__(self, mat, *, check: bool = True):
-        self.mat = matcore.as_matrix(mat)
+        self.mat = matcore.as_matrix(mat).copy()
+        self.mat.setflags(write=False)
         self._spectral: Optional[matcore.SpectralDecomposition] = None
         # set by bures._dittmann3_invariants
         self._dittmann3: Optional[tuple] = None

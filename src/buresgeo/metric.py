@@ -49,6 +49,7 @@ from .errors import (
 
 COORDS2 = ("theta", "alpha", "phi")
 COORDS3 = ("theta1", "theta2", "alpha", "phi", "beta1", "beta2", "psi1", "psi2")
+INDEX3 = {name: k for k, name in enumerate(COORDS3)}
 
 DEFAULT_STEP = 1e-5
 GAP_TOL = 1e-6          # minimum eigenvalue gap for pullback / closed-form points
@@ -451,9 +452,8 @@ def closed_metric3(chart: CosetChart3, *, entries: str = "validated") -> MetricT
     g = np.zeros((8, 8))
     g[0, 0] = 1.0
     g[1, 1] = math.sin(chart.theta1) ** 2
-    idx = {name: k for k, name in enumerate(COORDS3)}
     for (a, b), val in e.items():
-        g[idx[a], idx[b]] = g[idx[b], idx[a]] = val
+        g[INDEX3[a], INDEX3[b]] = g[INDEX3[b], INDEX3[a]] = val
     return MetricTensor(ordering=COORDS3, g=g)
 
 

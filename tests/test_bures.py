@@ -316,6 +316,27 @@ def test_dittmann3_failed_check_caches_nothing():
                 dittmann3_form(rho, zero)
 
 
+def test_state_keeps_a_private_read_only_matrix():
+    original = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    d = np.diag([0.1, -0.05, -0.05]).astype(complex)
+    fresh = coset.DensityMatrix(original.copy())
+    want = (hubner_form(fresh, d, d), dittmann3_form(fresh, d))
+    changed = np.diag([0.6, 0.3, 0.1]).astype(complex)
+    assert hubner_form(coset.DensityMatrix(changed), d, d) != want[0]
+    # the caller's array changes before any cache exists, and after both do
+    for calls_before in (False, True):
+        caller = original.copy()
+        rho = coset.DensityMatrix(caller)
+        if calls_before:
+            assert (hubner_form(rho, d, d), dittmann3_form(rho, d)) == want
+        caller[:] = changed
+        assert np.array_equal(rho.mat, original)
+        assert (hubner_form(rho, d, d), dittmann3_form(rho, d)) == want
+        with pytest.raises(ValueError):
+            rho.mat[0, 0] = 0.6
+        assert np.array_equal(rho.mat, original)
+
+
 def test_dittmann_dimension_errors():
     with pytest.raises(DimensionMismatch):
         dittmann2_form(diag_rho(0.5, 0.3, 0.2), np.zeros((3, 3), dtype=complex))

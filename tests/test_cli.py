@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -259,6 +260,77 @@ def test_scan_unknown_entry_exit_3(capsys):
     code = main(["scan", "--n", "2", "--coord", "theta", "--from", "0.1",
                  "--to", "0.2", "--points", "2", "--entries", "g_bogus_bogus"])
     assert code == 3
+
+
+# A 3-level chart inside the paper's box, and an alpha x beta1 grid around it.
+SCAN_N3 = ["--n", "3", "--theta1", "0.7", "--theta2", "0.6", "--phi", "0.4",
+           "--beta2", "0.35", "--psi1", "0.2", "--psi2", "-0.5"]
+SCAN_GRID3 = ["--coord", "alpha", "--from", "-0.3", "--to", "0.9", "--points", "3",
+              "--coord", "beta1", "--from", "0.1", "--to", "1.6", "--points", "4"]
+
+# (argv, SHA-256 of the printed text). Recorded with numpy 2.x on x86-64
+# Linux; a libm or LAPACK that rounds the last bit differently changes them.
+SCAN_DIGESTS = [
+    (["--n", "2", "--alpha", "0.4", "--coord", "theta", "--from", "0.05", "--to", "0.75",
+      "--points", "5", "--coord", "phi", "--from", "0", "--to", "3", "--points", "2",
+      "--entries", "all", "--format", "csv"],
+     "34bf21276b71427799bc251f2b0879c1e20e7ae9d8e836ec5bfb4228278412b2"),
+    (["--n", "2", "--coord", "alpha", "--from", "0", "--to", "80", "--points", "4",
+      "--theta", "20", "--degrees", "--entries", "diag", "--format", "json"],
+     "a181699fa524ad36fa7d639b5fdba64002804ceac84d30eb4d6dee8ab256bddf"),
+    (["--n", "2", "--theta", "0.3", "--coord", "alpha", "--from", "0.1", "--to", "1.2",
+      "--points", "3", "--entries", "g_phi_alpha,g_alpha_alpha,g_phi_alpha,g_theta_theta",
+      "--format", "csv"],
+     "ee47e2ecf12587948bdd0c52fe764c2d81a0de13534ce8cf594f28082ea21e5e"),
+    ([*SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "csv"],
+     "d79055d4d0e0620da7ff2ac9bd400ab303cd54b453a96134f0efb395872a3df1"),
+    ([*SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "json"],
+     "ee2c176a597307fd19f24ea67afc5f9ab296546ceec1591bb0bd77bf342dd552"),
+    ([*SCAN_N3, *SCAN_GRID3, "--entries", "diag", "--format", "csv"],
+     "8097139161aa4e350148757646561610d93e5a9e415baa298d544edafd984590"),
+    ([*SCAN_N3, *SCAN_GRID3,
+      "--entries", "g_phi_alpha,g_beta1_psi2,g_phi_alpha,g_theta2_theta2", "--format", "json"],
+     "84f2265a39586c61a9f63ebbed25fc17c143fce54b6062dbb54507e2ff4eab8b"),
+    ([*SCAN_N3, "--alpha", "0.3", "--coord", "beta1", "--from", "0.2", "--to", "0.8",
+      "--points", "2", "--method", "pullback", "--entries", "diag", "--format", "csv"],
+     "8edd1e33d27eba9bcf819bad9be0b01d7a7a5744db268c109ec5f939ef84e8c7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SCAN_DIGESTS)
+def test_scan_output_bytes_pinned(argv, digest, capsys):
+    code, out = run_cli(["scan", *argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_scan_duplicate_entry_gives_one_column(capsys):
+    code, out = run_cli(["scan", *SCAN_N3, *SCAN_GRID3, "--format", "json",
+                         "--entries", "g_phi_alpha,g_alpha_phi,g_phi_alpha"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["header"] == ["alpha", "beta1", "g_phi_alpha", "g_alpha_phi",
+                                 "sqrt_det_g"]
+    for row in payload["rows"]:
+        assert len(row) == 5 and row[2] == row[3]
+
+
+@pytest.mark.parametrize("argv,want", [
+    (SCAN_GRID3, 3),
+    # the first chart is built before any entry name is read: beta >= pi wins
+    (["--beta1", "3.2", "--coord", "alpha", "--from", "0", "--to", "1", "--points", "2"], 2),
+])
+def test_scan_unknown_entry_n3_exit_code(argv, want, capsys):
+    code = main(["scan", *SCAN_N3, *argv, "--entries", "g_theta1_theta1,g_bogus"])
+    assert code == want
+
+
+def test_scan_coordinate_swept_twice_exit_3(capsys):
+    code = main(["scan", "--n", "2", "--theta", "0.3", "--coord", "alpha", "--from", "0",
+                 "--to", "1", "--points", "2", "--coord", "alpha", "--from", "3", "--to", "4",
+                 "--points", "3"])
+    assert code == 3
+    assert "alpha" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,27 @@ def test_closed_metric3_block_structure():
         assert g.entry("theta2", coord) == 0.0
 
 
+@pytest.mark.parametrize("entries", ["validated", "printed"])
+def test_closed_metric3_places_coset_entries_bit_for_bit(entries):
+    rng = make_rng(19)
+    index = {name: k for k, name in enumerate(COORDS3)}
+    for _ in range(25):
+        ch = random_chart3(rng)
+        g = closed_metric3(ch, entries=entries).g
+        e = metric._coset_block_entries(ch, t_coeffs(ch.theta1, ch.theta2),
+                                        entries=entries)
+        want = np.zeros((8, 8))
+        want[0, 0] = 1.0
+        want[1, 1] = math.sin(ch.theta1) ** 2
+        for (a, b), val in e.items():
+            want[index[a], index[b]] = want[index[b], index[a]] = val
+        assert g.tobytes() == want.tobytes()
+        assert g[0, 0] == 1.0 and g[0, 1] == g[1, 0] == 0.0
+        assert g[1, 1] == math.sin(ch.theta1) ** 2
+        assert not g[:2, 2:].any() and not g[2:, :2].any()
+        assert len(e) == 21  # the whole upper triangle of the 6x6 coset block
+
+
 def test_closed_metric3_gamma_invariance():
     rng = make_rng(8)
     for _ in range(10):
