@@ -410,13 +410,12 @@ def _entry_picks(entries: str, mt: metric.MetricTensor) -> list[tuple[str, int, 
         keys = [f"g_{c}_{c}" for c in names]
     else:
         keys = entries.split(",")
-    # entry keys look like g_<coord>_<coord>; coordinate names hold no "_"
-    index = {f"{a}_{b}": (i, j) for i, a in enumerate(names) for j, b in enumerate(names)}
+    index = {f"g_{a}_{b}": (i, j) for i, a in enumerate(names) for j, b in enumerate(names)}
     picks = {}
     for key in keys:
-        if key[2:] not in index:
+        if key not in index:
             raise ParseError(f"unknown tensor entry {key!r}")
-        picks[key] = index[key[2:]]
+        picks[key] = index[key]
     return [(key, i, j) for key, (i, j) in picks.items()]
 
 

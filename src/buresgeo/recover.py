@@ -2,19 +2,23 @@
 
 Eigenvalues fix the theta coordinates directly (after choosing the
 permutation that lands in the chart's eigenvalue box); the coset
-coordinates are then fitted by minimizing || Omega(chart) D Omega† - rho ||_F.
-The fit is seeded analytically from the eigenvector phases and polished
-with a least-squares pass; random multistart is the fallback. The reached
-residual is always returned alongside the chart.
+coordinates are read off the eigenvectors in closed form, with fixed
+conventions where a coordinate is undefined (psi_k = 0 when the k-th entry
+of Omega's third column is exactly 0, phi = 0 when an entry of the 2x2
+block is exactly 0). That analytic inverse is the path every in-chart state
+takes. Only if its residual || Omega(chart) D Omega† - rho ||_F exceeds
+TARGET_RESIDUAL does a least-squares multistart polish it; scipy is imported
+on that fallback's first call, never at module load. The reached residual
+is always returned alongside the chart.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import coset
 from .coset import CosetChart2, CosetChart3, DensityMatrix, THETA1_MAX, THETA2_MAX, THETA2_MIN
@@ -53,10 +57,9 @@ def find_chart2(rho) -> tuple[CosetChart2, float]:
     theta = math.acos(min(math.sqrt(max(w[0], 0.0)), 1.0))
     # eigenvector column 1 carries (cos a, -e^{-i phi} sin a) up to a phase
     alpha = math.atan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[0, 1]) > 1e-12 and abs(v[1, 1]) > 1e-12:
-        phi = float(np.angle(v[0, 1]) - np.angle(v[1, 1]))
-    else:
-        phi = 0.0
+    # phi is undefined when an entry is exactly 0; any other size fixes it
+    a, b = v[0, 1], v[1, 1]
+    phi = cmath.phase(a) - cmath.phase(b) if a and b else 0.0
     chart = CosetChart2(theta=theta, alpha=alpha, phi=phi)
     res = _residual(dm.mat, coset.rho2(chart))
     if res > TARGET_RESIDUAL:
@@ -64,6 +67,16 @@ def find_chart2(rho) -> tuple[CosetChart2, float]:
     if res > FAIL_RESIDUAL:
         raise FitFailure(f"residual {res:.3e} > {FAIL_RESIDUAL:.1e} after multistart")
     return chart, res
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call.
+
+    Only the fallback fits need scipy, so importing buresgeo does not load it.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 def _polish2(dm: DensityMatrix, theta: float, seed_params, seed_res: float):
@@ -127,23 +140,20 @@ def _coset_params_from_eigvecs(v: np.ndarray):
     col3 = v[:, 2].copy()
     if abs(col3[2]) > 1e-15:
         col3 = col3 * np.exp(-1j * np.angle(col3[2]))
-    cb = min(max(float(col3[2].real), -1.0), 1.0)
-    beta = math.acos(cb)
-    sb = math.sin(beta)
-    if sb > 1e-9:
-        b1 = beta * abs(col3[0]) / sb
-        b2 = beta * abs(col3[1]) / sb
-        psi1 = float(np.angle(col3[0])) if abs(col3[0]) > 1e-12 else 0.0
-        psi2 = float(np.angle(col3[1])) if abs(col3[1]) > 1e-12 else 0.0
-    else:
-        b1 = b2 = psi1 = psi2 = 0.0
+    c1, c2, c3 = col3.tolist()
+    # sin(beta) from the small entries and atan2 keep beta exact near 0,
+    # where acos(cos(beta)) rounds every beta below ~1.5e-8 to 0
+    sb = math.hypot(abs(c1), abs(c2))
+    beta = math.atan2(sb, c3.real)
+    scale = beta / sb if sb else 0.0
+    b1, b2 = scale * abs(c1), scale * abs(c2)
+    psi1 = cmath.phase(c1) if c1 else 0.0
+    psi2 = cmath.phase(c2) if c2 else 0.0
     upper = coset.omega3_upper(b1, b2, psi1, psi2)
     m = upper.conj().T @ v   # should be Omega2 times a diagonal phase
     alpha = math.atan2(abs(m[1, 0]), abs(m[0, 0]))
-    if abs(m[0, 1]) > 1e-12 and abs(m[1, 1]) > 1e-12:
-        phi = float(np.angle(m[0, 1]) - np.angle(m[1, 1]))
-    else:
-        phi = 0.0
+    a, b = m[0, 1], m[1, 1]
+    phi = cmath.phase(a) - cmath.phase(b) if a and b else 0.0
     return alpha, phi, b1, b2, psi1, psi2
 
 
@@ -151,7 +161,8 @@ def find_chart3(rho) -> tuple[CosetChart3, float]:
     """Chart coordinates of a nondegenerate 3-level state, with fit residual.
 
     theta1, theta2 come from the eigenvalues; the six coset coordinates from
-    an analytically seeded least-squares fit of Omega(chart) D Omega† to rho.
+    the eigenvectors in closed form, with the least-squares multistart only
+    as a fallback.
     """
     dm = coset.as_density(rho)
     if dm.dim != 3:

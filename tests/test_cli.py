@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +327,19 @@ def test_scan_unknown_entry_n3_exit_code(argv, want, capsys):
     assert code == want
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["--n", "2", "--theta", "0.3"], 3),
+    (SCAN_N3, 3),
+    # a bad first chart still exits 2 before the entry is read
+    ([*SCAN_N3, "--beta1", "3.2"], 2),
+])
+def test_scan_entry_without_g_prefix_exit_code(argv, want, capsys):
+    code = main(["scan", *argv, "--coord", "alpha", "--from", "0", "--to", "1",
+                 "--points", "2", "--entries", "xxalpha_alpha"])
+    assert code == want
+    assert capsys.readouterr().out == ""
+
+
 def test_scan_coordinate_swept_twice_exit_3(capsys):
     code = main(["scan", "--n", "2", "--theta", "0.3", "--coord", "alpha", "--from", "0",
                  "--to", "1", "--points", "2", "--coord", "alpha", "--from", "3", "--to", "4",
@@ -427,6 +442,25 @@ def test_reused_parser_forgets_earlier_tol(capsys, monkeypatch):
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert json.loads(out)["tol"] == 1e-6
+
+
+def test_import_and_validate_leave_scipy_unloaded():
+    # scipy is only for the recovery fallback; a fresh interpreter shows
+    # whether anything on the import or validate path still loads it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = (
+        "import sys\n"
+        "import buresgeo, buresgeo.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "code = buresgeo.cli.main(['validate', '--n', '3', '--samples', '2', '--seed', '1'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'validate'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_point_runs():

@@ -1,12 +1,15 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from buresgeo import coset
+from buresgeo import coset, recover
 from buresgeo.coset import CosetChart2, CosetChart3
 from buresgeo.errors import DegenerateSpectrum, OutOfChartRange
-from buresgeo.recover import find_chart, find_chart2, find_chart3
+from buresgeo.recover import TARGET_RESIDUAL, find_chart, find_chart2, find_chart3
 from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_unitary
 
 
@@ -83,3 +86,127 @@ def test_find_chart3_beta_canonicalized():
     rec, res = find_chart3(rho)
     assert res <= 1e-8
     assert rec.beta <= math.pi / 2 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# coordinate edges: the analytic inverse alone must round-trip them
+# ---------------------------------------------------------------------------
+
+EDGE_RES = 1e-13
+EDGE_BETAS = (0.0, 1e-12, 1e-9, 1.3e-8, 2e-8, math.pi / 2, math.pi - 1e-9, math.pi - 1.2e-8)
+EDGE_ALPHAS = (0.0, 1e-13, math.pi / 2)
+# (beta1, beta2) direction: all of beta in beta1, all in beta2, or split
+EDGE_CHIS = (0.0, math.pi / 2, 0.7)
+EDGE_ALPHAS2 = (0.0, 1e-13, 1e-9, 1.3e-8, math.pi / 2 - 1e-9, math.pi / 2,
+                math.pi - 1e-9, math.pi)
+
+
+@contextlib.contextmanager
+def counted_least_squares():
+    """Count the calls of the scipy fallback; the calls still run."""
+    calls = []
+    real = recover.least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recover, "least_squares", counted)
+        yield calls
+
+
+def edge_chart3(beta, chi, alpha, theta1=0.5, theta2=0.65, phi=0.4, psi1=0.9, psi2=-1.1):
+    # cos(pi/2) is 6e-17, not 0
+    b1 = 0.0 if chi == math.pi / 2 else beta * math.cos(chi)
+    b2 = beta * math.sin(chi)
+    return CosetChart3(theta1, theta2, alpha=alpha, phi=phi, beta1=b1, beta2=b2,
+                       psi1=psi1, psi2=psi2)
+
+
+def assert_exact_round_trip(chart):
+    build = coset.rho2 if isinstance(chart, CosetChart2) else coset.rho3
+    rho = build(chart)
+    with counted_least_squares() as calls:
+        rec, res = find_chart(rho)
+    assert calls == []
+    assert np.linalg.norm(build(rec).mat - rho.mat) <= EDGE_RES
+    assert res <= EDGE_RES
+
+
+@pytest.mark.parametrize("alpha", EDGE_ALPHAS)
+@pytest.mark.parametrize("chi", EDGE_CHIS)
+@pytest.mark.parametrize("beta", EDGE_BETAS)
+def test_find_chart3_edges_round_trip_without_fallback(beta, chi, alpha):
+    assert_exact_round_trip(edge_chart3(beta, chi, alpha))
+    rng = make_rng(7)
+    for _ in range(10):
+        phi, psi1, psi2 = rng.uniform(0.0, 2 * math.pi, size=3)
+        assert_exact_round_trip(edge_chart3(beta, float(rng.uniform(0.0, 2 * math.pi)),
+                                            alpha, phi=phi, psi1=psi1, psi2=psi2))
+
+
+@pytest.mark.parametrize("alpha", EDGE_ALPHAS2)
+@pytest.mark.parametrize("phi", (0.0, 2.0))
+@pytest.mark.parametrize("theta", (0.1, 0.5))
+def test_find_chart2_edges_round_trip_without_fallback(theta, phi, alpha):
+    assert_exact_round_trip(CosetChart2(theta, alpha=alpha, phi=phi))
+
+
+angle = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(theta1=st.floats(0.05, coset.THETA1_MAX - 0.05),
+       theta2=st.floats(coset.THETA2_MIN + 0.02, coset.THETA2_MAX - 0.02),
+       alpha=st.one_of(st.sampled_from(EDGE_ALPHAS), angle),
+       beta=st.one_of(st.sampled_from(EDGE_BETAS), st.floats(0.0, math.pi - 1e-9)),
+       chi=st.one_of(st.sampled_from(EDGE_CHIS), angle),
+       phi=angle, psi1=angle, psi2=angle)
+def test_find_chart3_round_trip_property(theta1, theta2, alpha, beta, chi, phi, psi1, psi2):
+    lam = coset.diag_entries3(theta1, theta2)
+    assume(min(abs(lam[0] - lam[1]), abs(lam[0] - lam[2]), abs(lam[1] - lam[2])) >= 1e-3)
+    assert_exact_round_trip(edge_chart3(beta, chi, alpha, theta1=theta1, theta2=theta2,
+                                        phi=phi, psi1=psi1, psi2=psi2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(0.01, math.pi / 4 - 0.01),
+       alpha=st.one_of(st.sampled_from(EDGE_ALPHAS2), angle), phi=angle)
+def test_find_chart2_round_trip_property(theta, alpha, phi):
+    assert_exact_round_trip(CosetChart2(theta, alpha=alpha, phi=phi))
+
+
+# ---------------------------------------------------------------------------
+# the least-squares fallback, reached through a spoiled analytic seed
+# ---------------------------------------------------------------------------
+
+def test_find_chart3_fallback_recovers_from_a_bad_seed(monkeypatch):
+    exact = recover._coset_params_from_eigvecs
+    monkeypatch.setattr(recover, "_coset_params_from_eigvecs",
+                        lambda v: tuple(p + 1e-3 for p in exact(v)))
+    rho = coset.rho3(random_chart3(make_rng(4)))
+    with counted_least_squares() as calls:
+        rec, res = find_chart3(rho)
+    assert calls
+    assert res <= TARGET_RESIDUAL
+    assert np.linalg.norm(coset.rho3(rec).mat - rho.mat) <= TARGET_RESIDUAL
+
+
+def test_find_chart2_fallback_recovers_from_a_bad_seed(monkeypatch):
+    # alpha and phi are read off the eigenvectors: tilt them by 1e-3
+    exact = recover._spectral_sorted_desc
+    c, s = math.cos(1e-3), math.sin(1e-3)
+    tilt = np.array([[c, -s], [s, c]], dtype=complex)
+
+    def tilted(dm):
+        w, v = exact(dm)
+        return w, tilt @ v
+
+    monkeypatch.setattr(recover, "_spectral_sorted_desc", tilted)
+    rho = coset.rho2(random_chart2(make_rng(5)))
+    with counted_least_squares() as calls:
+        rec, res = find_chart2(rho)
+    assert calls
+    assert res <= TARGET_RESIDUAL
+    assert np.linalg.norm(coset.rho2(rec).mat - rho.mat) <= TARGET_RESIDUAL
