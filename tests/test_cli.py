@@ -270,39 +270,159 @@ SCAN_N3 = ["--n", "3", "--theta1", "0.7", "--theta2", "0.6", "--phi", "0.4",
 SCAN_GRID3 = ["--coord", "alpha", "--from", "-0.3", "--to", "0.9", "--points", "3",
               "--coord", "beta1", "--from", "0.1", "--to", "1.6", "--points", "4"]
 
-# (argv, SHA-256 of the printed text). Recorded with numpy 2.x on x86-64
-# Linux; a libm or LAPACK that rounds the last bit differently changes them.
-SCAN_DIGESTS = [
-    (["--n", "2", "--alpha", "0.4", "--coord", "theta", "--from", "0.05", "--to", "0.75",
+# The inputs of the per-command pins below.
+PIN_N2 = ["--n", "2", "--theta", "0.3", "--alpha", "0.5", "--phi", "0.2"]
+PIN_N3 = ["--n", "3", "--theta1", "0.6", "--theta2", "0.68", "--alpha", "0.3", "--phi", "0.4",
+          "--beta1", "0.9", "--beta2", "0.5", "--psi1", "0.1", "--psi2", "0.7"]
+PIN_DEGREES = ["--n", "2", "--theta", "20", "--alpha", "30", "--phi", "-45", "--degrees"]
+PIN_INLINE = ["--state-a", "theta=0.3,alpha=0.5", "--state-b", "theta=0.2,phi=1.1"]
+PIN_SAMPLES = ["--samples", "3", "--seed", "5"]
+FAIL_TOL = "1e-300"  # no sample meets it: validate prints FAIL and exits 6
+DATA = Path(__file__).resolve().parent / "data"
+STATE2, STATE3A, STATE3B = (str(DATA / f"state{k}.json") for k in ("2", "3a", "3b"))
+
+# (argv, SHA-256 of the printed text): every scan pin, then every other
+# command in each format. Recorded with numpy 2.x on x86-64 Linux; a libm or
+# LAPACK that rounds the last bit differently changes them.
+OUTPUT_DIGESTS = [
+    (["scan", "--n", "2", "--alpha", "0.4", "--coord", "theta", "--from", "0.05", "--to", "0.75",
       "--points", "5", "--coord", "phi", "--from", "0", "--to", "3", "--points", "2",
       "--entries", "all", "--format", "csv"],
      "34bf21276b71427799bc251f2b0879c1e20e7ae9d8e836ec5bfb4228278412b2"),
-    (["--n", "2", "--coord", "alpha", "--from", "0", "--to", "80", "--points", "4",
+    (["scan", "--n", "2", "--coord", "alpha", "--from", "0", "--to", "80", "--points", "4",
       "--theta", "20", "--degrees", "--entries", "diag", "--format", "json"],
      "a181699fa524ad36fa7d639b5fdba64002804ceac84d30eb4d6dee8ab256bddf"),
-    (["--n", "2", "--theta", "0.3", "--coord", "alpha", "--from", "0.1", "--to", "1.2",
+    (["scan", "--n", "2", "--theta", "0.3", "--coord", "alpha", "--from", "0.1", "--to", "1.2",
       "--points", "3", "--entries", "g_phi_alpha,g_alpha_alpha,g_phi_alpha,g_theta_theta",
       "--format", "csv"],
      "ee47e2ecf12587948bdd0c52fe764c2d81a0de13534ce8cf594f28082ea21e5e"),
-    ([*SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "csv"],
+    (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "csv"],
      "d79055d4d0e0620da7ff2ac9bd400ab303cd54b453a96134f0efb395872a3df1"),
-    ([*SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "json"],
+    (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "json"],
      "ee2c176a597307fd19f24ea67afc5f9ab296546ceec1591bb0bd77bf342dd552"),
-    ([*SCAN_N3, *SCAN_GRID3, "--entries", "diag", "--format", "csv"],
+    (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "diag", "--format", "csv"],
      "8097139161aa4e350148757646561610d93e5a9e415baa298d544edafd984590"),
-    ([*SCAN_N3, *SCAN_GRID3,
+    (["scan", *SCAN_N3, *SCAN_GRID3,
       "--entries", "g_phi_alpha,g_beta1_psi2,g_phi_alpha,g_theta2_theta2", "--format", "json"],
      "84f2265a39586c61a9f63ebbed25fc17c143fce54b6062dbb54507e2ff4eab8b"),
-    ([*SCAN_N3, "--alpha", "0.3", "--coord", "beta1", "--from", "0.2", "--to", "0.8",
+    (["scan", *SCAN_N3, "--alpha", "0.3", "--coord", "beta1", "--from", "0.2", "--to", "0.8",
       "--points", "2", "--method", "pullback", "--entries", "diag", "--format", "csv"],
      "8edd1e33d27eba9bcf819bad9be0b01d7a7a5744db268c109ec5f939ef84e8c7"),
+    (["rho", *PIN_N2, "--format", "json"],
+     "6deac507db9a4385385c2affba180f03c847365a92ea1f3f597981996702c829"),
+    (["rho", *PIN_N2, "--format", "csv"],
+     "f261256fb1a9a72c77fd0b48d44129c8d6e822a63197686465cde0ee85658ad3"),
+    (["rho", *PIN_N2, "--format", "pretty"],
+     "1b8e1dfaaff1a5da3a41a2319d3964a939d23dc0d1318831443a849e412cd991"),
+    (["rho", *PIN_N3, "--format", "json"],
+     "e8f28591c4ba91e145fceb1dec6f997da1221511ffa0f510dc3642b10825916f"),
+    (["rho", *PIN_N3, "--format", "csv"],
+     "c8f4fea6a6ce799a0c3a2e5965f1741d373a8e82eba4a5099c260d9c97c7894d"),
+    (["rho", *PIN_N3, "--format", "pretty"],
+     "9f9da58d085b3ed2a4a1061d60eb786903a235a3aa2b42794271f95671e9c57d"),
+    (["rho", *PIN_DEGREES, "--format", "json"],
+     "a68c0d0316d05c8c540dfe453c582c3cc2acbd923d5826c10a22e1540b8cc0f8"),
+    (["rho", *PIN_DEGREES, "--format", "csv"],
+     "601291debd40c9677cacbfa74b52305179a1692e52676069b1fadf6e2babb186"),
+    (["rho", *PIN_DEGREES, "--format", "pretty"],
+     "0f74bb4a0c5b592737da2b01e6c7127bc15dfd498ab68071a22c4cc1046808de"),
+    (["fidelity", "--state-a", STATE3A, "--state-b", STATE3B, "--format", "json"],
+     "2a8490b96d11b258f9fc777cd83856122e8c213c1a870316073749849c347399"),
+    (["fidelity", "--state-a", STATE3A, "--state-b", STATE3B, "--format", "csv"],
+     "62a08bde9440bf06ecaf4bb519958bcc4732300f331d67b561764bb36dfb5352"),
+    (["fidelity", "--state-a", STATE3A, "--state-b", STATE3B, "--format", "pretty"],
+     "b77456417b56f96e8edcb2b3c53403b58d4e032d19f40db0735443fa802bdecc"),
+    (["fidelity", *PIN_INLINE, "--format", "json"],
+     "64f9d7a8e7aa6c702d57a45c46ec4b93fbcc1d4eb71d8a900d5cf9071d76cb68"),
+    (["fidelity", *PIN_INLINE, "--format", "csv"],
+     "72ce33d891ea3b71ec86fe486831cc3b73df7762c42af9e1ac12c72d2d6a3a3b"),
+    (["fidelity", *PIN_INLINE, "--format", "pretty"],
+     "28cc0536d8994d5cd7010ec7efaa397ada700fdc44efa5a894b3d36e69fee61e"),
+    (["metric", *PIN_N2, "--method", "closed", "--format", "json"],
+     "1415f6df6ba2d71f6f0e90034705f86894ac62fbcb983442b6c4cbe44006062e"),
+    (["metric", *PIN_N2, "--method", "closed", "--format", "csv"],
+     "8682f043304fd97704838a0d63c283c33651e0c76fa80c718814fd16c30f0161"),
+    (["metric", *PIN_N2, "--method", "closed", "--format", "pretty"],
+     "d98f3ac8d20730e8d5052ada0906b86e9745a1a2a7362ad4d0163427c665b0ec"),
+    (["metric", *PIN_N3, "--method", "closed", "--format", "json"],
+     "6ef81ce521cbececccd815950c0b38cf8e68d4e49f480d4b31e72b69a719fc18"),
+    (["metric", *PIN_N3, "--method", "closed", "--format", "csv"],
+     "d6e5f53012cf91adf26019caf68ce3f7527ab33277ca600de49663667d3976c0"),
+    (["metric", *PIN_N3, "--method", "closed", "--format", "pretty"],
+     "5c4de8fab6617bf391047304d289e1a26a452ca13721ece3d4b93a7a769dba4c"),
+    (["metric", *PIN_N2, "--method", "pullback", "--format", "json"],
+     "e69ffb9ff929988d96f562278fb68c8da89c25b7b5be16018bdb016b1f50926b"),
+    (["metric", *PIN_N2, "--method", "pullback", "--format", "csv"],
+     "f17900c0507f724a54d0b169d0a0e852f5c31e4da8cdc69393b954cd7852232e"),
+    (["metric", *PIN_N2, "--method", "pullback", "--format", "pretty"],
+     "f569aecef1de0cb06c858ab24c731d4b48ae24ed46601572b622397a67c81d1c"),
+    (["metric", *PIN_N3, "--method", "pullback", "--format", "json"],
+     "6ea8d847ed630364d1643f0a17a6b662b1f47f608438a9992b4335aad264cff2"),
+    (["metric", *PIN_N3, "--method", "pullback", "--format", "csv"],
+     "9653caa066616bbb885577e4b23ac27a845c8945b073257dbfd98ab40cd294e0"),
+    (["metric", *PIN_N3, "--method", "pullback", "--format", "pretty"],
+     "26059ec4a5e6690f3dce8742d657e4f8128ec18c58a061d554208b8f331cff35"),
+    (["metric", *PIN_N2, "--method", "both", "--format", "json"],
+     "4fd970432f0fb322a83d4bec3fbf5215c09d1e3088a857ea8e8eb08dc26a7d3e"),
+    (["metric", *PIN_N2, "--method", "both", "--format", "csv"],
+     "2b637f04bc282823966ec57c8448e82b20634cd928c0b8063a99179421788203"),
+    (["metric", *PIN_N2, "--method", "both", "--format", "pretty"],
+     "8f0ae245cfb954c43e17fc641752ffc6d166ded3c9fa1e31a0fa9951c97e8646"),
+    (["metric", *PIN_N3, "--method", "both", "--format", "json"],
+     "7b231e01feb7e8f796ec8baa4db98ab7d4202a58ecdce9a7a2f80fa0ce5166f2"),
+    (["metric", *PIN_N3, "--method", "both", "--format", "csv"],
+     "82995213657cbe55092412cc2c5969424d63bde761f0cdfcb3fe81e7b128f4d9"),
+    (["metric", *PIN_N3, "--method", "both", "--format", "pretty"],
+     "7c3019fcc831d809613fefc6bead72506f25313abef27b93c2e848d77e876dce"),
+    (["validate", "--n", "2", *PIN_SAMPLES, "--format", "json"],
+     "adce4338aa8cf5f9448fa48a9054270f97babd16ed64e44fe499724ed0f14724"),
+    (["validate", "--n", "2", *PIN_SAMPLES, "--format", "csv"],
+     "3a4c3ad005bad134736bbce670b62d6081bbadaafac1a40dbc4956cf64521eec"),
+    (["validate", "--n", "2", *PIN_SAMPLES, "--format", "pretty"],
+     "3a4c3ad005bad134736bbce670b62d6081bbadaafac1a40dbc4956cf64521eec"),
+    (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "json"],
+     "6a50c084708fe56818b9d8d0288ef14e7f3a059a8aeaf2c82f2d294069be5bc9"),
+    (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "csv"],
+     "0f522312485dab81d645426e9bc7629f687fc26584dabddefa2e85b11b8c6dba"),
+    (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
+     "0f522312485dab81d645426e9bc7629f687fc26584dabddefa2e85b11b8c6dba"),
+    (["validate", "--n", "3", *PIN_SAMPLES, "--format", "json"],
+     "5ecfe70ac22477c340206734de4d65f6bda8dacb66df15ce9f7f7bb7829221fc"),
+    (["validate", "--n", "3", *PIN_SAMPLES, "--format", "csv"],
+     "543c0f5382c9fe8e9cd556c9571e15ec1c0c349331e31cedb03c702e898ad453"),
+    (["validate", "--n", "3", *PIN_SAMPLES, "--format", "pretty"],
+     "543c0f5382c9fe8e9cd556c9571e15ec1c0c349331e31cedb03c702e898ad453"),
+    (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "json"],
+     "30c9de364b4975e9c62a11271c7708848ff65b52285891dcd7d057948c43b605"),
+    (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "csv"],
+     "12e7683d143fa788bc5bdaf9100b3e90a47f6d95d1ed614a413a46a1dd7f43ec"),
+    (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
+     "12e7683d143fa788bc5bdaf9100b3e90a47f6d95d1ed614a413a46a1dd7f43ec"),
+    (["permtest", "--format", "json"],
+     "027e3e4038d5c6d27c0bfed973d1abeade57353372e1c406171caad29c0bf857"),
+    (["permtest", "--format", "csv"],
+     "8a9a8a045d5d4afa837e51bcc024d4ca3c43816c45a2df59ad48bbbe1f80a184"),
+    (["permtest", "--format", "pretty"],
+     "8a9a8a045d5d4afa837e51bcc024d4ca3c43816c45a2df59ad48bbbe1f80a184"),
+    (["find-chart", STATE2, "--format", "json"],
+     "8692d8e2760a66cb8d5547f1a202b0d7ca5f46471c7223c6c78b8289e34c7e8b"),
+    (["find-chart", STATE2, "--format", "csv"],
+     "c697c63c7a23b6e669d0bcca9bd50c39dd16a0a142d1ca0b74b8dd2ec2c29074"),
+    (["find-chart", STATE2, "--format", "pretty"],
+     "c697c63c7a23b6e669d0bcca9bd50c39dd16a0a142d1ca0b74b8dd2ec2c29074"),
+    (["find-chart", STATE3A, "--n", "3", "--format", "json"],
+     "83b247a7b1e5060528ca70a091827893c203f7a7b2294195969e5413bda4ecb9"),
+    (["find-chart", STATE3A, "--n", "3", "--format", "csv"],
+     "b40efb813c4616ee40af5d901cf9046cbca3525339acec9cd4a11331c9e4e103"),
+    (["find-chart", STATE3A, "--n", "3", "--format", "pretty"],
+     "b40efb813c4616ee40af5d901cf9046cbca3525339acec9cd4a11331c9e4e103"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", SCAN_DIGESTS)
+@pytest.mark.parametrize("argv,digest", OUTPUT_DIGESTS)
 def test_scan_output_bytes_pinned(argv, digest, capsys):
-    code, out = run_cli(["scan", *argv], capsys)
-    assert code == 0
+    code, out = run_cli(argv, capsys)
+    assert code == (6 if FAIL_TOL in argv else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
