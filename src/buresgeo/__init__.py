@@ -27,13 +27,10 @@ from .coset import (
 )
 from .matcore import (
     SpectralDecomposition,
-    dagger,
     det,
     eig_hermitian,
     hermitize,
-    mat_func_hermitian,
     mat_sqrt_psd,
-    mul,
     trace,
 )
 from .metric import (
@@ -61,10 +58,10 @@ __all__ = [
     "CosetBlockSpec", "CosetChart2", "CosetChart3", "Coeffs3", "DensityMatrix",
     "MetricTensor", "SCoeff2", "SpectralDecomposition", "ValidationReport",
     "as_density", "aux_coeffs", "bures_distance", "check_tangent",
-    "closed_metric2", "closed_metric3", "dagger", "det", "diag2", "diag3",
+    "closed_metric2", "closed_metric3", "det", "diag2", "diag3",
     "dittmann2_form", "dittmann3_form", "eig_hermitian", "fidelity",
     "find_chart", "find_chart2", "find_chart3", "hermitize", "hubner_form",
-    "make_rng", "mat_func_hermitian", "mat_sqrt_psd", "mul", "omega2",
+    "make_rng", "mat_sqrt_psd", "omega2",
     "omega3", "omega_block", "permutation_table", "pullback_metric",
     "pullback_metric2", "pullback_metric3", "random_chart2", "random_chart3",
     "random_density", "random_tangent", "random_unitary", "rho2", "rho3",

@@ -71,12 +71,12 @@ def bures_distance(rho1, rho2) -> float:
     return math.sqrt(max(2.0 - 2.0 * math.sqrt(f), 0.0))
 
 
-def hubner_form(rho, d1, d2, eps_spec: float = EPS_SPEC) -> float:
+def hubner_form(rho, d1, d2) -> float:
     """Polarized spectral form of the squared Bures line element:
 
         g(d1, d2) = (1/2) sum_{ij} Re[<i|d1|j><j|d2|i>] / (lambda_i + lambda_j)
 
-    summing only over pairs with lambda_i + lambda_j > eps_spec. If a dropped
+    summing only over pairs with lambda_i + lambda_j > EPS_SPEC. If a dropped
     pair carries a non-negligible matrix element, the tangent leaves the
     support of rho and the metric diverges there: DegenerateSupport.
     """
@@ -96,7 +96,7 @@ def hubner_form(rho, d1, d2, eps_spec: float = EPS_SPEC) -> float:
         for j, wj in enumerate(w):
             s = wi + wj
             term = x1i[j] * x2[j][i]
-            if s > eps_spec:
+            if s > EPS_SPEC:
                 total += term.real / s
             elif abs(term) > SUPPORT_LEAK_TOL ** 2:
                 raise DegenerateSupport(

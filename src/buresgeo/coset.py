@@ -115,13 +115,14 @@ class CosetChart3:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with cached derived data.
 
-    Hermiticity and trace are checked at construction (tolerance 1e-10);
-    positivity is checked whenever the spectral decomposition is computed.
-    Two kinds of derived data are cached on first use: the spectral
-    decomposition and, for 3x3 states, the trace-form invariants of
-    ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}). ``mat`` is a private
-    read-only copy of the input, so neither a write to it nor a later change
-    to the caller's array can leave the caches describing another matrix.
+    Finite entries, Hermiticity and trace are checked at construction
+    (tolerance 1e-10); positivity is checked whenever the spectral
+    decomposition is computed. Two kinds of derived data are cached on first
+    use: the spectral decomposition and, for 3x3 states, the trace-form
+    invariants of ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}).
+    ``mat`` is a private read-only copy of the input, so neither a write to it
+    nor a later change to the caller's array can leave the caches describing
+    another matrix.
     """
 
     HERM_TOL = 1e-10
@@ -135,6 +136,9 @@ class DensityMatrix:
         # set by bures._dittmann3_invariants
         self._dittmann3: Optional[tuple] = None
         if check:
+            # first: a nan passes every comparison below, and inf - inf warns
+            if not np.isfinite(self.mat).all():
+                raise InvalidDensityMatrix("matrix has a non-finite entry")
             defect = matcore.hermiticity_defect(self.mat)
             if defect > self.HERM_TOL:
                 raise InvalidDensityMatrix(

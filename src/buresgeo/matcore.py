@@ -10,7 +10,6 @@ the rest of the package relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,41 +27,10 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def hermitize(a) -> np.ndarray:
     """Hermitian part (A + A†)/2."""
     m = as_matrix(a)
     return (m + m.conj().T) / 2
-
-
-def mul(a, b) -> np.ndarray:
-    """Matrix product with a dimension check."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"cannot multiply {ma.shape} by {mb.shape}")
-    return ma @ mb
-
-
-def add(a, b) -> np.ndarray:
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"cannot add {ma.shape} and {mb.shape}")
-    return ma + mb
-
-
-def sub(a, b) -> np.ndarray:
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"cannot subtract {mb.shape} from {ma.shape}")
-    return ma - mb
-
-
-def scale(c: complex, a) -> np.ndarray:
-    return c * as_matrix(a)
 
 
 def trace(a) -> complex:
@@ -115,18 +83,6 @@ def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n<=4
         raise ConvergenceFailure(str(exc)) from exc
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def mat_func_hermitian(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar real function to a Hermitian matrix spectrally.
-
-    Returns V f(w) V† where (w, V) = eig_hermitian(a). ``f`` must accept a
-    real ndarray of eigenvalues.
-    """
-    spec = eig_hermitian(a)
-    fw = np.asarray(f(spec.eigenvalues), dtype=np.complex128)
-    v = spec.eigenvectors
-    return (v * fw) @ v.conj().T
 
 
 def mat_sqrt_psd(a, clamp: float = PSD_CLAMP) -> np.ndarray:

@@ -105,22 +105,21 @@ def pullback_metric(point: Sequence[float],
                     coords: Sequence[str],
                     h: float = DEFAULT_STEP,
                     *,
-                    richardson: bool = False,
-                    gap_tol: float = GAP_TOL) -> MetricTensor:
+                    richardson: bool = False) -> MetricTensor:
     """Pull the spectral form back through an arbitrary chart map.
 
     g_ij = hubner_form(rho, d_i rho, d_j rho) with the tangents from central
     differences of step ``h`` (optionally Richardson-extrapolated with a
     second pass at h/2, for use near spectral degeneracies). The spectrum at
-    the centre must be nondegenerate: min gap > ``gap_tol``.
+    the centre must be nondegenerate: min gap > GAP_TOL.
     """
     pt = np.asarray(point, dtype=float)
     rho0 = builder(pt)
     w = rho0.eigenvalues
     gaps = np.diff(np.sort(w))
-    if len(gaps) and float(np.min(gaps)) <= gap_tol:
+    if len(gaps) and float(np.min(gaps)) <= GAP_TOL:
         raise DegenerateSpectrum(
-            f"min eigenvalue gap {float(np.min(gaps)):.3e} <= {gap_tol:.1e}"
+            f"min eigenvalue gap {float(np.min(gaps)):.3e} <= {GAP_TOL:.1e}"
         )
     d = len(pt)
     tangents = []

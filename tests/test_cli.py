@@ -145,6 +145,25 @@ def test_fidelity_invalid_state_exit_4(tmp_path, capsys):
     assert "trace" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("command", ["fidelity", "find-chart"])
+def test_nonfinite_matrix_entry_exit_4(command, bad, tmp_path, capsys):
+    mat = np.diag([0.75, 0.25]).astype(complex)
+    mat[0, 1] = bad
+    path = write_matrix(tmp_path, "bad.json", mat)
+    argv = (["fidelity", "--state-a", path, "--state-b", "theta=0.3"]
+            if command == "fidelity" else ["find-chart", path])
+    assert main(argv) == 4
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["theta=0.1,theta=0.3", "theta1=0.2, theta1 =0.3"])
+def test_inline_chart_repeated_key_exit_3(spec, capsys):
+    assert main(["fidelity", "--state-a", spec, "--state-b", "theta=0.2"]) == 3
+    assert "more than once" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # metric
 # ---------------------------------------------------------------------------
@@ -228,6 +247,17 @@ def test_validate_env_tol_nan_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("BURES_TOL", "nan")
     assert main(["validate", "--n", "2", "--samples", "1"]) == 3
     assert "BURES_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--n", "2", "--theta", "0.3"],
+    ["metric", "--n", "2", "--theta", "0.3", "--method", "closed"],
+    ["permtest"],
+])
+def test_env_tol_read_only_by_validate(argv, capsys, monkeypatch):
+    monkeypatch.setenv("BURES_TOL", "nan")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

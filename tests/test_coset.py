@@ -321,6 +321,18 @@ def test_density_matrix_invariant_errors():
         coset.as_density(np.diag([1.5, -0.5]).astype(complex))  # not PSD
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 0)])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_density_matrix_rejects_nonfinite_entry(bad, at, part):
+    # rejected before any arithmetic, so no inf - inf RuntimeWarning either
+    mat = np.diag([0.5, 0.5]).astype(complex)
+    getattr(mat, part)[at] = bad
+    with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+        coset.as_density(mat)
+
+
 # ---------------------------------------------------------------------------
 # permutation identities
 # ---------------------------------------------------------------------------
