@@ -34,15 +34,15 @@ SUPPORT_LEAK_TOL = 1e-8   # matrix-element size that makes a zero-sum term diver
 TANGENT_TOL = 1e-10
 
 
-def check_tangent(drho, tol: float = TANGENT_TOL) -> np.ndarray:
-    """Validate a tangent: Hermitian and traceless to ``tol``. Returns the array."""
+def check_tangent(drho) -> np.ndarray:
+    """Validate a tangent: Hermitian and traceless to TANGENT_TOL. Returns the array."""
     d = matcore.as_matrix(drho)
     defect = matcore.hermiticity_defect(d)
-    if defect > tol:
-        raise InvalidTangent(f"tangent not Hermitian: defect {defect:.3e} > {tol:.1e}")
+    if defect > TANGENT_TOL:
+        raise InvalidTangent(f"tangent not Hermitian: defect {defect:.3e} > {TANGENT_TOL:.1e}")
     tr = abs(matcore.trace(d))
-    if tr > tol:
-        raise InvalidTangent(f"tangent not traceless: |trace| {tr:.3e} > {tol:.1e}")
+    if tr > TANGENT_TOL:
+        raise InvalidTangent(f"tangent not traceless: |trace| {tr:.3e} > {TANGENT_TOL:.1e}")
     return d
 
 
@@ -67,7 +67,11 @@ def fidelity(rho1, rho2) -> float:
 
 def bures_distance(rho1, rho2) -> float:
     """d_B = sqrt(2 - 2 sqrt(F)); zero iff the states coincide (F = 1)."""
-    f = fidelity(rho1, rho2)
+    return distance_from_fidelity(fidelity(rho1, rho2))
+
+
+def distance_from_fidelity(f: float) -> float:
+    """The Bures distance sqrt(2 - 2 sqrt(F)) of a pair with fidelity ``f``."""
     return math.sqrt(max(2.0 - 2.0 * math.sqrt(f), 0.0))
 
 

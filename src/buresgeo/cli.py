@@ -23,14 +23,13 @@ import math
 import os
 import sys
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import coset, metric, recover, sampling
-from .bures import bures_distance, fidelity
-from .coset import CosetChart2, CosetChart3, DensityMatrix
+from .bures import distance_from_fidelity, fidelity
+from .coset import DensityMatrix
 from .errors import (
     BoundaryTooClose,
     BuresGeoError,
@@ -48,6 +47,7 @@ from .errors import (
     SingularState,
     VerificationFailure,
 )
+from .metric import FAMILIES, Family
 
 EXIT_OK = 0
 EXIT_RANGE = 2
@@ -78,42 +78,6 @@ _EXIT_BY_EXC: list[tuple[int, tuple[type, ...]]] = [
 def exit_code_for(exc: BaseException) -> int:
     return next((code for code, etypes in _EXIT_BY_EXC if isinstance(exc, etypes)), 1)
 
-
-# ---------------------------------------------------------------------------
-# chart families
-# ---------------------------------------------------------------------------
-
-def _late(module, name: str) -> Callable:
-    """Call ``module.name`` as bound at call time (bench/spans.py rebinds it)."""
-    return lambda *args, **kwargs: getattr(module, name)(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class Family:
-    """The chart of one n: its type, coordinates, defaults and routes."""
-
-    chart: type
-    coords: tuple[str, ...]
-    defaults: dict
-    rho: Callable
-    closed: Callable
-    pullback: Callable
-    sample: Callable
-
-    def tensor(self, method: str, step: float) -> Callable:
-        """The metric route named by ``--method``: "closed" or "pullback"."""
-        return self.closed if method == "closed" else functools.partial(self.pullback, h=step)
-
-
-FAMILIES = {
-    2: Family(CosetChart2, metric.COORDS2, dict.fromkeys(metric.COORDS2, 0.0),
-              _late(coset, "rho2"), _late(metric, "closed_metric2"),
-              _late(metric, "pullback_metric2"), _late(sampling, "random_chart2")),
-    3: Family(CosetChart3, metric.COORDS3,
-              {**dict.fromkeys(metric.COORDS3, 0.0), "theta2": math.pi / 6},
-              _late(coset, "rho3"), _late(metric, "closed_metric3"),
-              _late(metric, "pullback_metric3"), _late(sampling, "random_chart3")),
-}
 
 # every chart flag, in the order the parser lists them
 CHART_FLAGS = (*metric.COORDS3, "theta")
@@ -276,7 +240,7 @@ def cmd_fidelity(args):
     payload = {
         "fidelity": f,
         "sqrt_fidelity": math.sqrt(f),
-        "bures_distance": bures_distance(ra, rb),
+        "bures_distance": distance_from_fidelity(f),
     }
     return EXIT_OK, payload, lambda: [payload], lambda: (
         f"{k}: {_fmt(v)}" for k, v in payload.items())
@@ -523,8 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("json", "csv", "pretty"))),
         ("--out", dict(dest="output_path", default=None,
                        help="write output to this path instead of stdout")),
-        ("--degrees", dict(action="store_true", help="interpret chart coordinates as degrees")),
     ]
+    # only the commands that read chart coordinates take --degrees
+    degrees = [("--degrees", dict(action="store_true",
+                                  help="interpret chart coordinates as degrees"))]
     for name, run, text, flags in [
         ("rho", cmd_rho, "build a density matrix from chart coordinates", chart),
         ("fidelity", cmd_fidelity, "fidelity and Bures distance of two states", [
@@ -559,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("--n", dict(type=int, choices=tuple(FAMILIES), default=None))]),
     ]:
         p = sub.add_parser(name, help=text)
-        for flag, kwargs in [*flags, *common]:
+        reads_chart = run in (cmd_rho, cmd_fidelity, cmd_metric, cmd_scan)
+        for flag, kwargs in [*flags, *common, *(degrees if reads_chart else [])]:
             p.add_argument(flag, **kwargs)
         p.set_defaults(run=run)
     return parser

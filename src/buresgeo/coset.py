@@ -44,6 +44,10 @@ _SERIES_CUTOFF = 1e-4
 # slack for range checks, so decimal renderings of pi/4 etc. stay valid
 RANGE_EPS = 1e-9
 
+# smallest eigenvalue gap at which the metric routes and the chart inverse
+# still treat a spectrum as nondegenerate
+GAP_TOL = 1e-6
+
 
 def _require_finite(name: str, value: float) -> float:
     v = float(value)

@@ -68,16 +68,16 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
+def eig_hermitian(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian if max |A - A†| entry exceeds ``tol`` and
+    Raises NotHermitian if max |A - A†| entry exceeds HERMITICITY_TOL and
     ConvergenceFailure if the underlying solver gives up.
     """
     m = as_matrix(a)
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol:
-        raise NotHermitian(f"max |A - A^dag| entry = {defect:.3e} > {tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(f"max |A - A^dag| entry = {defect:.3e} > {HERMITICITY_TOL:.1e}")
     try:
         w, v = np.linalg.eigh(hermitize(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n<=4
@@ -85,16 +85,16 @@ def eig_hermitian(a, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def mat_sqrt_psd(a, clamp: float = PSD_CLAMP) -> np.ndarray:
+def mat_sqrt_psd(a) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues in [-clamp, 0) are treated as zero (numerically singular
-    states at chart boundaries); anything below -clamp raises NotPSD.
+    Eigenvalues in [-PSD_CLAMP, 0) are treated as zero (numerically singular
+    states at chart boundaries); anything below -PSD_CLAMP raises NotPSD.
     """
     spec = eig_hermitian(a)
     w = spec.eigenvalues
-    if np.any(w < -clamp):
-        raise NotPSD(f"min eigenvalue {w.min():.3e} < -{clamp:.1e}")
+    if np.any(w < -PSD_CLAMP):
+        raise NotPSD(f"min eigenvalue {w.min():.3e} < -{PSD_CLAMP:.1e}")
     w = np.where(w < 0, 0.0, w)
     v = spec.eigenvectors
     return hermitize((v * np.sqrt(w)) @ v.conj().T)

@@ -6,6 +6,10 @@ Two independent routes are provided and cross-validated:
     through central finite differences of the chart map;
   * closed_metric2 / closed_metric3: the closed-form tensors.
 
+FAMILIES holds, per n, the chart type, its coordinates and defaults, the
+ranges the pullback keeps clear of, and the routes of that n; the pullback,
+`validate` and the CLI read the n = 2 / n = 3 split from it.
+
 The 3-level closed form is assembled from the trace-formula coefficients
 t12, t13, t23 (one per eigenvalue pair) times polynomial factors in the
 coset parameters. Two printed variants of the coefficient formulas that
@@ -17,20 +21,23 @@ see ValidationReport.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import coset
-from .bures import dittmann2_form, dittmann3_form, hubner_form
+from . import bures, coset, sampling
+from .bures import hubner_form
 from .coset import (
     BETA_MAX,
     CosetChart2,
     CosetChart3,
     DensityMatrix,
+    GAP_TOL,
     THETA1_MAX,
     THETA2_MAX,
     THETA2_MIN,
@@ -52,7 +59,6 @@ COORDS3 = ("theta1", "theta2", "alpha", "phi", "beta1", "beta2", "psi1", "psi2")
 INDEX3 = {name: k for k, name in enumerate(COORDS3)}
 
 DEFAULT_STEP = 1e-5
-GAP_TOL = 1e-6          # minimum eigenvalue gap for pullback / closed-form points
 EIG_FLOOR = 1e-6        # minimum eigenvalue for the closed-form coefficients
 
 
@@ -89,6 +95,58 @@ def volume_element(metric: MetricTensor) -> float:
 
 
 # ---------------------------------------------------------------------------
+# chart families
+# ---------------------------------------------------------------------------
+
+def _late(module, name: str) -> Callable:
+    """Call ``module.name`` as bound at call time (bench/spans.py rebinds it)."""
+    return lambda *args, **kwargs: getattr(module, name)(*args, **kwargs)
+
+
+@dataclass(frozen=True)
+class Family:
+    """The chart of one n: its type, coordinates and defaults, the bounded
+    ranges (name, lo, hi) the pullback keeps 2h away from, and its routes."""
+
+    n: int
+    chart: type
+    coords: tuple[str, ...]
+    defaults: dict
+    bounds: tuple[tuple[str, float, float], ...]
+    rho: Callable
+    closed: Callable
+    pullback: Callable
+    sample: Callable
+    dittmann: Callable
+
+    def build(self, values: Sequence[float]) -> DensityMatrix:
+        """The state at the chart point with coordinate values ``values``."""
+        return self.rho(self.chart(*values))
+
+    def tensor(self, method: str, step: float) -> Callable:
+        """The metric route named by ``method``: "closed" or "pullback"."""
+        return self.closed if method == "closed" else functools.partial(self.pullback, h=step)
+
+
+_self = sys.modules[__name__]
+
+FAMILIES = {
+    2: Family(2, CosetChart2, COORDS2, dict.fromkeys(COORDS2, 0.0),
+              (("theta", 0.0, math.pi / 4),),
+              _late(coset, "rho2"), _late(_self, "closed_metric2"),
+              _late(_self, "pullback_metric2"), _late(sampling, "random_chart2"),
+              _late(bures, "dittmann2_form")),
+    # beta = hypot(beta1, beta2) is never negative: only its upper end binds
+    3: Family(3, CosetChart3, COORDS3, {**dict.fromkeys(COORDS3, 0.0), "theta2": math.pi / 6},
+              (("theta1", 0.0, THETA1_MAX), ("theta2", THETA2_MIN, THETA2_MAX),
+               ("beta", -math.inf, BETA_MAX)),
+              _late(coset, "rho3"), _late(_self, "closed_metric3"),
+              _late(_self, "pullback_metric3"), _late(sampling, "random_chart3"),
+              _late(bures, "dittmann3_form")),
+}
+
+
+# ---------------------------------------------------------------------------
 # numerical pullback
 # ---------------------------------------------------------------------------
 
@@ -103,15 +161,12 @@ def _central_diff(builder: Callable[[Sequence[float]], DensityMatrix],
 def pullback_metric(point: Sequence[float],
                     builder: Callable[[Sequence[float]], DensityMatrix],
                     coords: Sequence[str],
-                    h: float = DEFAULT_STEP,
-                    *,
-                    richardson: bool = False) -> MetricTensor:
+                    h: float = DEFAULT_STEP) -> MetricTensor:
     """Pull the spectral form back through an arbitrary chart map.
 
     g_ij = hubner_form(rho, d_i rho, d_j rho) with the tangents from central
-    differences of step ``h`` (optionally Richardson-extrapolated with a
-    second pass at h/2, for use near spectral degeneracies). The spectrum at
-    the centre must be nondegenerate: min gap > GAP_TOL.
+    differences of step ``h``. The spectrum at the centre must be
+    nondegenerate: min gap > GAP_TOL.
     """
     pt = np.asarray(point, dtype=float)
     rho0 = builder(pt)
@@ -122,13 +177,7 @@ def pullback_metric(point: Sequence[float],
             f"min eigenvalue gap {float(np.min(gaps)):.3e} <= {GAP_TOL:.1e}"
         )
     d = len(pt)
-    tangents = []
-    for i in range(d):
-        t = _central_diff(builder, pt, i, h)
-        if richardson:
-            t_half = _central_diff(builder, pt, i, h / 2.0)
-            t = (4.0 * t_half - t) / 3.0
-        tangents.append(t)
+    tangents = [_central_diff(builder, pt, i, h) for i in range(d)]
     g = np.zeros((d, d))
     for i in range(d):
         for j in range(i, d):
@@ -136,30 +185,23 @@ def pullback_metric(point: Sequence[float],
     return MetricTensor(ordering=tuple(coords), g=g)
 
 
-def _check_margin(name: str, value: float, lo: float, hi: float, margin: float) -> None:
-    if value - lo <= margin or hi - value <= margin:
-        raise BoundaryTooClose(
-            f"{name}={value!r} within {margin:.1e} of a range boundary"
-        )
+def _pullback(fam: Family, chart, h: float) -> MetricTensor:
+    """Pullback tensor on ``fam``'s chart, at least 2h inside each bounded range."""
+    for name, lo, hi in fam.bounds:
+        value = getattr(chart, name)
+        if value - lo <= 2 * h or hi - value <= 2 * h:
+            raise BoundaryTooClose(f"{name}={value!r} within {2 * h:.1e} of a range boundary")
+    return pullback_metric(chart.values(), fam.build, fam.coords, h)
 
 
-def pullback_metric2(chart: CosetChart2, h: float = DEFAULT_STEP,
-                     *, richardson: bool = False) -> MetricTensor:
-    """Numerical pullback tensor on the 2-level chart, ordering (theta, alpha, phi)."""
-    _check_margin("theta", chart.theta, 0.0, math.pi / 4, 2 * h)
-    builder = lambda v: coset.rho2(CosetChart2(*v))
-    return pullback_metric(chart.values(), builder, COORDS2, h, richardson=richardson)
+def pullback_metric2(chart: CosetChart2, h: float = DEFAULT_STEP) -> MetricTensor:
+    """Numerical pullback tensor on the 2-level chart, ordering COORDS2."""
+    return _pullback(FAMILIES[2], chart, h)
 
 
-def pullback_metric3(chart: CosetChart3, h: float = DEFAULT_STEP,
-                     *, richardson: bool = False) -> MetricTensor:
+def pullback_metric3(chart: CosetChart3, h: float = DEFAULT_STEP) -> MetricTensor:
     """Numerical pullback tensor on the 3-level chart, ordering COORDS3."""
-    _check_margin("theta1", chart.theta1, 0.0, THETA1_MAX, 2 * h)
-    _check_margin("theta2", chart.theta2, THETA2_MIN, THETA2_MAX, 2 * h)
-    if BETA_MAX - chart.beta <= 2 * h:
-        raise BoundaryTooClose(f"beta={chart.beta!r} within {2 * h:.1e} of pi")
-    builder = lambda v: coset.rho3(CosetChart3(*v))
-    return pullback_metric(chart.values(), builder, COORDS3, h, richardson=richardson)
+    return _pullback(FAMILIES[3], chart, h)
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +502,6 @@ def closed_metric3(chart: CosetChart3, *, entries: str = "validated") -> MetricT
 # validation
 # ---------------------------------------------------------------------------
 
-GAMMA_SHIFT_TOL = 1e-12
-
-
 @dataclass
 class ValidationReport:
     """Cross-validation of the metric routes at one chart point.
@@ -492,29 +531,13 @@ class ValidationReport:
     s_coeff_relation_dev: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "chart": self.chart,
-            "ordering": list(self.ordering),
-            "pullback": self.pullback.tolist(),
-            "closed": self.closed.tolist(),
-            "entry_abs_dev": self.entry_abs_dev,
-            "max_abs_dev": self.max_abs_dev,
-            "max_rel_dev": self.max_rel_dev,
-            "dittmann_max_rel_dev": self.dittmann_max_rel_dev,
-            "dittmann_reading": self.dittmann_reading,
-            "volume_pullback": self.volume_pullback,
-            "volume_closed": self.volume_closed,
-            "volume_rel_dev": self.volume_rel_dev,
-        }
-        if self.gamma_shift_dev is not None:
-            out["gamma_shift_dev"] = self.gamma_shift_dev
-        if self.printed_entry_dev is not None:
-            out["printed_entry_dev"] = self.printed_entry_dev
-        if self.t_coeff_table is not None:
-            out["t_coeff_table"] = self.t_coeff_table
-        if self.s_coeff_relation_dev is not None:
-            out["s_coeff_relation_dev"] = self.s_coeff_relation_dev
+        """Every field that is set, in declaration order, as JSON-ready values."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None:
+                out[f.name] = (v.tolist() if isinstance(v, np.ndarray)
+                               else list(v) if isinstance(v, tuple) else v)
         return out
 
 
@@ -525,20 +548,6 @@ def _entry_devs(ordering, a: np.ndarray, b: np.ndarray) -> dict[str, float]:
         for j in range(i, d):
             out[f"g_{ordering[i]}_{ordering[j]}"] = abs(float(a[i, j] - b[i, j]))
     return out
-
-
-def _coordinate_tangents(builder, point, h):
-    pt = np.asarray(point, dtype=float)
-    return [_central_diff(builder, pt, i, h) for i in range(len(pt))]
-
-
-def validate(chart, h: float = DEFAULT_STEP) -> ValidationReport:
-    """Full cross-validation at one interior chart point (n inferred from the chart)."""
-    if isinstance(chart, CosetChart2):
-        return _validate2(chart, h)
-    if isinstance(chart, CosetChart3):
-        return _validate3(chart, h)
-    raise TypeError(f"expected CosetChart2 or CosetChart3, got {type(chart)!r}")
 
 
 REL_DEV_FLOOR = 1e-8
@@ -558,36 +567,65 @@ def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)[mask] / scale[mask]))
 
 
-def _validate2(chart: CosetChart2, h: float) -> ValidationReport:
-    pull = pullback_metric2(chart, h)
-    closed = closed_metric2(chart)
-    rho = coset.rho2(chart)
-    builder = lambda v: coset.rho2(CosetChart2(*v))
-    tangents = _coordinate_tangents(builder, chart.values(), h)
+def validate(chart, h: float = DEFAULT_STEP) -> ValidationReport:
+    """Full cross-validation at one interior chart point (n inferred from the chart)."""
+    fam = next((f for f in FAMILIES.values() if isinstance(chart, f.chart)), None)
+    if fam is None:
+        raise TypeError(f"expected CosetChart2 or CosetChart3, got {type(chart)!r}")
+    pull = fam.pullback(chart, h)
+    closed = fam.closed(chart)
+    rho = fam.rho(chart)
+    # differenced again (bench/selftest.py pins both passes), all before the
+    # first form: interleaving the rho builds with the forms ran ~8 % slower
+    pt = np.asarray(chart.values(), dtype=float)
     dmax = 0.0
-    for t in tangents:
+    for t in [_central_diff(fam.build, pt, i, h) for i in range(len(pt))]:
         nrm = float(np.linalg.norm(t))
         if nrm < 1e-12:
             continue
         t = t / nrm
         hub = hubner_form(rho, t, t)
-        dit = dittmann2_form(rho, t)
+        dit = fam.dittmann(rho, t)
         dmax = max(dmax, abs(dit - hub) / max(abs(hub), 1e-300))
     vol_p, vol_c = volume_element(pull), volume_element(closed)
-    s12 = s_coeff(coset.diag2(chart.theta)).s12
-    g_aa = closed.entry("alpha", "alpha")
-    s_rel_dev = abs(-s12 - 2.0 * g_aa)
-    dev = _entry_devs(COORDS2, pull.g, closed.g)
+    dev = _entry_devs(fam.coords, pull.g, closed.g)
+    extra = _s_relation(chart, closed) if fam.n == 2 else _printed_checks(chart, pull)
     return ValidationReport(
-        n=2, chart={k: v for k, v in zip(COORDS2, chart.values())},
-        ordering=COORDS2, pullback=pull.g, closed=closed.g,
+        n=fam.n, chart=dict(zip(fam.coords, chart.values())),
+        ordering=fam.coords, pullback=pull.g, closed=closed.g,
         entry_abs_dev=dev, max_abs_dev=max(dev.values()),
         max_rel_dev=_rel_dev(pull.g, closed.g),
         dittmann_max_rel_dev=dmax, dittmann_reading="printed",
         volume_pullback=vol_p, volume_closed=vol_c,
         volume_rel_dev=abs(vol_p - vol_c) / max(vol_c, 1e-300),
-        s_coeff_relation_dev=s_rel_dev,
+        **extra,
     )
+
+
+def _s_relation(chart: CosetChart2, closed: MetricTensor) -> dict:
+    """n = 2: the deviation from -S12 = 2 g_alpha_alpha."""
+    s12 = s_coeff(coset.diag2(chart.theta)).s12
+    return {"s_coeff_relation_dev": abs(-s12 - 2.0 * closed.entry("alpha", "alpha"))}
+
+
+def _printed_checks(chart: CosetChart3, pull: MetricTensor) -> dict:
+    """n = 3: the printed entries and t-coefficients against the oracle-backed
+    ones, and the gamma-shift invariance of the closed tensor."""
+    printed = closed_metric3(chart, entries="printed")
+    tt = t_coeffs(chart.theta1, chart.theta2)
+    tp = t_coeffs_printed(chart.theta1, chart.theta2)
+    tg = t_coeffs_printed_generic(chart.theta1, chart.theta2)
+    return {
+        "gamma_shift_dev": _gamma_shift_dev(chart),
+        "printed_entry_dev": _entry_devs(COORDS3, pull.g, printed.g),
+        "t_coeff_table": {
+            name: {"trace_form": tt[k], "printed_theta_form": tp[k],
+                   "printed_eigenvalue_form": tg[k],
+                   "printed_theta_dev": abs(tp[k] - tt[k]),
+                   "printed_eigenvalue_dev": abs(tg[k] - tt[k])}
+            for k, name in enumerate(("t12", "t13", "t23"))
+        },
+    }
 
 
 def _gamma_shift_dev(chart: CosetChart3, shifts=((0.37, 0.0), (0.0, -0.61))) -> float:
@@ -601,45 +639,3 @@ def _gamma_shift_dev(chart: CosetChart3, shifts=((0.37, 0.0), (0.0, -0.61))) -> 
             chart.beta1, chart.beta2, chart.psi1 + a, chart.psi2 - b)
         dev = max(dev, float(np.max(np.abs(closed_metric3(shifted).g - base))))
     return dev
-
-
-def _validate3(chart: CosetChart3, h: float) -> ValidationReport:
-    pull = pullback_metric3(chart, h)
-    closed = closed_metric3(chart)
-    printed = closed_metric3(chart, entries="printed")
-    rho = coset.rho3(chart)
-    builder = lambda v: coset.rho3(CosetChart3(*v))
-    tangents = _coordinate_tangents(builder, chart.values(), h)
-    dmax = 0.0
-    for t in tangents:
-        nrm = float(np.linalg.norm(t))
-        if nrm < 1e-12:
-            continue
-        t = t / nrm
-        hub = hubner_form(rho, t, t)
-        dit = dittmann3_form(rho, t)
-        dmax = max(dmax, abs(dit - hub) / max(abs(hub), 1e-300))
-    vol_p, vol_c = volume_element(pull), volume_element(closed)
-    tt = t_coeffs(chart.theta1, chart.theta2)
-    tp = t_coeffs_printed(chart.theta1, chart.theta2)
-    tg = t_coeffs_printed_generic(chart.theta1, chart.theta2)
-    t_table = {
-        name: {"trace_form": tt[k], "printed_theta_form": tp[k],
-               "printed_eigenvalue_form": tg[k],
-               "printed_theta_dev": abs(tp[k] - tt[k]),
-               "printed_eigenvalue_dev": abs(tg[k] - tt[k])}
-        for k, name in enumerate(("t12", "t13", "t23"))
-    }
-    dev = _entry_devs(COORDS3, pull.g, closed.g)
-    return ValidationReport(
-        n=3, chart={k: v for k, v in zip(COORDS3, chart.values())},
-        ordering=COORDS3, pullback=pull.g, closed=closed.g,
-        entry_abs_dev=dev, max_abs_dev=max(dev.values()),
-        max_rel_dev=_rel_dev(pull.g, closed.g),
-        dittmann_max_rel_dev=dmax, dittmann_reading="printed",
-        volume_pullback=vol_p, volume_closed=vol_c,
-        volume_rel_dev=abs(vol_p - vol_c) / max(vol_c, 1e-300),
-        gamma_shift_dev=_gamma_shift_dev(chart),
-        printed_entry_dev=_entry_devs(COORDS3, pull.g, printed.g),
-        t_coeff_table=t_table,
-    )

@@ -21,10 +21,10 @@ import math
 import numpy as np
 
 from . import coset
-from .coset import CosetChart2, CosetChart3, DensityMatrix, THETA1_MAX, THETA2_MAX, THETA2_MIN
+from .coset import (CosetChart2, CosetChart3, DensityMatrix, GAP_TOL, THETA1_MAX, THETA2_MAX,
+                    THETA2_MIN)
 from .errors import DegenerateSpectrum, FitFailure, OutOfChartRange
 
-GAP_TOL = 1e-6
 TARGET_RESIDUAL = 1e-8
 FAIL_RESIDUAL = 1e-6
 MULTISTART = 8
@@ -218,12 +218,11 @@ def _polish3(dm: DensityMatrix, theta1: float, theta2: float, seed, seed_res: fl
     return best_chart, best_res
 
 
-def find_chart(rho, n: int | None = None):
+def find_chart(rho):
     """Dispatch on dimension: returns (chart, residual)."""
     dm = coset.as_density(rho)
-    dim = dm.dim if n is None else n
-    if dim == 2:
+    if dm.dim == 2:
         return find_chart2(dm)
-    if dim == 3:
+    if dm.dim == 3:
         return find_chart3(dm)
-    raise OutOfChartRange("n", dim, "only n=2 and n=3 are charted")
+    raise OutOfChartRange("n", dm.dim, "only n=2 and n=3 are charted")

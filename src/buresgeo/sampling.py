@@ -14,8 +14,8 @@ import numpy as np
 from . import coset
 from .coset import BETA_MAX, CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
 
-DEFAULT_MARGIN = 0.05     # fraction of each bounded range kept clear of the boundary
-DEFAULT_MIN_GAP = 1e-4    # rejection threshold on eigenvalue gaps
+MARGIN = 0.05     # fraction of each bounded range kept clear of the boundary
+MIN_GAP = 1e-4    # rejection threshold on eigenvalue gaps
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -23,14 +23,14 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def _shrunk(lo: float, hi: float, margin: float) -> tuple[float, float]:
+def _shrunk(lo: float, hi: float) -> tuple[float, float]:
     width = hi - lo
-    return (lo + margin * width, hi - margin * width)
+    return (lo + MARGIN * width, hi - MARGIN * width)
 
 
-def random_chart2(rng: np.random.Generator, margin: float = DEFAULT_MARGIN) -> CosetChart2:
+def random_chart2(rng: np.random.Generator) -> CosetChart2:
     """Uniform interior 2-level chart: theta in the shrunk range, angles in [0, 2pi)."""
-    lo, hi = _shrunk(0.0, math.pi / 4, margin)
+    lo, hi = _shrunk(0.0, math.pi / 4)
     return CosetChart2(
         theta=rng.uniform(lo, hi),
         alpha=rng.uniform(0.0, 2 * math.pi),
@@ -38,28 +38,27 @@ def random_chart2(rng: np.random.Generator, margin: float = DEFAULT_MARGIN) -> C
     )
 
 
-def random_chart3(rng: np.random.Generator, margin: float = DEFAULT_MARGIN,
-                  min_gap: float = DEFAULT_MIN_GAP) -> CosetChart3:
+def random_chart3(rng: np.random.Generator) -> CosetChart3:
     """Uniform interior 3-level chart.
 
-    theta coordinates are uniform in their ranges shrunk by ``margin`` from
+    theta coordinates are uniform in their ranges shrunk by MARGIN from
     each boundary, rejecting draws whose eigenvalue gaps fall below
-    ``min_gap``. The beta pair is drawn as a uniform radius in the shrunk
+    MIN_GAP. The beta pair is drawn as a uniform radius in the shrunk
     [0, pi) ball with a uniform direction; the remaining angles are uniform
     over one period.
     """
-    t1lo, t1hi = _shrunk(0.0, THETA1_MAX, margin)
-    t2lo, t2hi = _shrunk(THETA2_MIN, THETA2_MAX, margin)
+    t1lo, t1hi = _shrunk(0.0, THETA1_MAX)
+    t2lo, t2hi = _shrunk(THETA2_MIN, THETA2_MAX)
     for _ in range(1000):
         t1 = rng.uniform(t1lo, t1hi)
         t2 = rng.uniform(t2lo, t2hi)
         lam = coset.diag_entries3(t1, t2)
         gaps = (abs(lam[0] - lam[1]), abs(lam[0] - lam[2]), abs(lam[1] - lam[2]))
-        if min(gaps) >= min_gap and min(lam) >= min_gap:
+        if min(gaps) >= MIN_GAP and min(lam) >= MIN_GAP:
             break
     else:  # pragma: no cover - margin makes rejection extremely rare
         raise RuntimeError("could not sample a nondegenerate spectrum in 1000 tries")
-    beta = rng.uniform(margin * BETA_MAX, (1.0 - margin) * BETA_MAX)
+    beta = rng.uniform(MARGIN * BETA_MAX, (1.0 - MARGIN) * BETA_MAX)
     chi = rng.uniform(0.0, 2 * math.pi)
     return CosetChart3(
         theta1=t1, theta2=t2,
@@ -71,13 +70,12 @@ def random_chart3(rng: np.random.Generator, margin: float = DEFAULT_MARGIN,
     )
 
 
-def random_density(rng: np.random.Generator, n: int,
-                   margin: float = DEFAULT_MARGIN) -> coset.DensityMatrix:
+def random_density(rng: np.random.Generator, n: int) -> coset.DensityMatrix:
     """Random interior state built through the chart of the right dimension."""
     if n == 2:
-        return coset.rho2(random_chart2(rng, margin))
+        return coset.rho2(random_chart2(rng))
     if n == 3:
-        return coset.rho3(random_chart3(rng, margin))
+        return coset.rho3(random_chart3(rng))
     raise ValueError(f"only n=2 and n=3 are charted, got n={n}")
 
 

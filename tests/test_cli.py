@@ -130,6 +130,18 @@ def test_fidelity_commuting_value(tmp_path, capsys):
     assert p["fidelity"] == pytest.approx(0.93301270, abs=1e-8)
 
 
+def test_fidelity_takes_two_psd_roots(monkeypatch, capsys):
+    # the Bures distance is computed from the fidelity already in hand
+    from buresgeo import matcore
+    calls = []
+    root = matcore.mat_sqrt_psd
+    monkeypatch.setattr(matcore, "mat_sqrt_psd", lambda a: calls.append(a) or root(a))
+    code, _ = run_cli(["fidelity", "--state-a", STATE3A, "--state-b", STATE3B,
+                       "--format", "json"], capsys)
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_fidelity_parse_error_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -563,6 +575,17 @@ def test_find_chart_round_trip_through_rho(tmp_path, capsys):
 def test_usage_error_exit_3(argv, capsys):
     assert main(argv) == 3
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--n", "2", "--samples", "1", "--degrees"],
+    ["permtest", "--degrees"],
+    ["find-chart", STATE2, "--degrees"],
+], ids=["validate", "permtest", "find-chart"])
+def test_degrees_only_where_chart_coordinates_are_read(argv, capsys):
+    # these commands read no chart coordinates, so --degrees is not an option
+    assert main(argv) == 3
+    assert "unrecognized arguments: --degrees" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["validate", "--help"]])

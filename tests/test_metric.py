@@ -1,10 +1,19 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from buresgeo import coset, metric
-from buresgeo.coset import CosetChart2, CosetChart3, THETA1_MAX, diag2
+from buresgeo.coset import (
+    CosetChart2,
+    CosetChart3,
+    THETA1_MAX,
+    THETA2_MAX,
+    THETA2_MIN,
+    diag2,
+)
 from buresgeo.errors import (
     BoundaryTooClose,
     DegenerateSpectrum,
@@ -62,17 +71,31 @@ def test_pullback3_eigenvalue_block():
 def test_pullback_guards():
     with pytest.raises(BoundaryTooClose):
         pullback_metric2(CosetChart2(1e-7, 0.3, 0.1))
+    with pytest.raises(BoundaryTooClose):
+        pullback_metric2(CosetChart2(math.pi / 4 - 1.5e-5, 0.3, 0.1), h=1e-5)
     with pytest.raises(DegenerateSpectrum):
         # theta close enough to pi/4 to collapse the gap below 1e-6, with a
         # step small enough that the boundary margin still passes
         pullback_metric2(CosetChart2(math.pi / 4 - 4e-7, 0.3, 0.1), h=1e-7)
 
 
-def test_pullback_richardson_matches_plain():
-    ch = CosetChart2(0.4, 1.1, 0.6)
-    plain = pullback_metric2(ch)
-    rich = pullback_metric2(ch, richardson=True)
-    assert np.max(np.abs(plain.g - rich.g)) <= 1e-8
+# each point lies 1.5 steps (h = 1e-5) from one end of a bounded range
+PULLBACK3_EDGES = {
+    "theta1-low": dict(theta1=1.5e-5),
+    "theta1-high": dict(theta1=THETA1_MAX - 1.5e-5),
+    "theta2-low": dict(theta2=THETA2_MIN + 1.5e-5),
+    "theta2-high": dict(theta2=THETA2_MAX - 1.5e-5),
+    "beta-pi": dict(beta1=math.pi - 1.5e-5, beta2=0.0),
+    "beta-pi-split": dict(beta1=(math.pi - 1.5e-5) * 0.6, beta2=(math.pi - 1.5e-5) * 0.8),
+}
+
+
+@pytest.mark.parametrize("edge", PULLBACK3_EDGES.values(), ids=PULLBACK3_EDGES)
+def test_pullback3_boundary_too_close(edge):
+    base = dict(theta1=0.6, theta2=0.68, alpha=0.3, phi=0.4, beta1=0.9, beta2=0.5,
+                psi1=0.1, psi2=0.7)
+    with pytest.raises(BoundaryTooClose):
+        pullback_metric3(CosetChart3(**{**base, **edge}), h=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -403,5 +426,25 @@ def test_validate_report_3level():
     assert {"t12", "t13", "t23"} == set(table)
     assert table["t12"]["printed_theta_dev"] > 0.0
     # serializes cleanly
-    import json
     json.dumps(rep.to_dict())
+
+
+# SHA-256 of json.dumps(validate(chart).to_dict()): every key, its order and
+# every value to the last bit. Recorded with numpy 2.x on x86-64 Linux.
+VALIDATE_DIGESTS = {
+    "n2": (CosetChart2(0.4, 0.9, 1.3),
+           "7979c0cb862fbf6d66b691147b7db7d5a1e30acb7f37a64da6c0a4313ad3d471"),
+    "n3": (CosetChart3(0.6, 0.68, 0.3, 0.4, 0.9, 0.5, 0.1, 0.7),
+           "6257e7258b70197a681533d7a6d13fbc3d7ad6eb7e6523cc232c82c2c11e2559"),
+}
+
+
+@pytest.mark.parametrize("chart,digest", VALIDATE_DIGESTS.values(), ids=VALIDATE_DIGESTS)
+def test_validate_report_bytes_pinned(chart, digest):
+    text = json.dumps(validate(chart).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_validate_rejects_non_chart():
+    with pytest.raises(TypeError):
+        validate(object())
