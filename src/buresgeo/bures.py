@@ -28,21 +28,19 @@ from .errors import (
     SingularState,
     VerificationFailure,
 )
-
-EPS_SPEC = 1e-12          # lambda_i + lambda_j at or below this counts as zero
-SUPPORT_LEAK_TOL = 1e-8   # matrix-element size that makes a zero-sum term divergent
-TANGENT_TOL = 1e-10
+from .tol import (DET_FLOOR, DET_FLOOR2, EPS_SPEC, FIDELITY_ABOVE, FIDELITY_BELOW, INVARIANT,
+                  PURE, SUPPORT_LEAK)
 
 
 def check_tangent(drho) -> np.ndarray:
-    """Validate a tangent: Hermitian and traceless to TANGENT_TOL. Returns the array."""
+    """Validate a tangent: Hermitian and traceless to tol.INVARIANT. Returns the array."""
     d = matcore.as_matrix(drho)
     defect = matcore.hermiticity_defect(d)
-    if defect > TANGENT_TOL:
-        raise InvalidTangent(f"tangent not Hermitian: defect {defect:.3e} > {TANGENT_TOL:.1e}")
+    if defect > INVARIANT:
+        raise InvalidTangent(f"tangent not Hermitian: defect {defect:.3e} > {INVARIANT:.1e}")
     tr = abs(matcore.trace(d))
-    if tr > TANGENT_TOL:
-        raise InvalidTangent(f"tangent not traceless: |trace| {tr:.3e} > {TANGENT_TOL:.1e}")
+    if tr > INVARIANT:
+        raise InvalidTangent(f"tangent not traceless: |trace| {tr:.3e} > {INVARIANT:.1e}")
     return d
 
 
@@ -50,8 +48,8 @@ def fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity F = [Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2.
 
     Computed with two PSD square roots so the same code path serves every
-    dimension. The raw value is required to lie in [-1e-10, 1 + 1e-9] and is
-    then clamped to [0, 1].
+    dimension. The raw value is required to lie in
+    [-FIDELITY_BELOW, 1 + FIDELITY_ABOVE] and is then clamped to [0, 1].
     """
     r1, r2 = as_density(rho1), as_density(rho2)
     if r1.dim != r2.dim:
@@ -60,8 +58,9 @@ def fidelity(rho1, rho2) -> float:
     inner = matcore.hermitize(s @ r2.mat @ s)
     root = matcore.mat_sqrt_psd(inner)
     f = float(np.trace(root).real) ** 2
-    if not (-1e-10 <= f <= 1.0 + 1e-9):  # pragma: no cover - unreachable for valid states
-        raise VerificationFailure(f"raw fidelity {f!r} outside [-1e-10, 1+1e-9]")
+    if not (-FIDELITY_BELOW <= f <= 1.0 + FIDELITY_ABOVE):  # pragma: no cover - unreachable
+        raise VerificationFailure(f"raw fidelity {f!r} outside "
+                                  f"[-{FIDELITY_BELOW:.0e}, 1+{FIDELITY_ABOVE:.0e}]")
     return min(max(f, 0.0), 1.0)
 
 
@@ -102,7 +101,7 @@ def hubner_form(rho, d1, d2) -> float:
             term = x1i[j] * x2[j][i]
             if s > EPS_SPEC:
                 total += term.real / s
-            elif abs(term) > SUPPORT_LEAK_TOL ** 2:
+            elif abs(term) > SUPPORT_LEAK ** 2:
                 raise DegenerateSupport(
                     f"eigenpair ({i},{j}) has lambda_i+lambda_j={s:.3e} but the "
                     f"tangents couple to it (|term|={abs(term):.3e})"
@@ -120,8 +119,8 @@ def dittmann2_form(rho, drho) -> float:
         raise DimensionMismatch(f"dittmann2_form needs a 2x2 state, got n={dm.dim}")
     d = np.asarray(drho, dtype=np.complex128)
     detr = matcore.det(dm.mat).real
-    if detr <= 1e-10:
-        raise SingularState(f"|rho| = {detr:.3e} <= 1e-10")
+    if detr <= DET_FLOOR2:
+        raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR2:.0e}")
     q = d - dm.mat @ d
     val = np.trace(d @ d + (q @ q) / detr).real
     return 0.25 * float(val)
@@ -153,12 +152,12 @@ def _dittmann3_invariants(dm: DensityMatrix) -> tuple[np.ndarray, float, float]:
     if inv is None:
         m = dm.mat
         tr3 = np.trace(m @ m @ m).real
-        if tr3 >= 1.0 - 1e-12:
+        if tr3 >= 1.0 - PURE:
             # checked before the determinant: a nearly pure state is also
             # nearly singular, and purity is the sharper diagnosis
-            raise PureState(f"Tr rho^3 = {tr3!r} is within 1e-12 of 1")
+            raise PureState(f"Tr rho^3 = {tr3!r} is within {PURE:.0e} of 1")
         detr = matcore.det(m).real
-        if detr <= 1e-12:
-            raise SingularState(f"|rho| = {detr:.3e} <= 1e-12")
+        if detr <= DET_FLOOR:
+            raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.0e}")
         inv = dm._dittmann3 = (np.linalg.inv(m), detr, 3.0 / (1.0 - tr3))
     return inv

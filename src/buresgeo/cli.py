@@ -48,6 +48,7 @@ from .errors import (
     VerificationFailure,
 )
 from .metric import FAMILIES, Family
+from .tol import DEFAULT_STEP, DEFAULT_TOL, PERM_VERIFY
 
 EXIT_OK = 0
 EXIT_RANGE = 2
@@ -56,7 +57,6 @@ EXIT_INVALID_STATE = 4
 EXIT_DEGENERATE = 5
 EXIT_TOLERANCE = 6
 
-DEFAULT_TOL = 1e-6
 TOL_ENV_VAR = "BURES_TOL"
 
 
@@ -176,8 +176,6 @@ def _fmt(v: float) -> str:
 
 
 def payload_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0].keys())
@@ -249,7 +247,7 @@ def cmd_fidelity(args):
 def cmd_metric(args):
     fam, coords = _chart_coords(args)
     chart = fam.chart(**coords)
-    tensors = {method: fam.tensor(method, args.step)(chart)
+    tensors = {method: fam.tensor(method)(chart)
                for method in ("closed", "pullback") if args.method in (method, "both")}
     payload: dict = {"ordering": list(fam.coords)}
     for name, mt in tensors.items():
@@ -260,9 +258,8 @@ def cmd_metric(args):
                                                      - tensors["pullback"].g)))
 
     def rows():
-        return [{"entry": f"g_{a}_{fam.coords[j]}",
-                 **{name: float(mt.g[i, j]) for name, mt in tensors.items()}}
-                for i, a in enumerate(fam.coords) for j in range(i, len(fam.coords))]
+        return [{"entry": key, **{name: float(mt.g[i, j]) for name, mt in tensors.items()}}
+                for key, i, j in metric.upper_entries(fam.coords)]
 
     def pretty():
         yield "ordering: " + " ".join(fam.coords)
@@ -299,7 +296,7 @@ def cmd_validate(args):
            "gamma_shift_max_dev": 0.0, "volume_max_rel_dev": 0.0,
            "s_relation_max_dev": 0.0}
     for _ in range(args.samples):
-        rep = metric.validate(fam.sample(rng), h=args.step)
+        rep = metric.validate(fam.sample(rng))
         # gamma_shift_dev is None at n = 2 and s_coeff_relation_dev at n = 3
         _merge_max(agg, {k: v for k, v in (
             ("max_abs_dev", rep.max_abs_dev), ("max_rel_dev", rep.max_rel_dev),
@@ -314,7 +311,7 @@ def cmd_validate(args):
     ok = all(agg[k] <= tol for k in ("max_abs_dev", "dittmann_max_rel_dev",
                                      "gamma_shift_max_dev"))
     payload = {
-        "n": args.n, "samples": args.samples, "seed": args.seed, "step": args.step,
+        "n": args.n, "samples": args.samples, "seed": args.seed, "step": DEFAULT_STEP,
         "tol": tol, **agg,
         "per_entry_max_abs_dev": entry_max,
         "dittmann_reading": "printed",
@@ -348,9 +345,10 @@ def cmd_validate(args):
 def _entry_picks(entries: str, mt: metric.MetricTensor) -> list[tuple[str, int, int]]:
     """The ``--entries`` choice as ordered (key, i, j); a repeated key counts once."""
     names = mt.ordering
+    if entries == "all":
+        return metric.upper_entries(names)
     index = {f"g_{a}_{b}": (i, j) for i, a in enumerate(names) for j, b in enumerate(names)}
-    keys = {"all": mt.entry_names(), "diag": [f"g_{c}_{c}" for c in names]}.get(
-        entries, entries.split(","))
+    keys = [f"g_{c}_{c}" for c in names] if entries == "diag" else entries.split(",")
     for key in keys:
         if key not in index:
             raise ParseError(f"unknown tensor entry {key!r}")
@@ -368,7 +366,7 @@ def cmd_scan(args):
             raise ParseError(f"coordinate {coord!r} is swept more than once")
     grids = [np.linspace(_convert(a, args.degrees), _convert(b, args.degrees), k)
              for a, b, k in zip(args.start, args.stop, args.points)]
-    tensor = fam.tensor(args.method, args.step)
+    tensor = fam.tensor(args.method)
 
     picks = None
     rows = []
@@ -396,13 +394,13 @@ def cmd_scan(args):
 def cmd_permtest(args):
     entries = [{
         "name": p.name,
-        "phase": "i" if abs(p.phase - 1j) < 1e-15 else "1",
+        "phase": "i" if p.phase == 1j else "1",
         "residual_exact": p.residual_exact,
         "residual_coset": p.residual_coset,
         "residual_literal": p.residual_literal,
     } for p in coset.permutation_table()]
-    ok = all(e["residual_coset"] <= coset.PERM_VERIFY_TOL
-             and e["residual_exact"] <= coset.PERM_VERIFY_TOL for e in entries)
+    ok = all(e["residual_coset"] <= PERM_VERIFY and e["residual_exact"] <= PERM_VERIFY
+             for e in entries)
     payload = {
         "identities": entries,
         "status": "PASS" if ok else "FAIL",
@@ -459,13 +457,6 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _step_value(text: str) -> float:
-    v = float(text)
-    if not (0.0 < v <= 1e-2):
-        raise argparse.ArgumentTypeError("step must lie in (0, 1e-2]")
-    return v
-
-
 def _tol_value(text: str) -> float:
     v = float(text)
     if not (math.isfinite(v) and v > 0.0):
@@ -481,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     n_flag = ("--n", dict(type=int, choices=tuple(FAMILIES), default=2))
     chart = [n_flag, *[(f"--{name}", dict(type=float, default=None)) for name in CHART_FLAGS]]
-    step = ("--step", dict(type=_step_value, default=metric.DEFAULT_STEP))
     common = [
         ("--format", dict(dest="output_format", default="pretty",
                           choices=("json", "csv", "pretty"))),
@@ -499,13 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
             ("--state-b", dict(required=True))]),
         ("metric", cmd_metric, "metric tensor at a chart point", [
             *chart,
-            ("--method", dict(choices=("closed", "pullback", "both"), default="both")),
-            step]),
+            ("--method", dict(choices=("closed", "pullback", "both"), default="both"))]),
         ("validate", cmd_validate, "cross-validate all routes on random points", [
             n_flag,
             ("--samples", dict(type=_positive_int, default=100)),
             ("--seed", dict(type=int, default=0)),
-            step,
             ("--tol", dict(type=_tol_value, default=None,
                            help=f"tolerance (default {DEFAULT_TOL}, or ${TOL_ENV_VAR})"))]),
         ("scan", cmd_scan, "sweep coordinates, one CSV row per grid point", [
@@ -517,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--points", dict(action="append", type=_positive_int, required=True)),
             ("--entries", dict(default="diag",
                                help="'diag', 'all', or comma list like g_theta_theta")),
-            ("--method", dict(choices=("closed", "pullback"), default="closed")),
-            step]),
+            ("--method", dict(choices=("closed", "pullback"), default="closed"))]),
         ("permtest", cmd_permtest, "verify the six permutation identities", []),
         ("find-chart", cmd_find_chart, "recover chart coordinates from a matrix file", [
             ("input", dict(help="JSON matrix file")),

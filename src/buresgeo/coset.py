@@ -27,26 +27,18 @@ import numpy as np
 
 from . import matcore
 from .errors import (
+    DegenerateSpectrum,
     DimensionMismatch,
     InvalidDensityMatrix,
     OutOfChartRange,
     VerificationFailure,
 )
+from .tol import GAP, INVARIANT, PERM_VERIFY, RANGE_EPS, SERIES_CUTOFF
 
 THETA1_MAX = math.acos(1.0 / math.sqrt(3.0))
 THETA2_MIN = math.pi / 6
 THETA2_MAX = math.pi / 4
 BETA_MAX = math.pi
-
-# below this, sinc-type factors switch to Taylor series (terms through x^4)
-_SERIES_CUTOFF = 1e-4
-
-# slack for range checks, so decimal renderings of pi/4 etc. stay valid
-RANGE_EPS = 1e-9
-
-# smallest eigenvalue gap at which the metric routes and the chart inverse
-# still treat a spectrum as nondegenerate
-GAP_TOL = 1e-6
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -62,6 +54,16 @@ def _require_range(name: str, value: float, lo: float, hi: float) -> float:
     if not (lo - RANGE_EPS <= v <= hi + RANGE_EPS):
         raise OutOfChartRange(name, v, f"must lie in [{lo:.10g}, {hi:.10g}]")
     return min(max(v, lo), hi)
+
+
+def require_gap(lam: Sequence[float]) -> None:
+    """Raise DegenerateSpectrum if two of the eigenvalues ``lam`` lie closer
+    than GAP; a gap of exactly GAP passes. The metric routes and the chart
+    inverse all take this one check."""
+    for i, a in enumerate(lam):
+        for b in lam[i + 1:]:
+            if abs(a - b) < GAP:
+                raise DegenerateSpectrum(f"eigenvalue gap {abs(a - b):.3e} below {GAP:.1e}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with cached derived data.
 
     Finite entries, Hermiticity and trace are checked at construction
-    (tolerance 1e-10); positivity is checked whenever the spectral
+    (tolerance tol.INVARIANT); positivity is checked whenever the spectral
     decomposition is computed. Two kinds of derived data are cached on first
     use: the spectral decomposition and, for 3x3 states, the trace-form
     invariants of ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}).
@@ -128,10 +130,6 @@ class DensityMatrix:
     nor a later change to the caller's array can leave the caches describing
     another matrix.
     """
-
-    HERM_TOL = 1e-10
-    TRACE_TOL = 1e-10
-    EIG_TOL = 1e-10
 
     def __init__(self, mat, *, check: bool = True):
         self.mat = matcore.as_matrix(mat).copy()
@@ -144,14 +142,14 @@ class DensityMatrix:
             if not np.isfinite(self.mat).all():
                 raise InvalidDensityMatrix("matrix has a non-finite entry")
             defect = matcore.hermiticity_defect(self.mat)
-            if defect > self.HERM_TOL:
+            if defect > INVARIANT:
                 raise InvalidDensityMatrix(
-                    f"not Hermitian: max |A - A^dag| = {defect:.3e} > {self.HERM_TOL:.1e}"
+                    f"not Hermitian: max |A - A^dag| = {defect:.3e} > {INVARIANT:.1e}"
                 )
             tr = matcore.trace(self.mat)
-            if abs(tr - 1.0) > self.TRACE_TOL:
+            if abs(tr - 1.0) > INVARIANT:
                 raise InvalidDensityMatrix(
-                    f"trace {tr!r} differs from 1 by more than {self.TRACE_TOL:.1e}"
+                    f"trace {tr!r} differs from 1 by more than {INVARIANT:.1e}"
                 )
 
     @property
@@ -162,9 +160,9 @@ class DensityMatrix:
     def spectral(self) -> matcore.SpectralDecomposition:
         if self._spectral is None:
             spec = matcore.eig_hermitian(self.mat)
-            if spec.eigenvalues[0] < -self.EIG_TOL:
+            if spec.eigenvalues[0] < -INVARIANT:
                 raise InvalidDensityMatrix(
-                    f"not PSD: min eigenvalue {spec.eigenvalues[0]:.3e} < -{self.EIG_TOL:.1e}"
+                    f"not PSD: min eigenvalue {spec.eigenvalues[0]:.3e} < -{INVARIANT:.1e}"
                 )
             self._spectral = spec
         return self._spectral
@@ -193,7 +191,7 @@ def as_density(rho) -> DensityMatrix:
 
 def sinc(x: float) -> float:
     """sin(x)/x with series fallback near 0."""
-    if abs(x) < _SERIES_CUTOFF:
+    if abs(x) < SERIES_CUTOFF:
         x2 = x * x
         return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return math.sin(x) / x
@@ -201,7 +199,7 @@ def sinc(x: float) -> float:
 
 def cosm1_over_sq(x: float) -> float:
     """(cos(x) - 1)/x^2 with series fallback near 0."""
-    if abs(x) < _SERIES_CUTOFF:
+    if abs(x) < SERIES_CUTOFF:
         x2 = x * x
         return -0.5 + x2 / 24.0 - x2 * x2 / 720.0
     return (math.cos(x) - 1.0) / (x * x)
@@ -209,7 +207,7 @@ def cosm1_over_sq(x: float) -> float:
 
 def one_minus_sinc(x: float) -> float:
     """1 - sin(x)/x, accurate near 0."""
-    if abs(x) < _SERIES_CUTOFF:
+    if abs(x) < SERIES_CUTOFF:
         x2 = x * x
         return x2 / 6.0 - x2 * x2 / 120.0
     return 1.0 - math.sin(x) / x
@@ -217,7 +215,7 @@ def one_minus_sinc(x: float) -> float:
 
 def sin_half_over(x: float) -> float:
     """sin(x/2)/x with series fallback near 0."""
-    if abs(x) < _SERIES_CUTOFF:
+    if abs(x) < SERIES_CUTOFF:
         x2 = x * x
         return 0.5 - x2 / 48.0 + x2 * x2 / 3840.0
     return math.sin(0.5 * x) / x
@@ -471,16 +469,14 @@ _PERM_CASES = [
      np.array([[0, _I, 0], [0, 0, _I], [-1, 0, 0]], dtype=np.complex128)),
 ]
 
-PERM_VERIFY_TOL = 1e-12
-
 
 def permutation_table() -> list[PermutationIdentity]:
     """The six coset-parameter settings realizing the level permutations.
 
     Each entry is verified at construction: the coset product must equal the
     frozen ``exact`` matrix entrywise, and must equal ``phase * perm`` after
-    absorbing per-column (torus) phases, both to 1e-12. A failure signals an
-    implementation bug and raises VerificationFailure.
+    absorbing per-column (torus) phases, both to tol.PERM_VERIFY. A failure
+    signals an implementation bug and raises VerificationFailure.
     """
     out = []
     for name, settings, sigma, phase, exact in _PERM_CASES:
@@ -498,7 +494,7 @@ def permutation_table() -> list[PermutationIdentity]:
             max(np.max(np.abs(off)), np.max(np.abs(np.abs(np.diag(r)) - 1.0)))
         )
         res_literal = float(np.max(np.abs(om - target)))
-        if res_exact > PERM_VERIFY_TOL or res_coset > PERM_VERIFY_TOL:
+        if res_exact > PERM_VERIFY or res_coset > PERM_VERIFY:
             raise VerificationFailure(
                 f"permutation identity {name} failed: exact residual {res_exact:.3e}, "
                 f"coset residual {res_coset:.3e}"

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD
-
-HERMITICITY_TOL = 1e-10
-PSD_CLAMP = 1e-12
+from .tol import INVARIANT, PSD_CLAMP
 
 
 def as_matrix(a) -> np.ndarray:
@@ -59,10 +57,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
@@ -71,13 +65,13 @@ class SpectralDecomposition:
 def eig_hermitian(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian if max |A - A†| entry exceeds HERMITICITY_TOL and
+    Raises NotHermitian if max |A - A†| entry exceeds tol.INVARIANT and
     ConvergenceFailure if the underlying solver gives up.
     """
     m = as_matrix(a)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > HERMITICITY_TOL:
-        raise NotHermitian(f"max |A - A^dag| entry = {defect:.3e} > {HERMITICITY_TOL:.1e}")
+    defect = hermiticity_defect(m)
+    if defect > INVARIANT:
+        raise NotHermitian(f"max |A - A^dag| entry = {defect:.3e} > {INVARIANT:.1e}")
     try:
         w, v = np.linalg.eigh(hermitize(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n<=4

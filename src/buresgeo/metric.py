@@ -21,11 +21,10 @@ see ValidationReport.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,12 +36,12 @@ from .coset import (
     CosetChart2,
     CosetChart3,
     DensityMatrix,
-    GAP_TOL,
     THETA1_MAX,
     THETA2_MAX,
     THETA2_MIN,
     diag_entries3,
     one_minus_sinc,
+    require_gap,
     sin_half_over,
     sinc,
 )
@@ -53,13 +52,18 @@ from .errors import (
     SingularState,
     VerificationFailure,
 )
+from .tol import (DEFAULT_STEP, DET_FLOOR, EIG_FLOOR, IDENTITY, INVARIANT, REL_DEV_FLOOR,
+                  TANGENT_FLOOR, TINY)
 
 COORDS2 = ("theta", "alpha", "phi")
 COORDS3 = ("theta1", "theta2", "alpha", "phi", "beta1", "beta2", "psi1", "psi2")
 INDEX3 = {name: k for k, name in enumerate(COORDS3)}
 
-DEFAULT_STEP = 1e-5
-EIG_FLOOR = 1e-6        # minimum eigenvalue for the closed-form coefficients
+
+def upper_entries(ordering: Sequence[str]) -> list[tuple[str, int, int]]:
+    """(g_<a>_<b>, i, j) for every entry i <= j of a tensor over ``ordering``."""
+    return [(f"g_{a}_{ordering[j]}", i, j)
+            for i, a in enumerate(ordering) for j in range(i, len(ordering))]
 
 
 @dataclass(frozen=True)
@@ -75,18 +79,14 @@ class MetricTensor:
         d = len(self.ordering)
         if arr.shape != (d, d):
             raise VerificationFailure(f"tensor shape {arr.shape} does not match ordering")
-        if np.max(np.abs(arr - arr.T)) > 1e-10:
-            raise VerificationFailure("tensor not symmetric to 1e-10")
+        if np.max(np.abs(arr - arr.T)) > INVARIANT:
+            raise VerificationFailure(f"tensor not symmetric to {INVARIANT:.0e}")
 
     def entry(self, a: str, b: str) -> float:
         return float(self.g[self.ordering.index(a), self.ordering.index(b)])
 
     def entry_names(self) -> list[str]:
-        names = []
-        for i, a in enumerate(self.ordering):
-            for j in range(i, len(self.ordering)):
-                names.append(f"g_{a}_{self.ordering[j]}")
-        return names
+        return [key for key, _, _ in upper_entries(self.ordering)]
 
 
 def volume_element(metric: MetricTensor) -> float:
@@ -123,9 +123,9 @@ class Family:
         """The state at the chart point with coordinate values ``values``."""
         return self.rho(self.chart(*values))
 
-    def tensor(self, method: str, step: float) -> Callable:
+    def tensor(self, method: str) -> Callable:
         """The metric route named by ``method``: "closed" or "pullback"."""
-        return self.closed if method == "closed" else functools.partial(self.pullback, h=step)
+        return self.closed if method == "closed" else self.pullback
 
 
 _self = sys.modules[__name__]
@@ -166,16 +166,11 @@ def pullback_metric(point: Sequence[float],
 
     g_ij = hubner_form(rho, d_i rho, d_j rho) with the tangents from central
     differences of step ``h``. The spectrum at the centre must be
-    nondegenerate: min gap > GAP_TOL.
+    nondegenerate (coset.require_gap).
     """
     pt = np.asarray(point, dtype=float)
     rho0 = builder(pt)
-    w = rho0.eigenvalues
-    gaps = np.diff(np.sort(w))
-    if len(gaps) and float(np.min(gaps)) <= GAP_TOL:
-        raise DegenerateSpectrum(
-            f"min eigenvalue gap {float(np.min(gaps)):.3e} <= {GAP_TOL:.1e}"
-        )
+    require_gap(rho0.eigenvalues.tolist())
     d = len(pt)
     tangents = [_central_diff(builder, pt, i, h) for i in range(d)]
     g = np.zeros((d, d))
@@ -235,8 +230,8 @@ def s_coeff(d2) -> SCoeff2:
     d11 = float(dm.mat[0, 0].real)
     d22 = float(dm.mat[1, 1].real)
     detd = d11 * d22
-    if detd <= 1e-12:
-        raise SingularState(f"|D| = {detd:.3e} <= 1e-12")
+    if detd <= DET_FLOOR:
+        raise SingularState(f"|D| = {detd:.3e} <= {DET_FLOOR:.0e}")
     s12 = (d11 - d22) ** 2 * (d11 + d22 - d11 * d22 - detd - 1.0) / detd
     return SCoeff2(s12=s12)
 
@@ -246,12 +241,9 @@ def s_coeff(d2) -> SCoeff2:
 # ---------------------------------------------------------------------------
 
 def _check_spectrum3(lam: tuple[float, float, float]) -> None:
-    l1, l2, l3 = lam
     if min(lam) < EIG_FLOOR:
         raise DegenerateSpectrum(f"eigenvalue {min(lam):.3e} below {EIG_FLOOR:.1e}")
-    for a, b in ((l1, l2), (l1, l3), (l2, l3)):
-        if abs(a - b) < GAP_TOL:
-            raise DegenerateSpectrum(f"eigenvalue gap {abs(a - b):.3e} below {GAP_TOL:.1e}")
+    require_gap(lam)
 
 
 def t_coeffs(theta1: float, theta2: float) -> tuple[float, float, float]:
@@ -334,16 +326,13 @@ class Coeffs3:
     w2: float
     x: float
     y: float
-    t12: float = field(default=math.nan)
-    t13: float = field(default=math.nan)
-    t23: float = field(default=math.nan)
 
 
 def aux_coeffs(beta1: float, beta2: float, phi: float,
                psi1: float, psi2: float) -> Coeffs3:
     """Auxiliary coset quantities gamma, u1..u2, v1..v2, w1..w2, x, y.
 
-    For beta below 1e-4 the sinc-type factors are evaluated by series
+    For beta below tol.SERIES_CUTOFF the sinc-type factors are evaluated by series
     (through beta^4), so the beta -> 0 limits u=v=1, w=2, x=y=0 come out
     exactly rather than as 0/0.
     """
@@ -369,9 +358,9 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
     else:
         x = (beta1 * beta2 / beta ** 2) * oms
         y = (beta1 * beta2 / beta ** 2) * omc
-    if abs(u1 + u2 - (1.0 + cb)) > 1e-12:
+    if abs(u1 + u2 - (1.0 + cb)) > IDENTITY:
         raise VerificationFailure("u1 + u2 != 1 + cos(beta)")
-    if abs(v1 + v2 - (1.0 + sc)) > 1e-12:
+    if abs(v1 + v2 - (1.0 + sc)) > IDENTITY:
         raise VerificationFailure("v1 + v2 != 1 + sinc(beta)")
     return Coeffs3(gamma=gamma, u1=u1, u2=u2, v1=v1, v2=v2, w1=w1, w2=w2, x=x, y=y)
 
@@ -542,15 +531,7 @@ class ValidationReport:
 
 
 def _entry_devs(ordering, a: np.ndarray, b: np.ndarray) -> dict[str, float]:
-    out = {}
-    d = len(ordering)
-    for i in range(d):
-        for j in range(i, d):
-            out[f"g_{ordering[i]}_{ordering[j]}"] = abs(float(a[i, j] - b[i, j]))
-    return out
-
-
-REL_DEV_FLOOR = 1e-8
+    return {key: abs(float(a[i, j] - b[i, j])) for key, i, j in upper_entries(ordering)}
 
 
 def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -567,26 +548,26 @@ def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)[mask] / scale[mask]))
 
 
-def validate(chart, h: float = DEFAULT_STEP) -> ValidationReport:
+def validate(chart) -> ValidationReport:
     """Full cross-validation at one interior chart point (n inferred from the chart)."""
     fam = next((f for f in FAMILIES.values() if isinstance(chart, f.chart)), None)
     if fam is None:
         raise TypeError(f"expected CosetChart2 or CosetChart3, got {type(chart)!r}")
-    pull = fam.pullback(chart, h)
+    pull = fam.pullback(chart)
     closed = fam.closed(chart)
     rho = fam.rho(chart)
     # differenced again (bench/selftest.py pins both passes), all before the
     # first form: interleaving the rho builds with the forms ran ~8 % slower
     pt = np.asarray(chart.values(), dtype=float)
     dmax = 0.0
-    for t in [_central_diff(fam.build, pt, i, h) for i in range(len(pt))]:
+    for t in [_central_diff(fam.build, pt, i, DEFAULT_STEP) for i in range(len(pt))]:
         nrm = float(np.linalg.norm(t))
-        if nrm < 1e-12:
+        if nrm < TANGENT_FLOOR:
             continue
         t = t / nrm
         hub = hubner_form(rho, t, t)
         dit = fam.dittmann(rho, t)
-        dmax = max(dmax, abs(dit - hub) / max(abs(hub), 1e-300))
+        dmax = max(dmax, abs(dit - hub) / max(abs(hub), TINY))
     vol_p, vol_c = volume_element(pull), volume_element(closed)
     dev = _entry_devs(fam.coords, pull.g, closed.g)
     extra = _s_relation(chart, closed) if fam.n == 2 else _printed_checks(chart, pull)
@@ -597,7 +578,7 @@ def validate(chart, h: float = DEFAULT_STEP) -> ValidationReport:
         max_rel_dev=_rel_dev(pull.g, closed.g),
         dittmann_max_rel_dev=dmax, dittmann_reading="printed",
         volume_pullback=vol_p, volume_closed=vol_c,
-        volume_rel_dev=abs(vol_p - vol_c) / max(vol_c, 1e-300),
+        volume_rel_dev=abs(vol_p - vol_c) / max(vol_c, TINY),
         **extra,
     )
 

@@ -21,12 +21,11 @@ import math
 import numpy as np
 
 from . import coset
-from .coset import (CosetChart2, CosetChart3, DensityMatrix, GAP_TOL, THETA1_MAX, THETA2_MAX,
-                    THETA2_MIN)
-from .errors import DegenerateSpectrum, FitFailure, OutOfChartRange
+from .coset import (CosetChart2, CosetChart3, DensityMatrix, THETA1_MAX, THETA2_MAX, THETA2_MIN,
+                    require_gap)
+from .errors import FitFailure, OutOfChartRange
+from .tol import BETA_CLIP, FAIL_RESIDUAL, FIT_STOP, PHASE_REF, TARGET_RESIDUAL, THETA_EPS
 
-TARGET_RESIDUAL = 1e-8
-FAIL_RESIDUAL = 1e-6
 MULTISTART = 8
 
 
@@ -35,12 +34,8 @@ def _spectral_sorted_desc(rho: DensityMatrix):
     order = np.argsort(spec.eigenvalues)[::-1]
     w = spec.eigenvalues[order]
     v = spec.eigenvectors[:, order]
-    gaps = np.abs(np.diff(w))
-    if len(gaps) and float(np.min(gaps)) < GAP_TOL:
-        raise DegenerateSpectrum(
-            f"min eigenvalue gap {float(np.min(gaps)):.3e} < {GAP_TOL:.1e}; "
-            "the chart coordinates are not identifiable"
-        )
+    # a degenerate spectrum leaves the chart coordinates unidentifiable
+    require_gap(w.tolist())
     return w, v
 
 
@@ -91,7 +86,7 @@ def _polish2(dm: DensityMatrix, theta: float, seed_params, seed_res: float):
     starts = [np.asarray(seed_params, dtype=float)]
     starts += [rng.uniform(0, 2 * math.pi, size=2) for _ in range(MULTISTART)]
     for p0 in starts:
-        sol = least_squares(objective, p0, method="lm", xtol=1e-15, ftol=1e-15)
+        sol = least_squares(objective, p0, method="lm", xtol=FIT_STOP, ftol=FIT_STOP)
         chart = CosetChart2(theta, *sol.x)
         res = _residual(dm.mat, coset.rho2(chart))
         if res < best_res:
@@ -99,9 +94,6 @@ def _polish2(dm: DensityMatrix, theta: float, seed_params, seed_res: float):
         if best_res <= TARGET_RESIDUAL:
             break
     return best_chart, best_res
-
-
-_THETA_EPS = 1e-12
 
 
 def _theta3_from_spectrum(w_triple) -> tuple[float, float]:
@@ -122,8 +114,8 @@ def _assign_permutation3(w_desc: np.ndarray):
     for perm in itertools.permutations(range(3)):
         trip = tuple(float(w_desc[p]) for p in perm)
         t1, t2 = _theta3_from_spectrum(trip)
-        if (-_THETA_EPS <= t1 <= THETA1_MAX + _THETA_EPS
-                and THETA2_MIN - _THETA_EPS <= t2 <= THETA2_MAX + _THETA_EPS):
+        if (-THETA_EPS <= t1 <= THETA1_MAX + THETA_EPS
+                and THETA2_MIN - THETA_EPS <= t2 <= THETA2_MAX + THETA_EPS):
             t1 = min(max(t1, 0.0), THETA1_MAX)
             t2 = min(max(t2, THETA2_MIN), THETA2_MAX)
             return perm, t1, t2
@@ -138,7 +130,7 @@ def _coset_params_from_eigvecs(v: np.ndarray):
     """Analytic coset parameters from an eigenvector matrix (column phases free)."""
     # third column of Omega is (n1 e^{i psi1} sin b, n2 e^{i psi2} sin b, cos b)
     col3 = v[:, 2].copy()
-    if abs(col3[2]) > 1e-15:
+    if abs(col3[2]) > PHASE_REF:
         col3 = col3 * np.exp(-1j * np.angle(col3[2]))
     c1, c2, c3 = col3.tolist()
     # sin(beta) from the small entries and atan2 keep beta exact near 0,
@@ -185,7 +177,7 @@ def _clip_beta(p):
     alpha, phi, b1, b2, psi1, psi2 = (float(x) for x in p)
     beta = math.hypot(b1, b2)
     if beta >= coset.BETA_MAX:
-        scalefac = (coset.BETA_MAX - 1e-9) / beta
+        scalefac = (coset.BETA_MAX - BETA_CLIP) / beta
         b1, b2 = b1 * scalefac, b2 * scalefac
     return alpha, phi, b1, b2, psi1, psi2
 
@@ -208,7 +200,7 @@ def _polish3(dm: DensityMatrix, theta1: float, theta2: float, seed, seed_res: fl
             beta * math.cos(chi), beta * math.sin(chi),
             rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]))
     for p0 in starts:
-        sol = least_squares(objective, p0, method="lm", xtol=1e-15, ftol=1e-15)
+        sol = least_squares(objective, p0, method="lm", xtol=FIT_STOP, ftol=FIT_STOP)
         chart = CosetChart3(theta1, theta2, *_clip_beta(sol.x))
         res = _residual(dm.mat, coset.rho3(chart))
         if res < best_res:

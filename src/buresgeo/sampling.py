@@ -13,9 +13,9 @@ import numpy as np
 
 from . import coset
 from .coset import BETA_MAX, CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
+from .tol import SAMPLE_GAP
 
 MARGIN = 0.05     # fraction of each bounded range kept clear of the boundary
-MIN_GAP = 1e-4    # rejection threshold on eigenvalue gaps
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -42,10 +42,10 @@ def random_chart3(rng: np.random.Generator) -> CosetChart3:
     """Uniform interior 3-level chart.
 
     theta coordinates are uniform in their ranges shrunk by MARGIN from
-    each boundary, rejecting draws whose eigenvalue gaps fall below
-    MIN_GAP. The beta pair is drawn as a uniform radius in the shrunk
-    [0, pi) ball with a uniform direction; the remaining angles are uniform
-    over one period.
+    each boundary, rejecting draws whose eigenvalue gaps or eigenvalues fall
+    below tol.SAMPLE_GAP. The beta pair is drawn as a uniform radius in the
+    shrunk [0, pi) ball with a uniform direction; the remaining angles are
+    uniform over one period.
     """
     t1lo, t1hi = _shrunk(0.0, THETA1_MAX)
     t2lo, t2hi = _shrunk(THETA2_MIN, THETA2_MAX)
@@ -54,7 +54,7 @@ def random_chart3(rng: np.random.Generator) -> CosetChart3:
         t2 = rng.uniform(t2lo, t2hi)
         lam = coset.diag_entries3(t1, t2)
         gaps = (abs(lam[0] - lam[1]), abs(lam[0] - lam[2]), abs(lam[1] - lam[2]))
-        if min(gaps) >= MIN_GAP and min(lam) >= MIN_GAP:
+        if min(gaps) >= SAMPLE_GAP and min(lam) >= SAMPLE_GAP:
             break
     else:  # pragma: no cover - margin makes rejection extremely rare
         raise RuntimeError("could not sample a nondegenerate spectrum in 1000 tries")

@@ -201,6 +201,15 @@ def test_metric_both_deviation_line(capsys):
     np.testing.assert_allclose(g[:2, 2:], 0.0, atol=1e-15)
 
 
+def test_metric_closed_eigenvalue_floor_exit_5(capsys):
+    code = main(["metric", "--n", "3", "--theta1", "1e-4", "--beta1", "0.5",
+                 "--method", "closed"])
+    assert code == 5
+    err = capsys.readouterr().err
+    # the eigenvalue floor refuses first, not the gap check
+    assert err.startswith("error: eigenvalue ") and "gap" not in err
+
+
 def test_metric_degenerate_exit_5(capsys):
     code = main(["metric", "--n", "3", "--theta1", str(0.955316), "--theta2",
                  str(math.pi / 4), "--beta1", "0.4", "--method", "closed"])
@@ -546,6 +555,40 @@ def test_find_chart_degenerate_exit_5(tmp_path, capsys):
     assert code == 5
 
 
+# files that are missing or not a matrix file; "{tmp}" is the test's directory
+BAD_FILES = {
+    "array.json": "[1, 2]",
+    "text-re.json": '{"dim": 2, "re": [["a", 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+    "shape.json": '{"dim": 2, "re": [[1, 0, 0]], "im": [[0, 0, 0]]}',
+}
+SWEEP = ["--from", "0.1", "--to", "0.2", "--points", "2"]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["find-chart", "{tmp}/missing.json"], 3, "cannot read"),
+    (["find-chart", "{tmp}/array.json"], 3, 'expected an object with keys "dim", "re", "im"'),
+    (["find-chart", "{tmp}/text-re.json"], 3, "re/im are not numeric arrays"),
+    (["find-chart", "{tmp}/shape.json"], 3, "re/im must both be 2x2 row-major arrays"),
+    (["fidelity", "--state-a", "theta=abc", "--state-b", "theta=0.2"], 3,
+     "bad numeric value in 'theta=abc'"),
+    (["fidelity", "--state-a", ",=", "--state-b", "theta=0.2"], 3, "bad numeric value in '='"),
+    (["fidelity", "--state-a", "theta=0.3,bogus=1", "--state-b", "theta=0.2"], 3,
+     "unknown coordinates for n=2: ['bogus']"),
+    (["scan", "--n", "2", "--coord", "theta", *SWEEP, "--points", "3"], 3,
+     "--coord/--from/--to/--points counts must match"),
+    (["scan", "--n", "2", "--coord", "theta1", *SWEEP], 3,
+     "unknown sweep coordinate 'theta1' for n=2"),
+    (["find-chart", STATE2, "--n", "3"], 4, "--n 3 but the file holds a 2x2 matrix"),
+], ids=["missing-file", "json-array", "non-numeric-re", "wrong-shape", "inline-non-numeric",
+        "inline-empty-key", "inline-unknown-key", "scan-count-mismatch", "scan-unknown-coord",
+        "find-chart-wrong-n"])
+def test_bad_input_exit_code_and_message(argv, code, message, tmp_path, capsys):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_find_chart_round_trip_through_rho(tmp_path, capsys):
     out_path = tmp_path / "state.json"
     assert main(["rho", "--n", "3", "--theta1", "0.5", "--theta2", "0.6",
@@ -565,16 +608,27 @@ def test_find_chart_round_trip_through_rho(tmp_path, capsys):
     ["scan", "--n", "2", "--from", "0.1", "--to", "0.2", "--points", "2"],
     ["validate", "--samples", "x"],
     ["bogus"],
-    ["validate", "--step", "1"],
     ["validate", "--tol", "nan"],
     ["validate", "--tol", "inf"],
     ["validate", "--tol", "-1"],
     ["validate", "--tol", "0"],
-], ids=["missing-coord", "non-numeric-samples", "unknown-subcommand", "step-too-large",
-        "tol-nan", "tol-inf", "tol-negative", "tol-zero"])
+], ids=["missing-coord", "non-numeric-samples", "unknown-subcommand", "tol-nan", "tol-inf",
+        "tol-negative", "tol-zero"])
 def test_usage_error_exit_3(argv, capsys):
     assert main(argv) == 3
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--n", "2", "--theta", "0.3", "--step", "1e-4"],
+    ["validate", "--step", "1"],
+    ["scan", "--n", "2", "--coord", "theta", "--from", "0.1", "--to", "0.2", "--points", "2",
+     "--step", "1e-4"],
+], ids=["metric", "validate", "scan"])
+def test_step_is_not_an_option(argv, capsys):
+    # the pullback always differences at tol.DEFAULT_STEP
+    assert main(argv) == 3
+    assert "unrecognized arguments: --step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,7 @@ from buresgeo.coset import (
 )
 from buresgeo.errors import DimensionMismatch, InvalidDensityMatrix, OutOfChartRange
 from buresgeo.sampling import make_rng, random_chart2, random_chart3
+from buresgeo.tol import SERIES_CUTOFF
 
 
 def omega3_upper_printed(b1, b2, p1, p2):
@@ -163,6 +164,22 @@ def test_omega_block_tiny_beta_series_branch():
         np.testing.assert_allclose(om.conj().T @ om, np.eye(3), atol=1e-14)
         np.testing.assert_allclose(om, omega3_upper_printed(
             scale * 0.6, scale * 0.8, 0.0, math.pi / 2), atol=1e-13)
+
+
+# references that do not cancel at small x
+SERIES_REFERENCES = {
+    "sin_half_over": lambda x: math.sin(x / 2) / x,
+    "sinc": lambda x: math.sin(x) / x,
+    "cosm1_over_sq": lambda x: -2.0 * math.sin(x / 2) ** 2 / x ** 2,
+}
+
+
+@pytest.mark.parametrize("name", SERIES_REFERENCES)
+def test_small_argument_series_within_two_ulp(name):
+    x = 5e-5
+    assert x < SERIES_CUTOFF
+    ref = SERIES_REFERENCES[name](x)
+    assert abs(getattr(coset, name)(x) - ref) <= 2 * math.ulp(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from buresgeo.errors import (
     DegenerateSpectrum,
     OutOfChartRange,
     SingularState,
+    VerificationFailure,
 )
 from buresgeo.metric import (
     COORDS2,
@@ -210,6 +211,10 @@ def test_aux_coeffs_limits_at_zero():
     for v, expected in ((c.u1, 1.0), (c.u2, 1.0), (c.v1, 1.0), (c.v2, 1.0),
                         (c.w1, 2.0), (c.w2, 2.0), (c.x, 0.0), (c.y, 0.0)):
         assert v == pytest.approx(expected, abs=1e-12)
+    # at beta = 0 itself the documented limits come out exactly, not as 0/0
+    c = aux_coeffs(0.0, 0.0, 0.3, 0.1, 0.2)
+    assert (c.u1, c.u2, c.v1, c.v2, c.w1, c.w2, c.x, c.y) == (1.0, 1.0, 1.0, 1.0,
+                                                              2.0, 2.0, 0.0, 0.0)
 
 
 def test_aux_coeffs_symmetry():
@@ -269,6 +274,19 @@ def test_closed_metric3_matches_pullback_random():
         ch = random_chart3(rng)
         dev = np.max(np.abs(closed_metric3(ch).g - pullback_metric3(ch).g))
         assert dev <= 1e-6
+
+
+def test_closed_metric3_refuses_eigenvalue_below_floor():
+    # theta1 = 1e-4 leaves two eigenvalues near 1e-8, below tol.EIG_FLOOR
+    with pytest.raises(DegenerateSpectrum, match=r"^eigenvalue \d"):
+        closed_metric3(CosetChart3(1e-4, math.pi / 6, beta1=0.5))
+
+
+@pytest.mark.parametrize("g", [np.zeros((2, 3)), [[0.0, 1.0], [0.5, 0.0]]],
+                         ids=["2x3", "asymmetric"])
+def test_metric_tensor_rejects_bad_matrix(g):
+    with pytest.raises(VerificationFailure):
+        MetricTensor(ordering=("a", "b"), g=g)
 
 
 def test_closed_metric3_block_structure():
