@@ -8,8 +8,9 @@ with tangent drho:
                        nonsingular 2x2 states,
   * dittmann3_form  -- same idea for nonsingular, non-pure 3x3 states.
 
-All three agree to ~1e-14 relative on their common domain; the package's
-validation machinery re-checks that agreement on every run.
+All three agree to ~1e-14 relative on well-conditioned states; the trace
+forms lose up to about 2.2e-16/lambda_min relative (~2e-6 just above
+tol.DET_FLOOR, below which they refuse). `metric.validate` re-checks them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import (
     SingularState,
     VerificationFailure,
 )
-from .tol import (DET_FLOOR, DET_FLOOR2, EPS_SPEC, FIDELITY_ABOVE, FIDELITY_BELOW, INVARIANT,
-                  PURE, SUPPORT_LEAK)
+from .tol import (DET_FLOOR, EPS_SPEC, FIDELITY_ABOVE, FIDELITY_BELOW, INVARIANT, PURE,
+                  SUPPORT_LEAK)
 
 
 def check_tangent(drho) -> np.ndarray:
@@ -119,8 +120,8 @@ def dittmann2_form(rho, drho) -> float:
         raise DimensionMismatch(f"dittmann2_form needs a 2x2 state, got n={dm.dim}")
     d = np.asarray(drho, dtype=np.complex128)
     detr = matcore.det(dm.mat).real
-    if detr <= DET_FLOOR2:
-        raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR2:.0e}")
+    if detr <= DET_FLOOR:
+        raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.0e}")
     q = d - dm.mat @ d
     val = np.trace(d @ d + (q @ q) / detr).real
     return 0.25 * float(val)

@@ -48,7 +48,7 @@ from .errors import (
     VerificationFailure,
 )
 from .metric import FAMILIES, Family
-from .tol import DEFAULT_STEP, DEFAULT_TOL, PERM_VERIFY
+from .tol import DEFAULT_STEP, DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_RANGE = 2
@@ -398,12 +398,10 @@ def cmd_permtest(args):
         "residual_exact": p.residual_exact,
         "residual_coset": p.residual_coset,
         "residual_literal": p.residual_literal,
-    } for p in coset.permutation_table()]
-    ok = all(e["residual_coset"] <= PERM_VERIFY and e["residual_exact"] <= PERM_VERIFY
-             for e in entries)
+    } for p in coset.permutation_table()]  # raises VerificationFailure on a bad entry
     payload = {
         "identities": entries,
-        "status": "PASS" if ok else "FAIL",
+        "status": "PASS",
         "note": (
             "residual_coset measures equality with phase*P modulo the torus "
             "stabilizer (per-column phases); residual_literal is the raw "
@@ -413,14 +411,13 @@ def cmd_permtest(args):
     }
 
     def pretty():
-        yield (f"{len(entries)}/{len(entries)} identities verified"
-               if ok else "permutation identity verification FAILED")
+        yield f"{len(entries)}/{len(entries)} identities verified"
         for e in entries:
             yield (f"  {e['name']:7s} phase={e['phase']}  exact={e['residual_exact']:.3e}  "
                    f"coset={e['residual_coset']:.3e}  literal={e['residual_literal']:.3e}")
         yield payload["note"]
 
-    return (EXIT_OK if ok else EXIT_TOLERANCE), payload, None, pretty
+    return EXIT_OK, payload, None, pretty
 
 
 def cmd_find_chart(args):

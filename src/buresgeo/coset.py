@@ -335,26 +335,22 @@ def omega3(chart: CosetChart3) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _entries2(theta: float) -> tuple[float, float]:
-    """(cos^2 theta, sin^2 theta) after the range check theta in [0, pi/4]."""
-    c2 = math.cos(_require_range("theta", theta, 0.0, math.pi / 4)) ** 2
+    """(cos^2 theta, sin^2 theta)."""
+    c2 = math.cos(theta) ** 2
     return (c2, 1.0 - c2)
-
-
-def _entries3(theta1: float, theta2: float) -> tuple[float, float, float]:
-    """diag_entries3 after the range checks on theta1 and theta2."""
-    return diag_entries3(_require_range("theta1", theta1, 0.0, THETA1_MAX),
-                         _require_range("theta2", theta2, THETA2_MIN, THETA2_MAX))
 
 
 def diag2(theta: float) -> DensityMatrix:
     """diag(cos^2 theta, sin^2 theta) for theta in [0, pi/4]."""
+    theta = _require_range("theta", theta, 0.0, math.pi / 4)
     return DensityMatrix(np.diag(_entries2(theta)).astype(np.complex128), check=False)
 
 
 def diag3(theta1: float, theta2: float) -> DensityMatrix:
     """diag(cos^2 t1, sin^2 t1 cos^2 t2, sin^2 t1 sin^2 t2); trace is 1 identically."""
-    return DensityMatrix(np.diag(_entries3(theta1, theta2)).astype(np.complex128),
-                         check=False)
+    lam = diag_entries3(_require_range("theta1", theta1, 0.0, THETA1_MAX),
+                        _require_range("theta2", theta2, THETA2_MIN, THETA2_MAX))
+    return DensityMatrix(np.diag(lam).astype(np.complex128), check=False)
 
 
 def diag_entries3(theta1: float, theta2: float) -> tuple[float, float, float]:
@@ -407,13 +403,13 @@ def _assemble3(om: list[list[complex]], lam: tuple[float, float, float]) -> Dens
 
 
 def rho2(chart: CosetChart2) -> DensityMatrix:
-    """rho = Omega D Omega† on the 2-level chart."""
+    """rho = Omega D Omega† on the 2-level chart (its constructor checked theta)."""
     return _assemble2(_omega2_rows(chart.alpha, chart.phi), _entries2(chart.theta))
 
 
 def rho3(chart: CosetChart3) -> DensityMatrix:
-    """rho = Omega D Omega† on the 3-level chart."""
-    return _assemble3(_omega3_rows(chart), _entries3(chart.theta1, chart.theta2))
+    """rho = Omega D Omega† on the 3-level chart (its constructor checked the thetas)."""
+    return _assemble3(_omega3_rows(chart), diag_entries3(chart.theta1, chart.theta2))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +490,7 @@ def permutation_table() -> list[PermutationIdentity]:
             max(np.max(np.abs(off)), np.max(np.abs(np.abs(np.diag(r)) - 1.0)))
         )
         res_literal = float(np.max(np.abs(om - target)))
-        if res_exact > PERM_VERIFY or res_coset > PERM_VERIFY:
+        if not (res_exact <= PERM_VERIFY and res_coset <= PERM_VERIFY):  # NaN fails
             raise VerificationFailure(
                 f"permutation identity {name} failed: exact residual {res_exact:.3e}, "
                 f"coset residual {res_coset:.3e}"

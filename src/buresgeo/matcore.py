@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD
-from .tol import INVARIANT, PSD_CLAMP
+from .tol import INVARIANT
 
 
 def as_matrix(a) -> np.ndarray:
@@ -82,13 +82,13 @@ def eig_hermitian(a) -> SpectralDecomposition:
 def mat_sqrt_psd(a) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues in [-PSD_CLAMP, 0) are treated as zero (numerically singular
-    states at chart boundaries); anything below -PSD_CLAMP raises NotPSD.
+    Eigenvalues in [-INVARIANT, 0) are treated as zero, the PSD rule of
+    DensityMatrix; anything below -INVARIANT raises NotPSD.
     """
     spec = eig_hermitian(a)
     w = spec.eigenvalues
-    if np.any(w < -PSD_CLAMP):
-        raise NotPSD(f"min eigenvalue {w.min():.3e} < -{PSD_CLAMP:.1e}")
+    if np.any(w < -INVARIANT):
+        raise NotPSD(f"min eigenvalue {w.min():.3e} < -{INVARIANT:.1e}")
     w = np.where(w < 0, 0.0, w)
     v = spec.eigenvectors
     return hermitize((v * np.sqrt(w)) @ v.conj().T)

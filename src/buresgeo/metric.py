@@ -85,9 +85,6 @@ class MetricTensor:
     def entry(self, a: str, b: str) -> float:
         return float(self.g[self.ordering.index(a), self.ordering.index(b)])
 
-    def entry_names(self) -> list[str]:
-        return [key for key, _, _ in upper_entries(self.ordering)]
-
 
 def volume_element(metric: MetricTensor) -> float:
     """sqrt(max(det g, 0)): the Bures measure density in chart coordinates."""
@@ -106,7 +103,7 @@ def _late(module, name: str) -> Callable:
 @dataclass(frozen=True)
 class Family:
     """The chart of one n: its type, coordinates and defaults, the bounded
-    ranges (name, lo, hi) the pullback keeps 2h away from, and its routes."""
+    ranges (name, lo, hi) the pullback keeps two steps away from, and its routes."""
 
     n: int
     chart: type
@@ -151,28 +148,27 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 
 def _central_diff(builder: Callable[[Sequence[float]], DensityMatrix],
-                  point: np.ndarray, i: int, h: float) -> np.ndarray:
+                  point: np.ndarray, i: int) -> np.ndarray:
     up, dn = point.copy(), point.copy()
-    up[i] += h
-    dn[i] -= h
-    return (builder(up).mat - builder(dn).mat) / (2.0 * h)
+    up[i] += DEFAULT_STEP
+    dn[i] -= DEFAULT_STEP
+    return (builder(up).mat - builder(dn).mat) / (2.0 * DEFAULT_STEP)
 
 
 def pullback_metric(point: Sequence[float],
                     builder: Callable[[Sequence[float]], DensityMatrix],
-                    coords: Sequence[str],
-                    h: float = DEFAULT_STEP) -> MetricTensor:
+                    coords: Sequence[str]) -> MetricTensor:
     """Pull the spectral form back through an arbitrary chart map.
 
     g_ij = hubner_form(rho, d_i rho, d_j rho) with the tangents from central
-    differences of step ``h``. The spectrum at the centre must be
+    differences of step tol.DEFAULT_STEP. The spectrum at the centre must be
     nondegenerate (coset.require_gap).
     """
     pt = np.asarray(point, dtype=float)
     rho0 = builder(pt)
     require_gap(rho0.eigenvalues.tolist())
     d = len(pt)
-    tangents = [_central_diff(builder, pt, i, h) for i in range(d)]
+    tangents = [_central_diff(builder, pt, i) for i in range(d)]
     g = np.zeros((d, d))
     for i in range(d):
         for j in range(i, d):
@@ -180,23 +176,24 @@ def pullback_metric(point: Sequence[float],
     return MetricTensor(ordering=tuple(coords), g=g)
 
 
-def _pullback(fam: Family, chart, h: float) -> MetricTensor:
-    """Pullback tensor on ``fam``'s chart, at least 2h inside each bounded range."""
+def _pullback(fam: Family, chart) -> MetricTensor:
+    """Pullback tensor on ``fam``'s chart, more than two steps inside each bounded range."""
+    margin = 2 * DEFAULT_STEP
     for name, lo, hi in fam.bounds:
         value = getattr(chart, name)
-        if value - lo <= 2 * h or hi - value <= 2 * h:
-            raise BoundaryTooClose(f"{name}={value!r} within {2 * h:.1e} of a range boundary")
-    return pullback_metric(chart.values(), fam.build, fam.coords, h)
+        if value - lo <= margin or hi - value <= margin:
+            raise BoundaryTooClose(f"{name}={value!r} within {margin:.1e} of a range boundary")
+    return pullback_metric(chart.values(), fam.build, fam.coords)
 
 
-def pullback_metric2(chart: CosetChart2, h: float = DEFAULT_STEP) -> MetricTensor:
+def pullback_metric2(chart: CosetChart2) -> MetricTensor:
     """Numerical pullback tensor on the 2-level chart, ordering COORDS2."""
-    return _pullback(FAMILIES[2], chart, h)
+    return _pullback(FAMILIES[2], chart)
 
 
-def pullback_metric3(chart: CosetChart3, h: float = DEFAULT_STEP) -> MetricTensor:
+def pullback_metric3(chart: CosetChart3) -> MetricTensor:
     """Numerical pullback tensor on the 3-level chart, ordering COORDS3."""
-    return _pullback(FAMILIES[3], chart, h)
+    return _pullback(FAMILIES[3], chart)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +557,7 @@ def validate(chart) -> ValidationReport:
     # first form: interleaving the rho builds with the forms ran ~8 % slower
     pt = np.asarray(chart.values(), dtype=float)
     dmax = 0.0
-    for t in [_central_diff(fam.build, pt, i, DEFAULT_STEP) for i in range(len(pt))]:
+    for t in [_central_diff(fam.build, pt, i) for i in range(len(pt))]:
         nrm = float(np.linalg.norm(t))
         if nrm < TANGENT_FLOOR:
             continue

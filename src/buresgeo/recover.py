@@ -24,7 +24,7 @@ from . import coset
 from .coset import (CosetChart2, CosetChart3, DensityMatrix, THETA1_MAX, THETA2_MAX, THETA2_MIN,
                     require_gap)
 from .errors import FitFailure, OutOfChartRange
-from .tol import BETA_CLIP, FAIL_RESIDUAL, FIT_STOP, PHASE_REF, TARGET_RESIDUAL, THETA_EPS
+from .tol import BETA_CLIP, FAIL_RESIDUAL, FIT_STOP, PHASE_REF, RANGE_EPS, TARGET_RESIDUAL
 
 MULTISTART = 8
 
@@ -107,17 +107,16 @@ def _assign_permutation3(w_desc: np.ndarray):
     """Pick the eigenvalue ordering that satisfies the chart's theta box.
 
     Tries the permutations of the (descending) spectrum in a fixed order and
-    returns the first whose recovered (theta1, theta2) lie in range. Some
+    returns the first whose recovered (theta1, theta2) lie in range, with the
+    chart's own RANGE_EPS slack (CosetChart3 clamps them into the box). Some
     perfectly valid spectra admit none (the box covers only part of the
     eigenvalue simplex sector); those raise OutOfChartRange.
     """
     for perm in itertools.permutations(range(3)):
         trip = tuple(float(w_desc[p]) for p in perm)
         t1, t2 = _theta3_from_spectrum(trip)
-        if (-THETA_EPS <= t1 <= THETA1_MAX + THETA_EPS
-                and THETA2_MIN - THETA_EPS <= t2 <= THETA2_MAX + THETA_EPS):
-            t1 = min(max(t1, 0.0), THETA1_MAX)
-            t2 = min(max(t2, THETA2_MIN), THETA2_MAX)
+        # acos and atan2 of non-negative arguments never fall below 0
+        if t1 <= THETA1_MAX + RANGE_EPS and THETA2_MIN - RANGE_EPS <= t2 <= THETA2_MAX + RANGE_EPS:
             return perm, t1, t2
     raise OutOfChartRange(
         "spectrum", tuple(float(x) for x in w_desc),

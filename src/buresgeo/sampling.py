@@ -13,6 +13,7 @@ import numpy as np
 
 from . import coset
 from .coset import BETA_MAX, CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
+from .errors import OutOfChartRange
 from .tol import SAMPLE_GAP
 
 MARGIN = 0.05     # fraction of each bounded range kept clear of the boundary
@@ -76,7 +77,7 @@ def random_density(rng: np.random.Generator, n: int) -> coset.DensityMatrix:
         return coset.rho2(random_chart2(rng))
     if n == 3:
         return coset.rho3(random_chart3(rng))
-    raise ValueError(f"only n=2 and n=3 are charted, got n={n}")
+    raise OutOfChartRange("n", n, "only n=2 and n=3 are charted")
 
 
 def random_tangent(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -6,18 +6,20 @@ any module can import it.
 """
 
 # inputs that must satisfy an exact invariant
-INVARIANT = 1e-10        # max deviation of a state from Hermitian, unit trace and PSD,
-                         # of a tangent from Hermitian and traceless, of a tensor from symmetric
-PSD_CLAMP = 1e-12        # eigenvalues in [-PSD_CLAMP, 0) count as 0 in the PSD square root
-RANGE_EPS = 1e-9         # slack of the chart range checks, so decimal renderings of pi/4 pass
+INVARIANT = 1e-10        # max deviation of a state from Hermitian, unit trace and PSD (eigenvalues
+                         # in [-INVARIANT, 0) count as 0 in the PSD square root), of a tangent
+                         # from Hermitian and traceless, of a tensor from symmetric
+RANGE_EPS = 1e-9         # slack of the chart ranges, so decimal renderings of pi/4 pass: the chart
+                         # constructors, diag2/diag3 and the theta box of a recovered ordering
 
 # spectra
 GAP = 1e-6               # smallest eigenvalue gap still nondegenerate; a gap of exactly GAP passes
 EIG_FLOOR = 1e-6         # smallest eigenvalue the 3-level closed-form coefficients accept
 EPS_SPEC = 1e-12         # lambda_i + lambda_j at or below this drops the pair from the Hubner sum
 SUPPORT_LEAK = 1e-8      # a dropped pair whose term exceeds SUPPORT_LEAK**2 is divergent
-DET_FLOOR = 1e-12        # |rho| or |D| at or below this is singular (dittmann3_form, s_coeff)
-DET_FLOOR2 = 1e-10       # |rho| at or below this is singular in dittmann2_form
+DET_FLOOR = 1e-10        # |rho| or |D| at or below this is singular (dittmann2_form,
+                         # dittmann3_form, s_coeff); the trace forms err ~2.2e-16/lambda_min
+                         # relative to Hubner: 1.9e-6 at n = 2, 3.7e-7 at n = 3 above the floor
 PURE = 1e-12             # Tr rho^3 within this of 1 is pure in dittmann3_form
 SAMPLE_GAP = 1e-4        # sampled 3-level spectra keep every gap and eigenvalue at least this
 
@@ -39,6 +41,5 @@ TINY = 1e-300            # floor of a denominator in a relative deviation
 TARGET_RESIDUAL = 1e-8   # Frobenius residual above which the fallback fit polishes the inverse
 FAIL_RESIDUAL = 1e-6     # Frobenius residual above which the recovery fails
 FIT_STOP = 1e-15         # xtol and ftol of the fallback least-squares fit
-THETA_EPS = 1e-12        # slack of the theta box an eigenvalue ordering must land in
 PHASE_REF = 1e-15        # |Omega_33| above this fixes the phase of Omega's third column
 BETA_CLIP = 1e-9         # the fallback fit keeps beta this far below pi

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buresgeo import cli
+from buresgeo import cli, coset
 from buresgeo.cli import main
+from buresgeo.errors import VerificationFailure
 
 
 def run_cli(args, capsys):
@@ -155,6 +156,15 @@ def test_fidelity_invalid_state_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "trace" in err
+
+
+@pytest.mark.parametrize("neg,code", [(-5e-11, 0), (-2e-10, 4)])
+def test_fidelity_psd_band(neg, code, tmp_path, capsys):
+    # the state and its square root share one PSD rule, tol.INVARIANT
+    path = write_matrix(tmp_path, "rho.json", np.diag([0.6, 0.4 - neg, neg]))
+    assert main(["fidelity", "--state-a", path, "--state-b", path]) == code
+    if code:
+        assert "not PSD" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")
@@ -533,6 +543,20 @@ def test_permtest(capsys):
     assert by_name["(Id)"]["residual_literal"] <= 1e-15
     assert by_name["i(123)"]["residual_coset"] <= 1e-12
     assert by_name["i(123)"]["phase"] == "i"
+
+
+def test_permtest_nan_residual_fails(monkeypatch, capsys):
+    # NaN compares false both ways: the table's one check must still reject it
+    name, settings, sigma, phase, exact = coset._PERM_CASES[2]
+    spoiled = exact.copy()
+    spoiled[0, 0] = math.nan
+    cases = list(coset._PERM_CASES)
+    cases[2] = (name, settings, sigma, phase, spoiled)
+    monkeypatch.setattr(coset, "_PERM_CASES", cases)
+    with pytest.raises(VerificationFailure, match=r"i\(13\)"):
+        coset.permutation_table()
+    assert main(["permtest"]) == 6
+    assert "i(13) failed: exact residual nan" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

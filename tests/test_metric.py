@@ -73,14 +73,15 @@ def test_pullback_guards():
     with pytest.raises(BoundaryTooClose):
         pullback_metric2(CosetChart2(1e-7, 0.3, 0.1))
     with pytest.raises(BoundaryTooClose):
-        pullback_metric2(CosetChart2(math.pi / 4 - 1.5e-5, 0.3, 0.1), h=1e-5)
+        pullback_metric2(CosetChart2(math.pi / 4 - 1.5e-5, 0.3, 0.1))
     with pytest.raises(DegenerateSpectrum):
-        # theta close enough to pi/4 to collapse the gap below 1e-6, with a
-        # step small enough that the boundary margin still passes
-        pullback_metric2(CosetChart2(math.pi / 4 - 4e-7, 0.3, 0.1), h=1e-7)
+        # theta close enough to pi/4 to collapse the gap below GAP; the generic
+        # pullback has no boundary margin, so the centre's gap check fires
+        metric.pullback_metric([math.pi / 4 - 4e-7, 0.3, 0.1],
+                               lambda p: coset.rho2(CosetChart2(*p)), COORDS2)
 
 
-# each point lies 1.5 steps (h = 1e-5) from one end of a bounded range
+# each point lies 1.5 steps (DEFAULT_STEP = 1e-5) from one end of a bounded range
 PULLBACK3_EDGES = {
     "theta1-low": dict(theta1=1.5e-5),
     "theta1-high": dict(theta1=THETA1_MAX - 1.5e-5),
@@ -96,7 +97,7 @@ def test_pullback3_boundary_too_close(edge):
     base = dict(theta1=0.6, theta2=0.68, alpha=0.3, phi=0.4, beta1=0.9, beta2=0.5,
                 psi1=0.1, psi2=0.7)
     with pytest.raises(BoundaryTooClose):
-        pullback_metric3(CosetChart3(**{**base, **edge}), h=1e-5)
+        pullback_metric3(CosetChart3(**{**base, **edge}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from buresgeo import coset, recover
-from buresgeo.coset import CosetChart2, CosetChart3
+from buresgeo.coset import CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
 from buresgeo.errors import DegenerateSpectrum, OutOfChartRange
 from buresgeo.recover import TARGET_RESIDUAL, find_chart, find_chart2, find_chart3
-from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_unitary
+from buresgeo.sampling import (make_rng, random_chart2, random_chart3, random_density,
+                               random_unitary)
 
 
 def test_find_chart2_diagonal_example():
@@ -66,6 +68,30 @@ def test_find_chart3_unreachable_spectrum():
     # lambda2/lambda3 > 3 in every admissible ordering: outside the theta box
     with pytest.raises(OutOfChartRange):
         find_chart3(np.diag([0.5, 0.4, 0.1]).astype(complex))
+
+
+def test_find_chart3_edge_of_the_theta_box():
+    # theta2 lands 1e-10 below pi/6 for the one ordering near the box (lambda2/lambda3
+    # just above 3); the chart slack admits it and CosetChart3 clamps it
+    theta1, theta2 = 0.5, THETA2_MIN - 1e-10
+    lam = coset.diag_entries3(theta1, theta2)
+    for perm in itertools.permutations(range(3)):
+        t1, t2 = recover._theta3_from_spectrum([lam[k] for k in perm])
+        assert not (t1 <= THETA1_MAX and THETA2_MIN <= t2 <= THETA2_MAX)
+    chart, res = find_chart3(np.diag(lam).astype(complex))
+    expected = CosetChart3(theta1, theta2)
+    assert expected.theta2 == THETA2_MIN
+    assert chart.theta2 == expected.theta2
+    assert chart.theta1 == pytest.approx(expected.theta1, abs=1e-12)
+    assert res <= 1e-8
+
+
+def test_uncharted_n_is_out_of_chart_range():
+    with pytest.raises(OutOfChartRange, match="coordinate n=4") as sampled:
+        random_density(make_rng(0), 4)
+    with pytest.raises(OutOfChartRange, match="coordinate n=4") as recovered:
+        find_chart(np.eye(4, dtype=complex) / 4)
+    assert sampled.value.args == recovered.value.args
 
 
 def test_find_chart_dispatch():
