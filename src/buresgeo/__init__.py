@@ -30,7 +30,6 @@ from .matcore import (
     det,
     eig_hermitian,
     hermitize,
-    mat_sqrt_psd,
     trace,
 )
 from .metric import (
@@ -61,7 +60,7 @@ __all__ = [
     "closed_metric2", "closed_metric3", "det", "diag2", "diag3",
     "dittmann2_form", "dittmann3_form", "eig_hermitian", "fidelity",
     "find_chart", "find_chart2", "find_chart3", "hermitize", "hubner_form",
-    "make_rng", "mat_sqrt_psd", "omega2",
+    "make_rng", "omega2",
     "omega3", "omega_block", "permutation_table", "pullback_metric",
     "pullback_metric2", "pullback_metric3", "random_chart2", "random_chart3",
     "random_density", "random_tangent", "random_unitary", "rho2", "rho3",

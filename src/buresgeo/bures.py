@@ -46,19 +46,20 @@ def check_tangent(drho) -> np.ndarray:
 
 
 def fidelity(rho1, rho2) -> float:
-    """Uhlmann fidelity F = [Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2.
+    """Uhlmann fidelity F = ||sqrt(rho1) sqrt(rho2)||_1^2 (Jozsa 1994).
 
-    Computed with two PSD square roots so the same code path serves every
-    dimension. The raw value is required to lie in
+    Each state's cached spectrum V diag(lambda) V† gives H = V sqrt(lambda),
+    with eigenvalues in [-INVARIANT, 0) counted as 0, so sqrt(rho) = H V†.
+    The trace norm is unitarily invariant: sqrt(F) is the sum of the
+    singular values of H1† H2. The raw value is required to lie in
     [-FIDELITY_BELOW, 1 + FIDELITY_ABOVE] and is then clamped to [0, 1].
     """
     r1, r2 = as_density(rho1), as_density(rho2)
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"dimensions differ: {r1.dim} vs {r2.dim}")
-    s = matcore.mat_sqrt_psd(r1.mat)
-    inner = matcore.hermitize(s @ r2.mat @ s)
-    root = matcore.mat_sqrt_psd(inner)
-    f = float(np.trace(root).real) ** 2
+    h1, h2 = (s.eigenvectors * np.sqrt(np.maximum(s.eigenvalues, 0.0))
+              for s in (r1.spectral, r2.spectral))
+    f = float(np.linalg.svd(h1.conj().T @ h2, compute_uv=False).sum()) ** 2
     if not (-FIDELITY_BELOW <= f <= 1.0 + FIDELITY_ABOVE):  # pragma: no cover - unreachable
         raise VerificationFailure(f"raw fidelity {f!r} outside "
                                   f"[-{FIDELITY_BELOW:.0e}, 1+{FIDELITY_ABOVE:.0e}]")
@@ -84,7 +85,7 @@ def hubner_form(rho, d1, d2) -> float:
     pair carries a non-negligible matrix element, the tangent leaves the
     support of rho and the metric diverges there: DegenerateSupport.
     """
-    dm = rho if isinstance(rho, DensityMatrix) else as_density(rho)
+    dm = as_density(rho)
     spec = dm.spectral
     if dm.mat.shape != np.shape(d1) or dm.mat.shape != np.shape(d2):
         raise DimensionMismatch("tangents must match the state's dimension")
@@ -115,7 +116,7 @@ def dittmann2_form(rho, drho) -> float:
 
         (1/4) Tr[ drho drho + (1/|rho|)(drho - rho drho)(drho - rho drho) ]
     """
-    dm = rho if isinstance(rho, DensityMatrix) else as_density(rho)
+    dm = as_density(rho)
     if dm.dim != 2:
         raise DimensionMismatch(f"dittmann2_form needs a 2x2 state, got n={dm.dim}")
     d = np.asarray(drho, dtype=np.complex128)
@@ -133,7 +134,7 @@ def dittmann3_form(rho, drho) -> float:
         (1/4) Tr[ drho drho + 3/(1 - Tr rho^3) ( (drho - rho drho)^2
                   + |rho| (drho - rho^{-1} drho)^2 ) ]
     """
-    dm = rho if isinstance(rho, DensityMatrix) else as_density(rho)
+    dm = as_density(rho)
     if dm.dim != 3:
         raise DimensionMismatch(f"dittmann3_form needs a 3x3 state, got n={dm.dim}")
     d = np.asarray(drho, dtype=np.complex128)

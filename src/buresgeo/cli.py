@@ -20,7 +20,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 from typing import Callable, Iterable, Optional, Sequence
@@ -30,53 +29,9 @@ import numpy as np
 from . import coset, metric, recover, sampling
 from .bures import distance_from_fidelity, fidelity
 from .coset import DensityMatrix
-from .errors import (
-    BoundaryTooClose,
-    BuresGeoError,
-    ConvergenceFailure,
-    DegenerateSpectrum,
-    DegenerateSupport,
-    DimensionMismatch,
-    FitFailure,
-    InvalidDensityMatrix,
-    InvalidTangent,
-    NotHermitian,
-    NotPSD,
-    OutOfChartRange,
-    PureState,
-    SingularState,
-    VerificationFailure,
-)
+from .errors import BuresGeoError, DimensionMismatch, ParseError, VerificationFailure
 from .metric import FAMILIES, Family
 from .tol import DEFAULT_STEP, DEFAULT_TOL
-
-EXIT_OK = 0
-EXIT_RANGE = 2
-EXIT_PARSE = 3
-EXIT_INVALID_STATE = 4
-EXIT_DEGENERATE = 5
-EXIT_TOLERANCE = 6
-
-TOL_ENV_VAR = "BURES_TOL"
-
-
-class ParseError(BuresGeoError):
-    """Input file or inline specification could not be parsed."""
-
-
-_EXIT_BY_EXC: list[tuple[int, tuple[type, ...]]] = [
-    (EXIT_RANGE, (OutOfChartRange,)),
-    (EXIT_PARSE, (ParseError,)),
-    (EXIT_INVALID_STATE, (InvalidDensityMatrix, InvalidTangent, NotHermitian, NotPSD,
-                          DimensionMismatch)),
-    (EXIT_DEGENERATE, (DegenerateSpectrum, DegenerateSupport, SingularState, PureState,
-                       BoundaryTooClose, ConvergenceFailure)),
-    (EXIT_TOLERANCE, (FitFailure, VerificationFailure)),
-]
-
-
-def exit_code_for(exc: BaseException) -> int:
-    return next((code for code, etypes in _EXIT_BY_EXC if isinstance(exc, etypes)), 1)
 
 
 # every chart flag, in the order the parser lists them
@@ -226,7 +181,7 @@ def cmd_rho(args):
         yield f"min eigenvalue: {_fmt(payload['min_eigenvalue'])}"
 
     dim = range(mat.shape[0])
-    return EXIT_OK, payload, lambda: [
+    return 0, payload, lambda: [
         {"i": i, "j": j, "re": float(mat[i, j].real), "im": float(mat[i, j].imag)}
         for i in dim for j in dim], pretty
 
@@ -240,7 +195,7 @@ def cmd_fidelity(args):
         "sqrt_fidelity": math.sqrt(f),
         "bures_distance": distance_from_fidelity(f),
     }
-    return EXIT_OK, payload, lambda: [payload], lambda: (
+    return 0, payload, lambda: [payload], lambda: (
         f"{k}: {_fmt(v)}" for k, v in payload.items())
 
 
@@ -270,7 +225,7 @@ def cmd_metric(args):
         if "max_abs_dev" in payload:
             yield f"max |closed - pullback| = {_fmt(payload['max_abs_dev'])}"
 
-    return EXIT_OK, payload, rows, pretty
+    return 0, payload, rows, pretty
 
 
 def _merge_max(into: dict, new: dict) -> None:
@@ -280,13 +235,6 @@ def _merge_max(into: dict, new: dict) -> None:
 
 
 def cmd_validate(args):
-    # BURES_TOL stands in for a missing --tol; no other command reads it
-    tol, env = args.tol, os.environ.get(TOL_ENV_VAR)
-    if tol is None:
-        try:
-            tol = _tol_value(env) if env else DEFAULT_TOL
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ParseError(f"bad {TOL_ENV_VAR} value {env!r}: {exc}") from exc
     fam = FAMILIES[args.n]
     rng = sampling.make_rng(args.seed)
     entry_max: dict[str, float] = {}
@@ -308,16 +256,16 @@ def cmd_validate(args):
         _merge_max(printed_max, rep.printed_entry_dev or {})
         for devs in (rep.t_coeff_table or {}).values():
             _merge_max(t_dev_max, {k: devs[k] for k in t_dev_max})
-    ok = all(agg[k] <= tol for k in ("max_abs_dev", "dittmann_max_rel_dev",
-                                     "gamma_shift_max_dev"))
+    ok = all(agg[k] <= args.tol
+             for k in ("max_abs_dev", "dittmann_max_rel_dev", "gamma_shift_max_dev"))
     payload = {
         "n": args.n, "samples": args.samples, "seed": args.seed, "step": DEFAULT_STEP,
-        "tol": tol, **agg,
+        "tol": args.tol, **agg,
         "per_entry_max_abs_dev": entry_max,
         "dittmann_reading": "printed",
         "status": "PASS" if ok else "FAIL",
     }
-    if args.n == 3:
+    if printed_max:  # only the n = 3 reports carry the printed variants
         payload["printed_entry_max_abs_dev"] = printed_max
         payload["t_coeff_max_dev_vs_trace_form"] = t_dev_max
         payload["note"] = (
@@ -331,15 +279,15 @@ def cmd_validate(args):
         yield from (f"  {k}: {_fmt(v)}" for k, v in agg.items())
         worst = max(entry_max, key=entry_max.get)
         yield f"  worst entry: {worst} ({_fmt(entry_max[worst])})"
-        if args.n == 3:
+        if printed_max:
             yield (f"  printed g_phi_beta1 max dev (reported only): "
                    f"{_fmt(printed_max.get('g_phi_beta1', 0.0))}")
             yield (f"  printed t-coefficient max dev (reported only): "
                    f"theta-form {_fmt(t_dev_max['printed_theta_dev'])}, "
                    f"eigenvalue-form {_fmt(t_dev_max['printed_eigenvalue_dev'])}")
-        yield f"{payload['status']}: tolerance {_fmt(tol)}"
+        yield f"{payload['status']}: tolerance {_fmt(args.tol)}"
 
-    return (EXIT_OK if ok else EXIT_TOLERANCE), payload, None, pretty
+    return (0 if ok else VerificationFailure.exit_code), payload, None, pretty
 
 
 def _entry_picks(entries: str, mt: metric.MetricTensor) -> list[tuple[str, int, int]]:
@@ -388,7 +336,7 @@ def cmd_scan(args):
         yield from [line % row for row in rows]
 
     # scan prints its CSV for both --format csv and pretty
-    return EXIT_OK, {"header": header, "rows": rows}, None, csv_lines
+    return 0, {"header": header, "rows": rows}, None, csv_lines
 
 
 def cmd_permtest(args):
@@ -417,7 +365,7 @@ def cmd_permtest(args):
                    f"coset={e['residual_coset']:.3e}  literal={e['residual_literal']:.3e}")
         yield payload["note"]
 
-    return EXIT_OK, payload, None, pretty
+    return 0, payload, None, pretty
 
 
 def cmd_find_chart(args):
@@ -440,7 +388,7 @@ def cmd_find_chart(args):
         yield f"fit residual: {_fmt(residual)}"
         yield f"round-trip Frobenius error: {_fmt(roundtrip)}"
 
-    return EXIT_OK, payload, None, pretty
+    return 0, payload, None, pretty
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
             n_flag,
             ("--samples", dict(type=_positive_int, default=100)),
             ("--seed", dict(type=int, default=0)),
-            ("--tol", dict(type=_tol_value, default=None,
-                           help=f"tolerance (default {DEFAULT_TOL}, or ${TOL_ENV_VAR})"))]),
+            ("--tol", dict(type=_tol_value, default=DEFAULT_TOL,
+                           help=f"tolerance (default {DEFAULT_TOL})"))]),
         ("scan", cmd_scan, "sweep coordinates, one CSV row per grid point", [
             *chart,
             ("--coord", dict(action="append", required=True,
@@ -532,13 +480,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, and 2 is the
         # chart-range code here: a usage error is a parse error
-        return EXIT_PARSE if exc.code else EXIT_OK
+        return ParseError.exit_code if exc.code else 0
     try:
         code, payload, csv_rows, pretty = args.run(args)
         text = render(args.output_format, payload, csv_rows, pretty)
     except BuresGeoError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exit_code_for(exc)
+        return exc.exit_code
     if args.output_path:
         with open(args.output_path, "w") as fh:
             fh.write(text)

@@ -1,27 +1,30 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, each with its CLI exit code."""
 
 
 class BuresGeoError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. A subclass must name
+    its exit code as a class keyword: ``class X(BuresGeoError, exit_code=4)``."""
+
+    exit_code = 1
+
+    def __init_subclass__(cls, *, exit_code: int, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.exit_code = exit_code
 
 
-class DimensionMismatch(BuresGeoError):
+class DimensionMismatch(BuresGeoError, exit_code=4):
     """Operands have incompatible shapes or sizes."""
 
 
-class NotHermitian(BuresGeoError):
+class NotHermitian(BuresGeoError, exit_code=4):
     """Matrix fails the Hermiticity tolerance."""
 
 
-class NotPSD(BuresGeoError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
-
-
-class ConvergenceFailure(BuresGeoError):
+class ConvergenceFailure(BuresGeoError, exit_code=5):
     """Eigensolver did not converge."""
 
 
-class OutOfChartRange(BuresGeoError):
+class OutOfChartRange(BuresGeoError, exit_code=2):
     """A chart coordinate lies outside its admissible range."""
 
     def __init__(self, coordinate: str, value: float, reason: str):
@@ -30,37 +33,41 @@ class OutOfChartRange(BuresGeoError):
         super().__init__(f"coordinate {coordinate}={value!r} out of range: {reason}")
 
 
-class InvalidDensityMatrix(BuresGeoError):
+class ParseError(BuresGeoError, exit_code=3):
+    """Input file or inline specification could not be parsed."""
+
+
+class InvalidDensityMatrix(BuresGeoError, exit_code=4):
     """Matrix violates a density-matrix invariant (names which one)."""
 
 
-class VerificationFailure(BuresGeoError):
+class VerificationFailure(BuresGeoError, exit_code=6):
     """A construction-time self-check failed (implementation bug)."""
 
 
-class DegenerateSupport(BuresGeoError):
+class DegenerateSupport(BuresGeoError, exit_code=5):
     """Tangent leaves the support of a rank-deficient state; the form diverges."""
 
 
-class SingularState(BuresGeoError):
+class SingularState(BuresGeoError, exit_code=5):
     """State determinant below the nonsingularity tolerance."""
 
 
-class PureState(BuresGeoError):
+class PureState(BuresGeoError, exit_code=5):
     """State is (numerically) pure where a strictly mixed one is required."""
 
 
-class DegenerateSpectrum(BuresGeoError):
+class DegenerateSpectrum(BuresGeoError, exit_code=5):
     """Eigenvalue gap below the tolerance required by the operation."""
 
 
-class BoundaryTooClose(BuresGeoError):
+class BoundaryTooClose(BuresGeoError, exit_code=5):
     """Chart point too close to a range boundary for finite differencing."""
 
 
-class FitFailure(BuresGeoError):
+class FitFailure(BuresGeoError, exit_code=6):
     """Chart recovery did not reach the target residual after multistart."""
 
 
-class InvalidTangent(BuresGeoError):
+class InvalidTangent(BuresGeoError, exit_code=4):
     """Matrix violates a tangent-vector invariant (Hermitian, traceless)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotPSD
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 from .tol import INVARIANT
 
 
@@ -77,18 +77,3 @@ def eig_hermitian(a) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n<=4
         raise ConvergenceFailure(str(exc)) from exc
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def mat_sqrt_psd(a) -> np.ndarray:
-    """Hermitian PSD square root.
-
-    Eigenvalues in [-INVARIANT, 0) are treated as zero, the PSD rule of
-    DensityMatrix; anything below -INVARIANT raises NotPSD.
-    """
-    spec = eig_hermitian(a)
-    w = spec.eigenvalues
-    if np.any(w < -INVARIANT):
-        raise NotPSD(f"min eigenvalue {w.min():.3e} < -{INVARIANT:.1e}")
-    w = np.where(w < 0, 0.0, w)
-    v = spec.eigenvectors
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)

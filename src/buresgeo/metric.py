@@ -7,8 +7,8 @@ Two independent routes are provided and cross-validated:
   * closed_metric2 / closed_metric3: the closed-form tensors.
 
 FAMILIES holds, per n, the chart type, its coordinates and defaults, the
-ranges the pullback keeps clear of, and the routes of that n; the pullback,
-`validate` and the CLI read the n = 2 / n = 3 split from it.
+ranges the pullback keeps clear of, the routes and the extra checks of
+`validate`; every n = 2 / n = 3 split in the package reads it.
 
 The 3-level closed form is assembled from the trace-formula coefficients
 t12, t13, t23 (one per eigenvalue pair) times polynomial factors in the
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import bures, coset, sampling
+from . import coset
 from .bures import hubner_form
 from .coset import (
     BETA_MAX,
@@ -89,58 +89,6 @@ class MetricTensor:
 def volume_element(metric: MetricTensor) -> float:
     """sqrt(max(det g, 0)): the Bures measure density in chart coordinates."""
     return math.sqrt(max(float(np.linalg.det(metric.g)), 0.0))
-
-
-# ---------------------------------------------------------------------------
-# chart families
-# ---------------------------------------------------------------------------
-
-def _late(module, name: str) -> Callable:
-    """Call ``module.name`` as bound at call time (bench/spans.py rebinds it)."""
-    return lambda *args, **kwargs: getattr(module, name)(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class Family:
-    """The chart of one n: its type, coordinates and defaults, the bounded
-    ranges (name, lo, hi) the pullback keeps two steps away from, and its routes."""
-
-    n: int
-    chart: type
-    coords: tuple[str, ...]
-    defaults: dict
-    bounds: tuple[tuple[str, float, float], ...]
-    rho: Callable
-    closed: Callable
-    pullback: Callable
-    sample: Callable
-    dittmann: Callable
-
-    def build(self, values: Sequence[float]) -> DensityMatrix:
-        """The state at the chart point with coordinate values ``values``."""
-        return self.rho(self.chart(*values))
-
-    def tensor(self, method: str) -> Callable:
-        """The metric route named by ``method``: "closed" or "pullback"."""
-        return self.closed if method == "closed" else self.pullback
-
-
-_self = sys.modules[__name__]
-
-FAMILIES = {
-    2: Family(2, CosetChart2, COORDS2, dict.fromkeys(COORDS2, 0.0),
-              (("theta", 0.0, math.pi / 4),),
-              _late(coset, "rho2"), _late(_self, "closed_metric2"),
-              _late(_self, "pullback_metric2"), _late(sampling, "random_chart2"),
-              _late(bures, "dittmann2_form")),
-    # beta = hypot(beta1, beta2) is never negative: only its upper end binds
-    3: Family(3, CosetChart3, COORDS3, {**dict.fromkeys(COORDS3, 0.0), "theta2": math.pi / 6},
-              (("theta1", 0.0, THETA1_MAX), ("theta2", THETA2_MIN, THETA2_MAX),
-               ("beta", -math.inf, BETA_MAX)),
-              _late(coset, "rho3"), _late(_self, "closed_metric3"),
-              _late(_self, "pullback_metric3"), _late(sampling, "random_chart3"),
-              _late(bures, "dittmann3_form")),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +171,7 @@ class SCoeff2:
 
 def s_coeff(d2) -> SCoeff2:
     """S12 = (1/|D|) (D11 - D22)^2 (D11 + D22 - D11 D22 - |D| - 1) for diagonal 2x2 D."""
-    dm = d2 if isinstance(d2, DensityMatrix) else coset.as_density(d2)
+    dm = coset.as_density(d2)
     d11 = float(dm.mat[0, 0].real)
     d22 = float(dm.mat[1, 1].real)
     detd = d11 * d22
@@ -567,7 +515,7 @@ def validate(chart) -> ValidationReport:
         dmax = max(dmax, abs(dit - hub) / max(abs(hub), TINY))
     vol_p, vol_c = volume_element(pull), volume_element(closed)
     dev = _entry_devs(fam.coords, pull.g, closed.g)
-    extra = _s_relation(chart, closed) if fam.n == 2 else _printed_checks(chart, pull)
+    extra = fam.checks(chart, pull, closed)
     return ValidationReport(
         n=fam.n, chart=dict(zip(fam.coords, chart.values())),
         ordering=fam.coords, pullback=pull.g, closed=closed.g,
@@ -580,13 +528,13 @@ def validate(chart) -> ValidationReport:
     )
 
 
-def _s_relation(chart: CosetChart2, closed: MetricTensor) -> dict:
+def _s_relation(chart: CosetChart2, pull: MetricTensor, closed: MetricTensor) -> dict:
     """n = 2: the deviation from -S12 = 2 g_alpha_alpha."""
     s12 = s_coeff(coset.diag2(chart.theta)).s12
     return {"s_coeff_relation_dev": abs(-s12 - 2.0 * closed.entry("alpha", "alpha"))}
 
 
-def _printed_checks(chart: CosetChart3, pull: MetricTensor) -> dict:
+def _printed_checks(chart: CosetChart3, pull: MetricTensor, closed: MetricTensor) -> dict:
     """n = 3: the printed entries and t-coefficients against the oracle-backed
     ones, and the gamma-shift invariance of the closed tensor."""
     printed = closed_metric3(chart, entries="printed")
@@ -617,3 +565,74 @@ def _gamma_shift_dev(chart: CosetChart3, shifts=((0.37, 0.0), (0.0, -0.61))) -> 
             chart.beta1, chart.beta2, chart.psi1 + a, chart.psi2 - b)
         dev = max(dev, float(np.max(np.abs(closed_metric3(shifted).g - base))))
     return dev
+
+
+# ---------------------------------------------------------------------------
+# chart families
+# ---------------------------------------------------------------------------
+
+def _late(path: str) -> Callable:
+    """The function at ``path`` ("module.name" in this package), looked up at
+    each call: bench/spans.py rebinds module attributes, and a path needs no
+    import, so metric imports neither sampling nor recover."""
+    module, name = path.split(".")
+    modules, key = sys.modules, f"{__package__}.{module}"
+
+    def route(*args, **kwargs):
+        return getattr(modules[key], name)(*args, **kwargs)
+
+    route.path = path
+    return route
+
+
+@dataclass(frozen=True)
+class Family:
+    """The chart of one n: its type, coordinates and defaults, the bounded
+    ranges (name, lo, hi) the pullback keeps two steps away from, its routes
+    (late-bound by path) and the extra checks of `validate`."""
+
+    n: int
+    chart: type
+    coords: tuple[str, ...]
+    defaults: dict
+    bounds: tuple[tuple[str, float, float], ...]
+    rho: Callable
+    closed: Callable
+    pullback: Callable
+    sample: Callable
+    dittmann: Callable
+    find: Callable
+    checks: Callable[[object, MetricTensor, MetricTensor], dict]
+
+    def build(self, values: Sequence[float]) -> DensityMatrix:
+        """The state at the chart point with coordinate values ``values``."""
+        return self.rho(self.chart(*values))
+
+    def tensor(self, method: str) -> Callable:
+        """The metric route named by ``method``: "closed" or "pullback"."""
+        return self.closed if method == "closed" else self.pullback
+
+
+FAMILIES = {
+    2: Family(2, CosetChart2, COORDS2, dict.fromkeys(COORDS2, 0.0),
+              (("theta", 0.0, math.pi / 4),),
+              *map(_late, ("coset.rho2", "metric.closed_metric2", "metric.pullback_metric2",
+                           "sampling.random_chart2", "bures.dittmann2_form",
+                           "recover.find_chart2")),
+              _s_relation),
+    # beta = hypot(beta1, beta2) is never negative: only its upper end binds
+    3: Family(3, CosetChart3, COORDS3, {**dict.fromkeys(COORDS3, 0.0), "theta2": math.pi / 6},
+              (("theta1", 0.0, THETA1_MAX), ("theta2", THETA2_MIN, THETA2_MAX),
+               ("beta", -math.inf, BETA_MAX)),
+              *map(_late, ("coset.rho3", "metric.closed_metric3", "metric.pullback_metric3",
+                           "sampling.random_chart3", "bures.dittmann3_form",
+                           "recover.find_chart3")),
+              _printed_checks),
+}
+
+
+def family(n: int) -> Family:
+    """The chart family of ``n``; OutOfChartRange for an n without a chart."""
+    if n not in FAMILIES:
+        raise OutOfChartRange("n", n, "only n=2 and n=3 are charted")
+    return FAMILIES[n]

@@ -24,6 +24,7 @@ from . import coset
 from .coset import (CosetChart2, CosetChart3, DensityMatrix, THETA1_MAX, THETA2_MAX, THETA2_MIN,
                     require_gap)
 from .errors import FitFailure, OutOfChartRange
+from .metric import family
 from .tol import BETA_CLIP, FAIL_RESIDUAL, FIT_STOP, PHASE_REF, RANGE_EPS, TARGET_RESIDUAL
 
 MULTISTART = 8
@@ -49,16 +50,11 @@ def find_chart2(rho) -> tuple[CosetChart2, float]:
     if dm.dim != 2:
         raise OutOfChartRange("n", dm.dim, "find_chart2 needs a 2x2 state")
     w, v = _spectral_sorted_desc(dm)
-    theta = math.acos(min(math.sqrt(max(w[0], 0.0)), 1.0))
-    # eigenvector column 1 carries (cos a, -e^{-i phi} sin a) up to a phase
-    alpha = math.atan2(abs(v[1, 0]), abs(v[0, 0]))
-    # phi is undefined when an entry is exactly 0; any other size fixes it
-    a, b = v[0, 1], v[1, 1]
-    phi = cmath.phase(a) - cmath.phase(b) if a and b else 0.0
-    chart = CosetChart2(theta=theta, alpha=alpha, phi=phi)
+    theta, seed = _acos_root(w[0]), _block_angles(v)
+    chart = CosetChart2(theta, *seed)
     res = _residual(dm.mat, coset.rho2(chart))
     if res > TARGET_RESIDUAL:
-        chart, res = _polish2(dm, theta, (alpha, phi), res)
+        chart, res = _polish2(dm, theta, seed, res)
     if res > FAIL_RESIDUAL:
         raise FitFailure(f"residual {res:.3e} > {FAIL_RESIDUAL:.1e} after multistart")
     return chart, res
@@ -96,9 +92,23 @@ def _polish2(dm: DensityMatrix, theta: float, seed_params, seed_res: float):
     return best_chart, best_res
 
 
+def _acos_root(lam: float) -> float:
+    """acos(sqrt(lambda)), with lambda clamped into [0, 1]: theta from cos^2 theta."""
+    return math.acos(min(math.sqrt(max(lam, 0.0)), 1.0))
+
+
+def _block_angles(m: np.ndarray) -> tuple[float, float]:
+    """(alpha, phi) of the SU(2) block in the top-left 2x2 of ``m``, whose
+    first column carries (cos a, -e^{-i phi} sin a) up to a phase; phi is
+    undefined when an entry is exactly 0, and any other size fixes it."""
+    alpha = math.atan2(abs(m[1, 0]), abs(m[0, 0]))
+    a, b = m[0, 1], m[1, 1]
+    return alpha, (cmath.phase(a) - cmath.phase(b) if a and b else 0.0)
+
+
 def _theta3_from_spectrum(w_triple) -> tuple[float, float]:
     l1, l2, l3 = w_triple
-    theta1 = math.acos(min(math.sqrt(max(l1, 0.0)), 1.0))
+    theta1 = _acos_root(l1)
     theta2 = math.atan2(math.sqrt(max(l3, 0.0)), math.sqrt(max(l2, 0.0)))
     return theta1, theta2
 
@@ -141,11 +151,8 @@ def _coset_params_from_eigvecs(v: np.ndarray):
     psi1 = cmath.phase(c1) if c1 else 0.0
     psi2 = cmath.phase(c2) if c2 else 0.0
     upper = coset.omega3_upper(b1, b2, psi1, psi2)
-    m = upper.conj().T @ v   # should be Omega2 times a diagonal phase
-    alpha = math.atan2(abs(m[1, 0]), abs(m[0, 0]))
-    a, b = m[0, 1], m[1, 1]
-    phi = cmath.phase(a) - cmath.phase(b) if a and b else 0.0
-    return alpha, phi, b1, b2, psi1, psi2
+    # upper† v should be Omega2 times a diagonal phase
+    return (*_block_angles(upper.conj().T @ v), b1, b2, psi1, psi2)
 
 
 def find_chart3(rho) -> tuple[CosetChart3, float]:
@@ -210,10 +217,6 @@ def _polish3(dm: DensityMatrix, theta1: float, theta2: float, seed, seed_res: fl
 
 
 def find_chart(rho):
-    """Dispatch on dimension: returns (chart, residual)."""
+    """(chart, residual) from the inverse of the state's chart family."""
     dm = coset.as_density(rho)
-    if dm.dim == 2:
-        return find_chart2(dm)
-    if dm.dim == 3:
-        return find_chart3(dm)
-    raise OutOfChartRange("n", dm.dim, "only n=2 and n=3 are charted")
+    return family(dm.dim).find(dm)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import coset
 from .coset import BETA_MAX, CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
-from .errors import OutOfChartRange
+from .metric import family
 from .tol import SAMPLE_GAP
 
 MARGIN = 0.05     # fraction of each bounded range kept clear of the boundary
@@ -73,11 +73,8 @@ def random_chart3(rng: np.random.Generator) -> CosetChart3:
 
 def random_density(rng: np.random.Generator, n: int) -> coset.DensityMatrix:
     """Random interior state built through the chart of the right dimension."""
-    if n == 2:
-        return coset.rho2(random_chart2(rng))
-    if n == 3:
-        return coset.rho3(random_chart3(rng))
-    raise OutOfChartRange("n", n, "only n=2 and n=3 are charted")
+    fam = family(n)
+    return fam.rho(fam.sample(rng))
 
 
 def random_tangent(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -7,7 +7,7 @@ any module can import it.
 
 # inputs that must satisfy an exact invariant
 INVARIANT = 1e-10        # max deviation of a state from Hermitian, unit trace and PSD (eigenvalues
-                         # in [-INVARIANT, 0) count as 0 in the PSD square root), of a tangent
+                         # in [-INVARIANT, 0) count as 0 in the fidelity), of a tangent
                          # from Hermitian and traceless, of a tensor from symmetric
 RANGE_EPS = 1e-9         # slack of the chart ranges, so decimal renderings of pi/4 pass: the chart
                          # constructors, diag2/diag3 and the theta box of a recovered ordering
@@ -32,7 +32,7 @@ FIDELITY_ABOVE = 1e-9    # raw fidelity may rise this far above 1 before it is c
 
 # metric routes and their cross-validation
 DEFAULT_STEP = 1e-5      # central-difference step of the pullback
-DEFAULT_TOL = 1e-6       # `validate` passes when its maxima are at most this (--tol, BURES_TOL)
+DEFAULT_TOL = 1e-6       # `validate` passes when its maxima are at most this (default of --tol)
 REL_DEV_FLOOR = 1e-8     # entries below this in both tensors are left out of the relative deviation
 TANGENT_FLOOR = 1e-12    # a coordinate tangent with smaller norm is skipped by the Dittmann check
 TINY = 1e-300            # floor of a denominator in a relative deviation

@@ -99,6 +99,27 @@ def test_fidelity_range_and_dimension_error():
         fidelity(diag_rho(1.0, 0.0), diag_rho(1.0, 0.0, 0.0))
 
 
+def _rotated(seed: int, spectrum) -> np.ndarray:
+    u = random_unitary(make_rng(seed), 3)
+    return (u * np.asarray(spectrum)) @ u.conj().T
+
+
+@pytest.mark.parametrize("spectrum", [(0.6, 0.4, 0.0), (1.0, 0.0, 0.0)], ids=["rank2", "pure"])
+def test_fidelity_self_is_one_on_rank_deficient_states(spectrum):
+    # rounding leaves eigenvalues of ~1e-17 where the spectrum has zeros; a
+    # second square root of the product state would lift them to ~3e-9 each
+    for s in range(200):
+        rho = _rotated(s, spectrum)
+        assert abs(fidelity(rho, rho) - 1.0) <= 1e-12
+
+
+def test_fidelity_of_pure_states_is_the_squared_overlap():
+    vecs = [random_unitary(make_rng(s), 3)[:, 0] for s in range(201)]
+    for psi, phi in zip(vecs, vecs[1:]):
+        f = fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
+        assert abs(f - abs(np.vdot(psi, phi)) ** 2) <= 1e-14
+
+
 def test_bures_distance_examples():
     rho = diag_rho(0.5, 0.5)
     assert bures_distance(rho, rho) == pytest.approx(0.0, abs=1e-9)
@@ -335,6 +356,12 @@ def test_state_keeps_a_private_read_only_matrix():
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.6
         assert np.array_equal(rho.mat, original)
+
+
+def test_hubner_tangent_of_another_dimension():
+    t = np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(DimensionMismatch):
+        hubner_form(diag_rho(0.5, 0.3, 0.2), t, t)
 
 
 def test_dittmann_dimension_errors():

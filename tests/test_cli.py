@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buresgeo import cli, coset
+from buresgeo import cli, coset, errors
 from buresgeo.cli import main
 from buresgeo.errors import VerificationFailure
 
@@ -132,11 +132,12 @@ def test_fidelity_commuting_value(tmp_path, capsys):
 
 
 def test_fidelity_takes_two_psd_roots(monkeypatch, capsys):
-    # the Bures distance is computed from the fidelity already in hand
+    # each state is decomposed once, by DensityMatrix.spectral; the fidelity
+    # reads both cached spectra, and the Bures distance reuses the fidelity
     from buresgeo import matcore
     calls = []
-    root = matcore.mat_sqrt_psd
-    monkeypatch.setattr(matcore, "mat_sqrt_psd", lambda a: calls.append(a) or root(a))
+    eig = matcore.eig_hermitian
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda a: calls.append(a) or eig(a))
     code, _ = run_cli(["fidelity", "--state-a", STATE3A, "--state-b", STATE3B,
                        "--format", "json"], capsys)
     assert code == 0
@@ -160,7 +161,7 @@ def test_fidelity_invalid_state_exit_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("neg,code", [(-5e-11, 0), (-2e-10, 4)])
 def test_fidelity_psd_band(neg, code, tmp_path, capsys):
-    # the state and its square root share one PSD rule, tol.INVARIANT
+    # one PSD rule, DensityMatrix.spectral's, for the state and its fidelity
     path = write_matrix(tmp_path, "rho.json", np.diag([0.6, 0.4 - neg, neg]))
     assert main(["fidelity", "--state-a", path, "--state-b", path]) == code
     if code:
@@ -265,32 +266,6 @@ def test_validate_absurd_tol_exit_6(capsys):
     assert code == 6
 
 
-def test_validate_env_tol(capsys, monkeypatch):
-    monkeypatch.setenv("BURES_TOL", "1e-300")
-    code = main(["validate", "--n", "2", "--samples", "3", "--seed", "1"])
-    assert code == 6
-    monkeypatch.setenv("BURES_TOL", "1e-3")
-    code = main(["validate", "--n", "2", "--samples", "3", "--seed", "1"])
-    assert code == 0
-
-
-def test_validate_env_tol_nan_exit_3(capsys, monkeypatch):
-    monkeypatch.setenv("BURES_TOL", "nan")
-    assert main(["validate", "--n", "2", "--samples", "1"]) == 3
-    assert "BURES_TOL" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["rho", "--n", "2", "--theta", "0.3"],
-    ["metric", "--n", "2", "--theta", "0.3", "--method", "closed"],
-    ["permtest"],
-])
-def test_env_tol_read_only_by_validate(argv, capsys, monkeypatch):
-    monkeypatch.setenv("BURES_TOL", "nan")
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
-
-
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -388,11 +363,11 @@ OUTPUT_DIGESTS = [
     (["rho", *PIN_DEGREES, "--format", "pretty"],
      "0f74bb4a0c5b592737da2b01e6c7127bc15dfd498ab68071a22c4cc1046808de"),
     (["fidelity", "--state-a", STATE3A, "--state-b", STATE3B, "--format", "json"],
-     "2a8490b96d11b258f9fc777cd83856122e8c213c1a870316073749849c347399"),
+     "82727a6a727258eb17aa315b96069535e12511dafa911a7ee434a0be6a2266e0"),
     (["fidelity", "--state-a", STATE3A, "--state-b", STATE3B, "--format", "csv"],
-     "62a08bde9440bf06ecaf4bb519958bcc4732300f331d67b561764bb36dfb5352"),
+     "0110dc7faf3bed8efd9cdc2d569a2d604f5dc482701d3d7474f21b0e807d4c06"),
     (["fidelity", "--state-a", STATE3A, "--state-b", STATE3B, "--format", "pretty"],
-     "b77456417b56f96e8edcb2b3c53403b58d4e032d19f40db0735443fa802bdecc"),
+     "1664eddf9e76d8fc958145807a269c700ba2ee8022e2c286f1dc0e11acb0c698"),
     (["fidelity", *PIN_INLINE, "--format", "json"],
      "64f9d7a8e7aa6c702d57a45c46ec4b93fbcc1d4eb71d8a900d5cf9071d76cb68"),
     (["fidelity", *PIN_INLINE, "--format", "csv"],
@@ -598,13 +573,16 @@ SWEEP = ["--from", "0.1", "--to", "0.2", "--points", "2"]
     (["fidelity", "--state-a", ",=", "--state-b", "theta=0.2"], 3, "bad numeric value in '='"),
     (["fidelity", "--state-a", "theta=0.3,bogus=1", "--state-b", "theta=0.2"], 3,
      "unknown coordinates for n=2: ['bogus']"),
+    (["fidelity", "--state-a", "theta=0.3,alpha", "--state-b", "theta=0.2"], 3,
+     "bad chart term 'alpha', expected name=value"),
     (["scan", "--n", "2", "--coord", "theta", *SWEEP, "--points", "3"], 3,
      "--coord/--from/--to/--points counts must match"),
     (["scan", "--n", "2", "--coord", "theta1", *SWEEP], 3,
      "unknown sweep coordinate 'theta1' for n=2"),
     (["find-chart", STATE2, "--n", "3"], 4, "--n 3 but the file holds a 2x2 matrix"),
 ], ids=["missing-file", "json-array", "non-numeric-re", "wrong-shape", "inline-non-numeric",
-        "inline-empty-key", "inline-unknown-key", "scan-count-mismatch", "scan-unknown-coord",
+        "inline-empty-key", "inline-unknown-key", "inline-term-without-value",
+        "scan-count-mismatch", "scan-unknown-coord",
         "find-chart-wrong-n"])
 def test_bad_input_exit_code_and_message(argv, code, message, tmp_path, capsys):
     for name, text in BAD_FILES.items():
@@ -636,8 +614,9 @@ def test_find_chart_round_trip_through_rho(tmp_path, capsys):
     ["validate", "--tol", "inf"],
     ["validate", "--tol", "-1"],
     ["validate", "--tol", "0"],
+    ["validate", "--samples", "0"],
 ], ids=["missing-coord", "non-numeric-samples", "unknown-subcommand", "tol-nan", "tol-inf",
-        "tol-negative", "tol-zero"])
+        "tol-negative", "tol-zero", "samples-zero"])
 def test_usage_error_exit_3(argv, capsys):
     assert main(argv) == 3
     assert "usage:" in capsys.readouterr().err
@@ -685,14 +664,32 @@ def test_reused_parser_forgets_earlier_sweeps(capsys):
     assert run_cli(SCAN_ONE, capsys) == fresh
 
 
-def test_reused_parser_forgets_earlier_tol(capsys, monkeypatch):
-    monkeypatch.delenv("BURES_TOL", raising=False)
+def test_reused_parser_forgets_earlier_tol(capsys):
     argv = ["validate", "--n", "2", "--samples", "3", "--seed", "1", "--format", "json"]
     assert main(argv + ["--tol", "1e-300"]) == 6
     capsys.readouterr()
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert json.loads(out)["tol"] == 1e-6
+
+
+ERROR_TYPES = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.BuresGeoError)]
+
+
+@pytest.mark.parametrize("etype", ERROR_TYPES, ids=lambda c: c.__name__)
+def test_every_error_type_declares_the_exit_code_main_returns(etype, monkeypatch, capsys):
+    # each type names its own code, so a new one cannot exit 1 unseen
+    assert "exit_code" in vars(etype)
+    exc = (etype("n", 4, "spoiled") if etype is errors.OutOfChartRange
+           else etype("spoiled"))
+
+    def spoiled():
+        raise exc
+
+    monkeypatch.setattr(coset, "permutation_table", spoiled)
+    assert main(["permtest"]) == etype.exit_code
+    assert "spoiled" in capsys.readouterr().err
 
 
 def test_import_and_validate_leave_scipy_unloaded():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from buresgeo import matcore
-from buresgeo.errors import DimensionMismatch, NotHermitian, NotPSD
+from buresgeo.errors import DimensionMismatch, NotHermitian
 
 
 def test_hermitize_fixed_point():
@@ -60,43 +60,6 @@ def test_eig_ascending_and_reconstructs():
             assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
             err = np.linalg.norm(spec.reconstruct() - a)
             assert err <= 1e-11 * np.linalg.norm(a)
-
-
-def test_sqrt_identity():
-    np.testing.assert_allclose(matcore.mat_sqrt_psd(np.eye(2, dtype=complex)),
-                               np.eye(2), atol=1e-14)
-
-
-def test_sqrt_diagonal():
-    np.testing.assert_allclose(matcore.mat_sqrt_psd(np.diag([4.0, 9.0]).astype(complex)),
-                               np.diag([2.0, 3.0]), atol=1e-13)
-
-
-def test_sqrt_projector_idempotent():
-    v = np.array([1.0, 1j, -2.0]) / np.sqrt(6)
-    p = np.outer(v, v.conj())
-    np.testing.assert_allclose(matcore.mat_sqrt_psd(p), p, atol=1e-13)
-
-
-def test_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        matcore.mat_sqrt_psd(np.diag([1.0, -0.5]).astype(complex))
-
-
-def test_sqrt_clamps_tiny_negative():
-    a = np.diag([1.0, -5e-13]).astype(complex)
-    b = matcore.mat_sqrt_psd(a)
-    np.testing.assert_allclose(b, np.diag([1.0, 0.0]), atol=1e-6)
-
-
-def test_sqrt_squares_back_on_random_psd():
-    rng = np.random.default_rng(5)
-    for n in (2, 3, 4):
-        for _ in range(40):
-            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            a = g.conj().T @ g
-            b = matcore.mat_sqrt_psd(a)
-            assert np.linalg.norm(b @ b - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
 
 
 def test_trace_det_examples():

@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import math
 
@@ -377,6 +380,11 @@ def test_closed_metric3_guards():
         closed_metric3(CosetChart3(THETA1_MAX, math.pi / 4, beta1=0.5))
 
 
+def test_closed_metric3_unknown_entry_convention():
+    with pytest.raises(ValueError, match="bogus"):
+        closed_metric3(random_chart3(make_rng(11)), entries="bogus")
+
+
 def test_closed_metric3_printed_variant_differs_only_in_phi_beta():
     rng = make_rng(11)
     ch = random_chart3(rng)
@@ -462,6 +470,35 @@ VALIDATE_DIGESTS = {
 def test_validate_report_bytes_pinned(chart, digest):
     text = json.dumps(validate(chart).to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_validate_skips_a_vanishing_tangent(monkeypatch):
+    # at beta1 = 0 the psi1 tangent is exactly 0: the Dittmann check skips it
+    # (tol.TANGENT_FLOOR) and compares the other seven tangents
+    from buresgeo import bures
+    chart = CosetChart3(0.6, 0.68, 0.3, 0.4, 0.0, 0.9, 0.1, 0.7)
+    fam = metric.FAMILIES[3]
+    psi1 = metric._central_diff(fam.build, np.asarray(chart.values()), COORDS3.index("psi1"))
+    assert not psi1.any()
+    calls = []
+    form = bures.dittmann3_form
+    monkeypatch.setattr(bures, "dittmann3_form", lambda rho, t: calls.append(t) or form(rho, t))
+    rep = validate(chart)
+    assert len(calls) == 7
+    assert rep.dittmann_max_rel_dev <= 1e-12
+
+
+def test_every_family_route_names_a_public_function():
+    # a misspelled path would fail only on its route's first call
+    for fam in metric.FAMILIES.values():
+        routes = {f.name: getattr(fam, f.name).path for f in dataclasses.fields(fam)
+                  if hasattr(getattr(fam, f.name), "path")}
+        assert set(routes) == {"rho", "closed", "pullback", "sample", "dittmann", "find"}
+        for path in routes.values():
+            module, name = path.split(".")
+            fn = getattr(importlib.import_module(f"buresgeo.{module}"), name, None)
+            assert inspect.isfunction(fn) and not name.startswith("_"), path
+            assert fn.__module__ == f"buresgeo.{module}", path
 
 
 def test_validate_rejects_non_chart():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buresgeo import coset, recover
+from buresgeo import coset, metric, recover
 from buresgeo.coset import CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
 from buresgeo.errors import DegenerateSpectrum, OutOfChartRange
 from buresgeo.recover import TARGET_RESIDUAL, find_chart, find_chart2, find_chart3
@@ -91,7 +91,10 @@ def test_uncharted_n_is_out_of_chart_range():
         random_density(make_rng(0), 4)
     with pytest.raises(OutOfChartRange, match="coordinate n=4") as recovered:
         find_chart(np.eye(4, dtype=complex) / 4)
-    assert sampled.value.args == recovered.value.args
+    # both look n up in the one family table
+    with pytest.raises(OutOfChartRange) as looked_up:
+        metric.family(4)
+    assert sampled.value.args == recovered.value.args == looked_up.value.args
 
 
 def test_find_chart_dispatch():
