@@ -83,7 +83,10 @@ def hubner_form(rho, d1, d2) -> float:
 
     summing only over pairs with lambda_i + lambda_j > EPS_SPEC. If a dropped
     pair carries a non-negligible matrix element, the tangent leaves the
-    support of rho and the metric diverges there: DegenerateSupport.
+    support of rho and the metric diverges there: DegenerateSupport. The sum
+    runs i-major over the spectrum's cached (i, j, lambda_i + lambda_j)
+    table (SpectralDecomposition.pairs), so each state forms its n^2
+    denominators once.
     """
     dm = as_density(rho)
     spec = dm.spectral
@@ -95,19 +98,16 @@ def hubner_form(rho, d1, d2) -> float:
     # which at n <= 3 costs less than indexing numpy arrays
     x1 = (vh @ np.asarray(d1, dtype=np.complex128) @ v).tolist()
     x2 = x1 if d2 is d1 else (vh @ np.asarray(d2, dtype=np.complex128) @ v).tolist()
-    w = spec.eigenvalues.tolist()
     total = 0.0
-    for i, (wi, x1i) in enumerate(zip(w, x1)):
-        for j, wj in enumerate(w):
-            s = wi + wj
-            term = x1i[j] * x2[j][i]
-            if s > EPS_SPEC:
-                total += term.real / s
-            elif abs(term) > SUPPORT_LEAK ** 2:
-                raise DegenerateSupport(
-                    f"eigenpair ({i},{j}) has lambda_i+lambda_j={s:.3e} but the "
-                    f"tangents couple to it (|term|={abs(term):.3e})"
-                )
+    for i, j, s in spec.pairs:
+        term = x1[i][j] * x2[j][i]
+        if s > EPS_SPEC:
+            total += term.real / s
+        elif abs(term) > SUPPORT_LEAK ** 2:
+            raise DegenerateSupport(
+                f"eigenpair ({i},{j}) has lambda_i+lambda_j={s:.3e} but the "
+                f"tangents couple to it (|term|={abs(term):.3e})"
+            )
     return 0.5 * total
 
 

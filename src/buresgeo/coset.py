@@ -39,10 +39,15 @@ THETA1_MAX = math.acos(1.0 / math.sqrt(3.0))
 THETA2_MIN = math.pi / 6
 THETA2_MAX = math.pi / 4
 BETA_MAX = math.pi
+FREE3 = ("alpha", "phi", "beta1", "beta2", "psi1", "psi2")  # unbounded coordinates of n = 3
 
 
 def _require_finite(name: str, value: float) -> float:
-    v = float(value)
+    """``float(value)``; OutOfChartRange if it is not a finite real number."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfChartRange(name, value, "must be a real number") from None
     if not math.isfinite(v):
         raise OutOfChartRange(name, value, "must be finite")
     return v
@@ -77,8 +82,8 @@ class CosetChart2:
     def __post_init__(self):
         object.__setattr__(self, "theta",
                            _require_range("theta", self.theta, 0.0, math.pi / 4))
-        _require_finite("alpha", self.alpha)
-        _require_finite("phi", self.phi)
+        for name in ("alpha", "phi"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
     def values(self) -> tuple[float, float, float]:
         return (self.theta, self.alpha, self.phi)
@@ -102,8 +107,14 @@ class CosetChart3:
                            _require_range("theta1", self.theta1, 0.0, THETA1_MAX))
         object.__setattr__(self, "theta2",
                            _require_range("theta2", self.theta2, THETA2_MIN, THETA2_MAX))
-        for name in ("alpha", "phi", "beta1", "beta2", "psi1", "psi2"):
-            _require_finite(name, getattr(self, name))
+        # one test passes six finite floats; anything else (or a sum that
+        # overflows) is converted or refused one coordinate at a time
+        d = self.__dict__  # frozen: store the converted values directly
+        a, p, b1, b2, s1, s2 = d["alpha"], d["phi"], d["beta1"], d["beta2"], d["psi1"], d["psi2"]
+        if not (type(a) is type(p) is type(b1) is type(b2) is type(s1) is type(s2) is float
+                and math.isfinite(a + p + b1 + b2 + s1 + s2)):
+            for name in FREE3:
+                d[name] = _require_finite(name, d[name])
         if self.beta >= BETA_MAX:
             raise OutOfChartRange(
                 "beta", self.beta, f"hypot(beta1, beta2) must be < {BETA_MAX:.10g}"
@@ -298,31 +309,43 @@ def omega_block(spec: CosetBlockSpec) -> np.ndarray:
     return np.array(_block_rows(spec.n, spec.k, spec.B), dtype=np.complex128)
 
 
-def _upper_rows(beta1: float, beta2: float, psi1: float, psi2: float) -> list[list[complex]]:
-    return _block_rows(3, 3, (cmath.rect(beta1, psi1), cmath.rect(beta2, psi2)))
-
-
-def _lower_rows(alpha: float, phi: float) -> list[list[complex]]:
-    return _block_rows(3, 2, (cmath.rect(alpha, phi),))
-
-
 def omega3_upper(beta1: float, beta2: float, psi1: float, psi2: float) -> np.ndarray:
     """The 3x3 block moving the third level: omega_block with
     B = (beta1 e^{i psi1}, beta2 e^{i psi2})."""
-    return np.array(_upper_rows(beta1, beta2, psi1, psi2), dtype=np.complex128)
+    b = (cmath.rect(beta1, psi1), cmath.rect(beta2, psi2))
+    return np.array(_block_rows(3, 3, b), dtype=np.complex128)
 
 
 def omega3_lower(alpha: float, phi: float) -> np.ndarray:
     """The 3x3 block mixing levels 1 and 2: omega_block with B = (alpha e^{i phi},)."""
-    return np.array(_lower_rows(alpha, phi), dtype=np.complex128)
+    return np.array(_block_rows(3, 2, (cmath.rect(alpha, phi),)), dtype=np.complex128)
 
 
 def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
-    """Rows of the k=3 block times the k=2 block. The k=2 block is the
-    identity in its last row and column, so only two columns are mixed."""
-    (l00, l01, _), (l10, l11, _), _ = _lower_rows(chart.alpha, chart.phi)
-    return [[u0 * l00 + u1 * l10, u0 * l01 + u1 * l11, u2]
-            for u0, u1, u2 in _upper_rows(chart.beta1, chart.beta2, chart.psi1, chart.psi2)]
+    """Rows of the k=3 block times the k=2 block, written out.
+
+    Each block is the identity plus the rank-one terms of omega_block, and
+    the k=2 block is the identity in its last row and column, so only the
+    first two columns mix. Every entry takes the same operations in the same
+    order as the _block_rows product of omega3_upper and omega3_lower (the
+    0j and 1 + 0j keep its signed zeros), so the two agree bit for bit.
+    """
+    a = cmath.rect(chart.alpha, chart.phi)
+    ac = a.conjugate()
+    aabs = abs(a)
+    sa = sinc(aabs)
+    l00 = (1 + 0j) + cosm1_over_sq(aabs) * (a * ac)
+    l01, l10, l11 = a * sa, -sa * ac, complex(math.cos(aabs))
+    b1, b2 = cmath.rect(chart.beta1, chart.psi1), cmath.rect(chart.beta2, chart.psi2)
+    b1c, b2c = b1.conjugate(), b2.conjugate()
+    babs = math.hypot(abs(b1), abs(b2))
+    cfac, sfac = cosm1_over_sq(babs), sinc(babs)
+    u00, u01 = (1 + 0j) + cfac * (b1 * b1c), 0j + cfac * (b1 * b2c)
+    u10, u11 = 0j + cfac * (b2 * b1c), (1 + 0j) + cfac * (b2 * b2c)
+    u20, u21 = -sfac * b1c, -sfac * b2c
+    return [[u00 * l00 + u01 * l10, u00 * l01 + u01 * l11, b1 * sfac],
+            [u10 * l00 + u11 * l10, u10 * l01 + u11 * l11, b2 * sfac],
+            [u20 * l00 + u21 * l10, u20 * l01 + u21 * l11, complex(math.cos(babs))]]
 
 
 def omega3(chart: CosetChart3) -> np.ndarray:

@@ -10,6 +10,7 @@ the rest of the package relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,11 +52,19 @@ class SpectralDecomposition:
 
     eigenvalues are real and ascending; eigenvectors holds the orthonormal
     eigenvectors as columns, so ``V @ diag(w) @ V†`` reconstructs the input.
-    Ties keep whatever order the solver produced.
+    Ties keep whatever order the solver produced. ``pairs`` is built on first
+    use and kept with the spectrum.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int, float]]:
+        """(i, j, lambda_i + lambda_j) for every ordered index pair, i-major:
+        the denominators of the Hubner pair sum (bures.hubner_form)."""
+        w = self.eigenvalues.tolist()
+        return [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors

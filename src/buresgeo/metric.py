@@ -66,6 +66,9 @@ def upper_entries(ordering: Sequence[str]) -> list[tuple[str, int, int]]:
             for i, a in enumerate(ordering) for j in range(i, len(ordering))]
 
 
+_UPPER_ENTRIES = {ordering: upper_entries(ordering) for ordering in (COORDS2, COORDS3)}
+
+
 @dataclass(frozen=True)
 class MetricTensor:
     """Symmetric real tensor together with its coordinate ordering."""
@@ -96,8 +99,8 @@ def volume_element(metric: MetricTensor) -> float:
 # ---------------------------------------------------------------------------
 
 def _central_diff(builder: Callable[[Sequence[float]], DensityMatrix],
-                  point: np.ndarray, i: int) -> np.ndarray:
-    up, dn = point.copy(), point.copy()
+                  point: Sequence[float], i: int) -> np.ndarray:
+    up, dn = list(point), list(point)
     up[i] += DEFAULT_STEP
     dn[i] -= DEFAULT_STEP
     return (builder(up).mat - builder(dn).mat) / (2.0 * DEFAULT_STEP)
@@ -112,7 +115,7 @@ def pullback_metric(point: Sequence[float],
     differences of step tol.DEFAULT_STEP. The spectrum at the centre must be
     nondegenerate (coset.require_gap).
     """
-    pt = np.asarray(point, dtype=float)
+    pt = [float(x) for x in point]
     rho0 = builder(pt)
     require_gap(rho0.eigenvalues.tolist())
     d = len(pt)
@@ -279,7 +282,8 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
 
     For beta below tol.SERIES_CUTOFF the sinc-type factors are evaluated by series
     (through beta^4), so the beta -> 0 limits u=v=1, w=2, x=y=0 come out
-    exactly rather than as 0/0.
+    exactly rather than as 0/0. x and y take their limit 0 whenever beta^2
+    underflows to 0 (|x|, |y| <= |beta1 beta2| / 2 there).
     """
     beta = math.hypot(beta1, beta2)
     gamma = phi - psi1 + psi2
@@ -298,7 +302,7 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
     v2 = n2sq + n1sq * sc
     w1 = (1.0 + cb) + 2.0 * n1sq * omc
     w2 = (1.0 + cb) + 2.0 * n2sq * omc
-    if beta == 0.0:
+    if beta * beta == 0.0:
         x = y = 0.0
     else:
         x = (beta1 * beta2 / beta ** 2) * oms
@@ -476,7 +480,8 @@ class ValidationReport:
 
 
 def _entry_devs(ordering, a: np.ndarray, b: np.ndarray) -> dict[str, float]:
-    return {key: abs(float(a[i, j] - b[i, j])) for key, i, j in upper_entries(ordering)}
+    diff = (a - b).tolist()
+    return {key: abs(diff[i][j]) for key, i, j in _UPPER_ENTRIES[ordering]}
 
 
 def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -503,7 +508,7 @@ def validate(chart) -> ValidationReport:
     rho = fam.rho(chart)
     # differenced again (bench/selftest.py pins both passes), all before the
     # first form: interleaving the rho builds with the forms ran ~8 % slower
-    pt = np.asarray(chart.values(), dtype=float)
+    pt = chart.values()
     dmax = 0.0
     for t in [_central_diff(fam.build, pt, i) for i in range(len(pt))]:
         nrm = float(np.linalg.norm(t))

@@ -199,6 +199,21 @@ def test_hubner_degenerate_support():
         hubner_form(rho, leaving, leaving)
 
 
+def test_hubner_degenerate_support_names_the_first_coupled_pair():
+    # the pair sum runs i-major: on a rank-one state the pairs (0,0), (0,1),
+    # (1,0), (1,1) are dropped, and sigma_x on the null space first couples
+    # to (0,1); on a rank-two state only (0,0) is dropped
+    rho = coset.DensityMatrix(diag_rho(0.0, 0.0, 1.0))
+    sx = np.zeros((3, 3), dtype=complex)
+    sx[0, 1] = sx[1, 0] = 1.0
+    with pytest.raises(DegenerateSupport, match=r"^eigenpair \(0,1\) has "):
+        hubner_form(rho, sx, sx)
+    rho = coset.DensityMatrix(diag_rho(0.0, 0.4, 0.6))
+    leaving = diag_rho(1.0, -1.0, 0.0)
+    with pytest.raises(DegenerateSupport, match=r"^eigenpair \(0,0\) has "):
+        hubner_form(rho, leaving, leaving)
+
+
 def test_hubner_support_restriction_tolerates_silent_zero():
     # a tangent that does not touch the null space is fine on a singular state
     rho = coset.DensityMatrix(diag_rho(1.0, 0.0))
@@ -218,6 +233,19 @@ def hubner_reference(rho, d1, d2):
     return 0.5 * terms.sum(), 0.5 * np.abs(terms).sum()
 
 
+def hubner_pair_loop(rho, d1, d2):
+    """The Hubner pair sum as a nested loop over the eigenvalues, i-major:
+    the same operations in the same order as hubner_form (full-rank states)."""
+    w = rho.eigenvalues.tolist()
+    v = rho.spectral.eigenvectors
+    x1, x2 = ((v.conj().T @ d @ v).tolist() for d in (d1, d2))
+    total = 0.0
+    for i, wi in enumerate(w):
+        for j, wj in enumerate(w):
+            total += (x1[i][j] * x2[j][i]).real / (wi + wj)
+    return 0.5 * total
+
+
 def test_hubner_matches_vectorised_reference():
     rng = make_rng(13)
     for n in (2, 3):
@@ -227,7 +255,9 @@ def test_hubner_matches_vectorised_reference():
             g2 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             for d1, d2 in ((g1, g2), (g1, g1), (random_tangent(rng, n), g2)):
                 ref, scale = hubner_reference(rho.mat, d1, d2)
-                assert abs(hubner_form(rho, d1, d2) - ref) <= 1e-14 * scale
+                val = hubner_form(rho, d1, d2)
+                assert abs(val - ref) <= 1e-14 * scale
+                assert val == hubner_pair_loop(rho, d1, d2)
 
 
 def test_hubner_drops_null_pair_of_rank_deficient_state():

@@ -20,6 +20,14 @@ def run_cli(args, capsys):
     return code, out
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def write_matrix(tmp_path, name, mat):
     mat = np.asarray(mat, dtype=complex)
     path = tmp_path / name
@@ -210,6 +218,17 @@ def test_metric_both_deviation_line(capsys):
     assert p["max_abs_dev"] <= 1e-6
     g = np.asarray(p["closed"])
     np.testing.assert_allclose(g[:2, 2:], 0.0, atol=1e-15)
+
+
+def test_metric_where_beta_squared_underflows_is_finite():
+    # beta1 = 1e-300 > 0, so the closed form runs, but beta1 * beta1 == 0.0
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "buresgeo.cli", "metric", "--n", "3",
+         "--theta1", "0.5", "--theta2", "0.6", "--beta1", "1e-300", "--format", "json"],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    p = json.loads(proc.stdout)
+    assert np.isfinite(p["closed"]).all() and np.isfinite(p["pullback"]).all()
 
 
 def test_metric_closed_eigenvalue_floor_exit_5(capsys):
@@ -695,9 +714,6 @@ def test_every_error_type_declares_the_exit_code_main_returns(etype, monkeypatch
 def test_import_and_validate_leave_scipy_unloaded():
     # scipy is only for the recovery fallback; a fresh interpreter shows
     # whether anything on the import or validate path still loads it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     script = (
         "import sys\n"
         "import buresgeo, buresgeo.cli\n"
@@ -707,7 +723,7 @@ def test_import_and_validate_leave_scipy_unloaded():
         "assert 'scipy' not in sys.modules, 'validate'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env)
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
 
 

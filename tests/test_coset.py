@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -327,6 +328,65 @@ def test_chart3_beta_range():
 def test_chart_rejects_nonfinite():
     with pytest.raises(OutOfChartRange):
         CosetChart2(0.2, float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("value", ["abc", 1j, None], ids=["str", "complex", "None"])
+def test_chart_refuses_a_coordinate_that_is_not_a_real_number(value):
+    for chart, thetas, names in ((CosetChart2, (0.5,), ("alpha", "phi")),
+                                 (CosetChart3, (0.5, 0.6), coset.FREE3)):
+        for name in names:
+            with pytest.raises(OutOfChartRange) as exc:
+                chart(*thetas, **{name: value})
+            assert exc.value.coordinate == name and exc.value.exit_code == 2
+
+
+def test_chart_stores_each_coordinate_as_a_float():
+    given = dict(alpha="1", phi=np.float64(0.25), beta1=np.float32(0.5), beta2=1,
+                 psi1=np.float64(-0.0), psi2=0.7)
+    ch = CosetChart3(0.5, 0.6, **given)
+    assert [type(v) for v in ch.values()] == [float] * 8
+    plain = CosetChart3(0.5, 0.6, 1.0, 0.25, 0.5, 1.0, -0.0, 0.7)
+    assert ch == plain
+    assert rho3(ch).mat.tobytes() == rho3(plain).mat.tobytes()
+    ch2 = CosetChart2(np.float64(0.5), "0.3", np.float64(1.25))
+    assert [type(v) for v in ch2.values()] == [float] * 3 and ch2.alpha == 0.3
+
+
+def test_chart3_coordinates_whose_sum_overflows_are_kept():
+    # the one-test fast path overflows; each coordinate alone is finite
+    ch = CosetChart3(0.5, 0.6, alpha=1e308, phi=1e308, psi1=-1e308)
+    assert (ch.alpha, ch.phi, ch.psi1) == (1e308, 1e308, -1e308)
+    with pytest.raises(OutOfChartRange) as exc:
+        CosetChart3(0.5, 0.6, alpha=1e308, phi=1e308, psi2=math.inf)
+    assert exc.value.coordinate == "psi2"
+
+
+def block_product_rows(ch):
+    """Reference composition of Omega for rho3: the generic k=3 block rows
+    times the generic k=2 block rows, each entry a two-term sum (the k=2
+    block is the identity in its last row and column)."""
+    upper = coset._block_rows(3, 3, (cmath.rect(ch.beta1, ch.psi1),
+                                     cmath.rect(ch.beta2, ch.psi2)))
+    (l00, l01, _), (l10, l11, _), _ = coset._block_rows(3, 2, (cmath.rect(ch.alpha, ch.phi),))
+    return [[u0 * l00 + u1 * l10, u0 * l01 + u1 * l11, u2] for u0, u1, u2 in upper]
+
+
+def test_rho3_equals_the_block_product_bit_for_bit():
+    rng = make_rng(20261018)
+    charts = [random_chart3(rng) for _ in range(500)]
+    # the series branches of both blocks (|B| below SERIES_CUTOFF, B = 0),
+    # signed zeros, and a beta whose square underflows
+    for alpha in (0.0, -0.0, 1e-5):
+        for b in (0.0, -0.0, 5e-5):
+            for phi, psi1, psi2 in ((0.4, 0.1, 0.7), (0.0, 0.0, -0.0)):
+                charts.append(CosetChart3(0.6, 0.68, alpha, phi, 0.6 * b, 0.8 * b, psi1, psi2))
+    charts += [CosetChart3(0.6, 0.68, 0.3, 0.4, 1e-300, 0.0, 0.1, 0.7),
+               CosetChart3(0.6, 0.68, 0.0, 0.0, 1e-300, 0.0, 0.0, 0.0)]
+    for ch in charts:
+        rows = block_product_rows(ch)
+        want = coset._assemble3(rows, coset.diag_entries3(ch.theta1, ch.theta2)).mat
+        assert rho3(ch).mat.tobytes() == want.tobytes(), ch
+        assert omega3(ch).tobytes() == np.array(rows, dtype=np.complex128).tobytes(), ch
 
 
 def test_density_matrix_invariant_errors():

@@ -221,6 +221,17 @@ def test_aux_coeffs_limits_at_zero():
                                                               2.0, 2.0, 0.0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta1,beta2", [(1e-300, 0.0), (0.0, 1e-300), (1e-170, 1e-170)])
+def test_beta_whose_square_underflows_takes_the_zero_limit(beta1, beta2):
+    # beta > 0 but beta * beta == 0.0: x and y take their beta -> 0 limit
+    # instead of dividing by zero, and the closed tensor stays finite
+    c = aux_coeffs(beta1, beta2, 0.4, 0.1, 0.7)
+    assert (c.x, c.y) == (0.0, 0.0)
+    g = closed_metric3(CosetChart3(0.5, 0.6, 0.3, 0.4, beta1, beta2, 0.1, 0.7)).g
+    assert np.isfinite(g).all()
+
+
 def test_aux_coeffs_symmetry():
     c = aux_coeffs(0.8, 0.8, 0.0, 0.0, 0.0)
     assert c.u1 == pytest.approx(c.u2, abs=1e-15)
