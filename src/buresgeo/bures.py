@@ -24,25 +24,11 @@ from .coset import DensityMatrix, as_density
 from .errors import (
     DegenerateSupport,
     DimensionMismatch,
-    InvalidTangent,
     PureState,
     SingularState,
     VerificationFailure,
 )
-from .tol import (DET_FLOOR, EPS_SPEC, FIDELITY_ABOVE, FIDELITY_BELOW, INVARIANT, PURE,
-                  SUPPORT_LEAK)
-
-
-def check_tangent(drho) -> np.ndarray:
-    """Validate a tangent: Hermitian and traceless to tol.INVARIANT. Returns the array."""
-    d = matcore.as_matrix(drho)
-    defect = matcore.hermiticity_defect(d)
-    if defect > INVARIANT:
-        raise InvalidTangent(f"tangent not Hermitian: defect {defect:.3e} > {INVARIANT:.1e}")
-    tr = abs(matcore.trace(d))
-    if tr > INVARIANT:
-        raise InvalidTangent(f"tangent not traceless: |trace| {tr:.3e} > {INVARIANT:.1e}")
-    return d
+from .tol import DET_FLOOR, EPS_SPEC, FIDELITY_ABOVE, FIDELITY_BELOW, PURE, SUPPORT_LEAK
 
 
 def fidelity(rho1, rho2) -> float:

@@ -28,7 +28,6 @@ import numpy as np
 from . import matcore
 from .errors import (
     DegenerateSpectrum,
-    DimensionMismatch,
     InvalidDensityMatrix,
     OutOfChartRange,
     VerificationFailure,
@@ -247,88 +246,24 @@ def omega2(chart: CosetChart2) -> np.ndarray:
     return np.array(_omega2_rows(chart.alpha, chart.phi), dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class CosetBlockSpec:
-    """One coset block: ambient dimension n, block index k in 2..n, and the
-    complex (k-1)-vector B parameterizing the SU(k)/U(k-1) factor.
+def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
+    """Rows of Omega, the k=3 block times the k=2 block, written out.
 
-    B is stored as a tuple of Python complex numbers; a tuple passes through
-    without a numpy round trip, any other array-like is flattened.
-    """
-
-    n: int
-    k: int
-    B: tuple[complex, ...] = (0j,)
-
-    def __post_init__(self):
-        b = self.B
-        if not isinstance(b, tuple):
-            b = np.asarray(b, dtype=np.complex128).reshape(-1).tolist()
-        object.__setattr__(self, "B", tuple(map(complex, b)))
-        if not (2 <= self.k <= self.n):
-            raise DimensionMismatch(f"block index k={self.k} must lie in 2..n={self.n}")
-        if len(self.B) != self.k - 1:
-            raise DimensionMismatch(
-                f"B must have k-1={self.k - 1} entries, got {len(self.B)}"
-            )
-
-
-def _block_rows(n: int, k: int, b: Sequence[complex]) -> list[list[complex]]:
-    """Rows of the n x n SU(k)/U(k-1) block (see omega_block) for B = b."""
-    m = k - 1
-    babs = math.hypot(*map(abs, b))
-    cfac = cosm1_over_sq(babs)          # (cos|B| - 1)/|B|^2
-    sfac = sinc(babs)                   # sin|B|/|B|
-    rows = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1 + 0j
-    row_m = rows[m]
-    for i, bi in enumerate(b):
-        row = rows[i]
-        for j, bj in enumerate(b):
-            row[j] += cfac * (bi * bj.conjugate())
-        row[m] = bi * sfac
-        row_m[i] = -sfac * bi.conjugate()
-    row_m[m] = complex(math.cos(babs))
-    return rows
-
-
-def omega_block(spec: CosetBlockSpec) -> np.ndarray:
-    """n x n unitary equal to the identity outside the leading k x k block.
-
-    The leading block realizes SU(k)/U(k-1):
+    Each block is the 3 x 3 identity outside its leading k x k corner,
+    where it realizes SU(k)/U(k-1) for a complex (k-1)-vector B:
 
         [[cos sqrt(B B†),          B sinc(|B|)],
          [-sinc(|B|) B†,           cos |B|    ]]
 
-    where B B† is rank one, so cos sqrt(B B†) = I + (cos|B| - 1) B B† / |B|^2.
-    B = 0 is handled by the sinc(0) = 1 limit. The entries are formed from
-    Python scalars and converted to an array once: at n <= 4 numpy's
-    per-operation overhead dominates the arithmetic.
-    """
-    return np.array(_block_rows(spec.n, spec.k, spec.B), dtype=np.complex128)
-
-
-def omega3_upper(beta1: float, beta2: float, psi1: float, psi2: float) -> np.ndarray:
-    """The 3x3 block moving the third level: omega_block with
-    B = (beta1 e^{i psi1}, beta2 e^{i psi2})."""
-    b = (cmath.rect(beta1, psi1), cmath.rect(beta2, psi2))
-    return np.array(_block_rows(3, 3, b), dtype=np.complex128)
-
-
-def omega3_lower(alpha: float, phi: float) -> np.ndarray:
-    """The 3x3 block mixing levels 1 and 2: omega_block with B = (alpha e^{i phi},)."""
-    return np.array(_block_rows(3, 2, (cmath.rect(alpha, phi),)), dtype=np.complex128)
-
-
-def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
-    """Rows of the k=3 block times the k=2 block, written out.
-
-    Each block is the identity plus the rank-one terms of omega_block, and
-    the k=2 block is the identity in its last row and column, so only the
-    first two columns mix. Every entry takes the same operations in the same
-    order as the _block_rows product of omega3_upper and omega3_lower (the
-    0j and 1 + 0j keep its signed zeros), so the two agree bit for bit.
+    B B† is rank one, so cos sqrt(B B†) = I + (cos|B| - 1) B B† / |B|^2,
+    and B = 0 takes the sinc(0) = 1 limit. The k=3 block has
+    B = (beta1 e^{i psi1}, beta2 e^{i psi2}), the k=2 block
+    B = (alpha e^{i phi},). The k=2 block is the identity in its last row
+    and column, so only the first two columns mix. The entries are formed
+    from Python scalars and converted to an array once: at n = 3 numpy's
+    per-operation overhead dominates the arithmetic. The 0j and 1 + 0j
+    keep the signed zeros of the plain block product, which the tests
+    compare against bit for bit.
     """
     a = cmath.rect(chart.alpha, chart.phi)
     ac = a.conjugate()
@@ -499,10 +434,7 @@ def permutation_table() -> list[PermutationIdentity]:
     """
     out = []
     for name, settings, sigma, phase, exact in _PERM_CASES:
-        upper = omega3_upper(settings.get("beta1", 0.0), settings.get("beta2", 0.0),
-                             settings.get("psi1", 0.0), settings.get("psi2", 0.0))
-        lower = omega3_lower(settings.get("alpha", 0.0), settings.get("phi", 0.0))
-        om = upper @ lower
+        om = omega3(CosetChart3(0.0, THETA2_MIN, **settings))  # theta does not enter Omega
         perm = _perm_matrix(sigma)
         res_exact = float(np.max(np.abs(om - exact)))
         target = phase * perm

@@ -67,7 +67,3 @@ class BoundaryTooClose(BuresGeoError, exit_code=5):
 
 class FitFailure(BuresGeoError, exit_code=6):
     """Chart recovery did not reach the target residual after multistart."""
-
-
-class InvalidTangent(BuresGeoError, exit_code=4):
-    """Matrix violates a tangent-vector invariant (Hermitian, traceless)."""

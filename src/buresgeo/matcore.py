@@ -66,10 +66,6 @@ class SpectralDecomposition:
         w = self.eigenvalues.tolist()
         return [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.

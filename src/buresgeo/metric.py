@@ -90,8 +90,12 @@ class MetricTensor:
 
 
 def volume_element(metric: MetricTensor) -> float:
-    """sqrt(max(det g, 0)): the Bures measure density in chart coordinates."""
-    return math.sqrt(max(float(np.linalg.det(metric.g)), 0.0))
+    """sqrt(det g), or +0.0 where det g <= 0: the Bures measure density in
+    chart coordinates. An exactly singular g is a valid input, so LAPACK's
+    divide-by-zero warning on it is silenced."""
+    with np.errstate(divide="ignore"):
+        d = float(np.linalg.det(metric.g))
+    return 0.0 if d <= 0.0 else math.sqrt(d)
 
 
 # ---------------------------------------------------------------------------

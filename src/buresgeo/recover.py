@@ -150,7 +150,8 @@ def _coset_params_from_eigvecs(v: np.ndarray):
     b1, b2 = scale * abs(c1), scale * abs(c2)
     psi1 = cmath.phase(c1) if c1 else 0.0
     psi2 = cmath.phase(c2) if c2 else 0.0
-    upper = coset.omega3_upper(b1, b2, psi1, psi2)
+    # the k=3 block alone: Omega with alpha = phi = 0 (theta does not enter Omega)
+    upper = coset.omega3(CosetChart3(0.0, THETA2_MIN, 0.0, 0.0, b1, b2, psi1, psi2))
     # upper† v should be Omega2 times a diagonal phase
     return (*_block_angles(upper.conj().T @ v), b1, b2, psi1, psi2)
 

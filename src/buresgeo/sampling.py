@@ -1,4 +1,4 @@
-"""Seeded random charts, states, tangents and unitaries.
+"""Seeded random charts, states, tangents and Haar-random unitaries.
 
 All randomness flows through numpy's PCG64 generator: a given 64-bit seed
 produces the same sequence on every platform, which keeps the validation
@@ -86,12 +86,8 @@ def random_tangent(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish unitary from a product of coset blocks and diagonal phases."""
-    u = np.diag(np.exp(1j * rng.uniform(0.0, 2 * math.pi, size=n)))
-    for k in range(2, n + 1):
-        b = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
-        norm = np.linalg.norm(b)
-        if norm > 0:
-            b = b / norm * rng.uniform(0.0, math.pi)
-        u = coset.omega_block(coset.CosetBlockSpec(n=n, k=k, B=b)) @ u
-    return u
+    """Haar-random n x n unitary: Q of the QR of a complex Ginibre matrix,
+    with the phases of R's diagonal moved into Q (Mezzadri 2007)."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))

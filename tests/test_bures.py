@@ -6,7 +6,6 @@ import pytest
 from buresgeo import coset
 from buresgeo.bures import (
     bures_distance,
-    check_tangent,
     dittmann2_form,
     dittmann3_form,
     fidelity,
@@ -16,7 +15,6 @@ from buresgeo.coset import CosetChart2
 from buresgeo.errors import (
     DegenerateSupport,
     DimensionMismatch,
-    InvalidTangent,
     PureState,
     SingularState,
 )
@@ -274,19 +272,6 @@ def test_hubner_drops_null_pair_of_rank_deficient_state():
     val = hubner_form(rho, d, d)
     assert val == pytest.approx(hubner_reference(diag_rho(0.6, 0.4), sub, sub)[0], rel=1e-12)
 
-
-def test_check_tangent():
-    with pytest.raises(InvalidTangent):
-        check_tangent(np.array([[0.5, 0], [0, 0.5]], dtype=complex))  # trace 1
-    with pytest.raises(InvalidTangent):
-        check_tangent(np.array([[0, 1], [0, 0]], dtype=complex))      # not Hermitian
-    ok = np.array([[1.0, 2j], [-2j, -1.0]])
-    np.testing.assert_allclose(check_tangent(ok), ok)
-
-
-# ---------------------------------------------------------------------------
-# Dittmann trace forms vs the spectral oracle
-# ---------------------------------------------------------------------------
 
 def test_dittmann2_zero_tangent():
     assert dittmann2_form(diag_rho(0.6, 0.4), np.zeros((2, 2), dtype=complex)) == 0.0

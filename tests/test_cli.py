@@ -231,6 +231,19 @@ def test_metric_where_beta_squared_underflows_is_finite():
     assert np.isfinite(p["closed"]).all() and np.isfinite(p["pullback"]).all()
 
 
+def test_metric_at_an_exactly_singular_tensor_runs_clean():
+    # det of the closed and pullback tensors is exactly 0 here: no warning, sqrt det +0.0
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "buresgeo.cli", "metric", "--n", "3",
+         "--theta1", "0.6", "--theta2", "0.68", "--alpha", "1e-05", "--phi", "1.1",
+         "--beta1", "1e-300", "--beta2", "5e-05", "--psi1", "1.1", "--psi2", "-1.1",
+         "--format", "json"],
+        capture_output=True, text=True, env=src_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    p = json.loads(proc.stdout)
+    assert [p["sqrt_det_closed"], p["sqrt_det_pullback"]] == [0.0, 0.0]
+
+
 def test_metric_closed_eigenvalue_floor_exit_5(capsys):
     code = main(["metric", "--n", "3", "--theta1", "1e-4", "--beta1", "0.5",
                  "--method", "closed"])

@@ -7,7 +7,6 @@ import pytest
 
 from buresgeo import coset
 from buresgeo.coset import (
-    CosetBlockSpec,
     CosetChart2,
     CosetChart3,
     THETA1_MAX,
@@ -15,12 +14,11 @@ from buresgeo.coset import (
     diag3,
     omega2,
     omega3,
-    omega_block,
     permutation_table,
     rho2,
     rho3,
 )
-from buresgeo.errors import DimensionMismatch, InvalidDensityMatrix, OutOfChartRange
+from buresgeo.errors import InvalidDensityMatrix, OutOfChartRange
 from buresgeo.sampling import make_rng, random_chart2, random_chart3
 from buresgeo.tol import SERIES_CUTOFF
 
@@ -113,12 +111,12 @@ def test_rho2_entry_formulas_random():
 
 
 # ---------------------------------------------------------------------------
-# generic coset blocks
+# the coset blocks of omega3
 # ---------------------------------------------------------------------------
 
-def test_omega_block_zero_is_identity():
-    spec = CosetBlockSpec(n=4, k=3, B=np.zeros(2, dtype=complex))
-    np.testing.assert_allclose(omega_block(spec), np.eye(4), atol=1e-15)
+def upper_block(b1, b2, p1, p2):
+    """The k=3 block alone: omega3 with alpha = phi = 0 (theta does not enter Omega)."""
+    return omega3(CosetChart3(0.0, coset.THETA2_MIN, 0.0, 0.0, b1, b2, p1, p2))
 
 
 def test_omega_block_matches_printed_display():
@@ -128,40 +126,26 @@ def test_omega_block_matches_printed_display():
         chi = rng.uniform(0, 2 * math.pi)
         b1, b2 = beta * math.cos(chi), beta * math.sin(chi)
         p1, p2 = rng.uniform(0, 2 * math.pi, size=2)
-        got = coset.omega3_upper(b1, b2, p1, p2)
+        got = upper_block(b1, b2, p1, p2)
         np.testing.assert_allclose(got, omega3_upper_printed(b1, b2, p1, p2), atol=1e-12)
 
 
 def test_omega_block_scalar_reduces_to_omega2():
+    # at beta = 0 omega3 is the k=2 block: omega2 in the leading 2x2 corner
     rng = make_rng(5)
     for _ in range(100):
         alpha, phi = rng.uniform(0, 2 * math.pi, size=2)
-        block = omega_block(CosetBlockSpec(n=2, k=2, B=[alpha * np.exp(1j * phi)]))
-        np.testing.assert_allclose(block, omega2(CosetChart2(0.1, alpha, phi)),
+        om = omega3(CosetChart3(0.5, 0.6, alpha, phi))
+        np.testing.assert_allclose(om[:2, :2], omega2(CosetChart2(0.1, alpha, phi)),
                                    atol=1e-12)
-
-
-def test_omega_block_unitary_various_sizes():
-    rng = make_rng(6)
-    for n in (2, 3, 4, 5):
-        for k in range(2, n + 1):
-            b = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
-            om = omega_block(CosetBlockSpec(n=n, k=k, B=b))
-            np.testing.assert_allclose(om.conj().T @ om, np.eye(n), atol=1e-12)
-
-
-def test_omega_block_bad_spec():
-    with pytest.raises(DimensionMismatch):
-        CosetBlockSpec(n=3, k=5, B=np.zeros(4, dtype=complex))
-    with pytest.raises(DimensionMismatch):
-        CosetBlockSpec(n=3, k=3, B=np.zeros(1, dtype=complex))
+        np.testing.assert_array_equal(om[2], [0, 0, 1])
+        np.testing.assert_array_equal(om[:2, 2], [0, 0])
 
 
 def test_omega_block_tiny_beta_series_branch():
     # cross-check the series branch against the trig branch just above the cutoff
     for scale in (1e-7, 1e-5, 9.9e-5, 1.1e-4, 1e-3):
-        b = scale * np.array([0.6, 0.8j])
-        om = omega_block(CosetBlockSpec(n=3, k=3, B=b))
+        om = upper_block(scale * 0.6, scale * 0.8, 0.0, math.pi / 2)
         np.testing.assert_allclose(om.conj().T @ om, np.eye(3), atol=1e-14)
         np.testing.assert_allclose(om, omega3_upper_printed(
             scale * 0.6, scale * 0.8, 0.0, math.pi / 2), atol=1e-13)
@@ -361,13 +345,33 @@ def test_chart3_coordinates_whose_sum_overflows_are_kept():
     assert exc.value.coordinate == "psi2"
 
 
+def block_rows(n, k, b):
+    """Rows of the n x n SU(k)/U(k-1) block for the complex (k-1)-vector b,
+    from the generic formula of omega3's docstring."""
+    m = k - 1
+    babs = math.hypot(*map(abs, b))
+    cfac = coset.cosm1_over_sq(babs)    # (cos|B| - 1)/|B|^2
+    sfac = coset.sinc(babs)             # sin|B|/|B|
+    rows = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1 + 0j
+    row_m = rows[m]
+    for i, bi in enumerate(b):
+        row = rows[i]
+        for j, bj in enumerate(b):
+            row[j] += cfac * (bi * bj.conjugate())
+        row[m] = bi * sfac
+        row_m[i] = -sfac * bi.conjugate()
+    row_m[m] = complex(math.cos(babs))
+    return rows
+
+
 def block_product_rows(ch):
     """Reference composition of Omega for rho3: the generic k=3 block rows
     times the generic k=2 block rows, each entry a two-term sum (the k=2
     block is the identity in its last row and column)."""
-    upper = coset._block_rows(3, 3, (cmath.rect(ch.beta1, ch.psi1),
-                                     cmath.rect(ch.beta2, ch.psi2)))
-    (l00, l01, _), (l10, l11, _), _ = coset._block_rows(3, 2, (cmath.rect(ch.alpha, ch.phi),))
+    upper = block_rows(3, 3, (cmath.rect(ch.beta1, ch.psi1), cmath.rect(ch.beta2, ch.psi2)))
+    (l00, l01, _), (l10, l11, _), _ = block_rows(3, 2, (cmath.rect(ch.alpha, ch.phi),))
     return [[u0 * l00 + u1 * l10, u0 * l01 + u1 * l11, u2] for u0, u1, u2 in upper]
 
 

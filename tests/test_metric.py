@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -429,6 +430,19 @@ def test_volume_element_degenerate_point():
 def test_volume_element_clamps_negative_det():
     g = MetricTensor(ordering=("a", "b"), g=np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert volume_element(g) == 0.0  # det = -3 clamps to 0
+
+
+def test_volume_element_of_a_singular_tensor_is_plus_zero():
+    # det g rounds to -0.0 at the first chart; at the second the tensor is
+    # exactly singular, where LAPACK's det divides by zero
+    charts = (CosetChart3(0.6, 0.68, 0.3, 0.4, 1e-300, 0.5, 0.1, 0.7),
+              CosetChart3(0.6, 0.68, 1e-05, 1.1, 1e-300, 5e-05, 1.1, -1.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ch in charts:
+            rep = validate(ch)
+            for vol in (rep.volume_closed, rep.volume_pullback):
+                assert vol == 0.0 and math.copysign(1.0, vol) == 1.0, ch
 
 
 def test_volume_3level_closed_vs_pullback():
