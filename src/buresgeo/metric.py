@@ -57,7 +57,6 @@ from .tol import (DEFAULT_STEP, DET_FLOOR, EIG_FLOOR, IDENTITY, INVARIANT, REL_D
 
 COORDS2 = ("theta", "alpha", "phi")
 COORDS3 = ("theta1", "theta2", "alpha", "phi", "beta1", "beta2", "psi1", "psi2")
-INDEX3 = {name: k for k, name in enumerate(COORDS3)}
 
 
 def upper_entries(ordering: Sequence[str]) -> list[tuple[str, int, int]]:
@@ -82,7 +81,8 @@ class MetricTensor:
         d = len(self.ordering)
         if arr.shape != (d, d):
             raise VerificationFailure(f"tensor shape {arr.shape} does not match ordering")
-        if np.max(np.abs(arr - arr.T)) > INVARIANT:
+        # an exactly symmetric tensor (every closed form) skips the subtraction
+        if not (arr == arr.T).all() and np.max(np.abs(arr - arr.T)) > INVARIANT:
             raise VerificationFailure(f"tensor not symmetric to {INVARIANT:.0e}")
 
     def entry(self, a: str, b: str) -> float:
@@ -163,6 +163,8 @@ def closed_metric2(chart: CosetChart2) -> MetricTensor:
     """
     if not (0.0 < chart.theta < math.pi / 4):
         raise OutOfChartRange("theta", chart.theta, "must lie strictly in (0, pi/4)")
+    if not math.isfinite(2 * chart.alpha):
+        raise OutOfChartRange("alpha", chart.alpha, "2 alpha overflows")
     c2t = math.cos(2 * chart.theta) ** 2
     s2a = math.sin(2 * chart.alpha) ** 2
     g = np.diag([1.0, c2t, 0.25 * s2a * c2t])
@@ -265,8 +267,8 @@ class Coeffs3:
     """Coset-sector auxiliaries of the 3-level closed form.
 
     gamma = phi - psi1 + psi2 is the only combination of the three free
-    angles that enters the tensor. The identities u1+u2 = 1+cos(beta) and
-    v1+v2 = 1+sinc(beta) are asserted at construction.
+    angles that enters the tensor. `aux_coeffs` asserts the identities
+    u1+u2 = 1+cos(beta) and v1+v2 = 1+sinc(beta) before it builds one.
     """
 
     gamma: float
@@ -322,16 +324,22 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
 # 3-level closed form
 # ---------------------------------------------------------------------------
 
-def _coset_block_entries(chart: CosetChart3,
-                         t: tuple[float, float, float],
-                         *,
-                         entries: str) -> dict[tuple[str, str], float]:
-    """The 6x6 coset-sector entries as closed-form expressions.
+def _closed_rows3(chart: CosetChart3, t: tuple[float, float, float], *,
+                  entries: str) -> list[list[float]]:
+    """The eight rows of the closed 3-level tensor, ordering COORDS3.
+
+    Rows 0-1 are the eigenvalue block diag(1, sin^2 theta1) with zero
+    eigenvalue-coset cross blocks; rows 2-7 are the 6x6 coset block, one
+    closed-form expression per entry, each a linear combination of the
+    eigenvalue-pair coefficients t = (t12, t13, t23) with coefficients in
+    the coset parameters (aux_coeffs; shb = (sin(beta/2)/beta)^2 and
+    snb = sinc(beta) carry the beta dependence).
 
     ``entries="validated"`` evaluates the oracle-checked formulas.
     ``entries="printed"`` evaluates the circulated list verbatim; it differs
     in exactly one place: g_phi_beta1 (and its multiple g_phi_beta2) is
     missing a sin(gamma) factor there. The validator reports the difference.
+    OutOfChartRange if 4 alpha or 2 gamma overflows, where sin is undefined.
     """
     if entries not in ("validated", "printed"):
         raise ValueError(f"unknown entry convention {entries!r}")
@@ -341,83 +349,77 @@ def _coset_block_entries(chart: CosetChart3,
     aux = aux_coeffs(b1, b2, chart.phi, chart.psi1, chart.psi2)
     u1, u2, v1, v2 = aux.u1, aux.u2, aux.v1, aux.v2
     w1, w2, x, y = aux.w1, aux.w2, aux.x, aux.y
+    if not math.isfinite(4 * chart.alpha):
+        raise OutOfChartRange("alpha", chart.alpha, "4 alpha overflows")
+    if not math.isfinite(2 * aux.gamma):
+        raise OutOfChartRange("gamma", aux.gamma, "2 gamma = 2 (phi - psi1 + psi2) overflows")
     cg, sg = math.cos(aux.gamma), math.sin(aux.gamma)
     s2g = math.sin(2 * aux.gamma)
     sa, ca = math.sin(chart.alpha), math.cos(chart.alpha)
     s2a, c2a = math.sin(2 * chart.alpha), math.cos(2 * chart.alpha)
     s4a = math.sin(4 * chart.alpha)
     shb = sin_half_over(beta) ** 2        # (sin(beta/2)/beta)^2
-    shb2 = shb * shb
     snb = sinc(beta)                      # sin(beta)/beta
-    snb2 = snb * snb
+    shb2, snb2 = shb * shb, snb * snb
+    # repeated pure subterms, each evaluated once exactly as written inline
+    sa2, ca2, s2a2, cg2 = sa ** 2, ca ** 2, s2a ** 2, cg ** 2
+    b1sq, b2sq, x2, y2 = b1 ** 2, b2 ** 2, x ** 2, y ** 2
+    omsg, omcg = 1.0 - s2a2 * sg ** 2, 1.0 - s2a2 * cg2
+    h13 = 0.5 * (t13 - t23)
+    xv1, xv2 = x * v1 * s2a * cg, x * v2 * s2a * cg
+    uy1, uy2 = u1 * y * s2a * cg, u2 * y * s2a * cg
+    vvx, uuy = 0.5 * (v1 * v2 + x2) * s2a * cg, 0.5 * s2a * cg * (u1 * u2 + y2)
+    k1 = 2.0 * b2 * u2 * s2a2 * s2g - b1 * w2 * s4a * sg
+    k2 = 2.0 * b1 * u1 * s2a2 * s2g + b2 * w1 * s4a * sg
 
     phi_b1_gamma = sg if entries == "validated" else 1.0
 
-    e: dict[tuple[str, str], float] = {}
-    e[("alpha", "alpha")] = -t12
-    e[("alpha", "phi")] = 0.0
-    e[("alpha", "beta1")] = 2.0 * t12 * b2 * cg * shb
-    e[("alpha", "beta2")] = -2.0 * t12 * b1 * cg * shb
-    e[("alpha", "psi1")] = 2.0 * t12 * b1 * b2 * u2 * sg * shb
-    e[("alpha", "psi2")] = 2.0 * t12 * b1 * b2 * u1 * sg * shb
-    e[("phi", "phi")] = -0.25 * t12 * s2a ** 2
-    e[("phi", "beta1")] = -0.5 * t12 * b2 * s4a * phi_b1_gamma * shb
-    e[("phi", "beta2")] = 0.5 * t12 * b1 * s4a * phi_b1_gamma * shb
-    e[("phi", "psi1")] = (0.5 * t12 * b1 * s2a
-                          * (b1 * w2 * s2a + 2.0 * b2 * u2 * c2a * cg) * shb)
-    e[("phi", "psi2")] = (-0.5 * t12 * b2 * s2a
-                          * (b2 * w1 * s2a - 2.0 * b1 * u1 * c2a * cg) * shb)
-    e[("beta1", "beta1")] = (
-        -4.0 * t12 * b2 ** 2 * (1.0 - s2a ** 2 * sg ** 2) * shb2
-        - t13 * (x ** 2 * sa ** 2 + v1 ** 2 * ca ** 2 - x * v1 * s2a * cg)
-        - t23 * (x ** 2 * ca ** 2 + v1 ** 2 * sa ** 2 + x * v1 * s2a * cg))
-    e[("beta1", "beta2")] = (
-        4.0 * t12 * b1 * b2 * (1.0 - s2a ** 2 * sg ** 2) * shb2
-        - t13 * (x * (v1 * ca ** 2 + v2 * sa ** 2)
-                 - 0.5 * (v1 * v2 + x ** 2) * s2a * cg)
-        - t23 * (x * (v1 * sa ** 2 + v2 * ca ** 2)
-                 + 0.5 * (v1 * v2 + x ** 2) * s2a * cg))
-    e[("beta1", "psi1")] = (
-        -t12 * b1 * b2 * (2.0 * b2 * u2 * s2a ** 2 * s2g - b1 * w2 * s4a * sg) * shb2
-        + 0.5 * (t13 - t23) * b1 * s2a * sg * (u2 * x + v1 * y) * snb)
-    e[("beta1", "psi2")] = (
-        -t12 * b2 ** 2 * (2.0 * b1 * u1 * s2a ** 2 * s2g + b2 * w1 * s4a * sg) * shb2
-        - 0.5 * (t13 - t23) * b2 * s2a * sg * (u1 * v1 + x * y) * snb)
-    e[("beta2", "beta2")] = (
-        -4.0 * t12 * b1 ** 2 * (1.0 - s2a ** 2 * sg ** 2) * shb2
-        - t13 * (x ** 2 * ca ** 2 + v2 ** 2 * sa ** 2 - x * v2 * s2a * cg)
-        - t23 * (x ** 2 * sa ** 2 + v2 ** 2 * ca ** 2 + x * v2 * s2a * cg))
-    e[("beta2", "psi1")] = (
-        t12 * b1 ** 2 * (2.0 * b2 * u2 * s2a ** 2 * s2g - b1 * w2 * s4a * sg) * shb2
-        + 0.5 * (t13 - t23) * b1 * s2a * sg * (u2 * v2 + x * y) * snb)
-    e[("beta2", "psi2")] = (
-        t12 * b1 * b2 * (2.0 * b1 * u1 * s2a ** 2 * s2g + b2 * w1 * s4a * sg) * shb2
-        - 0.5 * (t13 - t23) * b2 * s2a * sg * (u1 * x + v2 * y) * snb)
-    e[("psi1", "psi1")] = (
-        -t12 * b1 ** 2 * (4.0 * b2 ** 2 * u2 ** 2 * (1.0 - s2a ** 2 * cg ** 2)
-                          + b1 ** 2 * w2 ** 2 * s2a ** 2
-                          + 2.0 * b1 * b2 * u2 * w2 * s4a * cg) * shb2
-        - t13 * b1 ** 2 * (u2 ** 2 * ca ** 2 + y ** 2 * sa ** 2
-                           + u2 * y * s2a * cg) * snb2
-        - t23 * b1 ** 2 * (u2 ** 2 * sa ** 2 + y ** 2 * ca ** 2
-                           - u2 * y * s2a * cg) * snb2)
-    e[("psi1", "psi2")] = (
-        -t12 * b1 * b2 * (4.0 * b1 * b2 * u1 * u2 * (1.0 - s2a ** 2 * cg ** 2)
-                          - b1 * b2 * w1 * w2 * s2a ** 2
-                          - s4a * cg * (b2 ** 2 * u2 * w1 - b1 ** 2 * u1 * w2)) * shb2
-        + t13 * b1 * b2 * (y * (u1 * sa ** 2 + u2 * ca ** 2)
-                           + 0.5 * s2a * cg * (u1 * u2 + y ** 2)) * snb2
-        + t23 * b1 * b2 * (y * (u1 * ca ** 2 + u2 * sa ** 2)
-                           - 0.5 * s2a * cg * (u1 * u2 + y ** 2)) * snb2)
-    e[("psi2", "psi2")] = (
-        -t12 * b2 ** 2 * (4.0 * b1 ** 2 * u1 ** 2 * (1.0 - s2a ** 2 * cg ** 2)
-                          + b2 ** 2 * w1 ** 2 * s2a ** 2
-                          - 2.0 * b1 * b2 * u1 * w1 * s4a * cg) * shb2
-        - t13 * b2 ** 2 * (u1 ** 2 * sa ** 2 + y ** 2 * ca ** 2
-                           + u1 * y * s2a * cg) * snb2
-        - t23 * b2 ** 2 * (u1 ** 2 * ca ** 2 + y ** 2 * sa ** 2
-                           - u1 * y * s2a * cg) * snb2)
-    return e
+    a_b1, a_b2 = 2.0 * t12 * b2 * cg * shb, -2.0 * t12 * b1 * cg * shb
+    a_s1 = 2.0 * t12 * b1 * b2 * u2 * sg * shb
+    a_s2 = 2.0 * t12 * b1 * b2 * u1 * sg * shb
+    p_b1 = -0.5 * t12 * b2 * s4a * phi_b1_gamma * shb
+    p_b2 = 0.5 * t12 * b1 * s4a * phi_b1_gamma * shb
+    p_s1 = 0.5 * t12 * b1 * s2a * (b1 * w2 * s2a + 2.0 * b2 * u2 * c2a * cg) * shb
+    p_s2 = -0.5 * t12 * b2 * s2a * (b2 * w1 * s2a - 2.0 * b1 * u1 * c2a * cg) * shb
+    b1_b2 = (4.0 * t12 * b1 * b2 * omsg * shb2
+             - t13 * (x * (v1 * ca2 + v2 * sa2) - vvx)
+             - t23 * (x * (v1 * sa2 + v2 * ca2) + vvx))
+    b1_s1 = -t12 * b1 * b2 * k1 * shb2 + h13 * b1 * s2a * sg * (u2 * x + v1 * y) * snb
+    b1_s2 = -t12 * b2sq * k2 * shb2 - h13 * b2 * s2a * sg * (u1 * v1 + x * y) * snb
+    b2_s1 = t12 * b1sq * k1 * shb2 + h13 * b1 * s2a * sg * (u2 * v2 + x * y) * snb
+    b2_s2 = t12 * b1 * b2 * k2 * shb2 - h13 * b2 * s2a * sg * (u1 * x + v2 * y) * snb
+    s1_s2 = (-t12 * b1 * b2 * (4.0 * b1 * b2 * u1 * u2 * omcg
+                               - b1 * b2 * w1 * w2 * s2a2
+                               - s4a * cg * (b2sq * u2 * w1 - b1sq * u1 * w2)) * shb2
+             + t13 * b1 * b2 * (y * (u1 * sa2 + u2 * ca2) + uuy) * snb2
+             + t23 * b1 * b2 * (y * (u1 * ca2 + u2 * sa2) - uuy) * snb2)
+    return [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, math.sin(chart.theta1) ** 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -t12, 0.0, a_b1, a_b2, a_s1, a_s2],
+        [0.0, 0.0, 0.0, -0.25 * t12 * s2a2, p_b1, p_b2, p_s1, p_s2],
+        [0.0, 0.0, a_b1, p_b1,
+         (-4.0 * t12 * b2sq * omsg * shb2
+          - t13 * (x2 * sa2 + v1 ** 2 * ca2 - xv1)
+          - t23 * (x2 * ca2 + v1 ** 2 * sa2 + xv1)),
+         b1_b2, b1_s1, b1_s2],
+        [0.0, 0.0, a_b2, p_b2, b1_b2,
+         (-4.0 * t12 * b1sq * omsg * shb2
+          - t13 * (x2 * ca2 + v2 ** 2 * sa2 - xv2)
+          - t23 * (x2 * sa2 + v2 ** 2 * ca2 + xv2)),
+         b2_s1, b2_s2],
+        [0.0, 0.0, a_s1, p_s1, b1_s1, b2_s1,
+         (-t12 * b1sq * (4.0 * b2sq * u2 ** 2 * omcg + b1sq * w2 ** 2 * s2a2
+                         + 2.0 * b1 * b2 * u2 * w2 * s4a * cg) * shb2
+          - t13 * b1sq * (u2 ** 2 * ca2 + y2 * sa2 + uy2) * snb2
+          - t23 * b1sq * (u2 ** 2 * sa2 + y2 * ca2 - uy2) * snb2),
+         s1_s2],
+        [0.0, 0.0, a_s2, p_s2, b1_s2, b2_s2, s1_s2,
+         (-t12 * b2sq * (4.0 * b1sq * u1 ** 2 * omcg + b2sq * w1 ** 2 * s2a2
+                         - 2.0 * b1 * b2 * u1 * w1 * s4a * cg) * shb2
+          - t13 * b2sq * (u1 ** 2 * sa2 + y2 * ca2 + uy1) * snb2
+          - t23 * b2sq * (u1 ** 2 * ca2 + y2 * sa2 - uy1) * snb2)],
+    ]
 
 
 def closed_metric3(chart: CosetChart3, *, entries: str = "validated") -> MetricTensor:
@@ -425,19 +427,14 @@ def closed_metric3(chart: CosetChart3, *, entries: str = "validated") -> MetricT
 
     Structure: top-left block diag(1, sin^2 theta1) for the two eigenvalue
     coordinates, zero eigenvalue-coset cross blocks, and a full 6x6 coset
-    block assembled from t_coeffs and aux_coeffs. Needs an interior point:
-    distinct eigenvalues bounded away from 0 and beta strictly in (0, pi).
+    block assembled from t_coeffs and aux_coeffs (see `_closed_rows3`).
+    Needs an interior point: distinct eigenvalues bounded away from 0 and
+    beta strictly in (0, pi).
     """
     if not (0.0 < chart.beta < BETA_MAX):
         raise OutOfChartRange("beta", chart.beta, "must lie strictly in (0, pi)")
     t = t_coeffs(chart.theta1, chart.theta2)
-    e = _coset_block_entries(chart, t, entries=entries)
-    g = np.zeros((8, 8))
-    g[0, 0] = 1.0
-    g[1, 1] = math.sin(chart.theta1) ** 2
-    for (a, b), val in e.items():
-        g[INDEX3[a], INDEX3[b]] = g[INDEX3[b], INDEX3[a]] = val
-    return MetricTensor(ordering=COORDS3, g=g)
+    return MetricTensor(ordering=COORDS3, g=np.array(_closed_rows3(chart, t, entries=entries)))
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,23 @@ def test_metric_at_an_exactly_singular_tensor_runs_clean():
     assert [p["sqrt_det_closed"], p["sqrt_det_pullback"]] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["metric", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--beta1", "0.3",
+     "--alpha", "1e308", "--method", "closed"],
+    ["metric", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--beta1", "0.3",
+     "--phi", "1e308", "--psi2", "1e308", "--method", "closed"],
+    ["metric", "--n", "2", "--theta", "0.3", "--alpha", "1e308"],
+    ["scan", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--beta1", "0.3",
+     "--coord", "alpha", "--from", "1", "--to", "1e308", "--points", "3", "--format", "csv"],
+], ids=["alpha-n3", "gamma-n3", "alpha-n2", "scan-alpha-n3"])
+def test_closed_form_at_an_overflowing_angle_exits_2(argv):
+    # sin of 4 alpha, 2 alpha or 2 gamma = inf has no value
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "buresgeo.cli", *argv],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: coordinate ") and "overflows" in proc.stderr
+
+
 def test_metric_closed_eigenvalue_floor_exit_5(capsys):
     code = main(["metric", "--n", "3", "--theta1", "1e-4", "--beta1", "0.5",
                  "--method", "closed"])

@@ -42,6 +42,7 @@ from buresgeo.metric import (
     volume_element,
 )
 from buresgeo.sampling import make_rng, random_chart2, random_chart3
+from buresgeo.tol import INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +299,32 @@ def test_closed_metric3_refuses_eigenvalue_below_floor():
         closed_metric3(CosetChart3(1e-4, math.pi / 6, beta1=0.5))
 
 
-@pytest.mark.parametrize("g", [np.zeros((2, 3)), [[0.0, 1.0], [0.5, 0.0]]],
-                         ids=["2x3", "asymmetric"])
+def pair(offdiag_a, offdiag_b, diag=1.0):
+    """A 2x2 tensor with the given off-diagonal pair."""
+    return [[diag, offdiag_a], [offdiag_b, 1.0]]
+
+
+@pytest.mark.parametrize("g", [np.zeros((2, 3)), [[0.0, 1.0], [0.5, 0.0]],
+                               pair(0.3, 0.3 + 2 * INVARIANT)],
+                         ids=["2x3", "asymmetric", "twice-invariant"])
 def test_metric_tensor_rejects_bad_matrix(g):
     with pytest.raises(VerificationFailure):
         MetricTensor(ordering=("a", "b"), g=g)
+
+
+@pytest.mark.parametrize("g", [
+    pair(0.3, 0.3),
+    pair(0.3, 0.3 + INVARIANT / 2),
+    pair(0.0, -0.0),
+    pair(math.nan, 0.0),               # nan > INVARIANT is False: accepted
+    pair(0.0, 0.0, diag=math.nan),
+    pair(math.inf, math.inf),          # exactly symmetric: inf - inf is never formed
+], ids=["exact", "half-invariant", "signed-zero", "nan-offdiag", "nan-diag", "inf-pair"])
+def test_metric_tensor_symmetry_check_accepts(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = MetricTensor(ordering=("a", "b"), g=g)
+    assert t.g.tobytes() == np.array(g).tobytes()
 
 
 def test_closed_metric3_block_structure():
@@ -314,25 +336,159 @@ def test_closed_metric3_block_structure():
         assert g.entry("theta2", coord) == 0.0
 
 
+def coset_block_entries(chart, t, *, entries):
+    """Reference of closed_metric3's coset block: the 21 upper-triangle
+    entries keyed by coordinate pair, each formula written out inline."""
+    t12, t13, t23 = t
+    b1, b2 = chart.beta1, chart.beta2
+    beta = chart.beta
+    aux = aux_coeffs(b1, b2, chart.phi, chart.psi1, chart.psi2)
+    u1, u2, v1, v2 = aux.u1, aux.u2, aux.v1, aux.v2
+    w1, w2, x, y = aux.w1, aux.w2, aux.x, aux.y
+    cg, sg = math.cos(aux.gamma), math.sin(aux.gamma)
+    s2g = math.sin(2 * aux.gamma)
+    sa, ca = math.sin(chart.alpha), math.cos(chart.alpha)
+    s2a, c2a = math.sin(2 * chart.alpha), math.cos(2 * chart.alpha)
+    s4a = math.sin(4 * chart.alpha)
+    shb = coset.sin_half_over(beta) ** 2        # (sin(beta/2)/beta)^2
+    shb2 = shb * shb
+    snb = coset.sinc(beta)                      # sin(beta)/beta
+    snb2 = snb * snb
+
+    phi_b1_gamma = sg if entries == "validated" else 1.0
+
+    e = {}
+    e[("alpha", "alpha")] = -t12
+    e[("alpha", "phi")] = 0.0
+    e[("alpha", "beta1")] = 2.0 * t12 * b2 * cg * shb
+    e[("alpha", "beta2")] = -2.0 * t12 * b1 * cg * shb
+    e[("alpha", "psi1")] = 2.0 * t12 * b1 * b2 * u2 * sg * shb
+    e[("alpha", "psi2")] = 2.0 * t12 * b1 * b2 * u1 * sg * shb
+    e[("phi", "phi")] = -0.25 * t12 * s2a ** 2
+    e[("phi", "beta1")] = -0.5 * t12 * b2 * s4a * phi_b1_gamma * shb
+    e[("phi", "beta2")] = 0.5 * t12 * b1 * s4a * phi_b1_gamma * shb
+    e[("phi", "psi1")] = (0.5 * t12 * b1 * s2a
+                          * (b1 * w2 * s2a + 2.0 * b2 * u2 * c2a * cg) * shb)
+    e[("phi", "psi2")] = (-0.5 * t12 * b2 * s2a
+                          * (b2 * w1 * s2a - 2.0 * b1 * u1 * c2a * cg) * shb)
+    e[("beta1", "beta1")] = (
+        -4.0 * t12 * b2 ** 2 * (1.0 - s2a ** 2 * sg ** 2) * shb2
+        - t13 * (x ** 2 * sa ** 2 + v1 ** 2 * ca ** 2 - x * v1 * s2a * cg)
+        - t23 * (x ** 2 * ca ** 2 + v1 ** 2 * sa ** 2 + x * v1 * s2a * cg))
+    e[("beta1", "beta2")] = (
+        4.0 * t12 * b1 * b2 * (1.0 - s2a ** 2 * sg ** 2) * shb2
+        - t13 * (x * (v1 * ca ** 2 + v2 * sa ** 2)
+                 - 0.5 * (v1 * v2 + x ** 2) * s2a * cg)
+        - t23 * (x * (v1 * sa ** 2 + v2 * ca ** 2)
+                 + 0.5 * (v1 * v2 + x ** 2) * s2a * cg))
+    e[("beta1", "psi1")] = (
+        -t12 * b1 * b2 * (2.0 * b2 * u2 * s2a ** 2 * s2g - b1 * w2 * s4a * sg) * shb2
+        + 0.5 * (t13 - t23) * b1 * s2a * sg * (u2 * x + v1 * y) * snb)
+    e[("beta1", "psi2")] = (
+        -t12 * b2 ** 2 * (2.0 * b1 * u1 * s2a ** 2 * s2g + b2 * w1 * s4a * sg) * shb2
+        - 0.5 * (t13 - t23) * b2 * s2a * sg * (u1 * v1 + x * y) * snb)
+    e[("beta2", "beta2")] = (
+        -4.0 * t12 * b1 ** 2 * (1.0 - s2a ** 2 * sg ** 2) * shb2
+        - t13 * (x ** 2 * ca ** 2 + v2 ** 2 * sa ** 2 - x * v2 * s2a * cg)
+        - t23 * (x ** 2 * sa ** 2 + v2 ** 2 * ca ** 2 + x * v2 * s2a * cg))
+    e[("beta2", "psi1")] = (
+        t12 * b1 ** 2 * (2.0 * b2 * u2 * s2a ** 2 * s2g - b1 * w2 * s4a * sg) * shb2
+        + 0.5 * (t13 - t23) * b1 * s2a * sg * (u2 * v2 + x * y) * snb)
+    e[("beta2", "psi2")] = (
+        t12 * b1 * b2 * (2.0 * b1 * u1 * s2a ** 2 * s2g + b2 * w1 * s4a * sg) * shb2
+        - 0.5 * (t13 - t23) * b2 * s2a * sg * (u1 * x + v2 * y) * snb)
+    e[("psi1", "psi1")] = (
+        -t12 * b1 ** 2 * (4.0 * b2 ** 2 * u2 ** 2 * (1.0 - s2a ** 2 * cg ** 2)
+                          + b1 ** 2 * w2 ** 2 * s2a ** 2
+                          + 2.0 * b1 * b2 * u2 * w2 * s4a * cg) * shb2
+        - t13 * b1 ** 2 * (u2 ** 2 * ca ** 2 + y ** 2 * sa ** 2
+                           + u2 * y * s2a * cg) * snb2
+        - t23 * b1 ** 2 * (u2 ** 2 * sa ** 2 + y ** 2 * ca ** 2
+                           - u2 * y * s2a * cg) * snb2)
+    e[("psi1", "psi2")] = (
+        -t12 * b1 * b2 * (4.0 * b1 * b2 * u1 * u2 * (1.0 - s2a ** 2 * cg ** 2)
+                          - b1 * b2 * w1 * w2 * s2a ** 2
+                          - s4a * cg * (b2 ** 2 * u2 * w1 - b1 ** 2 * u1 * w2)) * shb2
+        + t13 * b1 * b2 * (y * (u1 * sa ** 2 + u2 * ca ** 2)
+                           + 0.5 * s2a * cg * (u1 * u2 + y ** 2)) * snb2
+        + t23 * b1 * b2 * (y * (u1 * ca ** 2 + u2 * sa ** 2)
+                           - 0.5 * s2a * cg * (u1 * u2 + y ** 2)) * snb2)
+    e[("psi2", "psi2")] = (
+        -t12 * b2 ** 2 * (4.0 * b1 ** 2 * u1 ** 2 * (1.0 - s2a ** 2 * cg ** 2)
+                          + b2 ** 2 * w1 ** 2 * s2a ** 2
+                          - 2.0 * b1 * b2 * u1 * w1 * s4a * cg) * shb2
+        - t13 * b2 ** 2 * (u1 ** 2 * sa ** 2 + y ** 2 * ca ** 2
+                           + u1 * y * s2a * cg) * snb2
+        - t23 * b2 ** 2 * (u1 ** 2 * ca ** 2 + y ** 2 * sa ** 2
+                           - u1 * y * s2a * cg) * snb2)
+    return e
+
+
+def scattered_tensor(ch, entries):
+    """The closed tensor scattered into zeros from the reference entries: the
+    eigenvalue block, then each coset entry at (i, j) and (j, i)."""
+    index = {name: k for k, name in enumerate(COORDS3)}
+    e = coset_block_entries(ch, t_coeffs(ch.theta1, ch.theta2), entries=entries)
+    assert len(e) == 21  # the whole upper triangle of the 6x6 coset block
+    g = np.zeros((8, 8))
+    g[0, 0] = 1.0
+    g[1, 1] = math.sin(ch.theta1) ** 2
+    for (a, b), val in e.items():
+        g[index[a], index[b]] = g[index[b], index[a]] = val
+    return g
+
+
+def edge_charts3():
+    """Charts on the closed form's branches: beta below tol.SERIES_CUTOFF,
+    beta1 = +-1e-300 (beta^2 underflows), alpha = +-0 and sin(gamma) = 0."""
+    out = []
+    for theta1, theta2 in ((0.6, 0.68), (0.9, 0.75)):
+        for b1, b2 in ((1e-300, 0.5), (-1e-300, 0.5), (1e-300, 0.0), (-1e-300, -0.0),
+                       (3e-5, -4e-5), (1e-9, 1e-9), (-0.0, 5e-5), (0.3, -1.2)):
+            for alpha in (0.0, -0.0, 1e-13, 0.4):
+                for phi, psi1, psi2 in ((0.0, 0.0, 0.0), (-0.0, 0.0, -0.0),
+                                        (0.0, 0.5, 0.5), (1.1, 0.3, 0.7)):
+                    out.append(CosetChart3(theta1, theta2, alpha, phi, b1, b2, psi1, psi2))
+    return out
+
+
 @pytest.mark.parametrize("entries", ["validated", "printed"])
 def test_closed_metric3_places_coset_entries_bit_for_bit(entries):
     rng = make_rng(19)
-    index = {name: k for k, name in enumerate(COORDS3)}
-    for _ in range(25):
-        ch = random_chart3(rng)
+    charts = [random_chart3(rng) for _ in range(500)] + edge_charts3()
+    for ch in charts:
         g = closed_metric3(ch, entries=entries).g
-        e = metric._coset_block_entries(ch, t_coeffs(ch.theta1, ch.theta2),
-                                        entries=entries)
-        want = np.zeros((8, 8))
-        want[0, 0] = 1.0
-        want[1, 1] = math.sin(ch.theta1) ** 2
-        for (a, b), val in e.items():
-            want[index[a], index[b]] = want[index[b], index[a]] = val
-        assert g.tobytes() == want.tobytes()
+        assert g.tobytes() == scattered_tensor(ch, entries).tobytes(), ch
         assert g[0, 0] == 1.0 and g[0, 1] == g[1, 0] == 0.0
         assert g[1, 1] == math.sin(ch.theta1) ** 2
         assert not g[:2, 2:].any() and not g[2:, :2].any()
-        assert len(e) == 21  # the whole upper triangle of the 6x6 coset block
+
+
+@pytest.mark.parametrize("coords, name", [
+    (dict(alpha=1e308), "alpha"),
+    (dict(alpha=5e307), "alpha"),          # 2 alpha is finite, 4 alpha is not
+    (dict(phi=1e308, psi2=1e308), "gamma"),
+    (dict(phi=1e308), "gamma"),            # gamma is finite, 2 gamma is not
+    (dict(psi1=-1e308, psi2=1e308), "gamma"),
+])
+def test_closed_metric3_refuses_angles_whose_multiples_overflow(coords, name):
+    ch = CosetChart3(0.5, 0.6, beta1=0.3, **{"alpha": 0.4, **coords})
+    for entries in ("validated", "printed"):
+        with pytest.raises(OutOfChartRange, match="overflows") as exc:
+            closed_metric3(ch, entries=entries)
+        assert exc.value.coordinate == name
+
+
+def test_closed_forms_stay_finite_below_the_overflow():
+    g3 = closed_metric3(CosetChart3(0.5, 0.6, 4e307, 4e307, 0.3, 0.0, 0.0, 4e307)).g
+    g2 = closed_metric2(CosetChart2(0.3, 8e307)).g
+    assert np.isfinite(g3).all() and np.isfinite(g2).all()
+
+
+def test_closed_metric2_refuses_alpha_whose_double_overflows():
+    with pytest.raises(OutOfChartRange, match="overflows") as exc:
+        closed_metric2(CosetChart2(0.3, -1e308))
+    assert exc.value.coordinate == "alpha"
 
 
 def test_closed_metric3_gamma_invariance():
