@@ -27,7 +27,6 @@ from .matcore import (
     det,
     eig_hermitian,
     hermitize,
-    trace,
 )
 from .metric import (
     Coeffs3,
@@ -59,5 +58,5 @@ __all__ = [
     "hubner_form", "make_rng", "omega2", "omega3", "permutation_table",
     "pullback_metric", "pullback_metric2", "pullback_metric3", "random_chart2",
     "random_chart3", "random_density", "random_tangent", "random_unitary", "rho2",
-    "rho3", "s_coeff", "t_coeffs", "trace", "validate", "volume_element",
+    "rho3", "s_coeff", "t_coeffs", "validate", "volume_element",
 ]

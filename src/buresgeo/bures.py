@@ -135,17 +135,24 @@ def _dittmann3_invariants(dm: DensityMatrix) -> tuple[np.ndarray, float, float]:
     """(rho^{-1}, |rho|, 3/(1 - Tr rho^3)) of a 3x3 state, computed once
     per DensityMatrix and cached on it; a state that fails a check caches
     nothing, so it raises again on every call. No eigendecomposition is used,
-    which keeps this route independent of the spectral one."""
+    which keeps this route independent of the spectral one. The state is
+    singular when e3/e2 = 2|rho|/(1 - Tr rho^2) <= DET_FLOOR: that ratio lies
+    in [lambda_min/3, lambda_min], and |rho| does not once two eigenvalues are
+    small."""
     inv = dm._dittmann3
     if inv is None:
         m = dm.mat
-        tr3 = np.trace(m @ m @ m).real
+        m2 = m @ m
+        tr3 = np.trace(m2 @ m).real
         if tr3 >= 1.0 - PURE:
             # checked before the determinant: a nearly pure state is also
             # nearly singular, and purity is the sharper diagnosis
             raise PureState(f"Tr rho^3 = {tr3!r} is within {PURE:.0e} of 1")
         detr = matcore.det(m).real
-        if detr <= DET_FLOOR:
-            raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.0e}")
+        two_e2 = 1.0 - np.trace(m2).real
+        # multiplied out: e2 = 0 divides nothing
+        if 2.0 * detr <= DET_FLOOR * two_e2:
+            raise SingularState(f"e3/e2 = 2|rho|/(1 - Tr rho^2) = 2 * {detr:.3e} / {two_e2:.3e} "
+                                f"<= {DET_FLOOR:.0e}")
         inv = dm._dittmann3 = (np.linalg.inv(m), detr, 3.0 / (1.0 - tr3))
     return inv

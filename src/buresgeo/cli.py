@@ -20,6 +20,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 from typing import Callable, Iterable, Optional, Sequence
@@ -474,9 +475,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# argparse reads an argument that starts with '-' as an option unless it looks
+# like '-1' or '-0.5'; a negative float such as '-1e-4' after a flag is joined
+# to it as '--flag=-1e-4', so every value that scan prints pastes back
+NEGATIVE_FLOAT = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+FLAG = re.compile(r"--\w[\w-]*")
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and FLAG.fullmatch(out[-1]) and NEGATIVE_FLOAT.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, and 2 is the
         # chart-range code here: a usage error is a parse error

@@ -31,13 +31,13 @@ MULTISTART = 8
 
 
 def _spectral_sorted_desc(rho: DensityMatrix):
+    """(eigenvalues as floats, eigenvector columns), both descending: the
+    eigh spectrum reversed, as it comes ascending."""
     spec = rho.spectral
-    order = np.argsort(spec.eigenvalues)[::-1]
-    w = spec.eigenvalues[order]
-    v = spec.eigenvectors[:, order]
+    w = spec.eigenvalues[::-1].tolist()
     # a degenerate spectrum leaves the chart coordinates unidentifiable
-    require_gap(w.tolist())
-    return w, v
+    require_gap(w)
+    return w, spec.eigenvectors[:, ::-1]
 
 
 def _residual(rho_mat: np.ndarray, built: DensityMatrix) -> float:
@@ -113,7 +113,7 @@ def _theta3_from_spectrum(w_triple) -> tuple[float, float]:
     return theta1, theta2
 
 
-def _assign_permutation3(w_desc: np.ndarray):
+def _assign_permutation3(w_desc: list[float]):
     """Pick the eigenvalue ordering that satisfies the chart's theta box.
 
     Tries the permutations of the (descending) spectrum in a fixed order and
@@ -123,13 +123,12 @@ def _assign_permutation3(w_desc: np.ndarray):
     eigenvalue simplex sector); those raise OutOfChartRange.
     """
     for perm in itertools.permutations(range(3)):
-        trip = tuple(float(w_desc[p]) for p in perm)
-        t1, t2 = _theta3_from_spectrum(trip)
+        t1, t2 = _theta3_from_spectrum([w_desc[p] for p in perm])
         # acos and atan2 of non-negative arguments never fall below 0
         if t1 <= THETA1_MAX + RANGE_EPS and THETA2_MIN - RANGE_EPS <= t2 <= THETA2_MAX + RANGE_EPS:
             return perm, t1, t2
     raise OutOfChartRange(
-        "spectrum", tuple(float(x) for x in w_desc),
+        "spectrum", tuple(w_desc),
         "no eigenvalue ordering fits the chart box "
         "(needs lambda1 >= 1/3 and lambda2/lambda3 in [1, 3])"
     )

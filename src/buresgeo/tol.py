@@ -17,9 +17,10 @@ GAP = 1e-6               # smallest eigenvalue gap still nondegenerate; a gap of
 EIG_FLOOR = 1e-6         # smallest eigenvalue the 3-level closed-form coefficients accept
 EPS_SPEC = 1e-12         # lambda_i + lambda_j at or below this drops the pair from the Hubner sum
 SUPPORT_LEAK = 1e-8      # a dropped pair whose term exceeds SUPPORT_LEAK**2 is divergent
-DET_FLOOR = 1e-10        # |rho| or |D| at or below this is singular (dittmann2_form,
-                         # dittmann3_form, s_coeff); the trace forms err ~2.2e-16/lambda_min
-                         # relative to Hubner: 1.9e-6 at n = 2, 3.7e-7 at n = 3 above the floor
+DET_FLOOR = 1e-10        # a state is singular at or below this: |rho| or |D| at n = 2
+                         # (dittmann2_form, s_coeff), e3/e2 = 2|rho|/(1 - Tr rho^2) at n = 3
+                         # (dittmann3_form); both lie within a factor n of lambda_min, and the
+                         # trace forms err ~2.2e-16/lambda_min relative to Hubner
 PURE = 1e-12             # Tr rho^3 within this of 1 is pure in dittmann3_form
 SAMPLE_GAP = 1e-4        # sampled 3-level spectra keep every gap and eigenvalue at least this
 

@@ -671,6 +671,33 @@ def test_usage_error_exit_3(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1e-4", "-1.1111111111111112e-05", "-2E-3", "-.5e-1"])
+def test_metric_reads_negative_e_notation_as_the_flag_value(value, capsys):
+    chart = ["metric", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--format", "json"]
+    code, spaced = run_cli([*chart, "--beta1", value], capsys)
+    assert code == 0
+    assert run_cli([*chart, f"--beta1={value}"], capsys) == (0, spaced)
+    assert run_cli([*chart, "--beta1", value[1:]], capsys)[1] != spaced
+
+
+def test_scan_values_paste_back_as_flag_values(capsys):
+    # scan prints %.17g values such as -1.0000000000000001e-05; each one is
+    # read back as the value of --from, --to and a chart flag
+    base = ["scan", "--n", "3", "--theta1", "0.7", "--theta2", "0.6", "--format", "csv",
+            "--coord", "beta1"]
+    code, out = run_cli([*base, "--from", "-1e-4", "--to", "-1e-5", "--points", "10"], capsys)
+    assert code == 0
+    assert run_cli([*base, "--from=-1e-4", "--to=-1e-5", "--points", "10"], capsys) == (0, out)
+    rows = out.splitlines()[1:]
+    assert rows[-1].startswith("-1.0000000000000001e-05,")
+    for row in rows:
+        value = row.split(",")[0]
+        code, again = run_cli([*base, "--from", value, "--to", value, "--points", "1"], capsys)
+        assert code == 0 and again.splitlines()[1] == row
+        assert run_cli(["metric", "--n", "3", "--theta1", "0.7", "--theta2", "0.6",
+                        "--beta1", value, "--method", "closed"], capsys)[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["metric", "--n", "2", "--theta", "0.3", "--step", "1e-4"],
     ["validate", "--step", "1"],

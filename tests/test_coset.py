@@ -20,7 +20,7 @@ from buresgeo.coset import (
 )
 from buresgeo.errors import InvalidDensityMatrix, OutOfChartRange
 from buresgeo.sampling import make_rng, random_chart2, random_chart3
-from buresgeo.tol import SERIES_CUTOFF
+from buresgeo.tol import INVARIANT, SERIES_CUTOFF
 
 
 def omega3_upper_printed(b1, b2, p1, p2):
@@ -412,6 +412,91 @@ def test_density_matrix_rejects_nonfinite_entry(bad, at, part):
     getattr(mat, part)[at] = bad
     with pytest.raises(InvalidDensityMatrix, match="non-finite"):
         coset.as_density(mat)
+
+
+def numpy_state_check(mat):
+    """The construction checks of DensityMatrix written as numpy expressions:
+    the message of the first check that fails, or None."""
+    if not np.isfinite(mat).all():
+        return "matrix has a non-finite entry"
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > INVARIANT:
+        return f"not Hermitian: max |A - A^dag| = {defect:.3e} > {INVARIANT:.1e}"
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > INVARIANT:
+        return f"trace {tr!r} differs from 1 by more than {INVARIANT:.1e}"
+    return None
+
+
+def scalar_state_check(mat):
+    try:
+        coset.DensityMatrix(mat)
+    except InvalidDensityMatrix as exc:
+        return str(exc)
+    return None
+
+
+def with_entry(mat, at, value):
+    out = np.array(mat, dtype=complex)
+    out[at] = value
+    return out
+
+
+BASE3 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+
+
+def test_state_check_at_the_invariant_threshold():
+    # A_01 - conj(A_10) = 0.5e-10 i + 0.5e-10 i is exactly INVARIANT
+    at = with_entry(with_entry(BASE3, (0, 1), 0.5j * INVARIANT), (1, 0), 0.5j * INVARIANT)
+    assert scalar_state_check(at) is None
+    twice = with_entry(with_entry(BASE3, (0, 1), 1j * INVARIANT), (1, 0), 1j * INVARIANT)
+    assert scalar_state_check(twice) == "not Hermitian: max |A - A^dag| = 2.000e-10 > 1.0e-10"
+    # a defect on the diagonal counts twice its imaginary part
+    assert scalar_state_check(with_entry(BASE3, (2, 2), 0.2 + 0.5j * INVARIANT)) is None
+    assert "not Hermitian" in scalar_state_check(with_entry(BASE3, (2, 2), 0.2 + 1j * INVARIANT))
+    # a trace of 1 +- INVARIANT rounds to 1 +- 1.00000008e-10 and fails;
+    # the next double toward 1 passes (both sums below are exact)
+    for sign in (1.0, -1.0):
+        over = 1.0 + sign * INVARIANT
+        for trace, ok in ((over, False), (math.nextafter(over, 1.0), True)):
+            state = np.diag([trace - 0.5, 0.5]).astype(complex)
+            assert (scalar_state_check(state) is None) is ok
+            assert scalar_state_check(state) == numpy_state_check(state)
+
+
+def test_state_check_matches_the_numpy_expressions():
+    # nan, +-inf and signed zeros at every entry, defects and trace errors
+    # around INVARIANT, and random states: the same decision and message
+    rng = make_rng(14)
+    mats = []
+    for i in range(3):
+        for j in range(3):
+            for value in (math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                          complex(math.inf, -math.inf), -0.0, complex(-0.0, -0.0),
+                          complex(0.0, -0.0)):
+                mats.append(with_entry(BASE3, (i, j), value))
+            for dev in (0.5, 1.0, 1.5, 2.0, -1.0):
+                mats.append(with_entry(BASE3, (i, j), BASE3[i, j] + dev * INVARIANT))
+                mats.append(with_entry(BASE3, (i, j), BASE3[i, j] + 1j * dev * INVARIANT))
+    signed = BASE3.copy()
+    signed.imag[:] = -0.0
+    mats += [signed, -0.0 * BASE3, BASE3 * (1 + INVARIANT), BASE3 * (1 - INVARIANT),
+             np.array([[0.5, 1e300], [-1e300, 0.5]], dtype=complex),
+             np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)]
+    for _ in range(300):
+        n = int(rng.integers(2, 4))
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        state = g @ g.conj().T
+        state = state / np.trace(state).real
+        scale = float(rng.choice([0.0, 0.5, 1.0, 2.0, 10.0])) * INVARIANT
+        state = state + scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        mats.append(state)
+    decided = set()
+    for mat in mats:
+        want = numpy_state_check(mat)
+        assert scalar_state_check(mat) == want, mat
+        decided.add(want.split(":")[0].split(" ")[0] if want else None)
+    assert decided == {None, "matrix", "not", "trace"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from buresgeo import matcore
-from buresgeo.errors import DimensionMismatch, NotHermitian
+from buresgeo.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from buresgeo.tol import INVARIANT
 
 
 def test_hermitize_fixed_point():
@@ -62,8 +65,7 @@ def test_eig_ascending_and_reconstructs():
             assert err <= 1e-11 * np.linalg.norm(a)
 
 
-def test_trace_det_examples():
-    assert matcore.trace(np.eye(3, dtype=complex)) == pytest.approx(3)
+def test_det_example():
     assert matcore.det(np.diag([2.0, 3.0, 4.0]).astype(complex)) == pytest.approx(24)
 
 
@@ -80,3 +82,33 @@ def test_det_multiplicative():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         matcore.as_matrix(np.zeros((2, 3)))
+
+
+def test_hermiticity_defect_on_python_rows():
+    a = np.array([[0.5, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 0.3, 1e-3], [0.0, 0.0, 0.2 + 1e-4j]])
+    numpy_value = float(np.max(np.abs(a - a.conj().T)))
+    assert matcore.hermiticity_defect(a.tolist()) == numpy_value == 1e-3
+    for value in (math.nan, complex(0.0, math.nan)):
+        for at in ((0, 0), (0, 2), (2, 0)):
+            b = a.copy()
+            b[at] = value
+            assert math.isnan(matcore.hermiticity_defect(b.tolist()))
+
+
+@pytest.mark.filterwarnings("error")
+def test_eig_hermitian_at_the_invariant_threshold():
+    a = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    a[0, 1] = INVARIANT
+    matcore.eig_hermitian(a)
+    a[0, 1] = 2 * INVARIANT
+    with pytest.raises(NotHermitian, match=r"= 2\.000e-10 > 1\.0e-10"):
+        matcore.eig_hermitian(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_eig_hermitian_nan_entry_fails_in_the_solver():
+    # nan > INVARIANT is False, so the check passes it on and eigh gives up
+    a = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    a[0, 1] = a[1, 0] = math.nan
+    with pytest.raises(ConvergenceFailure):
+        matcore.eig_hermitian(a)

@@ -13,6 +13,7 @@ from buresgeo.errors import DegenerateSpectrum, OutOfChartRange
 from buresgeo.recover import TARGET_RESIDUAL, find_chart, find_chart2, find_chart3
 from buresgeo.sampling import (make_rng, random_chart2, random_chart3, random_density,
                                random_unitary)
+from buresgeo.tol import RANGE_EPS
 
 
 def test_find_chart2_diagonal_example():
@@ -115,6 +116,63 @@ def test_find_chart3_beta_canonicalized():
     rec, res = find_chart3(rho)
     assert res <= 1e-8
     assert rec.beta <= math.pi / 2 + 1e-9
+
+
+def argsort_find_chart3(rho):
+    """find_chart3's analytic path as it read with np.argsort: the spectrum
+    sorted descending by index, the permutations tried on numpy scalars."""
+    dm = coset.as_density(rho)
+    spec = dm.spectral
+    order = np.argsort(spec.eigenvalues)[::-1]
+    w = spec.eigenvalues[order]
+    v = spec.eigenvectors[:, order]
+    coset.require_gap(w.tolist())
+    for perm in itertools.permutations(range(3)):
+        t1, t2 = recover._theta3_from_spectrum(tuple(float(w[p]) for p in perm))
+        if t1 <= THETA1_MAX + RANGE_EPS and THETA2_MIN - RANGE_EPS <= t2 <= THETA2_MAX + RANGE_EPS:
+            break
+    else:
+        raise OutOfChartRange("spectrum", tuple(float(x) for x in w), "no ordering")
+    chart = CosetChart3(t1, t2, *recover._coset_params_from_eigvecs(v[:, list(perm)]))
+    return chart, float(np.linalg.norm(coset.rho3(chart).mat - dm.mat))
+
+
+def chart_states3(seed, count):
+    """In turn: in-chart states under random diagonal phases, Hilbert-Schmidt
+    states, and states of edge charts from EDGE_BETAS and EDGE_ALPHAS."""
+    rng = make_rng(seed)
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            mat = coset.rho3(random_chart3(rng)).mat
+            phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 3))
+            yield phase[:, None] * mat * phase.conj()[None, :]
+        elif kind == 1:
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            mat = g @ g.conj().T
+            yield mat / np.trace(mat).real
+        else:
+            phi, psi1, psi2 = rng.uniform(0.0, 2 * math.pi, size=3)
+            yield coset.rho3(edge_chart3(EDGE_BETAS[i % len(EDGE_BETAS)],
+                                         float(rng.uniform(0.0, 2 * math.pi)),
+                                         EDGE_ALPHAS[i % len(EDGE_ALPHAS)],
+                                         phi=phi, psi1=psi1, psi2=psi2)).mat
+
+
+def test_find_chart3_matches_the_argsort_path_bit_for_bit():
+    recovered = 0
+    for mat in chart_states3(23, 1500):
+        try:
+            want = argsort_find_chart3(mat)
+        except (OutOfChartRange, DegenerateSpectrum) as exc:
+            with pytest.raises(type(exc)):
+                find_chart3(mat)
+            continue
+        chart, res = find_chart3(mat)
+        assert np.array(chart.values()).tobytes() == np.array(want[0].values()).tobytes()
+        assert res == want[1]
+        recovered += 1
+    assert recovered >= 1000
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from buresgeo import bures, coset, matcore, metric, recover
 from buresgeo.coset import DensityMatrix, as_density, require_gap
 from buresgeo.errors import DegenerateSpectrum, InvalidDensityMatrix, SingularState
-from buresgeo.sampling import make_rng, random_unitary
+from buresgeo.sampling import make_rng, random_tangent, random_unitary
 from buresgeo.tol import DET_FLOOR, GAP, INVARIANT
 
 SRC = Path(coset.__file__).resolve().parent
@@ -97,13 +97,20 @@ def test_one_psd_rule_for_states_and_square_roots(neg):
             as_density(state)
 
 
-def _spectrum_with_det(n: int, det: float) -> list[float]:
-    """(1 - e, e) for n = 2 or (0.6, 0.4 - e, e) for n = 3, with product ``det``."""
+def _floor_quantity(state) -> float:
+    """|rho| at n = 2, e3/e2 = 2|rho|/(1 - Tr rho^2) at n = 3: what DET_FLOOR bounds."""
+    det = matcore.det(state).real
+    return det if len(state) == 2 else 2 * det / (1 - np.trace(state @ state).real)
+
+
+def _spectrum_at_floor(n: int, value: float) -> list[float]:
+    """(1 - e, e) with |rho| = ``value`` for n = 2, or (0.6, 0.4 - e, e) with
+    e3/e2 = ``value`` for n = 3 (the small root of 0.6 (0.4 - e) e = value e2)."""
     if n == 2:
-        e = 2 * det / (1 + math.sqrt(1 - 4 * det))
+        e = 2 * value / (1 + math.sqrt(1 - 4 * value))
         return [1 - e, e]
-    q = det / 0.6
-    e = 2 * q / (0.4 + math.sqrt(0.16 - 4 * q))
+    a, b, c = 0.6 - value, 0.4 * value - 0.24, 0.24 * value
+    e = 2 * c / (-b + math.sqrt(b * b - 4 * a * c))
     return [0.6, 0.4 - e, e]
 
 
@@ -120,8 +127,8 @@ FLOOR_ROUTES = {
 @pytest.mark.parametrize("factor", [1 - 1e-12, 1 + 1e-12], ids=["at", "above"])
 def test_one_determinant_floor(route, factor):
     n, call = FLOOR_ROUTES[route]
-    state = np.diag(_spectrum_with_det(n, DET_FLOOR * factor)).astype(complex)
-    assert (matcore.det(state).real <= DET_FLOOR) == (factor < 1)
+    state = np.diag(_spectrum_at_floor(n, DET_FLOOR * factor)).astype(complex)
+    assert (_floor_quantity(state) <= DET_FLOOR) == (factor < 1)
     if factor < 1:
         with pytest.raises(SingularState, match=r"<= 1e-10"):
             call(state)
@@ -130,9 +137,25 @@ def test_one_determinant_floor(route, factor):
 
 
 def test_dittmann3_refuses_a_state_below_the_floor():
-    # |rho| = 5e-11: lambda_min ~ 2e-10, where the trace form would carry a
+    # e3/e2 = 5e-11: lambda_min ~ 5e-11, where the trace form would carry a
     # relative error of up to about 2.2e-16/lambda_min against the spectral oracle
     u = random_unitary(make_rng(3), 3)
-    state = u @ np.diag(_spectrum_with_det(3, 5e-11)) @ u.conj().T
-    with pytest.raises(SingularState):
+    state = u @ np.diag(_spectrum_at_floor(3, 5e-11)) @ u.conj().T
+    assert _floor_quantity(state) <= DET_FLOOR
+    with pytest.raises(SingularState, match=r"e3/e2"):
         bures.dittmann3_form(state, TANGENT[3])
+
+
+def test_dittmann3_accepts_two_small_eigenvalues_above_the_floor():
+    # lambda = (1 - 2e-5, 1.2e-5, 7.9e-6): |rho| = 9.6e-11 lies under the
+    # floor, but e3/e2 ~ 4.8e-6 tracks lambda_min, and the trace form is accurate
+    chart = coset.CosetChart3(math.asin(math.sqrt(2e-5)), 0.68, 0.3, 0.4, 0.5, 0.2, 0.1, 0.7)
+    state = coset.rho3(chart)
+    assert matcore.det(state.mat).real <= DET_FLOOR < _floor_quantity(state.mat)
+    report = metric.validate(chart)
+    assert report.dittmann_max_rel_dev <= 1e-9
+    rng = make_rng(4)
+    for _ in range(20):
+        d = random_tangent(rng, 3)
+        hub = bures.hubner_form(state, d, d)
+        assert abs(bures.dittmann3_form(state, d) - hub) <= 1e-9 * abs(hub)
