@@ -20,6 +20,7 @@ import functools
 import io
 import json
 import math
+import operator
 import re
 import sys
 
@@ -30,7 +31,8 @@ import numpy as np
 from . import coset, metric, recover, sampling
 from .bures import distance_from_fidelity, fidelity
 from .coset import DensityMatrix
-from .errors import BuresGeoError, DimensionMismatch, ParseError, VerificationFailure
+from .errors import (BuresGeoError, DimensionMismatch, OutOfChartRange, ParseError,
+                     VerificationFailure)
 from .metric import FAMILIES, Family
 from .tol import DEFAULT_STEP, DEFAULT_TOL
 
@@ -313,20 +315,33 @@ def cmd_scan(args):
             raise ParseError(f"unknown sweep coordinate {coord!r} for n={args.n}")
         if args.coord.count(coord) > 1:
             raise ParseError(f"coordinate {coord!r} is swept more than once")
-    grids = [np.linspace(_convert(a, args.degrees), _convert(b, args.degrees), k)
-             for a, b, k in zip(args.start, args.stop, args.points)]
+    grids = []
+    for coord, a, b, k in zip(args.coord, args.start, args.stop, args.points):
+        a, b = _convert(a, args.degrees), _convert(b, args.degrees)
+        if not math.isfinite(b - a):  # nor is an end; np.linspace would warn, fill in nan
+            raise OutOfChartRange(coord, b - a, f"--to - --from = {b!r} - {a!r} must be finite")
+        grids.append(np.linspace(a, b, k))
     tensor = fam.tensor(args.method)
+    # the chart's values in positional order; each point overwrites the swept slots
+    values = [base[name] for name in fam.coords]
+    slots = [fam.coords.index(coord) for coord in args.coord]
 
-    picks = None
+    picks = get = None
     rows = []
     for combo in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(
             -1, len(grids)).tolist():
-        mt = tensor(fam.chart(**{**base, **dict(zip(args.coord, combo))}))
+        for k, v in zip(slots, combo):
+            values[k] = v
+        mt = tensor(fam.chart(*values))
         if picks is None:
             # read the entry names only now: a bad first chart outranks a bad name
             picks = _entry_picks(args.entries, mt)
-        g = mt.g.tolist()
-        rows.append((*combo, *[g[i][j] for _, i, j in picks], metric.volume_element(mt)))
+            # the picked entries of the flat g, then the volume element after it
+            d = len(values)
+            get = operator.itemgetter(*[i * d + j for _, i, j in picks], d * d)
+        g = mt.g.ravel().tolist()
+        g.append(metric.volume_element(mt))
+        rows.append((*combo, *get(g)))
     header = args.coord + [key for key, _, _ in picks] + ["sqrt_det_g"]
 
     def csv_lines():
@@ -396,11 +411,15 @@ def cmd_find_chart(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return v
+def _int_from(lo: int) -> Callable[[str], int]:
+    """The argparse type of an int flag whose value must be >= ``lo``."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}")
+        return v
+    parse.__name__ = "int"  # argparse reports a non-int as "invalid int value"
+    return parse
 
 
 def _tol_value(text: str) -> float:
@@ -438,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("--method", dict(choices=("closed", "pullback", "both"), default="both"))]),
         ("validate", cmd_validate, "cross-validate all routes on random points", [
             n_flag,
-            ("--samples", dict(type=_positive_int, default=100)),
-            ("--seed", dict(type=int, default=0)),
+            ("--samples", dict(type=_int_from(1), default=100)),
+            ("--seed", dict(type=_int_from(0), default=0)),  # SeedSequence takes no seed < 0
             ("--tol", dict(type=_tol_value, default=DEFAULT_TOL,
                            help=f"tolerance (default {DEFAULT_TOL})"))]),
         ("scan", cmd_scan, "sweep coordinates, one CSV row per grid point", [
@@ -448,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="coordinate to sweep (repeatable)")),
             ("--from", dict(dest="start", action="append", type=float, required=True)),
             ("--to", dict(dest="stop", action="append", type=float, required=True)),
-            ("--points", dict(action="append", type=_positive_int, required=True)),
+            ("--points", dict(action="append", type=_int_from(1), required=True)),
             ("--entries", dict(default="diag",
                                help="'diag', 'all', or comma list like g_theta_theta")),
             ("--method", dict(choices=("closed", "pullback"), default="closed"))]),
@@ -476,9 +495,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # argparse reads an argument that starts with '-' as an option unless it looks
-# like '-1' or '-0.5'; a negative float such as '-1e-4' after a flag is joined
-# to it as '--flag=-1e-4', so every value that scan prints pastes back
-NEGATIVE_FLOAT = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+# like '-1' or '-0.5'; every other negative spelling that float() reads ('-1e-4',
+# '-1_0', '-INF', '-nan ') after a flag is joined to it as '--flag=-1e-4'
+_DIGITS = r"\d(?:_?\d)*"
+NEGATIVE_FLOAT = re.compile(rf"-(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)"
+                            rf"(?:[eE][-+]?{_DIGITS})?|(?ai:inf(?:inity)?|nan))[^\S\x1c-\x1f]*")
 FLAG = re.compile(r"--\w[\w-]*")
 
 

@@ -102,22 +102,22 @@ class CosetChart3:
     psi2: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta1",
-                           _require_range("theta1", self.theta1, 0.0, THETA1_MAX))
-        object.__setattr__(self, "theta2",
-                           _require_range("theta2", self.theta2, THETA2_MIN, THETA2_MAX))
-        # one test passes six finite floats; anything else (or a sum that
-        # overflows) is converted or refused one coordinate at a time
         d = self.__dict__  # frozen: store the converted values directly
+        # one test each passes two in-range float thetas (clamping keeps them) and six
+        # finite floats; anything else, or a sum that overflows, goes one coordinate at a time
+        t1, t2 = d["theta1"], d["theta2"]
+        if not (type(t1) is type(t2) is float
+                and 0.0 <= t1 <= THETA1_MAX and THETA2_MIN <= t2 <= THETA2_MAX):
+            d["theta1"] = _require_range("theta1", t1, 0.0, THETA1_MAX)
+            d["theta2"] = _require_range("theta2", t2, THETA2_MIN, THETA2_MAX)
         a, p, b1, b2, s1, s2 = d["alpha"], d["phi"], d["beta1"], d["beta2"], d["psi1"], d["psi2"]
         if not (type(a) is type(p) is type(b1) is type(b2) is type(s1) is type(s2) is float
                 and math.isfinite(a + p + b1 + b2 + s1 + s2)):
             for name in FREE3:
                 d[name] = _require_finite(name, d[name])
-        if self.beta >= BETA_MAX:
-            raise OutOfChartRange(
-                "beta", self.beta, f"hypot(beta1, beta2) must be < {BETA_MAX:.10g}"
-            )
+        beta = math.hypot(d["beta1"], d["beta2"])
+        if beta >= BETA_MAX:
+            raise OutOfChartRange("beta", beta, f"hypot(beta1, beta2) must be < {BETA_MAX:.10g}")
 
     @property
     def beta(self) -> float:

@@ -76,13 +76,14 @@ class MetricTensor:
     g: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.g, dtype=float)
-        object.__setattr__(self, "g", arr)
+        arr = self.__dict__["g"] = np.asarray(self.g, dtype=float)  # frozen: store directly
         d = len(self.ordering)
         if arr.shape != (d, d):
             raise VerificationFailure(f"tensor shape {arr.shape} does not match ordering")
-        # an exactly symmetric tensor (every closed form) skips the subtraction
-        if not (arr == arr.T).all() and np.max(np.abs(arr - arr.T)) > INVARIANT:
+        # equal bytes (every closed form) pass at once; signed zeros and nan
+        # payloads go on to the elementwise test, unequal pairs to the subtraction
+        if (arr.tobytes() != arr.T.tobytes() and not (arr == arr.T).all()
+                and np.max(np.abs(arr - arr.T)) > INVARIANT):
             raise VerificationFailure(f"tensor not symmetric to {INVARIANT:.0e}")
 
     def entry(self, a: str, b: str) -> float:
@@ -213,13 +214,11 @@ def t_coeffs(theta1: float, theta2: float) -> tuple[float, float, float]:
     """
     lam = diag_entries3(theta1, theta2)
     _check_spectrum3(lam)
-    t3 = sum(x ** 3 for x in lam)
-    out = []
-    for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        li, lj, lk = lam[i], lam[j], lam[k]
-        out.append(-0.5 * (li - lj) ** 2
-                   * (1.0 + 3.0 * (1.0 - li) * (1.0 - lj) * (1.0 + lk) / (1.0 - t3)))
-    return tuple(out)
+    l0, l1, l2 = lam
+    d = 1.0 - (l0 ** 3 + l1 ** 3 + l2 ** 3)
+    return (-0.5 * (l0 - l1) ** 2 * (1.0 + 3.0 * (1.0 - l0) * (1.0 - l1) * (1.0 + l2) / d),
+            -0.5 * (l0 - l2) ** 2 * (1.0 + 3.0 * (1.0 - l0) * (1.0 - l2) * (1.0 + l1) / d),
+            -0.5 * (l1 - l2) ** 2 * (1.0 + 3.0 * (1.0 - l1) * (1.0 - l2) * (1.0 + l0) / d))
 
 
 def t_coeffs_printed(theta1: float, theta2: float) -> tuple[float, float, float]:
@@ -317,14 +316,14 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
         raise VerificationFailure("u1 + u2 != 1 + cos(beta)")
     if abs(v1 + v2 - (1.0 + sc)) > IDENTITY:
         raise VerificationFailure("v1 + v2 != 1 + sinc(beta)")
-    return Coeffs3(gamma=gamma, u1=u1, u2=u2, v1=v1, v2=v2, w1=w1, w2=w2, x=x, y=y)
+    return Coeffs3(gamma, u1, u2, v1, v2, w1, w2, x, y)
 
 
 # ---------------------------------------------------------------------------
 # 3-level closed form
 # ---------------------------------------------------------------------------
 
-def _closed_rows3(chart: CosetChart3, t: tuple[float, float, float], *,
+def _closed_rows3(chart: CosetChart3, t: tuple[float, float, float], beta: float, *,
                   entries: str) -> list[list[float]]:
     """The eight rows of the closed 3-level tensor, ordering COORDS3.
 
@@ -345,7 +344,6 @@ def _closed_rows3(chart: CosetChart3, t: tuple[float, float, float], *,
         raise ValueError(f"unknown entry convention {entries!r}")
     t12, t13, t23 = t
     b1, b2 = chart.beta1, chart.beta2
-    beta = chart.beta
     aux = aux_coeffs(b1, b2, chart.phi, chart.psi1, chart.psi2)
     u1, u2, v1, v2 = aux.u1, aux.u2, aux.v1, aux.v2
     w1, w2, x, y = aux.w1, aux.w2, aux.x, aux.y
@@ -431,10 +429,11 @@ def closed_metric3(chart: CosetChart3, *, entries: str = "validated") -> MetricT
     Needs an interior point: distinct eigenvalues bounded away from 0 and
     beta strictly in (0, pi).
     """
-    if not (0.0 < chart.beta < BETA_MAX):
-        raise OutOfChartRange("beta", chart.beta, "must lie strictly in (0, pi)")
+    beta = chart.beta
+    if not (0.0 < beta < BETA_MAX):
+        raise OutOfChartRange("beta", beta, "must lie strictly in (0, pi)")
     t = t_coeffs(chart.theta1, chart.theta2)
-    return MetricTensor(ordering=COORDS3, g=np.array(_closed_rows3(chart, t, entries=entries)))
+    return MetricTensor(COORDS3, np.array(_closed_rows3(chart, t, beta, entries=entries)))
 
 
 # ---------------------------------------------------------------------------

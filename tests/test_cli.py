@@ -501,6 +501,13 @@ OUTPUT_DIGESTS = [
      "b40efb813c4616ee40af5d901cf9046cbca3525339acec9cd4a11331c9e4e103"),
     (["find-chart", STATE3A, "--n", "3", "--format", "pretty"],
      "b40efb813c4616ee40af5d901cf9046cbca3525339acec9cd4a11331c9e4e103"),
+    # CI's closed-scan grid, where beta1 crosses +-1e-4 at beta2 = 1e-5, so beta
+    # crosses tol.SERIES_CUTOFF (last, so the pins above keep their ids)
+    (["scan", "--n", "3", "--theta1", "0.7", "--theta2", "0.6", "--phi", "0.4", "--beta2", "1e-5",
+      "--psi1", "0.2", "--psi2", "-0.5", "--coord", "alpha", "--from", "-0.3", "--to", "1.2",
+      "--points", "20", "--coord", "beta1", "--from", "-1e-4", "--to", "1e-4", "--points", "10",
+      "--entries", "all", "--format", "csv"],
+     "3aedda3d9feff1e66b0abbd35ed2e0a1e7b70aebad98dbc0ed362b1eb6f6ce71"),
 ]
 
 
@@ -678,6 +685,53 @@ def test_metric_reads_negative_e_notation_as_the_flag_value(value, capsys):
     assert code == 0
     assert run_cli([*chart, f"--beta1={value}"], capsys) == (0, spaced)
     assert run_cli([*chart, "--beta1", value[1:]], capsys)[1] != spaced
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-INF"])
+def test_negative_nonfinite_chart_value_exits_2(value, capsys):
+    # read as the flag's value, like "inf", not as an unknown option
+    code = main(["metric", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--beta1", value])
+    assert code == 2
+    assert "coordinate beta1=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,joined", [
+    ("-1", True), ("-1.", True), ("-.5", True), ("-1_000.5e-1_0", True), ("-2E+3", True),
+    ("-inf", True), ("-iNfInItY", True), ("-NaN", True), ("-1e5 ", True), ("-\u0661", True),
+    ("-", False), ("-e5", False), ("-1__0", False), ("-_1", False), ("-1_", False),
+    ("-1e", False), ("-infinit", False), ("-\u0131nf", False), ("-1\x1c", False),
+    ("--1", False), ("-0x10", False), ("-beta1", False)])
+def test_negative_float_is_every_negative_spelling_float_reads(text, joined):
+    try:
+        float(text)
+        reads = True
+    except ValueError:
+        reads = False
+    assert reads == joined
+    assert (cli.NEGATIVE_FLOAT.fullmatch(text) is not None) == joined
+    assert cli._join_negative_values(["--beta1", text]) == (
+        [f"--beta1={text}"] if joined else ["--beta1", text])
+
+
+@pytest.mark.parametrize("sweep", [
+    ["--from=inf", "--to", "1"], ["--from", "-inf", "--to", "1"], ["--from", "0", "--to=nan"],
+    ["--from", "1e308", "--to=-1e308"], ["--from", "1e308", "--to=-1e308", "--degrees"],
+], ids=["from-inf", "from-minus-inf", "to-nan", "span-overflows", "degrees-finite"])
+def test_scan_nonfinite_sweep_exits_2(sweep, capsys):
+    code = main(["scan", "--n", "2", "--theta", "0.3", "--coord", "alpha", *sweep,
+                 "--points", "3"])
+    out, err = capsys.readouterr()
+    if "--degrees" in sweep:  # the span in radians, 3.5e306, does not overflow
+        assert code == 0 and "nan" not in out
+    else:
+        assert code == 2 and out == ""
+        assert "coordinate alpha=" in err and ("--from" in err or "--to" in err)
+
+
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-5"]])
+def test_validate_negative_seed_is_a_usage_error(seed, capsys):
+    assert main(["validate", "--n", "2", "--samples", "1", *seed]) == 3
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_scan_values_paste_back_as_flag_values(capsys):

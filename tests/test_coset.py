@@ -10,6 +10,8 @@ from buresgeo.coset import (
     CosetChart2,
     CosetChart3,
     THETA1_MAX,
+    THETA2_MAX,
+    THETA2_MIN,
     diag2,
     diag3,
     omega2,
@@ -20,7 +22,7 @@ from buresgeo.coset import (
 )
 from buresgeo.errors import InvalidDensityMatrix, OutOfChartRange
 from buresgeo.sampling import make_rng, random_chart2, random_chart3
-from buresgeo.tol import INVARIANT, SERIES_CUTOFF
+from buresgeo.tol import INVARIANT, RANGE_EPS, SERIES_CUTOFF
 
 
 def omega3_upper_printed(b1, b2, p1, p2):
@@ -343,6 +345,40 @@ def test_chart3_coordinates_whose_sum_overflows_are_kept():
     with pytest.raises(OutOfChartRange) as exc:
         CosetChart3(0.5, 0.6, alpha=1e308, phi=1e308, psi2=math.inf)
     assert exc.value.coordinate == "psi2"
+
+
+def _outcome(build):
+    """(type, repr) of what ``build`` returns, or of the error it raises."""
+    try:
+        value = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+def _theta_inputs(lo, hi):
+    """Each range end, RANGE_EPS and one ulp around it, signed zeros, an int,
+    an np.float64, the non-finite floats and strings."""
+    return [lo, hi, *(end + k * RANGE_EPS for end in (lo, hi) for k in (-2, -1, 1, 2)),
+            math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+            0.0, -0.0, 0, 1, np.float64(0.5 * (lo + hi)), math.nan, math.inf, -math.inf,
+            "0.55", "abc"]
+
+
+def test_chart3_theta_fast_path_matches_require_range():
+    # the one-test path for in-range float thetas returns what _require_range
+    # returns, and every other input raises its error, theta1 first
+    t1s = _theta_inputs(0.0, THETA1_MAX)
+    t2s = _theta_inputs(THETA2_MIN, THETA2_MAX)
+    for t1 in t1s:
+        for t2 in t2s:
+            want = [_outcome(lambda: coset._require_range("theta1", t1, 0.0, THETA1_MAX)),
+                    _outcome(lambda: coset._require_range("theta2", t2, THETA2_MIN,
+                                                          THETA2_MAX))]
+            errors = [w for w in want if w[0] is not float]
+            got = [_outcome(lambda: CosetChart3(t1, t2, beta1=0.3).theta1),
+                   _outcome(lambda: CosetChart3(t1, t2, beta1=0.3).theta2)]
+            assert got == ([errors[0]] * 2 if errors else want), (t1, t2)
 
 
 def block_rows(n, k, b):

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -192,6 +193,36 @@ def test_t_coeffs_simplify_to_pair_ratio():
             assert val == pytest.approx(expected, rel=1e-12)
 
 
+def loop_t_coeffs(theta1, theta2):
+    """t_coeffs as an index loop with a generator sum: the reference that the
+    written-out coefficients must match bit for bit."""
+    lam = coset.diag_entries3(theta1, theta2)
+    metric._check_spectrum3(lam)
+    t3 = sum(x ** 3 for x in lam)
+    return tuple(-0.5 * (lam[i] - lam[j]) ** 2
+                 * (1.0 + 3.0 * (1.0 - lam[i]) * (1.0 - lam[j]) * (1.0 + lam[k]) / (1.0 - t3))
+                 for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+
+
+def test_t_coeffs_match_the_loop_bit_for_bit():
+    rng = make_rng(11)
+    thetas = [(ch.theta1, ch.theta2) for ch in (random_chart3(rng) for _ in range(2000))]
+    # the range ends and the eigenvalue floor
+    thetas += [(t1, t2) for t1 in (0.0012, 0.5, THETA1_MAX - 1e-3, THETA1_MAX)
+               for t2 in (THETA2_MIN, 0.6, THETA2_MAX - 1e-3, THETA2_MAX)]
+    checked = 0
+    for t1, t2 in thetas:
+        try:
+            want = loop_t_coeffs(t1, t2)
+        except DegenerateSpectrum as exc:
+            with pytest.raises(DegenerateSpectrum, match=re.escape(str(exc))):
+                t_coeffs(t1, t2)
+            continue
+        assert np.array(t_coeffs(t1, t2)).tobytes() == np.array(want).tobytes(), (t1, t2)
+        checked += 1
+    assert checked >= 2000
+
+
 def test_t_coeffs_all_nonpositive():
     rng = make_rng(3)
     for _ in range(200):
@@ -305,8 +336,8 @@ def pair(offdiag_a, offdiag_b, diag=1.0):
 
 
 @pytest.mark.parametrize("g", [np.zeros((2, 3)), [[0.0, 1.0], [0.5, 0.0]],
-                               pair(0.3, 0.3 + 2 * INVARIANT)],
-                         ids=["2x3", "asymmetric", "twice-invariant"])
+                               pair(0.3, 0.3 + 2 * INVARIANT), pair(math.inf, -math.inf)],
+                         ids=["2x3", "asymmetric", "twice-invariant", "opposite-infs"])
 def test_metric_tensor_rejects_bad_matrix(g):
     with pytest.raises(VerificationFailure):
         MetricTensor(ordering=("a", "b"), g=g)
@@ -319,12 +350,29 @@ def test_metric_tensor_rejects_bad_matrix(g):
     pair(math.nan, 0.0),               # nan > INVARIANT is False: accepted
     pair(0.0, 0.0, diag=math.nan),
     pair(math.inf, math.inf),          # exactly symmetric: inf - inf is never formed
-], ids=["exact", "half-invariant", "signed-zero", "nan-offdiag", "nan-diag", "inf-pair"])
+    pair(math.nan, math.nan),          # equal bytes, though nan != nan
+    pair(math.nan, -math.nan),         # unequal bytes: the elementwise test decides
+], ids=["exact", "half-invariant", "signed-zero", "nan-offdiag", "nan-diag", "inf-pair",
+        "nan-pair", "nan-signs"])
 def test_metric_tensor_symmetry_check_accepts(g):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         t = MetricTensor(ordering=("a", "b"), g=g)
     assert t.g.tobytes() == np.array(g).tobytes()
+
+
+def test_metric_tensor_symmetry_check_on_a_closed_tensor():
+    # a mirrored signed zero passes; a 2 INVARIANT defect in any entry fails
+    g = closed_metric3(random_chart3(make_rng(7))).g
+    for i, j in ((2, 0), (7, 1)):
+        mirrored = g.copy()
+        mirrored[i, j] = -0.0
+        assert MetricTensor(COORDS3, mirrored).g.tobytes() == mirrored.tobytes()
+    for i, j in ((2, 0), (3, 2), (7, 6)):
+        bad = g.copy()
+        bad[i, j] += 2 * INVARIANT
+        with pytest.raises(VerificationFailure):
+            MetricTensor(COORDS3, bad)
 
 
 def test_closed_metric3_block_structure():
