@@ -45,7 +45,7 @@ def fidelity(rho1, rho2) -> float:
         raise DimensionMismatch(f"dimensions differ: {r1.dim} vs {r2.dim}")
     h1, h2 = (s.eigenvectors * np.sqrt(np.maximum(s.eigenvalues, 0.0))
               for s in (r1.spectral, r2.spectral))
-    f = float(np.linalg.svd(h1.conj().T @ h2, compute_uv=False).sum()) ** 2
+    f = float(matcore.singular_values(h1.conj().T @ h2).sum()) ** 2
     if not (-FIDELITY_BELOW <= f <= 1.0 + FIDELITY_ABOVE):  # pragma: no cover - unreachable
         raise VerificationFailure(f"raw fidelity {f!r} outside "
                                   f"[-{FIDELITY_BELOW:.0e}, 1+{FIDELITY_ABOVE:.0e}]")
@@ -154,5 +154,5 @@ def _dittmann3_invariants(dm: DensityMatrix) -> tuple[np.ndarray, float, float]:
         if 2.0 * detr <= DET_FLOOR * two_e2:
             raise SingularState(f"e3/e2 = 2|rho|/(1 - Tr rho^2) = 2 * {detr:.3e} / {two_e2:.3e} "
                                 f"<= {DET_FLOOR:.0e}")
-        inv = dm._dittmann3 = (np.linalg.inv(m), detr, 3.0 / (1.0 - tr3))
+        inv = dm._dittmann3 = (matcore.inv(m), detr, 3.0 / (1.0 - tr3))
     return inv

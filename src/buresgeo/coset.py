@@ -27,6 +27,7 @@ import numpy as np
 
 from . import matcore
 from .errors import (
+    ConvergenceFailure,
     DegenerateSpectrum,
     InvalidDensityMatrix,
     OutOfChartRange,
@@ -174,7 +175,18 @@ class DensityMatrix:
     @property
     def spectral(self) -> matcore.SpectralDecomposition:
         if self._spectral is None:
-            spec = matcore.eig_hermitian(self.mat)
+            try:
+                spec = matcore.eig_hermitian(self.mat)
+            except ConvergenceFailure:
+                rows = self.mat.tolist()
+                if (all(cmath.isfinite(z) for row in rows for z in row)
+                        and math.isnan(matcore.hermiticity_defect(rows))):
+                    # finite entries beyond 2**1023 overflow A + A^dag; a state
+                    # has every |rho_ij| <= 1, so this is no state
+                    raise InvalidDensityMatrix(
+                        "not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)"
+                    ) from None
+                raise
             if spec.eigenvalues[0] < -INVARIANT:
                 raise InvalidDensityMatrix(
                     f"not PSD: min eigenvalue {spec.eigenvalues[0]:.3e} < -{INVARIANT:.1e}"
@@ -268,13 +280,17 @@ def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
     from Python scalars and converted to an array once: at n = 3 numpy's
     per-operation overhead dominates the arithmetic. The 0j and 1 + 0j
     keep the signed zeros of the plain block product, which the tests
-    compare against bit for bit.
+    compare against bit for bit. OutOfChartRange if alpha * conj(alpha)
+    overflows (|alpha| above about 1.34e154), where Omega would be nan.
     """
     a = cmath.rect(chart.alpha, chart.phi)
     ac = a.conjugate()
+    aac = a * ac
+    if not cmath.isfinite(aac):
+        raise OutOfChartRange("alpha", chart.alpha, "alpha^2 overflows")
     aabs = abs(a)
     sa = sinc(aabs)
-    l00 = (1 + 0j) + cosm1_over_sq(aabs) * (a * ac)
+    l00 = (1 + 0j) + cosm1_over_sq(aabs) * aac
     l01, l10, l11 = a * sa, -sa * ac, complex(math.cos(aabs))
     b1, b2 = cmath.rect(chart.beta1, chart.psi1), cmath.rect(chart.beta2, chart.psi2)
     b1c, b2c = b1.conjugate(), b2.conjugate()

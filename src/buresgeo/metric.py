@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import coset
+from . import coset, matcore
 from .bures import hubner_form
 from .coset import (
     BETA_MAX,
@@ -93,9 +93,12 @@ class MetricTensor:
 def volume_element(metric: MetricTensor) -> float:
     """sqrt(det g), or +0.0 where det g <= 0: the Bures measure density in
     chart coordinates. An exactly singular g is a valid input, so LAPACK's
-    divide-by-zero warning on it is silenced."""
-    with np.errstate(divide="ignore"):
-        d = float(np.linalg.det(metric.g))
+    divide-by-zero warning on it is silenced. VerificationFailure if det g
+    is not finite (g has a nan or infinite entry, or det g overflows)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = matcore.det_real(metric.g)
+    if not math.isfinite(d):
+        raise VerificationFailure(f"det g = {d!r} is not finite")
     return 0.0 if d <= 0.0 else math.sqrt(d)
 
 

@@ -167,6 +167,33 @@ def test_fidelity_invalid_state_exit_4(tmp_path, capsys):
     assert "trace" in err
 
 
+@pytest.mark.parametrize("off, message", [
+    (1e200, "error: not PSD: min eigenvalue -1.000e+200 < -1.0e-10\n"),
+    # finite, Hermitian and of unit trace, but A + A^dag overflows
+    (1e308, "error: not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)\n"),
+], ids=["1e200", "1e308"])
+@pytest.mark.parametrize("command", [["fidelity", "--state-a", "{}", "--state-b", "theta=0.3"],
+                                     ["find-chart", "{}"]], ids=["fidelity", "find-chart"])
+def test_a_state_with_huge_entries_exits_4(off, message, command, tmp_path):
+    path = write_matrix(tmp_path, "big.json", [[0.5, off], [off, 0.5]])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "buresgeo.cli",
+                           *(a.format(path) for a in command)],
+                          capture_output=True, text=True, env=src_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--alpha", "1e300"],
+    ["metric", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--alpha", "-1e300",
+     "--method", "pullback"],
+], ids=["rho", "metric-pullback"])
+def test_an_alpha_whose_square_overflows_exits_2(argv):
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "buresgeo.cli", *argv],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: coordinate alpha=") and "alpha^2 overflows" in proc.stderr
+
+
 @pytest.mark.parametrize("neg,code", [(-5e-11, 0), (-2e-10, 4)])
 def test_fidelity_psd_band(neg, code, tmp_path, capsys):
     # one PSD rule, DensityMatrix.spectral's, for the state and its fidelity

@@ -429,6 +429,42 @@ def test_rho3_equals_the_block_product_bit_for_bit():
         assert omega3(ch).tobytes() == np.array(rows, dtype=np.complex128).tobytes(), ch
 
 
+@pytest.mark.filterwarnings("error")
+def test_rho3_refuses_an_alpha_whose_square_overflows():
+    # |alpha| above sqrt(max float) ~ 1.34e154: alpha * conj(alpha) is inf
+    # and Omega would be nan; just below it the block product still holds
+    top = 1.3407807929942596e154
+    for alpha in (math.nextafter(top, math.inf), 1e300, -1e300, 1e308):
+        for build in (rho3, omega3):
+            with pytest.raises(OutOfChartRange, match=r"alpha\^2 overflows") as exc:
+                build(CosetChart3(0.5, 0.6, alpha, 0.3))
+            assert exc.value.coordinate == "alpha"
+    for alpha in (top, -top, 1e154):
+        ch = CosetChart3(0.5, 0.6, alpha, 0.3)
+        rows = block_product_rows(ch)
+        want = coset._assemble3(rows, coset.diag_entries3(ch.theta1, ch.theta2)).mat
+        assert rho3(ch).mat.tobytes() == want.tobytes() and np.isfinite(want).all(), ch
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_state_whose_hermitian_part_overflows_is_refused_as_not_psd():
+    # finite, Hermitian and of unit trace, so construction passes it
+    dm = coset.DensityMatrix(np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex))
+    for _ in range(2):  # nothing is cached, so it is refused again
+        with pytest.raises(InvalidDensityMatrix, match="not PSD: the spectrum overflows"):
+            dm.validate_full()
+
+
+def test_density_matrix_whose_defect_overflows_is_not_hermitian():
+    # abs() of the finite A_01 - conj(A_10) raises OverflowError in Python
+    mat = np.array([[0.5, 1e308 + 1e308j], [-0.5e308 + 0.5e308j, 0.5]])
+    assert scalar_state_check(mat) == "not Hermitian: max |A - A^dag| = inf > 1.0e-10"
+    # a Hermitian part that overflows does not hide a defect elsewhere
+    mat = np.array([[0.5, 1e308, 1.0], [1e308, 0.3, 0.0], [0.0, 0.0, 0.2]])
+    assert scalar_state_check(mat) == numpy_state_check(mat) == (
+        "not Hermitian: max |A - A^dag| = 1.000e+00 > 1.0e-10")
+
+
 def test_density_matrix_invariant_errors():
     with pytest.raises(InvalidDensityMatrix):
         coset.as_density(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))  # not Hermitian

@@ -1,10 +1,15 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from buresgeo import matcore
+from buresgeo.coset import CosetChart3, rho2, rho3
 from buresgeo.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from buresgeo.metric import closed_metric3, volume_element
+from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_unitary
 from buresgeo.tol import INVARIANT
 
 
@@ -106,9 +111,146 @@ def test_eig_hermitian_at_the_invariant_threshold():
 
 
 @pytest.mark.filterwarnings("error")
-def test_eig_hermitian_nan_entry_fails_in_the_solver():
-    # nan > INVARIANT is False, so the check passes it on and eigh gives up
+def test_eig_hermitian_nan_entry_is_refused_before_the_solver(monkeypatch):
+    # nan > INVARIANT is False, so the defect check alone would pass it on
+    monkeypatch.setattr(matcore, "eigh", None)  # the solver is never reached
     a = np.diag([0.5, 0.3, 0.2]).astype(complex)
     a[0, 1] = a[1, 0] = math.nan
-    with pytest.raises(ConvergenceFailure):
+    with pytest.raises(ConvergenceFailure, match="not passed to the eigensolver"):
         matcore.eig_hermitian(a)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                 complex(math.inf, -math.inf)])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 0), (2, 2)])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_eig_hermitian_refuses_a_nonfinite_entry_without_a_warning(bad, at, mirrored):
+    a = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    a[at] = bad
+    if mirrored:
+        a[at[::-1]] = np.conj(bad)
+    with pytest.raises((ConvergenceFailure, NotHermitian)):
+        matcore.eig_hermitian(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_eig_hermitian_refuses_a_hermitian_part_that_overflows():
+    # finite and exactly Hermitian, but A + A^dag is inf: refused before the
+    # solver instead of overflowing in hermitize
+    a = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
+    assert math.isnan(matcore.hermiticity_defect(a.tolist()))
+    with pytest.raises(ConvergenceFailure, match="not passed to the eigensolver"):
+        matcore.eig_hermitian(a)
+    # the largest entries whose Hermitian part is finite still decompose
+    a[0, 1] = a[1, 0] = np.nextafter(2.0 ** 1023, 0.0)
+    assert np.isfinite(matcore.eig_hermitian(a).eigenvalues).all()
+
+
+def test_hermiticity_defect_that_overflows_is_inf():
+    # |A_01 - conj(A_10)| of finite parts beyond the largest float: abs() of a
+    # Python complex raises OverflowError there
+    a = np.array([[0.5, 1e308 + 1e308j], [-0.5e308 + 0.5e308j, 0.5]])
+    assert matcore.hermiticity_defect(a.tolist()) == math.inf
+    with pytest.raises(NotHermitian, match="= inf >"):
+        matcore.eig_hermitian(a)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK kernels: byte for byte np.linalg
+# ---------------------------------------------------------------------------
+
+def _states():
+    """2x2 and 3x3 chart states, Hilbert-Schmidt states, rank-1 and rank-2
+    states and degenerate spectra."""
+    rng = make_rng(16)
+    out = [rho2(random_chart2(rng)).mat for _ in range(10)]
+    out += [rho3(random_chart3(rng)).mat for _ in range(10)]
+    for n in (2, 3):
+        for rank in range(1, n + 1):
+            for _ in range(5):
+                g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+                s = g @ g.conj().T
+                out.append(s / np.trace(s).real)
+    out += [np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3,
+            np.diag([0.5, 0.25, 0.25]).astype(complex)]
+    u = random_unitary(rng, 3)
+    out.append((u * [0.5, 0.25, 0.25]) @ u.conj().T)
+    return out
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigh_kernel_equals_np_linalg_byte_for_byte():
+    for state in _states():
+        h = matcore.hermitize(state)
+        w, v = matcore.eigh(h)
+        want = np.linalg.eigh(h)
+        assert _same_bytes(w, want.eigenvalues) and _same_bytes(v, want.eigenvectors), state
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_values_kernel_equals_np_linalg_byte_for_byte():
+    states = _states()
+    # the products fidelity takes singular values of, and the states themselves
+    roots = [matcore.eig_hermitian(s) for s in states]
+    roots = [r.eigenvectors * np.sqrt(np.maximum(r.eigenvalues, 0.0)) for r in roots]
+    mats = states + [a.conj().T @ b for a, b in zip(roots, roots[1:]) if a.shape == b.shape]
+    for m in mats:
+        assert _same_bytes(matcore.singular_values(m), np.linalg.svd(m, compute_uv=False)), m
+
+
+@pytest.mark.filterwarnings("error")
+def test_det_and_inv_kernels_equal_np_linalg_byte_for_byte():
+    for state in _states():
+        assert _same_bytes(matcore.det(state), complex(np.linalg.det(state)))
+        if state.shape == (3, 3) and abs(np.linalg.det(state)) > 1e-8:
+            assert _same_bytes(matcore.inv(state), np.linalg.inv(state)), state
+    rng = make_rng(17)
+    charts = [random_chart3(rng) for _ in range(10)]
+    # at the last chart the tensor is exactly singular
+    charts.append(CosetChart3(0.6, 0.68, 1e-05, 1.1, 1e-300, 5e-05, 1.1, -1.1))
+    for ch in charts:
+        g = closed_metric3(ch).g
+        with np.errstate(divide="ignore"):
+            assert _same_bytes(matcore.det_real(g), float(np.linalg.det(g))), ch
+    vol = volume_element(closed_metric3(charts[-1]))
+    assert vol == 0.0 and math.copysign(1.0, vol) == 1.0
+
+
+class _FailingLapack:
+    """Stands in for numpy's gufunc module: every output is nan, as LAPACK's
+    failure leaves it."""
+
+    @staticmethod
+    def eigh_lo(a, signature):
+        n = a.shape[0]
+        return np.full(n, np.nan), np.full((n, n), np.nan, dtype=complex)
+
+    @staticmethod
+    def svd(a, signature):
+        return np.full(min(a.shape), np.nan)
+
+    @staticmethod
+    def inv(a, signature):
+        return np.full(a.shape, np.nan, dtype=complex)
+
+
+def test_a_nonfinite_kernel_result_raises_convergence_failure(monkeypatch):
+    monkeypatch.setattr(matcore, "_umath_linalg", _FailingLapack)
+    state = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    for call in (matcore.eigh, matcore.singular_values, matcore.inv,
+                 matcore.eig_hermitian):
+        with pytest.raises(ConvergenceFailure):
+            call(state)
+
+
+def test_only_matcore_calls_lapack():
+    src = Path(matcore.__file__).parent
+    calls = re.compile(r"linalg\.(eigh|eigvalsh|svd|det|slogdet|inv|solve)\b|_umath_linalg")
+    users = sorted(p.name for p in src.glob("*.py") if calls.search(p.read_text()))
+    assert users == ["matcore.py"]

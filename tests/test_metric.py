@@ -649,6 +649,14 @@ def test_volume_element_of_a_singular_tensor_is_plus_zero():
                 assert vol == 0.0 and math.copysign(1.0, vol) == 1.0, ch
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e200])
+def test_volume_element_of_a_tensor_whose_det_is_not_finite_is_refused(entry):
+    g = MetricTensor(ordering=("a", "b"), g=np.array([[entry, 0.0], [0.0, entry]]))
+    with pytest.raises(VerificationFailure, match="is not finite"):
+        volume_element(g)
+
+
 def test_volume_3level_closed_vs_pullback():
     rng = make_rng(12)
     for _ in range(5):
