@@ -9,7 +9,7 @@ with tangent drho:
   * dittmann3_form  -- same idea for nonsingular, non-pure 3x3 states.
 
 All three agree to ~1e-14 relative on well-conditioned states; the trace
-forms lose up to about 2.2e-16/lambda_min relative (~2e-6 just above
+forms lose up to about 2.2e-16/lambda_min relative (~1e-8 just above
 tol.DET_FLOOR, below which they refuse). `metric.validate` re-checks them.
 """
 
@@ -108,7 +108,7 @@ def dittmann2_form(rho, drho) -> float:
     d = np.asarray(drho, dtype=np.complex128)
     detr = matcore.det(dm.mat).real
     if detr <= DET_FLOOR:
-        raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.0e}")
+        raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.1e}")
     q = d - dm.mat @ d
     val = np.trace(d @ d + (q @ q) / detr).real
     return 0.25 * float(val)
@@ -153,6 +153,6 @@ def _dittmann3_invariants(dm: DensityMatrix) -> tuple[np.ndarray, float, float]:
         # multiplied out: e2 = 0 divides nothing
         if 2.0 * detr <= DET_FLOOR * two_e2:
             raise SingularState(f"e3/e2 = 2|rho|/(1 - Tr rho^2) = 2 * {detr:.3e} / {two_e2:.3e} "
-                                f"<= {DET_FLOOR:.0e}")
+                                f"<= {DET_FLOOR:.1e}")
         inv = dm._dittmann3 = (matcore.inv(m), detr, 3.0 / (1.0 - tr3))
     return inv

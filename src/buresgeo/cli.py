@@ -15,9 +15,7 @@ bit-identically.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import operator
@@ -133,33 +131,33 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def payload_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row.values()]
-                     for row in rows)
-    return buf.getvalue()
+def csv_text(header: Sequence[str], rows: Sequence[tuple]) -> str:
+    """The CSV lines of ``header`` and ``rows``, ending in a newline. A column
+    prints as %.17g (as _fmt) if its value in the first row is a float, as %s
+    otherwise. Names are coordinates, routes and g_<a>_<b> keys, and values
+    are numbers: nothing needs quoting."""
+    line = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in rows[0]])
+    return "\n".join([",".join(header), *[line % row for row in rows]]) + "\n"
 
 
-def render(output_format: str, payload: dict, csv_rows: Optional[Callable],
-           pretty: Callable[[], Iterable[str]]) -> str:
+def render(output_format: str, payload: dict, table: Optional[Callable],
+           pretty: Optional[Callable[[], Iterable[str]]]) -> str:
     """A command's result in the requested format, ending in a newline; only
-    that format is built.
+    that format is built. ``table`` returns the CSV (header, rows).
 
-    A command without CSV rows (``csv_rows`` is None) prints its pretty lines
-    for ``--format csv``.
+    A command without a table prints its pretty lines for ``--format csv``;
+    one without pretty lines (scan) prints its table for ``--format pretty``.
     """
     if output_format == "json":
         return json.dumps(payload, indent=2) + "\n"
-    if output_format == "csv" and csv_rows is not None:
-        return payload_to_csv(csv_rows())
+    if table is not None and (output_format == "csv" or pretty is None):
+        return csv_text(*table())
     return "\n".join(pretty()) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (exit code, JSON payload, CSV rows thunk or None,
-# pretty lines thunk)
+# commands: each returns (exit code, JSON payload, CSV table thunk or None,
+# pretty lines thunk or None)
 # ---------------------------------------------------------------------------
 
 def cmd_rho(args):
@@ -183,10 +181,9 @@ def cmd_rho(args):
         yield f"trace: {_fmt(payload['trace'])}"
         yield f"min eigenvalue: {_fmt(payload['min_eigenvalue'])}"
 
-    dim = range(mat.shape[0])
-    return 0, payload, lambda: [
-        {"i": i, "j": j, "re": float(mat[i, j].real), "im": float(mat[i, j].imag)}
-        for i in dim for j in dim], pretty
+    real, imag, dim = payload["re"], payload["im"], range(mat.shape[0])
+    return 0, payload, lambda: (("i", "j", "re", "im"), [
+        (i, j, real[i][j], imag[i][j]) for i in dim for j in dim]), pretty
 
 
 def cmd_fidelity(args):
@@ -198,7 +195,7 @@ def cmd_fidelity(args):
         "sqrt_fidelity": math.sqrt(f),
         "bures_distance": distance_from_fidelity(f),
     }
-    return 0, payload, lambda: [payload], lambda: (
+    return 0, payload, lambda: (list(payload), [tuple(payload.values())]), lambda: (
         f"{k}: {_fmt(v)}" for k, v in payload.items())
 
 
@@ -215,9 +212,9 @@ def cmd_metric(args):
         payload["max_abs_dev"] = float(np.max(np.abs(tensors["closed"].g
                                                      - tensors["pullback"].g)))
 
-    def rows():
-        return [{"entry": key, **{name: float(mt.g[i, j]) for name, mt in tensors.items()}}
-                for key, i, j in metric.upper_entries(fam.coords)]
+    def table():
+        return ("entry", *tensors), [(key, *[float(mt.g[i, j]) for mt in tensors.values()])
+                                     for key, i, j in metric.upper_entries(fam.coords)]
 
     def pretty():
         yield "ordering: " + " ".join(fam.coords)
@@ -228,7 +225,7 @@ def cmd_metric(args):
         if "max_abs_dev" in payload:
             yield f"max |closed - pullback| = {_fmt(payload['max_abs_dev'])}"
 
-    return 0, payload, rows, pretty
+    return 0, payload, table, pretty
 
 
 def _merge_max(into: dict, new: dict) -> None:
@@ -343,16 +340,8 @@ def cmd_scan(args):
         g.append(metric.volume_element(mt))
         rows.append((*combo, *get(g)))
     header = args.coord + [key for key, _, _ in picks] + ["sqrt_det_g"]
-
-    def csv_lines():
-        # names are coordinates and g_<a>_<b> keys, and every value is a float
-        # printed as _fmt prints it: nothing needs csv quoting
-        yield ",".join(header)
-        line = ",".join(["%.17g"] * len(header))
-        yield from [line % row for row in rows]
-
     # scan prints its CSV for both --format csv and pretty
-    return 0, {"header": header, "rows": rows}, None, csv_lines
+    return 0, {"header": header, "rows": rows}, lambda: (header, rows), None
 
 
 def cmd_permtest(args):
@@ -388,21 +377,20 @@ def cmd_find_chart(args):
     rho = coset.as_density(read_matrix(args.input))
     if args.n is not None and rho.dim != args.n:
         raise DimensionMismatch(f"--n {args.n} but the file holds a {rho.dim}x{rho.dim} matrix")
+    # the residual is the round trip's Frobenius error ||rho(chart) - rho||
     chart, residual = recover.find_chart(rho)
-    fam = FAMILIES[rho.dim]
-    roundtrip = float(np.linalg.norm(fam.rho(chart).mat - rho.mat))
     payload = {
         "n": rho.dim,
-        "chart": {k: v for k, v in zip(fam.coords, chart.values())},
+        "chart": {k: v for k, v in zip(FAMILIES[rho.dim].coords, chart.values())},
         "fit_residual": residual,
-        "roundtrip_frobenius": roundtrip,
+        "roundtrip_frobenius": residual,
     }
 
     def pretty():
         yield f"recovered chart (n={rho.dim}):"
         yield from (f"  {k} = {_fmt(v)}" for k, v in payload["chart"].items())
         yield f"fit residual: {_fmt(residual)}"
-        yield f"round-trip Frobenius error: {_fmt(roundtrip)}"
+        yield f"round-trip Frobenius error: {_fmt(residual)}"
 
     return 0, payload, None, pretty
 
@@ -521,8 +509,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # chart-range code here: a usage error is a parse error
         return ParseError.exit_code if exc.code else 0
     try:
-        code, payload, csv_rows, pretty = args.run(args)
-        text = render(args.output_format, payload, csv_rows, pretty)
+        code, payload, table, pretty = args.run(args)
+        text = render(args.output_format, payload, table, pretty)
     except BuresGeoError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import matcore
 from .errors import (
-    ConvergenceFailure,
     DegenerateSpectrum,
     InvalidDensityMatrix,
     OutOfChartRange,
@@ -132,41 +131,57 @@ class CosetChart3:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with cached derived data.
 
-    Finite entries, Hermiticity and trace are checked at construction
-    (tolerance tol.INVARIANT); positivity is checked whenever the spectral
-    decomposition is computed. Two kinds of derived data are cached on first
-    use: the spectral decomposition and, for 3x3 states, the trace-form
-    invariants of ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}).
-    ``mat`` is a private read-only copy of the input, so neither a write to it
-    nor a later change to the caller's array can leave the caches describing
-    another matrix.
+    Construction checks, in this order and to tolerance tol.INVARIANT, that
+    every entry is finite, that the matrix is Hermitian, that its trace is 1
+    and that its Hermitian part does not overflow (entries near 1e308, where
+    no spectrum exists; a state has every |rho_ij| <= 1). Positivity is
+    checked when the spectral decomposition is computed. The states that
+    rho2, rho3, diag2 and diag3 build are Hermitian with unit trace by
+    construction and skip the check. Two kinds of derived data are cached on
+    first use: the spectral decomposition and, for 3x3 states, the
+    trace-form invariants of ``bures.dittmann3_form`` (Tr rho^3, |rho|,
+    rho^{-1}). ``mat`` is private and read-only (a copy of the input, or the
+    builder's fresh array), so neither a write to it nor a later change to
+    the caller's array can leave the caches describing another matrix.
     """
 
-    def __init__(self, mat, *, check: bool = True):
-        self.mat = matcore.as_matrix(mat).copy()
-        self.mat.setflags(write=False)
-        self._spectral: Optional[matcore.SpectralDecomposition] = None
-        # set by bures._dittmann3_invariants
-        self._dittmann3: Optional[tuple] = None
-        if check:
-            # one pass over Python scalars, which at n <= 4 costs less than
-            # the numpy expressions; finiteness comes first, as a nan passes
-            # every comparison below
-            rows = self.mat.tolist()
-            if not all(cmath.isfinite(z) for row in rows for z in row):
-                raise InvalidDensityMatrix("matrix has a non-finite entry")
-            defect = matcore.hermiticity_defect(rows)
-            if defect > INVARIANT:
-                raise InvalidDensityMatrix(
-                    f"not Hermitian: max |A - A^dag| = {defect:.3e} > {INVARIANT:.1e}"
-                )
-            tr = 0j  # summed from +0j in index order, as np.trace
-            for i, row in enumerate(rows):
-                tr += row[i]
-            if abs(tr - 1.0) > INVARIANT:
-                raise InvalidDensityMatrix(
-                    f"trace {tr!r} differs from 1 by more than {INVARIANT:.1e}"
-                )
+    _spectral: Optional[matcore.SpectralDecomposition] = None
+    _dittmann3: Optional[tuple] = None  # set by bures._dittmann3_invariants
+
+    def __init__(self, mat):
+        self.mat = mat = matcore.as_matrix(mat).copy()
+        mat.setflags(write=False)
+        # one pass over Python scalars, which at n <= 4 costs less than the
+        # numpy expressions; finiteness comes first, as a nan passes every
+        # comparison below
+        rows = mat.tolist()
+        if not all(cmath.isfinite(z) for row in rows for z in row):
+            raise InvalidDensityMatrix("matrix has a non-finite entry")
+        defect = matcore.hermiticity_defect(rows)
+        if defect > INVARIANT:
+            raise InvalidDensityMatrix(
+                f"not Hermitian: max |A - A^dag| = {defect:.3e} > {INVARIANT:.1e}"
+            )
+        tr = 0j  # summed from +0j in index order, as np.trace
+        for i, row in enumerate(rows):
+            tr += row[i]
+        if abs(tr - 1.0) > INVARIANT:
+            raise InvalidDensityMatrix(
+                f"trace {tr!r} differs from 1 by more than {INVARIANT:.1e}"
+            )
+        if defect != defect:  # finite entries beyond 2**1023 overflow A + A^dag
+            raise InvalidDensityMatrix(
+                "not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)"
+            )
+
+    @classmethod
+    def _built(cls, mat: np.ndarray) -> DensityMatrix:
+        """A state this module formed exactly: takes over the fresh complex128
+        array ``mat``, unchecked and uncopied."""
+        dm = object.__new__(cls)
+        mat.setflags(write=False)
+        dm.mat = mat
+        return dm
 
     @property
     def dim(self) -> int:
@@ -175,18 +190,7 @@ class DensityMatrix:
     @property
     def spectral(self) -> matcore.SpectralDecomposition:
         if self._spectral is None:
-            try:
-                spec = matcore.eig_hermitian(self.mat)
-            except ConvergenceFailure:
-                rows = self.mat.tolist()
-                if (all(cmath.isfinite(z) for row in rows for z in row)
-                        and math.isnan(matcore.hermiticity_defect(rows))):
-                    # finite entries beyond 2**1023 overflow A + A^dag; a state
-                    # has every |rho_ij| <= 1, so this is no state
-                    raise InvalidDensityMatrix(
-                        "not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)"
-                    ) from None
-                raise
+            spec = matcore.eig_hermitian(self.mat)
             if spec.eigenvalues[0] < -INVARIANT:
                 raise InvalidDensityMatrix(
                     f"not PSD: min eigenvalue {spec.eigenvalues[0]:.3e} < -{INVARIANT:.1e}"
@@ -322,14 +326,14 @@ def _entries2(theta: float) -> tuple[float, float]:
 def diag2(theta: float) -> DensityMatrix:
     """diag(cos^2 theta, sin^2 theta) for theta in [0, pi/4]."""
     theta = _require_range("theta", theta, 0.0, math.pi / 4)
-    return DensityMatrix(np.diag(_entries2(theta)).astype(np.complex128), check=False)
+    return DensityMatrix._built(np.diag(_entries2(theta)).astype(np.complex128))
 
 
 def diag3(theta1: float, theta2: float) -> DensityMatrix:
     """diag(cos^2 t1, sin^2 t1 cos^2 t2, sin^2 t1 sin^2 t2); trace is 1 identically."""
     lam = diag_entries3(_require_range("theta1", theta1, 0.0, THETA1_MAX),
                         _require_range("theta2", theta2, THETA2_MIN, THETA2_MAX))
-    return DensityMatrix(np.diag(lam).astype(np.complex128), check=False)
+    return DensityMatrix._built(np.diag(lam).astype(np.complex128))
 
 
 def diag_entries3(theta1: float, theta2: float) -> tuple[float, float, float]:
@@ -354,8 +358,8 @@ def _assemble2(om: list[list[complex]], lam: tuple[float, float]) -> DensityMatr
     r01 = wa0 * b0 + wa1 * b1
     r00 = complex((wa0 * a0 + wa1 * a1).real)
     r11 = complex((wb0 * b0 + wb1 * b1).real)
-    return DensityMatrix(np.array([[r00, r01], [r01.conjugate(), r11]],
-                                  dtype=np.complex128), check=False)
+    return DensityMatrix._built(np.array([[r00, r01], [r01.conjugate(), r11]],
+                                         dtype=np.complex128))
 
 
 def _assemble3(om: list[list[complex]], lam: tuple[float, float, float]) -> DensityMatrix:
@@ -375,10 +379,10 @@ def _assemble3(om: list[list[complex]], lam: tuple[float, float, float]) -> Dens
     r00 = complex((wa0 * a0 + wa1 * a1 + wa2 * a2).real)
     r11 = complex((wb0 * b0 + wb1 * b1 + wb2 * b2).real)
     r22 = complex((wc0 * c0 + wc1 * c1 + wc2 * c2).real)
-    return DensityMatrix(np.array([[r00, r01, r02],
-                                   [r01.conjugate(), r11, r12],
-                                   [r02.conjugate(), r12.conjugate(), r22]],
-                                  dtype=np.complex128), check=False)
+    return DensityMatrix._built(np.array([[r00, r01, r02],
+                                          [r01.conjugate(), r11, r12],
+                                          [r02.conjugate(), r12.conjugate(), r22]],
+                                         dtype=np.complex128))
 
 
 def rho2(chart: CosetChart2) -> DensityMatrix:

@@ -189,7 +189,7 @@ def s_coeff(d2) -> SCoeff2:
     d22 = float(dm.mat[1, 1].real)
     detd = d11 * d22
     if detd <= DET_FLOOR:
-        raise SingularState(f"|D| = {detd:.3e} <= {DET_FLOOR:.0e}")
+        raise SingularState(f"|D| = {detd:.3e} <= {DET_FLOOR:.1e}")
     s12 = (d11 - d22) ** 2 * (d11 + d22 - d11 * d22 - detd - 1.0) / detd
     return SCoeff2(s12=s12)
 

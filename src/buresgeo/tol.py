@@ -17,10 +17,6 @@ GAP = 1e-6               # smallest eigenvalue gap still nondegenerate; a gap of
 EIG_FLOOR = 1e-6         # smallest eigenvalue the 3-level closed-form coefficients accept
 EPS_SPEC = 1e-12         # lambda_i + lambda_j at or below this drops the pair from the Hubner sum
 SUPPORT_LEAK = 1e-8      # a dropped pair whose term exceeds SUPPORT_LEAK**2 is divergent
-DET_FLOOR = 1e-10        # a state is singular at or below this: |rho| or |D| at n = 2
-                         # (dittmann2_form, s_coeff), e3/e2 = 2|rho|/(1 - Tr rho^2) at n = 3
-                         # (dittmann3_form); both lie within a factor n of lambda_min, and the
-                         # trace forms err ~2.2e-16/lambda_min relative to Hubner
 PURE = 1e-12             # Tr rho^3 within this of 1 is pure in dittmann3_form
 SAMPLE_GAP = 1e-4        # sampled 3-level spectra keep every gap and eigenvalue at least this
 
@@ -34,6 +30,12 @@ FIDELITY_ABOVE = 1e-9    # raw fidelity may rise this far above 1 before it is c
 # metric routes and their cross-validation
 DEFAULT_STEP = 1e-5      # central-difference step of the pullback
 DEFAULT_TOL = 1e-6       # `validate` passes when its maxima are at most this (default of --tol)
+DET_FLOOR = 100 * 2.2e-16 / DEFAULT_TOL  # = 2.2e-8; a state is singular at or below this:
+                         # |rho| or |D| at n = 2 (dittmann2_form, s_coeff), e3/e2 =
+                         # 2|rho|/(1 - Tr rho^2) at n = 3 (dittmann3_form). Both are at most
+                         # lambda_min, and the trace forms err up to ~2.2e-16/lambda_min relative
+                         # to Hubner, so above the floor they stay 100x inside DEFAULT_TOL
+                         # (6.5e-9 worst at 1.05x the floor, 1.3e-6 at 1.05x the old 1e-10)
 REL_DEV_FLOOR = 1e-8     # entries below this in both tensors are left out of the relative deviation
 TANGENT_FLOOR = 1e-12    # a coordinate tangent with smaller norm is skipped by the Dittmann check
 TINY = 1e-300            # floor of a denominator in a relative deviation

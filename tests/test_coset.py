@@ -448,11 +448,14 @@ def test_rho3_refuses_an_alpha_whose_square_overflows():
 
 @pytest.mark.filterwarnings("error")
 def test_a_state_whose_hermitian_part_overflows_is_refused_as_not_psd():
-    # finite, Hermitian and of unit trace, so construction passes it
-    dm = coset.DensityMatrix(np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex))
-    for _ in range(2):  # nothing is cached, so it is refused again
-        with pytest.raises(InvalidDensityMatrix, match="not PSD: the spectrum overflows"):
-            dm.validate_full()
+    # finite, Hermitian and of unit trace, but A + A^dag overflows: refused
+    # at construction, after the trace test
+    mat = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
+    with pytest.raises(InvalidDensityMatrix,
+                       match=r"^not PSD: the spectrum overflows \(a state has every \|rho_ij\| <= 1\)$"):
+        coset.DensityMatrix(mat)
+    # a wrong trace is reported first
+    assert scalar_state_check(mat + np.eye(2)).startswith("trace (3+0j) differs")
 
 
 def test_density_matrix_whose_defect_overflows_is_not_hermitian():
@@ -463,6 +466,42 @@ def test_density_matrix_whose_defect_overflows_is_not_hermitian():
     mat = np.array([[0.5, 1e308, 1.0], [1e308, 0.3, 0.0], [0.0, 0.0, 0.2]])
     assert scalar_state_check(mat) == numpy_state_check(mat) == (
         "not Hermitian: max |A - A^dag| = 1.000e+00 > 1.0e-10")
+
+
+def built_states():
+    """States that rho2, rho3, diag2 and diag3 build at seeded charts and at
+    edge charts: theta at the ends of its range (and RANGE_EPS beyond),
+    signed zeros, beta1 = +-1e-300 and |alpha| up to the largest whose
+    square is finite."""
+    rng = make_rng(17)
+    for _ in range(200):
+        yield rho2(random_chart2(rng))
+        yield rho3(random_chart3(rng))
+    top = 1.3407807929942596e154
+    for theta in (0.0, -0.0, math.pi / 4, math.pi / 4 + RANGE_EPS):
+        yield diag2(theta)
+        for alpha, phi in ((0.0, 0.0), (-0.0, -0.0), (1e154, 1.1), (top, 0.3), (-top, -0.0)):
+            yield rho2(CosetChart2(theta, alpha, phi))
+    for t1 in (0.0, -0.0, THETA1_MAX, THETA1_MAX + RANGE_EPS):
+        for t2 in (THETA2_MIN, THETA2_MAX, THETA2_MIN - RANGE_EPS):
+            yield diag3(t1, t2)
+            for alpha in (0.0, -0.0, 1e154, top, -top):
+                for b1 in (1e-300, -1e-300, 0.0, -0.0):
+                    yield rho3(CosetChart3(t1, t2, alpha, -0.0, b1, 0.0, 0.1, -0.0))
+                    yield rho3(CosetChart3(t1, t2, alpha, 0.4, b1, -0.0, -0.0, 0.7))
+
+
+@pytest.mark.filterwarnings("error")
+def test_built_states_pass_the_checked_constructor_unchanged():
+    # the builders skip the construction check; each state they form must pass it
+    count = 0
+    for built in built_states():
+        assert built.mat.dtype == np.complex128 and not built.mat.flags.writeable
+        checked = coset.DensityMatrix(built.mat)
+        assert checked.mat.tobytes() == built.mat.tobytes()
+        checked.validate_full()
+        count += 1
+    assert count == 400 + 4 * 6 + 12 * 41
 
 
 def test_density_matrix_invariant_errors():
@@ -497,6 +536,9 @@ def numpy_state_check(mat):
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > INVARIANT:
         return f"trace {tr!r} differs from 1 by more than {INVARIANT:.1e}"
+    with np.errstate(over="ignore"):
+        if not np.isfinite(mat + mat.conj().T).all():
+            return "not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)"
     return None
 
 

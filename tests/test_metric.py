@@ -657,6 +657,51 @@ def test_volume_element_of_a_tensor_whose_det_is_not_finite_is_refused(entry):
         volume_element(g)
 
 
+def bures_density(lam) -> float:
+    """P_B(lambda) = (prod lambda_i)^{-1/2} prod_{i<j} (lambda_i - lambda_j)^2/(lambda_i + lambda_j),
+    the Bures eigenvalue density (Hall 1998; Sommers and Zyczkowski 2003)."""
+    out = 1.0 / math.sqrt(math.prod(lam))
+    for i, a in enumerate(lam):
+        for b in lam[i + 1:]:
+            out *= (a - b) ** 2 / (a + b)
+    return out
+
+
+def test_closed_volume_element_2level_is_the_bures_eigenvalue_density():
+    # |J| = sin 2 theta is the Jacobian of lambda_0 = cos^2 theta, and the
+    # coset factor is |sin 2 alpha| / 4
+    rng = make_rng(32)
+    for _ in range(200):
+        ch = random_chart2(rng)
+        lam = (math.cos(ch.theta) ** 2, math.sin(ch.theta) ** 2)
+        ratio = volume_element(closed_metric2(ch)) / (bures_density(lam) * math.sin(2 * ch.theta))
+        assert ratio == pytest.approx(0.25 * abs(math.sin(2 * ch.alpha)), rel=1e-13, abs=0.0)
+
+
+def test_closed_volume_element_3level_is_the_bures_eigenvalue_density():
+    # sqrt(det g) = P_B(lambda) |J(theta)| H(coset), where
+    # |J| = sin 2 theta1 sin^2 theta1 sin 2 theta2 is the Jacobian of
+    # (lambda_0, lambda_1) in (theta1, theta2): at fixed coset coordinates the
+    # ratio does not depend on theta. beta is scaled below 1.4, away from the
+    # zero of H at beta = pi/2, where g is ill-conditioned
+    rng = make_rng(31)
+    worst = 0.0
+    for _ in range(200):
+        c = random_chart3(rng)
+        s = 1.4 / math.pi
+        coords = (c.alpha, c.phi, c.beta1 * s, c.beta2 * s, c.psi1, c.psi2)
+        ratios = []
+        for _ in range(5):
+            t = random_chart3(rng)  # only its thetas, which keep the spectrum's gaps
+            t1, t2 = t.theta1, t.theta2
+            jac = math.sin(2 * t1) * math.sin(t1) ** 2 * math.sin(2 * t2)
+            g = closed_metric3(CosetChart3(t1, t2, *coords))
+            ratios.append(volume_element(g) / (bures_density(coset.diag_entries3(t1, t2)) * jac))
+        assert min(ratios) > 0.0
+        worst = max(worst, (max(ratios) - min(ratios)) / max(ratios))
+    assert worst <= 1e-9
+
+
 def test_volume_3level_closed_vs_pullback():
     rng = make_rng(12)
     for _ in range(5):

@@ -14,7 +14,7 @@ from buresgeo import bures, coset, matcore, metric, recover
 from buresgeo.coset import DensityMatrix, as_density, require_gap
 from buresgeo.errors import DegenerateSpectrum, InvalidDensityMatrix, SingularState
 from buresgeo.sampling import make_rng, random_tangent, random_unitary
-from buresgeo.tol import DET_FLOOR, GAP, INVARIANT
+from buresgeo.tol import DEFAULT_TOL, DET_FLOOR, GAP, INVARIANT
 
 SRC = Path(coset.__file__).resolve().parent
 
@@ -130,10 +130,26 @@ def test_one_determinant_floor(route, factor):
     state = np.diag(_spectrum_at_floor(n, DET_FLOOR * factor)).astype(complex)
     assert (_floor_quantity(state) <= DET_FLOOR) == (factor < 1)
     if factor < 1:
-        with pytest.raises(SingularState, match=r"<= 1e-10"):
+        with pytest.raises(SingularState, match=r"<= 2\.2e-08$"):
             call(state)
     else:
         assert math.isfinite(call(state))
+
+
+@pytest.mark.parametrize("n, seed", [(2, 5), (3, 6)])
+def test_trace_forms_just_above_the_floor_stay_inside_the_tolerance(n, seed):
+    # the floor is set from the error law 2.2e-16/lambda_min, so that the trace
+    # forms keep a margin to DEFAULT_TOL on every state they accept: 20
+    # Haar-rotated states at 1.05x the floor, 10 tangents each
+    form = bures.dittmann2_form if n == 2 else bures.dittmann3_form
+    rng = make_rng(seed)
+    for _ in range(20):
+        u = random_unitary(rng, n)
+        state = as_density(u @ np.diag(_spectrum_at_floor(n, 1.05 * DET_FLOOR)) @ u.conj().T)
+        for _ in range(10):
+            d = random_tangent(rng, n)
+            hub = bures.hubner_form(state, d, d)
+            assert abs(form(state, d) - hub) <= DEFAULT_TOL / 10 * hub
 
 
 def test_dittmann3_refuses_a_state_below_the_floor():
