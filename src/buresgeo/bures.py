@@ -72,18 +72,20 @@ def hubner_form(rho, d1, d2) -> float:
     support of rho and the metric diverges there: DegenerateSupport. The sum
     runs i-major over the spectrum's cached (i, j, lambda_i + lambda_j)
     table (SpectralDecomposition.pairs), so each state forms its n^2
-    denominators once.
+    denominators once. Each tangent is projected into the eigenbasis by
+    SpectralDecomposition.memo_project: a read-only array that owns its data
+    (the pullback's tangents) is projected once per state however many pairs
+    it enters, anything else on every call. InvalidTangent if a tangent has a
+    NaN or infinite entry, checked before its projection.
     """
     dm = as_density(rho)
     spec = dm.spectral
     if dm.mat.shape != np.shape(d1) or dm.mat.shape != np.shape(d2):
         raise DimensionMismatch("tangents must match the state's dimension")
-    v = spec.eigenvectors
-    vh = v.conj().T
     # the products stay in numpy; the n^2 pair loop runs on Python scalars,
     # which at n <= 3 costs less than indexing numpy arrays
-    x1 = (vh @ np.asarray(d1, dtype=np.complex128) @ v).tolist()
-    x2 = x1 if d2 is d1 else (vh @ np.asarray(d2, dtype=np.complex128) @ v).tolist()
+    x1 = spec.memo_project(d1)
+    x2 = x1 if d2 is d1 else spec.memo_project(d2)
     total = 0.0
     for i, j, s in spec.pairs:
         term = x1[i][j] * x2[j][i]
@@ -101,11 +103,13 @@ def dittmann2_form(rho, drho) -> float:
     """Trace form of ds^2 for a nonsingular 2x2 state:
 
         (1/4) Tr[ drho drho + (1/|rho|)(drho - rho drho)(drho - rho drho) ]
+
+    InvalidTangent if drho has a NaN or infinite entry.
     """
     dm = as_density(rho)
     if dm.dim != 2:
         raise DimensionMismatch(f"dittmann2_form needs a 2x2 state, got n={dm.dim}")
-    d = np.asarray(drho, dtype=np.complex128)
+    d = matcore.as_tangent(drho)
     detr = matcore.det(dm.mat).real
     if detr <= DET_FLOOR:
         raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.1e}")
@@ -119,11 +123,13 @@ def dittmann3_form(rho, drho) -> float:
 
         (1/4) Tr[ drho drho + 3/(1 - Tr rho^3) ( (drho - rho drho)^2
                   + |rho| (drho - rho^{-1} drho)^2 ) ]
+
+    InvalidTangent if drho has a NaN or infinite entry.
     """
     dm = as_density(rho)
     if dm.dim != 3:
         raise DimensionMismatch(f"dittmann3_form needs a 3x3 state, got n={dm.dim}")
-    d = np.asarray(drho, dtype=np.complex128)
+    d = matcore.as_tangent(drho)
     rho_inv, detr, coef = _dittmann3_invariants(dm)
     q1 = d - dm.mat @ d
     q2 = d - rho_inv @ d

@@ -41,6 +41,10 @@ class InvalidDensityMatrix(BuresGeoError, exit_code=4):
     """Matrix violates a density-matrix invariant (names which one)."""
 
 
+class InvalidTangent(BuresGeoError, exit_code=4):
+    """Tangent has a NaN or infinite entry."""
+
+
 class VerificationFailure(BuresGeoError, exit_code=6):
     """A construction-time self-check failed (implementation bug)."""
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from numpy.linalg import _umath_linalg
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidTangent, NotHermitian
 from .tol import INVARIANT
 
 
@@ -43,6 +43,17 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def as_tangent(d) -> np.ndarray:
+    """Coerce a tangent to complex128; InvalidTangent if an entry is NaN or
+    infinite. The metric forms call this before any product, where such an
+    entry would give NaN or numpy's invalid-value warning. A loop over
+    ``.tolist()`` costs less than ``np.isfinite`` at n <= 4."""
+    t = np.asarray(d, dtype=np.complex128)
+    if not all(map(cmath.isfinite, t.ravel().tolist())):
+        raise InvalidTangent("tangent has a non-finite entry")
+    return t
 
 
 def hermitize(a) -> np.ndarray:
@@ -133,8 +144,12 @@ class SpectralDecomposition:
 
     eigenvalues are real and ascending; eigenvectors holds the orthonormal
     eigenvectors as columns, so ``V @ diag(w) @ V†`` reconstructs the input.
-    Ties keep whatever order the solver produced. ``pairs`` is built on first
-    use and kept with the spectrum.
+    Ties keep whatever order the solver produced. Built on first use and kept
+    with the spectrum: the ``pairs`` table, V† and a memo of the tangents
+    projected into the eigenbasis (``memo_project``). The memo only holds
+    read-only arrays that own their data, so no entry can go stale; it keeps
+    one entry per such tangent and lives and dies with the spectrum, which a
+    DensityMatrix owns.
     """
 
     eigenvalues: np.ndarray
@@ -146,6 +161,34 @@ class SpectralDecomposition:
         the denominators of the Hubner pair sum (bures.hubner_form)."""
         w = self.eigenvalues.tolist()
         return [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
+
+    @cached_property
+    def _vh(self) -> np.ndarray:
+        return self.eigenvectors.conj().T
+
+    @cached_property
+    def _projections(self) -> dict[int, tuple[np.ndarray, list[list[complex]]]]:
+        return {}
+
+    def project(self, d) -> list[list[complex]]:
+        """(V† d V).tolist(), formed afresh: the tangent ``d`` in the
+        eigenbasis, as Python rows. InvalidTangent (as_tangent) before the
+        product if ``d`` has a NaN or infinite entry."""
+        return (self._vh @ as_tangent(d) @ self.eigenvectors).tolist()
+
+    def memo_project(self, d) -> list[list[complex]]:
+        """project(d), memoized by the identity of ``d`` when ``d`` is a
+        read-only ndarray that owns its data: its contents cannot change
+        while the entry lives, and the entry keeps ``d`` alive, so its id is
+        not reused. Any other input (a writable array, a view, a list) is
+        projected on every call. The rows returned are shared: read them
+        only."""
+        if type(d) is np.ndarray and d.base is None and not d.flags.writeable:
+            hit = self._projections.get(id(d))
+            if hit is None:
+                hit = self._projections[id(d)] = (d, self.project(d))
+            return hit[1]
+        return self.project(d)
 
 
 def eig_hermitian(a) -> SpectralDecomposition:

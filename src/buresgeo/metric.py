@@ -121,13 +121,17 @@ def pullback_metric(point: Sequence[float],
 
     g_ij = hubner_form(rho, d_i rho, d_j rho) with the tangents from central
     differences of step tol.DEFAULT_STEP. The spectrum at the centre must be
-    nondegenerate (coset.require_gap).
+    nondegenerate (coset.require_gap). The tangents are made read-only, so
+    rho's spectrum projects each into its eigenbasis once and the d(d+1)/2
+    Hubner calls share those d projections (SpectralDecomposition.memo_project).
     """
     pt = [float(x) for x in point]
     rho0 = builder(pt)
     require_gap(rho0.eigenvalues.tolist())
     d = len(pt)
     tangents = [_central_diff(builder, pt, i) for i in range(d)]
+    for t in tangents:
+        t.flags.writeable = False
     g = np.zeros((d, d))
     for i in range(d):
         for j in range(i, d):

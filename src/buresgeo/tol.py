@@ -7,8 +7,8 @@ any module can import it.
 
 # inputs that must satisfy an exact invariant
 INVARIANT = 1e-10        # max deviation of a state from Hermitian, unit trace and PSD (eigenvalues
-                         # in [-INVARIANT, 0) count as 0 in the fidelity), of a tangent
-                         # from Hermitian and traceless, of a tensor from symmetric
+                         # in [-INVARIANT, 0) count as 0 in the fidelity), of a matrix passed to
+                         # eig_hermitian from Hermitian, of a metric tensor from symmetric
 RANGE_EPS = 1e-9         # slack of the chart ranges, so decimal renderings of pi/4 pass: the chart
                          # constructors, diag2/diag3 and the theta box of a recovered ordering
 

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from buresgeo import coset
+from buresgeo import coset, matcore
 from buresgeo.bures import (
     bures_distance,
     dittmann2_form,
@@ -15,6 +16,7 @@ from buresgeo.coset import CosetChart2
 from buresgeo.errors import (
     DegenerateSupport,
     DimensionMismatch,
+    InvalidTangent,
     PureState,
     SingularState,
 )
@@ -384,3 +386,102 @@ def test_dittmann_dimension_errors():
         dittmann2_form(diag_rho(0.5, 0.3, 0.2), np.zeros((3, 3), dtype=complex))
     with pytest.raises(DimensionMismatch):
         dittmann3_form(diag_rho(0.5, 0.5), np.zeros((2, 2), dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# non-finite tangents
+# ---------------------------------------------------------------------------
+
+def _bad_tangent(kind, n):
+    if kind == "nan":
+        return np.full((n, n), np.nan, dtype=complex)
+    if kind in ("+inf", "-inf"):
+        return np.diag([float(kind)] * n).astype(complex)
+    good = random_tangent(make_rng(8), n)
+    good[n - 1, 0] = complex(0.1, np.inf) if kind == "one inf" else np.nan
+    return good
+
+
+def _state(n):
+    chart = (random_chart2 if n == 2 else random_chart3)(make_rng(7))
+    return (coset.rho2 if n == 2 else coset.rho3)(chart)
+
+
+@pytest.mark.parametrize("kind", ["nan", "+inf", "-inf", "one nan", "one inf"])
+@pytest.mark.parametrize("form, n", [("hubner", 2), ("hubner", 3),
+                                      ("dittmann2", 2), ("dittmann3", 3)])
+def test_non_finite_tangent_is_refused_before_any_product(form, n, kind):
+    # at the parent a NaN tangent gave nan and an inf one numpy's
+    # invalid-value warning; every form now raises the typed error, also for
+    # a read-only tangent (the memoized path) and on a repeated call
+    rho = _state(n)
+    good = random_tangent(make_rng(9), n)
+    bad = _bad_tangent(kind, n)
+    frozen = bad.copy()
+    frozen.flags.writeable = False
+    if form == "hubner":
+        calls = [(hubner_form, (rho, *pair))
+                 for t in (bad, frozen) for pair in ((t, t), (t, good), (good, t))]
+    else:
+        fn = dittmann2_form if form == "dittmann2" else dittmann3_form
+        calls = [(fn, (rho, t)) for t in (bad, frozen, bad.tolist())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, args in calls + calls:
+            with pytest.raises(InvalidTangent) as exc:
+                fn(*args)
+            assert exc.value.exit_code == 4
+
+
+# ---------------------------------------------------------------------------
+# the per-spectrum projection memo
+# ---------------------------------------------------------------------------
+
+def test_hubner_sees_a_tangent_changed_in_place():
+    # only read-only arrays that own their data are memoized: a writable
+    # array, a read-only view of a writable array and a list are projected
+    # again on each call, so a change between calls is never missed
+    rho = _state(3)
+    first, second = random_tangent(make_rng(10), 3), random_tangent(make_rng(11), 3)
+    want = [hubner_form(_state(3), t, t) for t in (first, second)]
+    assert want[0] != want[1]
+
+    writable = first.copy()
+    base = np.stack([first, first])
+    view = base[0]
+    view.flags.writeable = False  # read-only, but its base is not
+    rows = first.tolist()
+    for tangent in (writable, view, rows):
+        assert hubner_form(rho, tangent, tangent) == want[0]
+        assert hubner_form(rho, tangent, first) == want[0]
+        if tangent is rows:
+            rows[:] = second.tolist()
+        else:
+            np.copyto(base[0] if tangent is view else writable, second)
+        assert hubner_form(rho, tangent, tangent) == want[1]
+
+
+def test_read_only_tangent_is_projected_once_per_state(monkeypatch):
+    projected = []
+    project = matcore.SpectralDecomposition.project
+
+    def counting(self, d):
+        projected.append(id(d))
+        return project(self, d)
+
+    monkeypatch.setattr(matcore.SpectralDecomposition, "project", counting)
+    rng = make_rng(12)
+    frozen = [random_tangent(rng, 3) for _ in range(3)]
+    for t in frozen:
+        t.flags.writeable = False
+    writable = random_tangent(rng, 3)
+    for rho in (_state(3), _state(3)):
+        projected.clear()
+        values = [hubner_form(rho, a, b) for a in frozen for b in frozen]
+        assert sorted(projected) == sorted(map(id, frozen))
+        # the memoized rows give the value a fresh projection gives
+        assert values == [hubner_form(rho, a.copy(), b.copy()) for a in frozen for b in frozen]
+        projected.clear()
+        for _ in range(3):
+            hubner_form(rho, writable, writable)
+        assert projected == [id(writable)] * 3

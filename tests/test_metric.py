@@ -75,6 +75,35 @@ def test_pullback3_eigenvalue_block():
             assert abs(g.entry("theta2", coord)) <= 1e-8
 
 
+def pullback3_reference(chart):
+    """The pullback with every one of its 36 pairs projecting both tangents
+    into the eigenbasis afresh, then the Hubner pair sum i-major, as
+    hubner_form runs it (these full-rank states keep every pair)."""
+    fam = metric.FAMILIES[3]
+    pt = list(chart.values())
+    rho0 = fam.build(pt)
+    w = rho0.eigenvalues.tolist()
+    v = rho0.spectral.eigenvectors
+    tangents = [metric._central_diff(fam.build, pt, i) for i in range(len(pt))]
+    g = np.zeros((len(pt), len(pt)))
+    for i, ti in enumerate(tangents):
+        for j in range(i, len(pt)):
+            x1, x2 = ((v.conj().T @ t @ v).tolist() for t in (ti, tangents[j]))
+            total = 0.0
+            for a, wa in enumerate(w):
+                for b, wb in enumerate(w):
+                    total += (x1[a][b] * x2[b][a]).real / (wa + wb)
+            g[i, j] = g[j, i] = 0.5 * total
+    return g
+
+
+def test_pullback3_shared_projections_match_fresh_ones_bit_for_bit():
+    rng = make_rng(20)
+    for _ in range(50):
+        ch = random_chart3(rng)
+        assert pullback_metric3(ch).g.tobytes() == pullback3_reference(ch).tobytes()
+
+
 def test_pullback_guards():
     with pytest.raises(BoundaryTooClose):
         pullback_metric2(CosetChart2(1e-7, 0.3, 0.1))
