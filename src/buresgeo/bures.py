@@ -75,13 +75,11 @@ def hubner_form(rho, d1, d2) -> float:
     denominators once. Each tangent is projected into the eigenbasis by
     SpectralDecomposition.memo_project: a read-only array that owns its data
     (the pullback's tangents) is projected once per state however many pairs
-    it enters, anything else on every call. InvalidTangent if a tangent has a
-    NaN or infinite entry, checked before its projection.
+    it enters, anything else on every call. Each tangent is checked
+    (matcore.as_tangent) before its projection: DimensionMismatch unless it
+    has the state's shape, InvalidTangent if it has a NaN or infinite entry.
     """
-    dm = as_density(rho)
-    spec = dm.spectral
-    if dm.mat.shape != np.shape(d1) or dm.mat.shape != np.shape(d2):
-        raise DimensionMismatch("tangents must match the state's dimension")
+    spec = as_density(rho).spectral
     # the products stay in numpy; the n^2 pair loop runs on Python scalars,
     # which at n <= 3 costs less than indexing numpy arrays
     x1 = spec.memo_project(d1)
@@ -104,12 +102,13 @@ def dittmann2_form(rho, drho) -> float:
 
         (1/4) Tr[ drho drho + (1/|rho|)(drho - rho drho)(drho - rho drho) ]
 
-    InvalidTangent if drho has a NaN or infinite entry.
+    DimensionMismatch unless drho is 2x2, InvalidTangent if it has a NaN or
+    infinite entry (matcore.as_tangent).
     """
     dm = as_density(rho)
     if dm.dim != 2:
         raise DimensionMismatch(f"dittmann2_form needs a 2x2 state, got n={dm.dim}")
-    d = matcore.as_tangent(drho)
+    d = matcore.as_tangent(drho, 2)
     detr = matcore.det(dm.mat).real
     if detr <= DET_FLOOR:
         raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.1e}")
@@ -124,12 +123,13 @@ def dittmann3_form(rho, drho) -> float:
         (1/4) Tr[ drho drho + 3/(1 - Tr rho^3) ( (drho - rho drho)^2
                   + |rho| (drho - rho^{-1} drho)^2 ) ]
 
-    InvalidTangent if drho has a NaN or infinite entry.
+    DimensionMismatch unless drho is 3x3, InvalidTangent if it has a NaN or
+    infinite entry (matcore.as_tangent).
     """
     dm = as_density(rho)
     if dm.dim != 3:
         raise DimensionMismatch(f"dittmann3_form needs a 3x3 state, got n={dm.dim}")
-    d = matcore.as_tangent(drho)
+    d = matcore.as_tangent(drho, 3)
     rho_inv, detr, coef = _dittmann3_invariants(dm)
     q1 = d - dm.mat @ d
     q2 = d - rho_inv @ d

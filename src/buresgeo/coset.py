@@ -128,6 +128,28 @@ class CosetChart3:
                 self.beta1, self.beta2, self.psi1, self.psi2)
 
 
+def hermiticity_defect(rows: list[list[complex]]) -> float:
+    """Max entrywise |A - A†| of a square matrix with finite entries, given as
+    Python rows (``A.tolist()``); inf if that overflows. nan if the defect is
+    within tol.INVARIANT but an entry of A + A† is not finite (entries beyond
+    2**1023), where matcore.hermitize(A) overflows. At n <= 4 a loop over the
+    upper triangle costs less than numpy; (j, i) repeats (i, j)."""
+    worst = 0.0
+    overflow = False
+    try:
+        for i, row in enumerate(rows):
+            for j in range(i, len(rows)):
+                a, c = row[j], rows[j][i].conjugate()
+                d = abs(a - c)
+                if d > worst:
+                    worst = d
+                if not cmath.isfinite(a + c):
+                    overflow = True
+    except OverflowError:  # |A_ij - conj(A_ji)| of finite parts beyond the largest float
+        return math.inf
+    return math.nan if overflow and worst <= INVARIANT else worst
+
+
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with cached derived data.
 
@@ -157,7 +179,7 @@ class DensityMatrix:
         rows = mat.tolist()
         if not all(cmath.isfinite(z) for row in rows for z in row):
             raise InvalidDensityMatrix("matrix has a non-finite entry")
-        defect = matcore.hermiticity_defect(rows)
+        defect = hermiticity_defect(rows)
         if defect > INVARIANT:
             raise InvalidDensityMatrix(
                 f"not Hermitian: max |A - A^dag| = {defect:.3e} > {INVARIANT:.1e}"

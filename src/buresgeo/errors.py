@@ -16,10 +16,6 @@ class DimensionMismatch(BuresGeoError, exit_code=4):
     """Operands have incompatible shapes or sizes."""
 
 
-class NotHermitian(BuresGeoError, exit_code=4):
-    """Matrix fails the Hermiticity tolerance."""
-
-
 class ConvergenceFailure(BuresGeoError, exit_code=5):
     """Eigensolver did not converge."""
 

@@ -33,8 +33,7 @@ import numpy as np
 
 from numpy.linalg import _umath_linalg
 
-from .errors import ConvergenceFailure, DimensionMismatch, InvalidTangent, NotHermitian
-from .tol import INVARIANT
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidTangent
 
 
 def as_matrix(a) -> np.ndarray:
@@ -45,12 +44,15 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_tangent(d) -> np.ndarray:
-    """Coerce a tangent to complex128; InvalidTangent if an entry is NaN or
-    infinite. The metric forms call this before any product, where such an
-    entry would give NaN or numpy's invalid-value warning. A loop over
-    ``.tolist()`` costs less than ``np.isfinite`` at n <= 4."""
+def as_tangent(d, n: int) -> np.ndarray:
+    """Coerce a tangent at an n x n state to complex128: DimensionMismatch
+    unless it is n x n, then InvalidTangent if an entry is NaN or infinite.
+    The metric forms call this before any product, where such an entry would
+    give NaN or numpy's invalid-value warning. A loop over ``.tolist()``
+    costs less than ``np.isfinite`` at n <= 4."""
     t = np.asarray(d, dtype=np.complex128)
+    if t.shape != (n, n):
+        raise DimensionMismatch(f"tangent of shape {t.shape} at a {n}x{n} state")
     if not all(map(cmath.isfinite, t.ravel().tolist())):
         raise InvalidTangent("tangent has a non-finite entry")
     return t
@@ -113,31 +115,6 @@ def inv(a: np.ndarray) -> np.ndarray:
 # Hermitian eigendecomposition
 # ---------------------------------------------------------------------------
 
-def hermiticity_defect(rows: list[list[complex]]) -> float:
-    """Max entrywise |A - A†| of a square matrix given as Python rows
-    (``A.tolist()``); inf if that overflows. nan if an entry of A - A† is
-    nan, and also if the defect is within tol.INVARIANT but an entry of
-    A + A† is not finite (finite entries beyond 2**1023), where hermitize(A)
-    overflows. At n <= 4 a loop over the upper triangle costs less than
-    numpy; (j, i) repeats (i, j)."""
-    worst = 0.0
-    overflow = False
-    try:
-        for i, row in enumerate(rows):
-            for j in range(i, len(rows)):
-                a, c = row[j], rows[j][i].conjugate()
-                d = abs(a - c)
-                if d != d:
-                    return d
-                if d > worst:
-                    worst = d
-                if not cmath.isfinite(a + c):
-                    overflow = True
-    except OverflowError:  # |A_ij - conj(A_ji)| of finite parts beyond the largest float
-        return math.inf
-    return math.nan if overflow and worst <= INVARIANT else worst
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigen-data of a Hermitian matrix.
@@ -172,9 +149,10 @@ class SpectralDecomposition:
 
     def project(self, d) -> list[list[complex]]:
         """(V† d V).tolist(), formed afresh: the tangent ``d`` in the
-        eigenbasis, as Python rows. InvalidTangent (as_tangent) before the
-        product if ``d`` has a NaN or infinite entry."""
-        return (self._vh @ as_tangent(d) @ self.eigenvectors).tolist()
+        eigenbasis, as Python rows. DimensionMismatch or InvalidTangent
+        (as_tangent) before the product if ``d`` is not n x n or has a NaN or
+        infinite entry."""
+        return (self._vh @ as_tangent(d, len(self.eigenvalues)) @ self.eigenvectors).tolist()
 
     def memo_project(self, d) -> list[list[complex]]:
         """project(d), memoized by the identity of ``d`` when ``d`` is a
@@ -192,19 +170,10 @@ class SpectralDecomposition:
 
 
 def eig_hermitian(a) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitian if max |A - A†| entry exceeds tol.INVARIANT, and
-    ConvergenceFailure, before the solver runs, if the defect is nan (a nan
-    entry, or a Hermitian part that overflows: see hermiticity_defect) and,
-    after it, if the spectrum is not finite.
+    """Eigendecomposition of a finite Hermitian matrix whose Hermitian part
+    does not overflow, as every DensityMatrix is when it is built; nothing
+    here checks that again. ``as_density(m).spectral`` is the checked route
+    for any other matrix. ConvergenceFailure if the spectrum is not finite.
     """
-    m = as_matrix(a)
-    defect = hermiticity_defect(m.tolist())
-    if defect > INVARIANT:
-        raise NotHermitian(f"max |A - A^dag| entry = {defect:.3e} > {INVARIANT:.1e}")
-    if defect != defect:
-        raise ConvergenceFailure("A - A^dag or A + A^dag has a non-finite entry: "
-                                 "not passed to the eigensolver")
-    w, v = eigh(hermitize(m))
+    w, v = eigh(hermitize(a))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)

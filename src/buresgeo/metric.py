@@ -48,6 +48,7 @@ from .coset import (
 from .errors import (
     BoundaryTooClose,
     DegenerateSpectrum,
+    DimensionMismatch,
     OutOfChartRange,
     SingularState,
     VerificationFailure,
@@ -187,8 +188,14 @@ class SCoeff2:
 
 
 def s_coeff(d2) -> SCoeff2:
-    """S12 = (1/|D|) (D11 - D22)^2 (D11 + D22 - D11 D22 - |D| - 1) for diagonal 2x2 D."""
+    """S12 = (1/|D|) (D11 - D22)^2 (D11 + D22 - D11 D22 - |D| - 1) for diagonal 2x2 D.
+
+    DimensionMismatch unless D is 2x2 with |D_12| within tol.INVARIANT of 0.
+    """
     dm = coset.as_density(d2)
+    if dm.dim != 2 or abs(dm.mat[0, 1]) > INVARIANT:
+        raise DimensionMismatch(f"s_coeff needs a diagonal 2x2 D; got n={dm.dim}, "
+                                f"|D_12| = {abs(dm.mat[0, 1]):.3e}")
     d11 = float(dm.mat[0, 0].real)
     d22 = float(dm.mat[1, 1].real)
     detd = d11 * d22
@@ -566,12 +573,15 @@ def _printed_checks(chart: CosetChart3, pull: MetricTensor, closed: MetricTensor
     }
 
 
-def _gamma_shift_dev(chart: CosetChart3, shifts=((0.37, 0.0), (0.0, -0.61))) -> float:
-    """Max entry change of the closed tensor under gamma-preserving shifts
-    (phi, psi1, psi2) -> (phi + a + b, psi1 + a, psi2 - b)."""
+GAMMA_SHIFTS = ((0.37, 0.0), (0.0, -0.61))  # the (a, b) of _gamma_shift_dev
+
+
+def _gamma_shift_dev(chart: CosetChart3) -> float:
+    """Max entry change of the closed tensor under the gamma-preserving shifts
+    (phi, psi1, psi2) -> (phi + a + b, psi1 + a, psi2 - b), (a, b) in GAMMA_SHIFTS."""
     base = closed_metric3(chart).g
     dev = 0.0
-    for a, b in shifts:
+    for a, b in GAMMA_SHIFTS:
         shifted = CosetChart3(
             chart.theta1, chart.theta2, chart.alpha, chart.phi + a + b,
             chart.beta1, chart.beta2, chart.psi1 + a, chart.psi2 - b)

@@ -388,6 +388,28 @@ def test_dittmann_dimension_errors():
         dittmann3_form(diag_rho(0.5, 0.5), np.zeros((2, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("form, n", [("hubner", 2), ("hubner", 3),
+                                      ("dittmann2", 2), ("dittmann3", 3)])
+@pytest.mark.parametrize("shape", ["other n", "1-D"])
+def test_a_tangent_of_the_wrong_shape_is_refused_by_every_form(form, n, shape):
+    # one rule (matcore.as_tangent) for all three forms: DimensionMismatch,
+    # exit 4, also for a read-only tangent and a list
+    bad = np.zeros((5 - n, 5 - n) if shape == "other n" else (n,), dtype=complex)
+    frozen = bad.copy()
+    frozen.flags.writeable = False
+    rho, good = _state(n), random_tangent(make_rng(9), n)
+    if form == "hubner":
+        calls = [(hubner_form, (rho, *pair))
+                 for t in (bad, frozen, bad.tolist()) for pair in ((t, t), (t, good), (good, t))]
+    else:
+        fn = dittmann2_form if form == "dittmann2" else dittmann3_form
+        calls = [(fn, (rho, t)) for t in (bad, frozen, bad.tolist())]
+    for fn, args in calls + calls:
+        with pytest.raises(DimensionMismatch) as exc:
+            fn(*args)
+        assert exc.value.exit_code == 4
+
+
 # ---------------------------------------------------------------------------
 # non-finite tangents
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buresgeo import matcore
-from buresgeo.coset import CosetChart3, rho2, rho3
-from buresgeo.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from buresgeo import coset, matcore
+from buresgeo.bures import fidelity, hubner_form
+from buresgeo.coset import CosetChart3, as_density, rho2, rho3
+from buresgeo.errors import ConvergenceFailure, DimensionMismatch, InvalidDensityMatrix
 from buresgeo.metric import closed_metric3, volume_element
 from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_unitary
 from buresgeo.tol import INVARIANT
@@ -50,9 +51,9 @@ def test_eig_pauli_x():
     np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14)
 
 
-def test_eig_rejects_nonhermitian():
-    with pytest.raises(NotHermitian):
-        matcore.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+def test_eig_rejects_nonhermitian(never_decomposed):
+    with pytest.raises(InvalidDensityMatrix, match="not Hermitian"):
+        as_density(np.array([[0.5, 1], [0, 0.5]], dtype=complex))
 
 
 def test_eig_ascending_and_reconstructs():
@@ -89,35 +90,50 @@ def test_dimension_mismatch():
         matcore.as_matrix(np.zeros((2, 3)))
 
 
+# ---------------------------------------------------------------------------
+# eig_hermitian's precondition: every state is checked once, when it is built
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def never_decomposed(monkeypatch):
+    """eig_hermitian checks nothing: a matrix that fails the state check must
+    be refused by DensityMatrix construction, before the eigensolver."""
+    def refuse(a):
+        raise AssertionError("a matrix that fails the state check reached eig_hermitian")
+    monkeypatch.setattr(matcore, "eig_hermitian", refuse)
+
+
 def test_hermiticity_defect_on_python_rows():
     a = np.array([[0.5, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 0.3, 1e-3], [0.0, 0.0, 0.2 + 1e-4j]])
     numpy_value = float(np.max(np.abs(a - a.conj().T)))
-    assert matcore.hermiticity_defect(a.tolist()) == numpy_value == 1e-3
-    for value in (math.nan, complex(0.0, math.nan)):
-        for at in ((0, 0), (0, 2), (2, 0)):
-            b = a.copy()
-            b[at] = value
-            assert math.isnan(matcore.hermiticity_defect(b.tolist()))
+    assert coset.hermiticity_defect(a.tolist()) == numpy_value == 1e-3
+    assert coset.hermiticity_defect(a.conj().T.tolist()) == numpy_value
+    assert coset.hermiticity_defect(matcore.hermitize(a).tolist()) == 0.0
 
 
 @pytest.mark.filterwarnings("error")
-def test_eig_hermitian_at_the_invariant_threshold():
+def test_eig_hermitian_at_the_invariant_threshold(monkeypatch):
+    calls = []
+    eig = matcore.eig_hermitian
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda a: calls.append(a) or eig(a))
     a = np.diag([0.5, 0.3, 0.2]).astype(complex)
     a[0, 1] = INVARIANT
-    matcore.eig_hermitian(a)
+    as_density(a)
+    assert len(calls) == 1
     a[0, 1] = 2 * INVARIANT
-    with pytest.raises(NotHermitian, match=r"= 2\.000e-10 > 1\.0e-10"):
-        matcore.eig_hermitian(a)
+    with pytest.raises(InvalidDensityMatrix, match=r"= 2\.000e-10 > 1\.0e-10"):
+        as_density(a)
+    assert len(calls) == 1
 
 
 @pytest.mark.filterwarnings("error")
 def test_eig_hermitian_nan_entry_is_refused_before_the_solver(monkeypatch):
-    # nan > INVARIANT is False, so the defect check alone would pass it on
+    # nan > INVARIANT is False, so a Hermiticity test alone would pass it on
     monkeypatch.setattr(matcore, "eigh", None)  # the solver is never reached
     a = np.diag([0.5, 0.3, 0.2]).astype(complex)
     a[0, 1] = a[1, 0] = math.nan
-    with pytest.raises(ConvergenceFailure, match="not passed to the eigensolver"):
-        matcore.eig_hermitian(a)
+    with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+        as_density(a)
 
 
 @pytest.mark.filterwarnings("error")
@@ -125,35 +141,58 @@ def test_eig_hermitian_nan_entry_is_refused_before_the_solver(monkeypatch):
                                  complex(math.inf, -math.inf)])
 @pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 0), (2, 2)])
 @pytest.mark.parametrize("mirrored", [False, True])
-def test_eig_hermitian_refuses_a_nonfinite_entry_without_a_warning(bad, at, mirrored):
+def test_eig_hermitian_refuses_a_nonfinite_entry_without_a_warning(bad, at, mirrored,
+                                                                   never_decomposed):
     a = np.diag([0.5, 0.3, 0.2]).astype(complex)
     a[at] = bad
     if mirrored:
         a[at[::-1]] = np.conj(bad)
-    with pytest.raises((ConvergenceFailure, NotHermitian)):
-        matcore.eig_hermitian(a)
+    with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+        as_density(a)
 
 
 @pytest.mark.filterwarnings("error")
-def test_eig_hermitian_refuses_a_hermitian_part_that_overflows():
-    # finite and exactly Hermitian, but A + A^dag is inf: refused before the
-    # solver instead of overflowing in hermitize
+def test_eig_hermitian_refuses_a_hermitian_part_that_overflows(monkeypatch):
+    # finite and exactly Hermitian, but A + A^dag is inf: refused when the
+    # state is built instead of overflowing in hermitize
     a = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
-    assert math.isnan(matcore.hermiticity_defect(a.tolist()))
-    with pytest.raises(ConvergenceFailure, match="not passed to the eigensolver"):
-        matcore.eig_hermitian(a)
+    assert math.isnan(coset.hermiticity_defect(a.tolist()))
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "eigh", None)  # the solver is never reached
+        with pytest.raises(InvalidDensityMatrix, match="the spectrum overflows"):
+            as_density(a)
     # the largest entries whose Hermitian part is finite still decompose
     a[0, 1] = a[1, 0] = np.nextafter(2.0 ** 1023, 0.0)
     assert np.isfinite(matcore.eig_hermitian(a).eigenvalues).all()
 
 
-def test_hermiticity_defect_that_overflows_is_inf():
+def test_hermiticity_defect_that_overflows_is_inf(never_decomposed):
     # |A_01 - conj(A_10)| of finite parts beyond the largest float: abs() of a
     # Python complex raises OverflowError there
     a = np.array([[0.5, 1e308 + 1e308j], [-0.5e308 + 0.5e308j, 0.5]])
-    assert matcore.hermiticity_defect(a.tolist()) == math.inf
-    with pytest.raises(NotHermitian, match="= inf >"):
-        matcore.eig_hermitian(a)
+    assert coset.hermiticity_defect(a.tolist()) == math.inf
+    with pytest.raises(InvalidDensityMatrix, match="= inf >"):
+        as_density(a)
+
+
+def test_a_user_state_is_checked_once(monkeypatch):
+    # the Hermiticity pass runs when the state is built; the spectrum, the
+    # Hubner form and the fidelity reuse the checked state
+    calls = []
+    defect = coset.hermiticity_defect
+    monkeypatch.setattr(coset, "hermiticity_defect", lambda rows: calls.append(rows) or defect(rows))
+    rho = as_density(rho3(random_chart3(make_rng(18))).mat.copy())
+    d = np.eye(3, dtype=complex)
+    assert rho.spectral is rho.spectral
+    assert math.isfinite(hubner_form(rho, d, d))
+    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3,), (3, 1), (1, 3, 3)])
+def test_as_tangent_checks_the_shape_before_the_entries(shape):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{shape} at a 3x3 state")):
+        matcore.as_tangent(np.full(shape, math.nan), 3)
 
 
 # ---------------------------------------------------------------------------

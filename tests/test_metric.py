@@ -22,6 +22,7 @@ from buresgeo.coset import (
 from buresgeo.errors import (
     BoundaryTooClose,
     DegenerateSpectrum,
+    DimensionMismatch,
     OutOfChartRange,
     SingularState,
     VerificationFailure,
@@ -189,6 +190,18 @@ def test_s_coeff_vs_closed_metric():
 def test_s_coeff_singular():
     with pytest.raises(SingularState):
         s_coeff(diag2(0.0))
+
+
+def test_s_coeff_refuses_a_d_that_is_not_diagonal_2x2():
+    # it reads D11 and D22 only, so any other state would give a number
+    # for a matrix the formula is not about
+    off = np.array([[0.6, INVARIANT], [INVARIANT, 0.4]], dtype=complex)
+    assert s_coeff(off).s12 == s_coeff(np.diag([0.6, 0.4])).s12
+    for state in (coset.rho3(random_chart3(make_rng(7))), coset.rho2(CosetChart2(0.3, 0.4, 0.1)),
+                  off + 2 * INVARIANT * np.array([[0, 1j], [-1j, 0]])):
+        with pytest.raises(DimensionMismatch, match="diagonal 2x2") as exc:
+            s_coeff(state)
+        assert exc.value.exit_code == 4
 
 
 def test_t_coeffs_equal_eigenvalue_limit():
@@ -729,6 +742,59 @@ def test_closed_volume_element_3level_is_the_bures_eigenvalue_density():
         assert min(ratios) > 0.0
         worst = max(worst, (max(ratios) - min(ratios)) / max(ratios))
     assert worst <= 1e-9
+
+
+def gauss_legendre(n: int, lo: float, hi: float) -> list[tuple[float, float]]:
+    """(node, weight) pairs of the n-point Gauss-Legendre rule on [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (hi - lo)
+    return list(zip((half * x + (lo + half)).tolist(), (half * w).tolist()))
+
+
+def test_bures_volume_of_the_2level_states_from_the_closed_tensor():
+    # sqrt(det g) = (1/2) |sin 2 alpha| cos^2 2 theta, free of phi; theta in
+    # [0, pi/4], alpha in [0, pi/2] and phi over one period cover each state
+    # once, so the volume is (pi/8) (1/2) (2 pi) = pi^2/8
+    rule = gauss_legendre(8, 0.0, math.pi / 4), gauss_legendre(8, 0.0, math.pi / 2)
+    vol = 2 * math.pi * sum(wt * wa * volume_element(closed_metric2(CosetChart2(theta, alpha)))
+                            for theta, wt in rule[0] for alpha, wa in rule[1])
+    assert vol == pytest.approx(math.pi ** 2 / 8, rel=1e-12, abs=0.0)
+
+
+def test_bures_volume_of_the_3level_states_from_the_closed_tensor():
+    # sqrt(det g) = P_B(lambda) |J(theta)| H(coset) (the test above), so the
+    # volume is the coset integral of H times the integral of P_B over the
+    # ordered eigenvalues, 1/3! of Z, its integral over the whole simplex.
+    # Sommers and Zyczkowski (2003): V3 = 2^-8 pi^(9/2) / Gamma(9/2).
+    t1, t2 = 0.6, 0.68
+    jac = math.sin(2 * t1) * math.sin(t1) ** 2 * math.sin(2 * t2)
+    scale = bures_density(coset.diag_entries3(t1, t2)) * jac
+    # H over one copy of the flag manifold: beta1, beta2 >= 0 with beta <= pi/2
+    # (beta < pi covers it twice), in polar (beta, chi); alpha in [0, pi/2];
+    # gamma = phi - psi1 + psi2 over one period as phi, and psi1, psi2,
+    # which H does not see, give (2 pi)^2. 8^4 nodes: 14^4 give the same
+    quarter, period = gauss_legendre(8, 0.0, math.pi / 2), gauss_legendre(8, 0.0, 2 * math.pi)
+    h = 0.0
+    for beta, wb in quarter:
+        for chi, wc in quarter:
+            b1, b2 = beta * math.cos(chi), beta * math.sin(chi)
+            for alpha, wa in quarter:
+                for gamma, wg in period:
+                    g = closed_metric3(CosetChart3(t1, t2, alpha, gamma, b1, b2))
+                    h += wb * wc * wa * wg * beta * volume_element(g)
+    h *= (2 * math.pi) ** 2 / scale
+    assert h == pytest.approx(3.87578458503747, rel=1e-12, abs=0.0)
+    # P_B |J| over the ordered chamber lambda_0 >= lambda_1 >= lambda_2, that is
+    # theta2 in [0, pi/4] and tan theta1 <= 1/cos theta2, where it is smooth
+    ordered = 0.0
+    for theta2, w2 in gauss_legendre(16, 0.0, math.pi / 4):
+        for theta1, w1 in gauss_legendre(16, 0.0, math.atan(1.0 / math.cos(theta2))):
+            jac = math.sin(2 * theta1) * math.sin(theta1) ** 2 * math.sin(2 * theta2)
+            ordered += w2 * w1 * bures_density(coset.diag_entries3(theta1, theta2)) * jac
+    z = math.factorial(3) * ordered
+    assert z == pytest.approx(0.0897597901026, rel=1e-12, abs=0.0)
+    v3 = 2.0 ** -8 * math.pi ** 4.5 / math.gamma(4.5)
+    assert h * z / math.factorial(3) == pytest.approx(v3, rel=1e-12, abs=0.0)
 
 
 def test_volume_3level_closed_vs_pullback():

@@ -2,10 +2,13 @@
 
 import ast
 import re
+import shlex
 import warnings
 from pathlib import Path
 
 import buresgeo
+
+from buresgeo import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(buresgeo.__file__).resolve().parent
@@ -52,3 +55,16 @@ def test_readme_python_blocks_run_without_warnings():
         warnings.simplefilter("error")
         for code in blocks:
             exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_cli_lines_exit_0(tmp_path, monkeypatch, capsys):
+    # in order, in a fresh directory: the rho line writes the state.json that
+    # the fidelity and find-chart lines read
+    blocks = re.findall(r"```bash\n(.*?)```", readme(), flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("buresgeo ")]
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
