@@ -37,20 +37,28 @@ from .errors import ConvergenceFailure, DimensionMismatch, InvalidTangent
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce to a square complex128 array; DimensionMismatch for anything
+    else, input numpy cannot read as a complex array included."""
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"not a complex matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def as_tangent(d, n: int) -> np.ndarray:
-    """Coerce a tangent at an n x n state to complex128: DimensionMismatch
-    unless it is n x n, then InvalidTangent if an entry is NaN or infinite.
-    The metric forms call this before any product, where such an entry would
-    give NaN or numpy's invalid-value warning. A loop over ``.tolist()``
-    costs less than ``np.isfinite`` at n <= 4."""
-    t = np.asarray(d, dtype=np.complex128)
+    """Coerce a tangent at an n x n state to complex128: InvalidTangent
+    unless numpy reads it as a complex array, DimensionMismatch unless it is
+    n x n, then InvalidTangent if an entry is NaN or infinite. The metric
+    forms call this before any product, where such an entry would give NaN
+    or numpy's invalid-value warning. A loop over ``.tolist()`` costs less
+    than ``np.isfinite`` at n <= 4."""
+    try:
+        t = np.asarray(d, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidTangent(f"not a complex matrix: {exc}") from None
     if t.shape != (n, n):
         raise DimensionMismatch(f"tangent of shape {t.shape} at a {n}x{n} state")
     if not all(map(cmath.isfinite, t.ravel().tolist())):

@@ -1,15 +1,17 @@
 """Recover chart coordinates from a density matrix.
 
-Eigenvalues fix the theta coordinates directly (after choosing the
-permutation that lands in the chart's eigenvalue box); the coset
-coordinates are read off the eigenvectors in closed form, with fixed
-conventions where a coordinate is undefined (psi_k = 0 when the k-th entry
-of Omega's third column is exactly 0, phi = 0 when an entry of the 2x2
-block is exactly 0). That analytic inverse is the path every in-chart state
-takes. Only if its residual || Omega(chart) D Omega† - rho ||_F exceeds
-TARGET_RESIDUAL does a least-squares multistart polish it; scipy is imported
-on that fallback's first call, never at module load. The reached residual
-is always returned alongside the chart.
+Both chart families take one path. ``_spectrum`` checks the state's size and
+reads its descending spectrum. A per-n step reads the theta coordinates off
+the eigenvalues (after choosing the permutation that lands in the chart's
+eigenvalue box) and the coset coordinates off the eigenvectors in closed
+form, with fixed conventions where a coordinate is undefined (psi_k = 0 when
+the k-th entry of Omega's third column is exactly 0, phi = 0 when an entry of
+the 2x2 block is exactly 0). ``_fit`` builds that chart through the family
+table; every in-chart state ends there. Only if its residual
+|| Omega(chart) D Omega† - rho ||_F exceeds TARGET_RESIDUAL does the one
+fallback, ``_polish``, run a least-squares multistart; scipy is imported on
+its first call, never at module load. The reached residual is always
+returned alongside the chart.
 """
 
 from __future__ import annotations
@@ -44,17 +46,22 @@ def _residual(rho_mat: np.ndarray, built: DensityMatrix) -> float:
     return float(np.linalg.norm(built.mat - rho_mat))
 
 
-def find_chart2(rho) -> tuple[CosetChart2, float]:
-    """Chart coordinates of a nondegenerate 2-level state, with fit residual."""
+def _spectrum(rho, n: int):
+    """(state, descending eigenvalues, eigenvector columns) of an n x n
+    nondegenerate state; OutOfChartRange for a state of another size."""
     dm = coset.as_density(rho)
-    if dm.dim != 2:
-        raise OutOfChartRange("n", dm.dim, "find_chart2 needs a 2x2 state")
-    w, v = _spectral_sorted_desc(dm)
-    theta, seed = _acos_root(w[0]), _block_angles(v)
-    chart = CosetChart2(theta, *seed)
-    res = _residual(dm.mat, coset.rho2(chart))
+    if dm.dim != n:
+        raise OutOfChartRange("n", dm.dim, f"find_chart{n} needs a {n}x{n} state")
+    return (dm, *_spectral_sorted_desc(dm))
+
+
+def _fit(fam, dm: DensityMatrix, thetas: tuple, seed: tuple):
+    """(chart, residual) at ``thetas`` with the analytic coset values ``seed``,
+    polished only above TARGET_RESIDUAL; FitFailure above FAIL_RESIDUAL."""
+    chart = fam.chart(*thetas, *seed)
+    res = _residual(dm.mat, fam.rho(chart))
     if res > TARGET_RESIDUAL:
-        chart, res = _polish2(dm, theta, seed, res)
+        chart, res = _polish(fam, dm, thetas, seed, (chart, res))
     if res > FAIL_RESIDUAL:
         raise FitFailure(f"residual {res:.3e} > {FAIL_RESIDUAL:.1e} after multistart")
     return chart, res
@@ -63,33 +70,45 @@ def find_chart2(rho) -> tuple[CosetChart2, float]:
 def least_squares(*args, **kwargs):
     """scipy.optimize.least_squares, imported on the first call.
 
-    Only the fallback fits need scipy, so importing buresgeo does not load it.
+    Only the fallback fit needs scipy, so importing buresgeo does not load it.
     """
     from scipy.optimize import least_squares as solve
 
     return solve(*args, **kwargs)
 
 
-def _polish2(dm: DensityMatrix, theta: float, seed_params, seed_res: float):
+def _clip(p) -> list[float]:
+    """A fit vector as coset values: a (beta1, beta2) pair (entries 2 and 3,
+    present at n = 3 only) with hypot >= pi is scaled to beta = pi - BETA_CLIP,
+    its direction kept."""
+    p = [float(x) for x in p]
+    beta = math.hypot(*p[2:4])
+    if beta >= coset.BETA_MAX:
+        p[2:4] = [b * (coset.BETA_MAX - BETA_CLIP) / beta for b in p[2:4]]
+    return p
+
+
+def _polish(fam, dm: DensityMatrix, thetas: tuple, seed: tuple, best):
+    """Least-squares multistart over the coset values at fixed ``thetas``,
+    from ``seed`` and then from the coset values of MULTISTART sampled
+    charts: the best (chart, residual) of ``best`` and the fits, stopping at
+    the first within TARGET_RESIDUAL."""
     def objective(p):
-        built = coset.rho2(CosetChart2(theta, p[0], p[1]))
-        diff = built.mat - dm.mat
+        diff = fam.rho(fam.chart(*thetas, *_clip(p))).mat - dm.mat
         return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
-    best_chart = CosetChart2(theta, *seed_params)
-    best_res = seed_res
     rng = np.random.default_rng(20)
-    starts = [np.asarray(seed_params, dtype=float)]
-    starts += [rng.uniform(0, 2 * math.pi, size=2) for _ in range(MULTISTART)]
+    k = len(thetas)
+    starts = [seed] + [fam.sample(rng).values()[k:] for _ in range(MULTISTART)]
     for p0 in starts:
         sol = least_squares(objective, p0, method="lm", xtol=FIT_STOP, ftol=FIT_STOP)
-        chart = CosetChart2(theta, *sol.x)
-        res = _residual(dm.mat, coset.rho2(chart))
-        if res < best_res:
-            best_chart, best_res = chart, res
-        if best_res <= TARGET_RESIDUAL:
+        chart = fam.chart(*thetas, *_clip(sol.x))
+        res = _residual(dm.mat, fam.rho(chart))
+        if res < best[1]:
+            best = chart, res
+        if best[1] <= TARGET_RESIDUAL:
             break
-    return best_chart, best_res
+    return best
 
 
 def _acos_root(lam: float) -> float:
@@ -104,6 +123,13 @@ def _block_angles(m: np.ndarray) -> tuple[float, float]:
     alpha = math.atan2(abs(m[1, 0]), abs(m[0, 0]))
     a, b = m[0, 1], m[1, 1]
     return alpha, (cmath.phase(a) - cmath.phase(b) if a and b else 0.0)
+
+
+def find_chart2(rho) -> tuple[CosetChart2, float]:
+    """Chart coordinates of a nondegenerate 2-level state, with fit residual:
+    theta from the larger eigenvalue, (alpha, phi) from the eigenvectors."""
+    dm, w, v = _spectrum(rho, 2)
+    return _fit(family(2), dm, (_acos_root(w[0]),), _block_angles(v))
 
 
 def _theta3_from_spectrum(w_triple) -> tuple[float, float]:
@@ -156,64 +182,12 @@ def _coset_params_from_eigvecs(v: np.ndarray):
 
 
 def find_chart3(rho) -> tuple[CosetChart3, float]:
-    """Chart coordinates of a nondegenerate 3-level state, with fit residual.
-
-    theta1, theta2 come from the eigenvalues; the six coset coordinates from
-    the eigenvectors in closed form, with the least-squares multistart only
-    as a fallback.
-    """
-    dm = coset.as_density(rho)
-    if dm.dim != 3:
-        raise OutOfChartRange("n", dm.dim, "find_chart3 needs a 3x3 state")
-    w_desc, v_desc = _spectral_sorted_desc(dm)
-    perm, theta1, theta2 = _assign_permutation3(w_desc)
-    v = v_desc[:, list(perm)]
-    seed = _coset_params_from_eigvecs(v)
-    chart = CosetChart3(theta1, theta2, *seed)
-    res = _residual(dm.mat, coset.rho3(chart))
-    if res > TARGET_RESIDUAL:
-        chart, res = _polish3(dm, theta1, theta2, seed, res)
-    if res > FAIL_RESIDUAL:
-        raise FitFailure(f"residual {res:.3e} > {FAIL_RESIDUAL:.1e} after multistart")
-    return chart, res
-
-
-def _clip_beta(p):
-    """Map an unconstrained 6-vector into a valid coset parameter tuple."""
-    alpha, phi, b1, b2, psi1, psi2 = (float(x) for x in p)
-    beta = math.hypot(b1, b2)
-    if beta >= coset.BETA_MAX:
-        scalefac = (coset.BETA_MAX - BETA_CLIP) / beta
-        b1, b2 = b1 * scalefac, b2 * scalefac
-    return alpha, phi, b1, b2, psi1, psi2
-
-
-def _polish3(dm: DensityMatrix, theta1: float, theta2: float, seed, seed_res: float):
-    def objective(p):
-        built = coset.rho3(CosetChart3(theta1, theta2, *_clip_beta(p)))
-        diff = built.mat - dm.mat
-        return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-
-    best_chart = CosetChart3(theta1, theta2, *seed)
-    best_res = seed_res
-    rng = np.random.default_rng(21)
-    starts = [np.asarray(seed, dtype=float)]
-    for _ in range(MULTISTART):
-        beta = rng.uniform(0.0, 0.95 * math.pi)
-        chi = rng.uniform(0.0, 2 * math.pi)
-        starts.append(np.array([
-            rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi),
-            beta * math.cos(chi), beta * math.sin(chi),
-            rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)]))
-    for p0 in starts:
-        sol = least_squares(objective, p0, method="lm", xtol=FIT_STOP, ftol=FIT_STOP)
-        chart = CosetChart3(theta1, theta2, *_clip_beta(sol.x))
-        res = _residual(dm.mat, coset.rho3(chart))
-        if res < best_res:
-            best_chart, best_res = chart, res
-        if best_res <= TARGET_RESIDUAL:
-            break
-    return best_chart, best_res
+    """Chart coordinates of a nondegenerate 3-level state, with fit residual:
+    theta1, theta2 from the eigenvalues, the six coset coordinates from the
+    eigenvectors."""
+    dm, w, v = _spectrum(rho, 3)
+    perm, theta1, theta2 = _assign_permutation3(w)
+    return _fit(family(3), dm, (theta1, theta2), _coset_params_from_eigvecs(v[:, list(perm)]))
 
 
 def find_chart(rho):

@@ -411,10 +411,16 @@ def test_a_tangent_of_the_wrong_shape_is_refused_by_every_form(form, n, shape):
 
 
 # ---------------------------------------------------------------------------
-# non-finite tangents
+# non-finite and unreadable tangents
 # ---------------------------------------------------------------------------
 
+# input numpy cannot read as a complex array at all
+UNREADABLE = {"str": "abc", "ragged": [[1, 2, 3], [4, 5]], "object": object()}
+
+
 def _bad_tangent(kind, n):
+    if kind in UNREADABLE:
+        return UNREADABLE[kind]
     if kind == "nan":
         return np.full((n, n), np.nan, dtype=complex)
     if kind in ("+inf", "-inf"):
@@ -429,24 +435,29 @@ def _state(n):
     return (coset.rho2 if n == 2 else coset.rho3)(chart)
 
 
-@pytest.mark.parametrize("kind", ["nan", "+inf", "-inf", "one nan", "one inf"])
+@pytest.mark.parametrize("kind", ["nan", "+inf", "-inf", "one nan", "one inf", *UNREADABLE])
 @pytest.mark.parametrize("form, n", [("hubner", 2), ("hubner", 3),
                                       ("dittmann2", 2), ("dittmann3", 3)])
 def test_non_finite_tangent_is_refused_before_any_product(form, n, kind):
-    # at the parent a NaN tangent gave nan and an inf one numpy's
-    # invalid-value warning; every form now raises the typed error, also for
-    # a read-only tangent (the memoized path) and on a repeated call
+    # every form raises the typed error before any product, where a NaN or
+    # inf entry would give nan or numpy's invalid-value warning and
+    # unreadable input numpy's untyped ValueError or TypeError; also for a
+    # read-only tangent (the memoized path) and on a repeated call
     rho = _state(n)
     good = random_tangent(make_rng(9), n)
     bad = _bad_tangent(kind, n)
-    frozen = bad.copy()
-    frozen.flags.writeable = False
+    if isinstance(bad, np.ndarray):
+        frozen = bad.copy()
+        frozen.flags.writeable = False
+        tangents, listed = [bad, frozen], [bad.tolist()]
+    else:
+        tangents, listed = [bad], []
     if form == "hubner":
         calls = [(hubner_form, (rho, *pair))
-                 for t in (bad, frozen) for pair in ((t, t), (t, good), (good, t))]
+                 for t in tangents for pair in ((t, t), (t, good), (good, t))]
     else:
         fn = dittmann2_form if form == "dittmann2" else dittmann3_form
-        calls = [(fn, (rho, t)) for t in (bad, frozen, bad.tolist())]
+        calls = [(fn, (rho, t)) for t in tangents + listed]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn, args in calls + calls:

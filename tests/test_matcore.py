@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from buresgeo import coset, matcore
-from buresgeo.bures import fidelity, hubner_form
+from buresgeo.bures import dittmann3_form, fidelity, hubner_form
 from buresgeo.coset import CosetChart3, as_density, rho2, rho3
 from buresgeo.errors import ConvergenceFailure, DimensionMismatch, InvalidDensityMatrix
-from buresgeo.metric import closed_metric3, volume_element
+from buresgeo.metric import closed_metric3, s_coeff, volume_element
 from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_unitary
 from buresgeo.tol import INVARIANT
 
@@ -88,6 +88,20 @@ def test_det_multiplicative():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         matcore.as_matrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", ["abc", [[1, 2, 3], [4, 5]], object()],
+                         ids=["str", "ragged", "object"])
+def test_a_state_numpy_cannot_read_is_a_dimension_mismatch(bad):
+    # every entry point that reads a state gives the typed error, not
+    # numpy's ValueError or TypeError
+    d = np.eye(3, dtype=complex)
+    for call in (lambda: matcore.as_matrix(bad), lambda: as_density(bad),
+                 lambda: fidelity(bad, bad), lambda: s_coeff(bad),
+                 lambda: hubner_form(bad, d, d), lambda: dittmann3_form(bad, d)):
+        with pytest.raises(DimensionMismatch) as exc:
+            call()
+        assert exc.value.exit_code == 4
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from buresgeo.errors import DegenerateSpectrum, OutOfChartRange
 from buresgeo.recover import TARGET_RESIDUAL, find_chart, find_chart2, find_chart3
 from buresgeo.sampling import (make_rng, random_chart2, random_chart3, random_density,
                                random_unitary)
-from buresgeo.tol import RANGE_EPS
+from buresgeo.tol import BETA_CLIP, RANGE_EPS
 
 
 def test_find_chart2_diagonal_example():
@@ -85,6 +85,14 @@ def test_find_chart3_edge_of_the_theta_box():
     assert chart.theta2 == expected.theta2
     assert chart.theta1 == pytest.approx(expected.theta1, abs=1e-12)
     assert res <= 1e-8
+
+
+def test_find_chart_of_one_n_refuses_a_state_of_the_other():
+    for find, n, other in ((find_chart2, 2, 3), (find_chart3, 3, 2)):
+        with pytest.raises(OutOfChartRange, match=f"coordinate n={other}") as exc:
+            find(np.eye(other, dtype=complex) / other + np.diag(np.linspace(0.1, -0.1, other)))
+        assert exc.value.coordinate == "n" and exc.value.exit_code == 2
+        assert f"find_chart{n} needs a {n}x{n} state" in str(exc.value)
 
 
 def test_uncharted_n_is_out_of_chart_range():
@@ -267,6 +275,23 @@ def test_find_chart2_round_trip_property(theta, alpha, phi):
 # ---------------------------------------------------------------------------
 # the least-squares fallback, reached through a spoiled analytic seed
 # ---------------------------------------------------------------------------
+
+def test_clip_scales_beta_below_pi_and_keeps_its_direction():
+    for b1, b2 in ((3.0, 4.0), (math.pi, 0.0), (0.0, -math.pi), (-2.5, 2.5)):
+        alpha, phi, c1, c2, psi1, psi2 = recover._clip([0.1, 0.2, b1, b2, 0.3, 0.4])
+        assert (alpha, phi, psi1, psi2) == (0.1, 0.2, 0.3, 0.4)
+        assert math.hypot(c1, c2) == pytest.approx(math.pi - BETA_CLIP, abs=1e-15)
+        assert math.atan2(c2, c1) == pytest.approx(math.atan2(b2, b1), abs=1e-15)
+        # the clipped pair builds a chart
+        CosetChart3(0.5, 0.6, alpha, phi, c1, c2, psi1, psi2)
+    inside = [0.1, 0.2, 2.0, -2.0, 0.3, 0.4]
+    assert recover._clip(inside) == inside
+
+
+def test_clip_leaves_an_n2_vector_unchanged():
+    for p in ([7.0, -1.5], [0.0, 4.0], np.array([math.pi, math.pi])):
+        assert recover._clip(p) == [float(x) for x in p]
+
 
 def test_find_chart3_fallback_recovers_from_a_bad_seed(monkeypatch):
     exact = recover._coset_params_from_eigvecs
