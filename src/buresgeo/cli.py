@@ -58,7 +58,7 @@ def read_matrix(path: str) -> np.ndarray:
             payload = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; arrays nested too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not {"dim", "re", "im"} <= set(payload):
         raise ParseError(f'{path}: expected an object with keys "dim", "re", "im"')
@@ -515,8 +515,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
     if args.output_path:
-        with open(args.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.output_path}: {exc}\n")
+            return ParseError.exit_code
     else:
         sys.stdout.write(text)
     return code

@@ -425,19 +425,17 @@ def rho3(chart: CosetChart3) -> DensityMatrix:
 class PermutationIdentity:
     """One coset-parameter setting realizing a permutation of the levels.
 
-    ``omega`` is the computed coset product; ``exact`` the frozen matrix it
-    equals entrywise. The products equal ``phase * perm`` only modulo
-    right-multiplication by diagonal phases (the torus stabilizer):
-    ``residual_coset`` measures that statement, ``residual_literal`` the
-    literal one (nonzero for every non-identity entry).
+    ``omega`` is the computed coset product; ``residual_exact`` its entrywise
+    gap to the frozen matrix it equals. The products equal ``phase * perm``
+    only modulo right-multiplication by diagonal phases (the torus
+    stabilizer): ``residual_coset`` measures that statement,
+    ``residual_literal`` the literal one (nonzero for every non-identity entry).
     """
 
     name: str
-    settings: dict
     perm: np.ndarray
     phase: complex
     omega: np.ndarray
-    exact: np.ndarray
     residual_exact: float
     residual_coset: float
     residual_literal: float
@@ -498,8 +496,7 @@ def permutation_table() -> list[PermutationIdentity]:
                 f"coset residual {res_coset:.3e}"
             )
         out.append(PermutationIdentity(
-            name=name, settings=dict(settings), perm=perm, phase=phase, omega=om,
-            exact=exact, residual_exact=res_exact, residual_coset=res_coset,
-            residual_literal=res_literal,
+            name=name, perm=perm, phase=phase, omega=om, residual_exact=res_exact,
+            residual_coset=res_coset, residual_literal=res_literal,
         ))
     return out

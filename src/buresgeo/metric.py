@@ -507,8 +507,6 @@ def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     """
     scale = np.maximum(np.abs(a), np.abs(b))
     mask = scale >= REL_DEV_FLOOR
-    if not np.any(mask):
-        return 0.0
     return float(np.max(np.abs(a - b)[mask] / scale[mask]))
 
 

@@ -2,8 +2,8 @@
 
 Both chart families take one path. ``_spectrum`` checks the state's size and
 reads its descending spectrum. A per-n step reads the theta coordinates off
-the eigenvalues (after choosing the permutation that lands in the chart's
-eigenvalue box) and the coset coordinates off the eigenvectors in closed
+that spectrum (at n = 3 its one refusal is lambda2 > 3 lambda3, where theta2
+falls below pi/6) and the coset coordinates off the eigenvectors in closed
 form, with fixed conventions where a coordinate is undefined (psi_k = 0 when
 the k-th entry of Omega's third column is exactly 0, phi = 0 when an entry of
 the 2x2 block is exactly 0). ``_fit`` builds that chart through the family
@@ -17,14 +17,12 @@ returned alongside the chart.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 import numpy as np
 
 from . import coset
-from .coset import (CosetChart2, CosetChart3, DensityMatrix, THETA1_MAX, THETA2_MAX, THETA2_MIN,
-                    require_gap)
+from .coset import CosetChart2, CosetChart3, DensityMatrix, THETA2_MIN, require_gap
 from .errors import FitFailure, OutOfChartRange
 from .metric import family
 from .tol import BETA_CLIP, FAIL_RESIDUAL, FIT_STOP, PHASE_REF, RANGE_EPS, TARGET_RESIDUAL
@@ -139,27 +137,6 @@ def _theta3_from_spectrum(w_triple) -> tuple[float, float]:
     return theta1, theta2
 
 
-def _assign_permutation3(w_desc: list[float]):
-    """Pick the eigenvalue ordering that satisfies the chart's theta box.
-
-    Tries the permutations of the (descending) spectrum in a fixed order and
-    returns the first whose recovered (theta1, theta2) lie in range, with the
-    chart's own RANGE_EPS slack (CosetChart3 clamps them into the box). Some
-    perfectly valid spectra admit none (the box covers only part of the
-    eigenvalue simplex sector); those raise OutOfChartRange.
-    """
-    for perm in itertools.permutations(range(3)):
-        t1, t2 = _theta3_from_spectrum([w_desc[p] for p in perm])
-        # acos and atan2 of non-negative arguments never fall below 0
-        if t1 <= THETA1_MAX + RANGE_EPS and THETA2_MIN - RANGE_EPS <= t2 <= THETA2_MAX + RANGE_EPS:
-            return perm, t1, t2
-    raise OutOfChartRange(
-        "spectrum", tuple(w_desc),
-        "no eigenvalue ordering fits the chart box "
-        "(needs lambda1 >= 1/3 and lambda2/lambda3 in [1, 3])"
-    )
-
-
 def _coset_params_from_eigvecs(v: np.ndarray):
     """Analytic coset parameters from an eigenvector matrix (column phases free)."""
     # third column of Omega is (n1 e^{i psi1} sin b, n2 e^{i psi2} sin b, cos b)
@@ -183,11 +160,21 @@ def _coset_params_from_eigvecs(v: np.ndarray):
 
 def find_chart3(rho) -> tuple[CosetChart3, float]:
     """Chart coordinates of a nondegenerate 3-level state, with fit residual:
-    theta1, theta2 from the eigenvalues, the six coset coordinates from the
-    eigenvectors."""
+    theta1, theta2 from the descending eigenvalues, the six coset coordinates
+    from the eigenvectors.
+
+    The theta box needs lambda1 >= 1/3, always true, and lambda3 <= lambda2 <= 3 lambda3,
+    so the one refusal is lambda2 > 3 lambda3 (theta2 < pi/6 - RANGE_EPS). No other
+    ordering (a, b, c) fits: it needs c <= b <= 3c. For {b, c} = {lambda2, lambda3} or
+    {lambda1, lambda3}, c = lambda3 and lambda2 <= b <= 3 lambda3; for {lambda1, lambda2},
+    a = lambda3 >= 1/3 makes all three 1/3, a spectrum ``require_gap`` refuses.
+    """
     dm, w, v = _spectrum(rho, 3)
-    perm, theta1, theta2 = _assign_permutation3(w)
-    return _fit(family(3), dm, (theta1, theta2), _coset_params_from_eigvecs(v[:, list(perm)]))
+    theta1, theta2 = _theta3_from_spectrum(w)
+    if theta2 < THETA2_MIN - RANGE_EPS:
+        raise OutOfChartRange("spectrum", tuple(w), "no eigenvalue ordering fits the chart box "
+                              "(needs lambda1 >= 1/3 and lambda2/lambda3 in [1, 3])")
+    return _fit(family(3), dm, (theta1, theta2), _coset_params_from_eigvecs(v))
 
 
 def find_chart(rho):

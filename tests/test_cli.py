@@ -674,6 +674,31 @@ def test_bad_input_exit_code_and_message(argv, code, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+RHO2 = ["rho", "--n", "2", "--theta", "0.3"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([*RHO2, "--out", "{tmp}/missing-dir/out.json"],
+     "error: cannot write {tmp}/missing-dir/out.json:"),
+    ([*RHO2, "--out", "{tmp}"], "error: cannot write {tmp}:"),
+    (["find-chart", "{tmp}/latin1.json"], "error: {tmp}/latin1.json is not valid JSON:"),
+    (["fidelity", "--state-a", "{tmp}/latin1.json", "--state-b", "theta=0.2"],
+     "error: {tmp}/latin1.json is not valid JSON:"),
+    (["find-chart", "{tmp}/deep.json"], "error: {tmp}/deep.json is not valid JSON:"),
+    (["fidelity", "--state-a", "{tmp}/deep.json", "--state-b", "theta=0.2"],
+     "error: {tmp}/deep.json is not valid JSON:"),
+], ids=["out-missing-dir", "out-onto-dir", "find-chart-non-utf8", "fidelity-non-utf8",
+        "find-chart-nested-100000", "fidelity-nested-100000"])
+def test_a_file_that_cannot_be_read_or_written_exits_3(argv, message, tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"dim": 1, "re": [[1]], "im": [[0]], "n": "\xe9"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.replace("{tmp}", str(tmp_path)))
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_find_chart_round_trip_through_rho(tmp_path, capsys):
     out_path = tmp_path / "state.json"
     assert main(["rho", "--n", "3", "--theta1", "0.5", "--theta2", "0.6",

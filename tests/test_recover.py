@@ -1,6 +1,9 @@
 import contextlib
 import itertools
 import math
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 
 from buresgeo import coset, metric, recover
 from buresgeo.coset import CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
-from buresgeo.errors import DegenerateSpectrum, OutOfChartRange
+from buresgeo.cli import main
+from buresgeo.errors import DegenerateSpectrum, FitFailure, OutOfChartRange
 from buresgeo.recover import TARGET_RESIDUAL, find_chart, find_chart2, find_chart3
 from buresgeo.sampling import (make_rng, random_chart2, random_chart3, random_density,
                                random_unitary)
@@ -85,6 +89,45 @@ def test_find_chart3_edge_of_the_theta_box():
     assert chart.theta2 == expected.theta2
     assert chart.theta1 == pytest.approx(expected.theta1, abs=1e-12)
     assert res <= 1e-8
+    # rotated spectra about the theta2 = pi/6 edge fit or are refused exactly as
+    # the six-ordering reference decides, with the same bits
+    rng = make_rng(21)
+    outcomes = set()
+    for w in theta2_edge_spectra():
+        u = random_unitary(rng, 3)
+        mat = u @ np.diag(w).astype(complex) @ u.conj().T
+        try:
+            want = argsort_find_chart3(mat)
+        except OutOfChartRange:
+            with pytest.raises(OutOfChartRange, match="no eigenvalue ordering fits"):
+                find_chart3(mat)
+            outcomes.add("refused")
+            continue
+        chart, res = find_chart3(mat)
+        assert np.array(chart.values()).tobytes() == np.array(want[0].values()).tobytes()
+        assert res == want[1] and res <= 1e-8
+        outcomes.add("fit")
+    assert outcomes == {"fit", "refused"}
+
+
+def theta2_edge_spectra():
+    """Spectra at the theta2 = pi/6 edge of the chart box, where lambda2 = 3 lambda3:
+    lambda2/lambda3 = 3(1 +- k 1e-9) for k = 1, 2, 3; theta2 1e-12 either side of
+    the slack edge pi/6 - RANGE_EPS; each of those at trace 1, 1 - 9e-11 and 1 + 9e-11
+    (1 +- 1e-10 would sit on the state's trace check); and one spectrum with an
+    eigenvalue at -1e-11."""
+    edge = []
+    for k in (1, 2, 3):
+        for sign in (1, -1):
+            l2 = 0.3 * (1 + sign * k * 1e-9)
+            edge.append([0.9 - l2, l2, 0.1])
+    for off in (-1e-12, 1e-12):
+        t2 = THETA2_MIN - RANGE_EPS + off
+        edge.append([math.cos(0.5) ** 2, (math.sin(0.5) * math.cos(t2)) ** 2,
+                     (math.sin(0.5) * math.sin(t2)) ** 2])
+    for tr in (1.0, 1 - 9e-11, 1 + 9e-11):
+        yield from ([tr * x for x in w] for w in edge)
+    yield [0.7, 0.3 + 1e-11, -1e-11]
 
 
 def test_find_chart_of_one_n_refuses_a_state_of_the_other():
@@ -322,3 +365,21 @@ def test_find_chart2_fallback_recovers_from_a_bad_seed(monkeypatch):
     assert calls
     assert res <= TARGET_RESIDUAL
     assert np.linalg.norm(coset.rho2(rec).mat - rho.mat) <= TARGET_RESIDUAL
+
+
+def test_a_seed_the_fit_cannot_mend_raises_fit_failure(monkeypatch, capsys):
+    # scipy absent, every least-squares start returned unmoved: no start reaches
+    # FAIL_RESIDUAL, so the recovery fails with FitFailure, exit 6
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    exact = recover._coset_params_from_eigvecs
+    monkeypatch.setattr(recover, "_coset_params_from_eigvecs",
+                        lambda v: tuple(p + 0.5 for p in exact(v)))
+    monkeypatch.setattr(recover, "least_squares",
+                        lambda fun, x0, **kwargs: SimpleNamespace(x=np.asarray(x0)))
+    with pytest.raises(FitFailure, match=r"^residual .* after multistart$") as exc:
+        find_chart3(coset.rho3(random_chart3(make_rng(4))))
+    assert exc.value.exit_code == 6
+    state = Path(__file__).resolve().parent / "data" / "state3a.json"
+    assert main(["find-chart", str(state)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: residual ") and err.endswith(" after multistart\n")
