@@ -63,6 +63,8 @@ def read_matrix(path: str) -> np.ndarray:
     if not isinstance(payload, dict) or not {"dim", "re", "im"} <= set(payload):
         raise ParseError(f'{path}: expected an object with keys "dim", "re", "im"')
     dim = payload["dim"]
+    if type(dim) is not int:  # true == 1 and 2.0 == 2 would pass the shape test
+        raise ParseError(f'{path}: "dim" must be an integer, not {json.dumps(dim)}')
     try:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)

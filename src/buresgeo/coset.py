@@ -70,7 +70,7 @@ def require_gap(lam: Sequence[float]) -> None:
                 raise DegenerateSpectrum(f"eigenvalue gap {abs(a - b):.3e} below {GAP:.1e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CosetChart2:
     """Chart (theta, alpha, phi) for a 2-level state."""
 
@@ -78,17 +78,17 @@ class CosetChart2:
     alpha: float = 0.0
     phi: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta",
-                           _require_range("theta", self.theta, 0.0, math.pi / 4))
-        for name in ("alpha", "phi"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+    def __init__(self, theta: float, alpha: float = 0.0, phi: float = 0.0):
+        d = self.__dict__  # frozen: each checked value is stored once, directly
+        d["theta"] = _require_range("theta", theta, 0.0, math.pi / 4)
+        d["alpha"] = _require_finite("alpha", alpha)
+        d["phi"] = _require_finite("phi", phi)
 
     def values(self) -> tuple[float, float, float]:
         return (self.theta, self.alpha, self.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CosetChart3:
     """Chart (theta1, theta2, alpha, phi, beta1, beta2, psi1, psi2) for a 3-level state."""
 
@@ -101,23 +101,32 @@ class CosetChart3:
     psi1: float = 0.0
     psi2: float = 0.0
 
-    def __post_init__(self):
-        d = self.__dict__  # frozen: store the converted values directly
+    def __init__(self, theta1: float, theta2: float, alpha: float = 0.0, phi: float = 0.0,
+                 beta1: float = 0.0, beta2: float = 0.0, psi1: float = 0.0, psi2: float = 0.0):
         # one test each passes two in-range float thetas (clamping keeps them) and six
         # finite floats; anything else, or a sum that overflows, goes one coordinate at a time
-        t1, t2 = d["theta1"], d["theta2"]
-        if not (type(t1) is type(t2) is float
-                and 0.0 <= t1 <= THETA1_MAX and THETA2_MIN <= t2 <= THETA2_MAX):
-            d["theta1"] = _require_range("theta1", t1, 0.0, THETA1_MAX)
-            d["theta2"] = _require_range("theta2", t2, THETA2_MIN, THETA2_MAX)
-        a, p, b1, b2, s1, s2 = d["alpha"], d["phi"], d["beta1"], d["beta2"], d["psi1"], d["psi2"]
-        if not (type(a) is type(p) is type(b1) is type(b2) is type(s1) is type(s2) is float
-                and math.isfinite(a + p + b1 + b2 + s1 + s2)):
-            for name in FREE3:
-                d[name] = _require_finite(name, d[name])
-        beta = math.hypot(d["beta1"], d["beta2"])
+        if not (type(theta1) is type(theta2) is float
+                and 0.0 <= theta1 <= THETA1_MAX and THETA2_MIN <= theta2 <= THETA2_MAX):
+            theta1 = _require_range("theta1", theta1, 0.0, THETA1_MAX)
+            theta2 = _require_range("theta2", theta2, THETA2_MIN, THETA2_MAX)
+        if not (type(alpha) is type(phi) is type(beta1) is type(beta2) is type(psi1)
+                is type(psi2) is float
+                and math.isfinite(alpha + phi + beta1 + beta2 + psi1 + psi2)):
+            alpha, phi, beta1, beta2, psi1, psi2 = (
+                _require_finite(name, value)
+                for name, value in zip(FREE3, (alpha, phi, beta1, beta2, psi1, psi2)))
+        beta = math.hypot(beta1, beta2)
         if beta >= BETA_MAX:
             raise OutOfChartRange("beta", beta, f"hypot(beta1, beta2) must be < {BETA_MAX:.10g}")
+        d = self.__dict__  # frozen: each checked value is stored once, directly
+        d["theta1"] = theta1
+        d["theta2"] = theta2
+        d["alpha"] = alpha
+        d["phi"] = phi
+        d["beta1"] = beta1
+        d["beta2"] = beta2
+        d["psi1"] = psi1
+        d["psi2"] = psi2
 
     @property
     def beta(self) -> float:

@@ -123,9 +123,10 @@ def inv(a: np.ndarray) -> np.ndarray:
 # Hermitian eigendecomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigen-data of a Hermitian matrix.
+    """Eigen-data of a Hermitian matrix. Equality and hashing are by identity,
+    as comparing the ndarray fields gives an array, not a truth value.
 
     eigenvalues are real and ascending; eigenvectors holds the orthonormal
     eigenvectors as columns, so ``V @ diag(w) @ V†`` reconstructs the input.

@@ -69,16 +69,20 @@ def upper_entries(ordering: Sequence[str]) -> list[tuple[str, int, int]]:
 _UPPER_ENTRIES = {ordering: upper_entries(ordering) for ordering in (COORDS2, COORDS3)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MetricTensor:
-    """Symmetric real tensor together with its coordinate ordering."""
+    """Symmetric real tensor together with its coordinate ordering. Equality
+    and hashing are by identity, as comparing the ndarray g gives an array,
+    not a truth value."""
 
     ordering: tuple[str, ...]
     g: np.ndarray
 
-    def __post_init__(self):
-        arr = self.__dict__["g"] = np.asarray(self.g, dtype=float)  # frozen: store directly
-        d = len(self.ordering)
+    def __init__(self, ordering: tuple[str, ...], g: np.ndarray):
+        store = self.__dict__  # frozen: each value is stored once, directly
+        store["ordering"] = ordering
+        arr = store["g"] = np.asarray(g, dtype=float)
+        d = len(ordering)
         if arr.shape != (d, d):
             raise VerificationFailure(f"tensor shape {arr.shape} does not match ordering")
         # equal bytes (every closed form) pass at once; signed zeros and nan
@@ -275,7 +279,7 @@ def t_coeffs_printed_generic(theta1: float, theta2: float) -> tuple[float, float
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Coeffs3:
     """Coset-sector auxiliaries of the 3-level closed form.
 
@@ -293,6 +297,19 @@ class Coeffs3:
     w2: float
     x: float
     y: float
+
+    def __init__(self, gamma: float, u1: float, u2: float, v1: float, v2: float,
+                 w1: float, w2: float, x: float, y: float):
+        d = self.__dict__  # frozen: each value is stored once, directly
+        d["gamma"] = gamma
+        d["u1"] = u1
+        d["u2"] = u2
+        d["v1"] = v1
+        d["v2"] = v2
+        d["w1"] = w1
+        d["w2"] = w2
+        d["x"] = x
+        d["y"] = y
 
 
 def aux_coeffs(beta1: float, beta2: float, phi: float,
@@ -338,8 +355,8 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
 # ---------------------------------------------------------------------------
 
 def _closed_rows3(chart: CosetChart3, t: tuple[float, float, float], beta: float, *,
-                  entries: str) -> list[list[float]]:
-    """The eight rows of the closed 3-level tensor, ordering COORDS3.
+                  entries: str) -> list[float]:
+    """The 64 entries of the closed 3-level tensor, row-major, ordering COORDS3.
 
     Rows 0-1 are the eigenvalue block diag(1, sin^2 theta1) with zero
     eigenvalue-coset cross blocks; rows 2-7 are the 6x6 coset block, one
@@ -406,31 +423,31 @@ def _closed_rows3(chart: CosetChart3, t: tuple[float, float, float], beta: float
              + t13 * b1 * b2 * (y * (u1 * sa2 + u2 * ca2) + uuy) * snb2
              + t23 * b1 * b2 * (y * (u1 * ca2 + u2 * sa2) - uuy) * snb2)
     return [
-        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, math.sin(chart.theta1) ** 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, -t12, 0.0, a_b1, a_b2, a_s1, a_s2],
-        [0.0, 0.0, 0.0, -0.25 * t12 * s2a2, p_b1, p_b2, p_s1, p_s2],
-        [0.0, 0.0, a_b1, p_b1,
-         (-4.0 * t12 * b2sq * omsg * shb2
-          - t13 * (x2 * sa2 + v1 ** 2 * ca2 - xv1)
-          - t23 * (x2 * ca2 + v1 ** 2 * sa2 + xv1)),
-         b1_b2, b1_s1, b1_s2],
-        [0.0, 0.0, a_b2, p_b2, b1_b2,
-         (-4.0 * t12 * b1sq * omsg * shb2
-          - t13 * (x2 * ca2 + v2 ** 2 * sa2 - xv2)
-          - t23 * (x2 * sa2 + v2 ** 2 * ca2 + xv2)),
-         b2_s1, b2_s2],
-        [0.0, 0.0, a_s1, p_s1, b1_s1, b2_s1,
-         (-t12 * b1sq * (4.0 * b2sq * u2 ** 2 * omcg + b1sq * w2 ** 2 * s2a2
-                         + 2.0 * b1 * b2 * u2 * w2 * s4a * cg) * shb2
-          - t13 * b1sq * (u2 ** 2 * ca2 + y2 * sa2 + uy2) * snb2
-          - t23 * b1sq * (u2 ** 2 * sa2 + y2 * ca2 - uy2) * snb2),
-         s1_s2],
-        [0.0, 0.0, a_s2, p_s2, b1_s2, b2_s2, s1_s2,
-         (-t12 * b2sq * (4.0 * b1sq * u1 ** 2 * omcg + b2sq * w1 ** 2 * s2a2
-                         - 2.0 * b1 * b2 * u1 * w1 * s4a * cg) * shb2
-          - t13 * b2sq * (u1 ** 2 * sa2 + y2 * ca2 + uy1) * snb2
-          - t23 * b2sq * (u1 ** 2 * ca2 + y2 * sa2 - uy1) * snb2)],
+        1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, math.sin(chart.theta1) ** 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, -t12, 0.0, a_b1, a_b2, a_s1, a_s2,
+        0.0, 0.0, 0.0, -0.25 * t12 * s2a2, p_b1, p_b2, p_s1, p_s2,
+        0.0, 0.0, a_b1, p_b1,
+        (-4.0 * t12 * b2sq * omsg * shb2
+         - t13 * (x2 * sa2 + v1 ** 2 * ca2 - xv1)
+         - t23 * (x2 * ca2 + v1 ** 2 * sa2 + xv1)),
+        b1_b2, b1_s1, b1_s2,
+        0.0, 0.0, a_b2, p_b2, b1_b2,
+        (-4.0 * t12 * b1sq * omsg * shb2
+         - t13 * (x2 * ca2 + v2 ** 2 * sa2 - xv2)
+         - t23 * (x2 * sa2 + v2 ** 2 * ca2 + xv2)),
+        b2_s1, b2_s2,
+        0.0, 0.0, a_s1, p_s1, b1_s1, b2_s1,
+        (-t12 * b1sq * (4.0 * b2sq * u2 ** 2 * omcg + b1sq * w2 ** 2 * s2a2
+                        + 2.0 * b1 * b2 * u2 * w2 * s4a * cg) * shb2
+         - t13 * b1sq * (u2 ** 2 * ca2 + y2 * sa2 + uy2) * snb2
+         - t23 * b1sq * (u2 ** 2 * sa2 + y2 * ca2 - uy2) * snb2),
+        s1_s2,
+        0.0, 0.0, a_s2, p_s2, b1_s2, b2_s2, s1_s2,
+        (-t12 * b2sq * (4.0 * b1sq * u1 ** 2 * omcg + b2sq * w1 ** 2 * s2a2
+                        - 2.0 * b1 * b2 * u1 * w1 * s4a * cg) * shb2
+         - t13 * b2sq * (u1 ** 2 * sa2 + y2 * ca2 + uy1) * snb2
+         - t23 * b2sq * (u1 ** 2 * ca2 + y2 * sa2 - uy1) * snb2),
     ]
 
 
@@ -447,7 +464,8 @@ def closed_metric3(chart: CosetChart3, *, entries: str = "validated") -> MetricT
     if not (0.0 < beta < BETA_MAX):
         raise OutOfChartRange("beta", beta, "must lie strictly in (0, pi)")
     t = t_coeffs(chart.theta1, chart.theta2)
-    return MetricTensor(COORDS3, np.array(_closed_rows3(chart, t, beta, entries=entries)))
+    flat = _closed_rows3(chart, t, beta, entries=entries)
+    return MetricTensor(COORDS3, np.array(flat).reshape(8, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -699,6 +699,22 @@ def test_a_file_that_cannot_be_read_or_written_exits_3(argv, message, tmp_path, 
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+@pytest.mark.parametrize("dim,n,shown", [(True, 1, "true"), (1.0, 1, "1.0"), (2.0, 2, "2.0"),
+                                         ("2", 2, '"2"')])
+@pytest.mark.parametrize("command", ["fidelity", "find-chart"])
+def test_a_dim_that_is_not_an_integer_exits_3(command, dim, n, shown, tmp_path, capsys):
+    # the shape test alone passes each of these: True == 1 and 2.0 == 2
+    mat = np.eye(n) / n
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": dim, "re": mat.tolist(), "im": np.zeros((n, n)).tolist()}))
+    argv = (["fidelity", "--state-a", str(path), "--state-b", str(path)]
+            if command == "fidelity" else ["find-chart", str(path)])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f'error: {path}: "dim" must be an integer, not {shown}\n'
+
+
 def test_find_chart_round_trip_through_rho(tmp_path, capsys):
     out_path = tmp_path / "state.json"
     assert main(["rho", "--n", "3", "--theta1", "0.5", "--theta2", "0.6",
