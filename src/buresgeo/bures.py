@@ -53,7 +53,8 @@ def fidelity(rho1, rho2) -> float:
 
 
 def bures_distance(rho1, rho2) -> float:
-    """d_B = sqrt(2 - 2 sqrt(F)); zero iff the states coincide (F = 1)."""
+    """d_B = sqrt(2 - 2 sqrt(F)), to about 1e-8 absolute: a state and its copy may
+    read up to 6e-8, nearby states lose every digit (ROADMAP.md, Bures-distance item)."""
     return distance_from_fidelity(fidelity(rho1, rho2))
 
 

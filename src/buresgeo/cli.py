@@ -487,16 +487,23 @@ def _parser() -> argparse.ArgumentParser:
 # argparse reads an argument that starts with '-' as an option unless it looks
 # like '-1' or '-0.5'; every other negative spelling that float() reads ('-1e-4',
 # '-1_0', '-INF', '-nan ') after a flag is joined to it as '--flag=-1e-4'
-_DIGITS = r"\d(?:_?\d)*"
-NEGATIVE_FLOAT = re.compile(rf"-(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)"
-                            rf"(?:[eE][-+]?{_DIGITS})?|(?ai:inf(?:inity)?|nan))[^\S\x1c-\x1f]*")
 FLAG = re.compile(r"--\w[\w-]*")
+
+
+def _is_negative_float(arg: str) -> bool:
+    if not arg.startswith("-"):
+        return False
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
 
 
 def _join_negative_values(argv: Sequence[str]) -> list[str]:
     out: list[str] = []
     for arg in argv:
-        if out and FLAG.fullmatch(out[-1]) and NEGATIVE_FLOAT.fullmatch(arg):
+        if out and FLAG.fullmatch(out[-1]) and _is_negative_float(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

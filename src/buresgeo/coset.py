@@ -12,7 +12,8 @@ Chart ranges:
 The beta < pi restriction keeps the big coset block nonsingular
 (sin beta = 0 with cos beta = -1 at beta = pi); states on that boundary are
 reachable through the permutation identities instead. This makes the tuple
-a chart, not a global cover.
+a chart, not a global cover, and not a one-to-one one: beta < pi covers the
+flag manifold twice, and sqrt(det g) vanishes on the fold at beta = pi/2.
 """
 
 from __future__ import annotations
@@ -430,7 +431,7 @@ def rho3(chart: CosetChart3) -> DensityMatrix:
 # permutation identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationIdentity:
     """One coset-parameter setting realizing a permutation of the levels.
 

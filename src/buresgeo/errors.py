@@ -66,4 +66,4 @@ class BoundaryTooClose(BuresGeoError, exit_code=5):
 
 
 class FitFailure(BuresGeoError, exit_code=6):
-    """Chart recovery did not reach the target residual after multistart."""
+    """The closed-form chart inverse left a residual above FAIL_RESIDUAL."""

@@ -7,11 +7,9 @@ falls below pi/6) and the coset coordinates off the eigenvectors in closed
 form, with fixed conventions where a coordinate is undefined (psi_k = 0 when
 the k-th entry of Omega's third column is exactly 0, phi = 0 when an entry of
 the 2x2 block is exactly 0). ``_fit`` builds that chart through the family
-table; every in-chart state ends there. Only if its residual
-|| Omega(chart) D Omega† - rho ||_F exceeds TARGET_RESIDUAL does the one
-fallback, ``_polish``, run a least-squares multistart; scipy is imported on
-its first call, never at module load. The reached residual is always
-returned alongside the chart.
+table and measures its residual || Omega(chart) D Omega† - rho ||_F; every
+in-chart state ends there. The closed form is the only fit: a residual above
+FAIL_RESIDUAL raises FitFailure, any other is returned alongside the chart.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ from . import coset
 from .coset import CosetChart2, CosetChart3, DensityMatrix, THETA2_MIN, require_gap
 from .errors import FitFailure, OutOfChartRange
 from .metric import family
-from .tol import BETA_CLIP, FAIL_RESIDUAL, FIT_STOP, PHASE_REF, RANGE_EPS, TARGET_RESIDUAL
-
-MULTISTART = 8
+from .tol import FAIL_RESIDUAL, PHASE_REF, RANGE_EPS
 
 
 def _spectral_sorted_desc(rho: DensityMatrix):
@@ -40,10 +36,6 @@ def _spectral_sorted_desc(rho: DensityMatrix):
     return w, spec.eigenvectors[:, ::-1]
 
 
-def _residual(rho_mat: np.ndarray, built: DensityMatrix) -> float:
-    return float(np.linalg.norm(built.mat - rho_mat))
-
-
 def _spectrum(rho, n: int):
     """(state, descending eigenvalues, eigenvector columns) of an n x n
     nondegenerate state; OutOfChartRange for a state of another size."""
@@ -54,59 +46,21 @@ def _spectrum(rho, n: int):
 
 
 def _fit(fam, dm: DensityMatrix, thetas: tuple, seed: tuple):
-    """(chart, residual) at ``thetas`` with the analytic coset values ``seed``,
-    polished only above TARGET_RESIDUAL; FitFailure above FAIL_RESIDUAL."""
+    """(chart, residual) at ``thetas`` with the analytic coset values ``seed``;
+    FitFailure above FAIL_RESIDUAL."""
     chart = fam.chart(*thetas, *seed)
-    res = _residual(dm.mat, fam.rho(chart))
-    if res > TARGET_RESIDUAL:
-        chart, res = _polish(fam, dm, thetas, seed, (chart, res))
+    res = float(np.linalg.norm(fam.rho(chart).mat - dm.mat))
     if res > FAIL_RESIDUAL:
-        raise FitFailure(f"residual {res:.3e} > {FAIL_RESIDUAL:.1e} after multistart")
+        raise FitFailure(f"residual {res:.3e} > {FAIL_RESIDUAL:.1e}")
     return chart, res
 
 
 def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first call.
-
-    Only the fallback fit needs scipy, so importing buresgeo does not load it.
-    """
+    """scipy.optimize.least_squares, imported on the first call. Nothing in
+    the package calls it; the benchmark binds it by name and counts its calls."""
     from scipy.optimize import least_squares as solve
 
     return solve(*args, **kwargs)
-
-
-def _clip(p) -> list[float]:
-    """A fit vector as coset values: a (beta1, beta2) pair (entries 2 and 3,
-    present at n = 3 only) with hypot >= pi is scaled to beta = pi - BETA_CLIP,
-    its direction kept."""
-    p = [float(x) for x in p]
-    beta = math.hypot(*p[2:4])
-    if beta >= coset.BETA_MAX:
-        p[2:4] = [b * (coset.BETA_MAX - BETA_CLIP) / beta for b in p[2:4]]
-    return p
-
-
-def _polish(fam, dm: DensityMatrix, thetas: tuple, seed: tuple, best):
-    """Least-squares multistart over the coset values at fixed ``thetas``,
-    from ``seed`` and then from the coset values of MULTISTART sampled
-    charts: the best (chart, residual) of ``best`` and the fits, stopping at
-    the first within TARGET_RESIDUAL."""
-    def objective(p):
-        diff = fam.rho(fam.chart(*thetas, *_clip(p))).mat - dm.mat
-        return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-
-    rng = np.random.default_rng(20)
-    k = len(thetas)
-    starts = [seed] + [fam.sample(rng).values()[k:] for _ in range(MULTISTART)]
-    for p0 in starts:
-        sol = least_squares(objective, p0, method="lm", xtol=FIT_STOP, ftol=FIT_STOP)
-        chart = fam.chart(*thetas, *_clip(sol.x))
-        res = _residual(dm.mat, fam.rho(chart))
-        if res < best[1]:
-            best = chart, res
-        if best[1] <= TARGET_RESIDUAL:
-            break
-    return best
 
 
 def _acos_root(lam: float) -> float:

@@ -46,7 +46,8 @@ def random_chart3(rng: np.random.Generator) -> CosetChart3:
     each boundary, rejecting draws whose eigenvalue gaps or eigenvalues fall
     below tol.SAMPLE_GAP. The beta pair is drawn as a uniform radius in the
     shrunk [0, pi) ball with a uniform direction; the remaining angles are
-    uniform over one period.
+    uniform over one period. That range covers the flag manifold twice, and
+    beta is drawn uniformly across beta = pi/2, where sqrt(det g) vanishes.
     """
     t1lo, t1hi = _shrunk(0.0, THETA1_MAX)
     t2lo, t2hi = _shrunk(THETA2_MIN, THETA2_MAX)

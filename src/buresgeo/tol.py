@@ -41,8 +41,5 @@ TANGENT_FLOOR = 1e-12    # a coordinate tangent with smaller norm is skipped by 
 TINY = 1e-300            # floor of a denominator in a relative deviation
 
 # chart recovery
-TARGET_RESIDUAL = 1e-8   # Frobenius residual above which the fallback fit polishes the inverse
 FAIL_RESIDUAL = 1e-6     # Frobenius residual above which the recovery fails
-FIT_STOP = 1e-15         # xtol and ftol of the fallback least-squares fit
 PHASE_REF = 1e-15        # |Omega_33| above this fixes the phase of Omega's third column
-BETA_CLIP = 1e-9         # the fallback fit keeps beta this far below pi

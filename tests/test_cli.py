@@ -776,7 +776,6 @@ def test_negative_float_is_every_negative_spelling_float_reads(text, joined):
     except ValueError:
         reads = False
     assert reads == joined
-    assert (cli.NEGATIVE_FLOAT.fullmatch(text) is not None) == joined
     assert cli._join_negative_values(["--beta1", text]) == (
         [f"--beta1={text}"] if joined else ["--beta1", text])
 
@@ -891,8 +890,8 @@ def test_every_error_type_declares_the_exit_code_main_returns(etype, monkeypatch
 
 
 def test_import_and_validate_leave_scipy_unloaded():
-    # scipy is only for the recovery fallback; a fresh interpreter shows
-    # whether anything on the import or validate path still loads it
+    # no package code path needs scipy; a fresh interpreter shows whether
+    # anything on the import, validate or find-chart path still loads it
     script = (
         "import sys\n"
         "import buresgeo, buresgeo.cli\n"
@@ -900,6 +899,9 @@ def test_import_and_validate_leave_scipy_unloaded():
         "code = buresgeo.cli.main(['validate', '--n', '3', '--samples', '2', '--seed', '1'])\n"
         "assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, 'validate'\n"
+        f"code = buresgeo.cli.main(['find-chart', {STATE3A!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'find-chart'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=src_env())

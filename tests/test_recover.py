@@ -1,9 +1,6 @@
-import contextlib
 import itertools
 import math
-import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +11,14 @@ from buresgeo import coset, metric, recover
 from buresgeo.coset import CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
 from buresgeo.cli import main
 from buresgeo.errors import DegenerateSpectrum, FitFailure, OutOfChartRange
-from buresgeo.recover import TARGET_RESIDUAL, find_chart, find_chart2, find_chart3
+from buresgeo.recover import find_chart, find_chart2, find_chart3
 from buresgeo.sampling import (make_rng, random_chart2, random_chart3, random_density,
                                random_unitary)
-from buresgeo.tol import BETA_CLIP, RANGE_EPS
+from buresgeo.tol import FAIL_RESIDUAL, RANGE_EPS
+
+# a bound the closed-form inverse keeps on in-chart states with about seven
+# orders to spare; a spoiled seed lies between it and FAIL_RESIDUAL
+TARGET_RESIDUAL = 1e-8
 
 
 def test_find_chart2_diagonal_example():
@@ -239,21 +240,6 @@ EDGE_ALPHAS2 = (0.0, 1e-13, 1e-9, 1.3e-8, math.pi / 2 - 1e-9, math.pi / 2,
                 math.pi - 1e-9, math.pi)
 
 
-@contextlib.contextmanager
-def counted_least_squares():
-    """Count the calls of the scipy fallback; the calls still run."""
-    calls = []
-    real = recover.least_squares
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recover, "least_squares", counted)
-        yield calls
-
-
 def edge_chart3(beta, chi, alpha, theta1=0.5, theta2=0.65, phi=0.4, psi1=0.9, psi2=-1.1):
     # cos(pi/2) is 6e-17, not 0
     b1 = 0.0 if chi == math.pi / 2 else beta * math.cos(chi)
@@ -265,9 +251,7 @@ def edge_chart3(beta, chi, alpha, theta1=0.5, theta2=0.65, phi=0.4, psi1=0.9, ps
 def assert_exact_round_trip(chart):
     build = coset.rho2 if isinstance(chart, CosetChart2) else coset.rho3
     rho = build(chart)
-    with counted_least_squares() as calls:
-        rec, res = find_chart(rho)
-    assert calls == []
+    rec, res = find_chart(rho)
     assert np.linalg.norm(build(rec).mat - rho.mat) <= EDGE_RES
     assert res <= EDGE_RES
 
@@ -316,42 +300,20 @@ def test_find_chart2_round_trip_property(theta, alpha, phi):
 
 
 # ---------------------------------------------------------------------------
-# the least-squares fallback, reached through a spoiled analytic seed
+# a spoiled analytic seed: the closed form is the only fit
 # ---------------------------------------------------------------------------
 
-def test_clip_scales_beta_below_pi_and_keeps_its_direction():
-    for b1, b2 in ((3.0, 4.0), (math.pi, 0.0), (0.0, -math.pi), (-2.5, 2.5)):
-        alpha, phi, c1, c2, psi1, psi2 = recover._clip([0.1, 0.2, b1, b2, 0.3, 0.4])
-        assert (alpha, phi, psi1, psi2) == (0.1, 0.2, 0.3, 0.4)
-        assert math.hypot(c1, c2) == pytest.approx(math.pi - BETA_CLIP, abs=1e-15)
-        assert math.atan2(c2, c1) == pytest.approx(math.atan2(b2, b1), abs=1e-15)
-        # the clipped pair builds a chart
-        CosetChart3(0.5, 0.6, alpha, phi, c1, c2, psi1, psi2)
-    inside = [0.1, 0.2, 2.0, -2.0, 0.3, 0.4]
-    assert recover._clip(inside) == inside
-
-
-def test_clip_leaves_an_n2_vector_unchanged():
-    for p in ([7.0, -1.5], [0.0, 4.0], np.array([math.pi, math.pi])):
-        assert recover._clip(p) == [float(x) for x in p]
-
-
-def test_find_chart3_fallback_recovers_from_a_bad_seed(monkeypatch):
+def shift_coset_values(monkeypatch, delta):
+    """Shift every coset value find_chart3 reads off the eigenvectors by ``delta``."""
     exact = recover._coset_params_from_eigvecs
     monkeypatch.setattr(recover, "_coset_params_from_eigvecs",
-                        lambda v: tuple(p + 1e-3 for p in exact(v)))
-    rho = coset.rho3(random_chart3(make_rng(4)))
-    with counted_least_squares() as calls:
-        rec, res = find_chart3(rho)
-    assert calls
-    assert res <= TARGET_RESIDUAL
-    assert np.linalg.norm(coset.rho3(rec).mat - rho.mat) <= TARGET_RESIDUAL
+                        lambda v: tuple(p + delta for p in exact(v)))
 
 
-def test_find_chart2_fallback_recovers_from_a_bad_seed(monkeypatch):
-    # alpha and phi are read off the eigenvectors: tilt them by 1e-3
+def tilt_eigenvectors(monkeypatch, angle):
+    """Rotate the eigenvectors find_chart2 reads (alpha, phi) off by ``angle``."""
     exact = recover._spectral_sorted_desc
-    c, s = math.cos(1e-3), math.sin(1e-3)
+    c, s = math.cos(angle), math.sin(angle)
     tilt = np.array([[c, -s], [s, c]], dtype=complex)
 
     def tilted(dm):
@@ -359,27 +321,42 @@ def test_find_chart2_fallback_recovers_from_a_bad_seed(monkeypatch):
         return w, tilt @ v
 
     monkeypatch.setattr(recover, "_spectral_sorted_desc", tilted)
+
+
+def test_find_chart3_returns_a_slightly_spoiled_seed_unpolished(monkeypatch):
+    rho = coset.rho3(random_chart3(make_rng(4)))
+    seed = recover._coset_params_from_eigvecs(recover._spectral_sorted_desc(rho)[1])
+    shift_coset_values(monkeypatch, 1e-7)
+    rec, res = find_chart3(rho)
+    assert rec.values()[2:] == tuple(p + 1e-7 for p in seed)
+    assert res == np.linalg.norm(coset.rho3(rec).mat - rho.mat)
+    assert TARGET_RESIDUAL < res <= FAIL_RESIDUAL
+
+
+def test_find_chart2_returns_a_slightly_spoiled_seed_unpolished(monkeypatch):
     rho = coset.rho2(random_chart2(make_rng(5)))
-    with counted_least_squares() as calls:
-        rec, res = find_chart2(rho)
-    assert calls
-    assert res <= TARGET_RESIDUAL
-    assert np.linalg.norm(coset.rho2(rec).mat - rho.mat) <= TARGET_RESIDUAL
+    tilt_eigenvectors(monkeypatch, 1e-7)
+    rec, res = find_chart2(rho)
+    _, v = recover._spectral_sorted_desc(rho)
+    assert (rec.alpha, rec.phi) == recover._block_angles(v)
+    assert res == np.linalg.norm(coset.rho2(rec).mat - rho.mat)
+    assert TARGET_RESIDUAL < res <= FAIL_RESIDUAL
 
 
 def test_a_seed_the_fit_cannot_mend_raises_fit_failure(monkeypatch, capsys):
-    # scipy absent, every least-squares start returned unmoved: no start reaches
-    # FAIL_RESIDUAL, so the recovery fails with FitFailure, exit 6
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    exact = recover._coset_params_from_eigvecs
-    monkeypatch.setattr(recover, "_coset_params_from_eigvecs",
-                        lambda v: tuple(p + 0.5 for p in exact(v)))
-    monkeypatch.setattr(recover, "least_squares",
-                        lambda fun, x0, **kwargs: SimpleNamespace(x=np.asarray(x0)))
-    with pytest.raises(FitFailure, match=r"^residual .* after multistart$") as exc:
+    # coset values shifted by 0.5 leave a residual far above FAIL_RESIDUAL, and
+    # no second fit runs: the recovery fails with FitFailure, exit 6
+    shift_coset_values(monkeypatch, 0.5)
+    with pytest.raises(FitFailure, match=r"^residual \S+ > 1\.0e-06$") as exc:
         find_chart3(coset.rho3(random_chart3(make_rng(4))))
     assert exc.value.exit_code == 6
     state = Path(__file__).resolve().parent / "data" / "state3a.json"
     assert main(["find-chart", str(state)]) == 6
     err = capsys.readouterr().err
-    assert err.startswith("error: residual ") and err.endswith(" after multistart\n")
+    assert err.startswith("error: residual ") and err.endswith(" > 1.0e-06\n")
+
+
+def test_a_tilted_two_level_seed_raises_fit_failure(monkeypatch):
+    tilt_eigenvectors(monkeypatch, 0.5)
+    with pytest.raises(FitFailure, match=r"^residual \S+ > 1\.0e-06$"):
+        find_chart2(coset.rho2(random_chart2(make_rng(5))))

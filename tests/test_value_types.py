@@ -1,8 +1,9 @@
 """The contract of the frozen value types that write their own __init__:
 CosetChart2, CosetChart3, MetricTensor and Coeffs3 keep what a generated
 frozen-dataclass constructor gives (frozen fields, the signature the fields
-declare, repr, replace, copies and pickling), and the two types that hold
-ndarrays compare by identity."""
+declare, repr, replace, copies and pickling), and the types that hold
+ndarrays (MetricTensor, SpectralDecomposition, PermutationIdentity) compare
+by identity."""
 
 import copy
 import dataclasses
@@ -12,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from buresgeo.coset import CosetChart2, CosetChart3, rho3
+from buresgeo.coset import CosetChart2, CosetChart3, permutation_table, rho3
 from buresgeo.errors import OutOfChartRange
 from buresgeo.metric import aux_coeffs, closed_metric3
 from buresgeo.sampling import make_rng, random_chart3
@@ -106,3 +107,8 @@ def test_types_holding_arrays_compare_by_identity():
     spec = state.spectral
     assert spec == state.spectral and hash(spec) == hash(state.spectral)
     assert spec != rho3(CHART3).spectral
+    # the generated __eq__ compared ndarrays (ValueError) and hashed them (TypeError)
+    p1, p2 = permutation_table()[1], permutation_table()[1]
+    assert p1.omega.tobytes() == p2.omega.tobytes()
+    assert p1 == p1 and p1 != p2 and not (p1 == p2)
+    assert hash(p1) == hash(p1) and len({p1, p2, p1}) == 2
