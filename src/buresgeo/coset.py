@@ -310,24 +310,16 @@ def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
 
     B B† is rank one, so cos sqrt(B B†) = I + (cos|B| - 1) B B† / |B|^2,
     and B = 0 takes the sinc(0) = 1 limit. The k=3 block has
-    B = (beta1 e^{i psi1}, beta2 e^{i psi2}), the k=2 block
-    B = (alpha e^{i phi},). The k=2 block is the identity in its last row
-    and column, so only the first two columns mix. The entries are formed
+    B = (beta1 e^{i psi1}, beta2 e^{i psi2}). The k=2 block (B = alpha e^{i phi})
+    is omega2's (cos alpha, e^{i phi} sin alpha), equal to within an ulp and
+    finite at every finite alpha; it is the identity in its last row and
+    column, so only the first two columns mix. The entries are formed
     from Python scalars and converted to an array once: at n = 3 numpy's
     per-operation overhead dominates the arithmetic. The 0j and 1 + 0j
     keep the signed zeros of the plain block product, which the tests
-    compare against bit for bit. OutOfChartRange if alpha * conj(alpha)
-    overflows (|alpha| above about 1.34e154), where Omega would be nan.
+    compare against bit for bit.
     """
-    a = cmath.rect(chart.alpha, chart.phi)
-    ac = a.conjugate()
-    aac = a * ac
-    if not cmath.isfinite(aac):
-        raise OutOfChartRange("alpha", chart.alpha, "alpha^2 overflows")
-    aabs = abs(a)
-    sa = sinc(aabs)
-    l00 = (1 + 0j) + cosm1_over_sq(aabs) * aac
-    l01, l10, l11 = a * sa, -sa * ac, complex(math.cos(aabs))
+    (l00, l01), (l10, l11) = _omega2_rows(chart.alpha, chart.phi)
     b1, b2 = cmath.rect(chart.beta1, chart.psi1), cmath.rect(chart.beta2, chart.psi2)
     b1c, b2c = b1.conjugate(), b2.conjugate()
     babs = math.hypot(abs(b1), abs(b2))
@@ -341,7 +333,7 @@ def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
 
 
 def omega3(chart: CosetChart3) -> np.ndarray:
-    """Full coset representative for n=3: the k=3 block times the k=2 block."""
+    """Full coset representative for n=3: the k=3 block times the k=2 block (any finite alpha)."""
     return np.array(_omega3_rows(chart), dtype=np.complex128)
 
 

@@ -125,12 +125,16 @@ def pullback_metric(point: Sequence[float],
     """Pull the spectral form back through an arbitrary chart map.
 
     g_ij = hubner_form(rho, d_i rho, d_j rho) with the tangents from central
-    differences of step tol.DEFAULT_STEP. The spectrum at the centre must be
+    differences of step tol.DEFAULT_STEP; OutOfChartRange for a coordinate a
+    step leaves unchanged (|x| >= 2**37). The spectrum at the centre must be
     nondegenerate (coset.require_gap). The tangents are made read-only, so
     rho's spectrum projects each into its eigenbasis once and the d(d+1)/2
     Hubner calls share those d projections (SpectralDecomposition.memo_project).
     """
     pt = [float(x) for x in point]
+    for name, x in zip(coords, pt):
+        if x + DEFAULT_STEP == x or x - DEFAULT_STEP == x:
+            raise OutOfChartRange(name, x, f"a step of {DEFAULT_STEP:.0e} leaves it unchanged")
     rho0 = builder(pt)
     require_gap(rho0.eigenvalues.tolist())
     d = len(pt)
@@ -227,16 +231,15 @@ def t_coeffs(theta1: float, theta2: float) -> tuple[float, float, float]:
 
         t_ij = -(1/2) (li - lj)^2 [ 1 + 3 (1-li)(1-lj)(1+lk) / (1 - Tr D^3) ]
 
-    which simplifies (sum of eigenvalues being 1) to -(li - lj)^2/(li + lj).
-    All three are <= 0; the tensor entries carry the opposite sign.
+    which simplifies (sum of eigenvalues being 1) to -(li - lj)^2/(li + lj), the
+    form evaluated: 1 - Tr D^3 cancels at small theta1. All three are <= 0;
+    the tensor entries carry the opposite sign.
     """
     lam = diag_entries3(theta1, theta2)
     _check_spectrum3(lam)
     l0, l1, l2 = lam
-    d = 1.0 - (l0 ** 3 + l1 ** 3 + l2 ** 3)
-    return (-0.5 * (l0 - l1) ** 2 * (1.0 + 3.0 * (1.0 - l0) * (1.0 - l1) * (1.0 + l2) / d),
-            -0.5 * (l0 - l2) ** 2 * (1.0 + 3.0 * (1.0 - l0) * (1.0 - l2) * (1.0 + l1) / d),
-            -0.5 * (l1 - l2) ** 2 * (1.0 + 3.0 * (1.0 - l1) * (1.0 - l2) * (1.0 + l0) / d))
+    return (-(l0 - l1) ** 2 / (l0 + l1), -(l0 - l2) ** 2 / (l0 + l2),
+            -(l1 - l2) ** 2 / (l1 + l2))
 
 
 def t_coeffs_printed(theta1: float, theta2: float) -> tuple[float, float, float]:
@@ -319,15 +322,24 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
     For beta below tol.SERIES_CUTOFF the sinc-type factors are evaluated by series
     (through beta^4), so the beta -> 0 limits u=v=1, w=2, x=y=0 come out
     exactly rather than as 0/0. x and y take their limit 0 whenever beta^2
-    underflows to 0 (|x|, |y| <= |beta1 beta2| / 2 there).
+    underflows to 0 (|x|, |y| <= |beta1 beta2| / 2 there). OutOfChartRange if
+    beta^2 or gamma is not finite (an input is nan or infinite, or overflows).
     """
     beta = math.hypot(beta1, beta2)
     gamma = phi - psi1 + psi2
+    if not beta * beta < math.inf:  # a nan fails too
+        raise OutOfChartRange("beta", beta, "hypot(beta1, beta2) is nan or its square overflows")
+    if not math.isfinite(gamma):
+        raise OutOfChartRange("gamma", gamma, "phi - psi1 + psi2 is nan or overflows")
     if beta == 0.0:
         n1sq = n2sq = 0.5  # direction undefined at the origin; limits are isotropic
-    else:
+    elif beta >= sys.float_info.min:
         n1sq = (beta1 / beta) ** 2
         n2sq = (beta2 / beta) ** 2
+    else:  # hypot rounds a subnormal beta coarsely: scale both components exactly
+        b1, b2 = beta1 * 2.0 ** 600, beta2 * 2.0 ** 600
+        scaled = math.hypot(b1, b2)
+        n1sq, n2sq = (b1 / scaled) ** 2, (b2 / scaled) ** 2
     cb = math.cos(beta)
     sc = sinc(beta)
     omc = -coset.cosm1_over_sq(beta) * beta * beta  # 1 - cos(beta), stable near 0

@@ -24,8 +24,6 @@ SAMPLE_GAP = 1e-4        # sampled 3-level spectra keep every gap and eigenvalue
 SERIES_CUTOFF = 1e-4     # below this, sinc-type factors switch to Taylor series (through x^4)
 IDENTITY = 1e-12         # max residual of u1+u2 = 1+cos(beta) and v1+v2 = 1+sinc(beta)
 PERM_VERIFY = 1e-12      # max residual of a permutation identity, literal and modulo the torus
-FIDELITY_BELOW = 1e-10   # raw fidelity may fall this far below 0 before it is clamped
-FIDELITY_ABOVE = 1e-9    # raw fidelity may rise this far above 1 before it is clamped
 
 # metric routes and their cross-validation
 DEFAULT_STEP = 1e-5      # central-difference step of the pullback

@@ -113,6 +113,16 @@ def test_fidelity_self_is_one_on_rank_deficient_states(spectrum):
         assert abs(fidelity(rho, rho) - 1.0) <= 1e-12
 
 
+def test_fidelity_of_an_accepted_state_with_negative_rounding_eigenvalues_is_one():
+    # five eigenvalues of -0.99e-10, inside the PSD band of INVARIANT, and trace
+    # 1 + 0.99e-10: the positive part has trace 1 + 5.94e-10, so the raw value is
+    # (1 + 5.94e-10)^2 = 1.0000000012, above 1 by more than any fixed band of 1e-9
+    lam = np.array([1.0 + 6 * 0.99e-10] + [-0.99e-10] * 5)
+    u = random_unitary(make_rng(6), 6)
+    for state in (np.diag(lam).astype(complex), (u * lam) @ u.conj().T):
+        assert fidelity(state, state) == 1.0
+
+
 def test_fidelity_of_pure_states_is_the_squared_overlap():
     vecs = [random_unitary(make_rng(s), 3)[:, 0] for s in range(201)]
     for psi, phi in zip(vecs, vecs[1:]):

@@ -404,17 +404,18 @@ def block_rows(n, k, b):
 
 def block_product_rows(ch):
     """Reference composition of Omega for rho3: the generic k=3 block rows
-    times the generic k=2 block rows, each entry a two-term sum (the k=2
-    block is the identity in its last row and column)."""
+    times the k=2 block (cos alpha, e^{i phi} sin alpha), each entry a
+    two-term sum (the k=2 block is the identity in its last row and column)."""
     upper = block_rows(3, 3, (cmath.rect(ch.beta1, ch.psi1), cmath.rect(ch.beta2, ch.psi2)))
-    (l00, l01, _), (l10, l11, _), _ = block_rows(3, 2, (cmath.rect(ch.alpha, ch.phi),))
+    ca, e = complex(math.cos(ch.alpha)), cmath.rect(math.sin(ch.alpha), ch.phi)
+    l00, l01, l10, l11 = ca, e, -e.conjugate(), ca
     return [[u0 * l00 + u1 * l10, u0 * l01 + u1 * l11, u2] for u0, u1, u2 in upper]
 
 
 def test_rho3_equals_the_block_product_bit_for_bit():
     rng = make_rng(20261018)
     charts = [random_chart3(rng) for _ in range(500)]
-    # the series branches of both blocks (|B| below SERIES_CUTOFF, B = 0),
+    # the series branch of the k=3 block (|B| below SERIES_CUTOFF, B = 0),
     # signed zeros, and a beta whose square underflows
     for alpha in (0.0, -0.0, 1e-5):
         for b in (0.0, -0.0, 5e-5):
@@ -430,20 +431,21 @@ def test_rho3_equals_the_block_product_bit_for_bit():
 
 
 @pytest.mark.filterwarnings("error")
-def test_rho3_refuses_an_alpha_whose_square_overflows():
-    # |alpha| above sqrt(max float) ~ 1.34e154: alpha * conj(alpha) is inf
-    # and Omega would be nan; just below it the block product still holds
+def test_rho3_builds_a_finite_state_at_every_finite_alpha():
+    # alpha * conj(alpha) overflows above sqrt(max float) ~ 1.34e154, but the
+    # k=2 block (cos alpha, e^{i phi} sin alpha) is finite for every finite alpha
     top = 1.3407807929942596e154
-    for alpha in (math.nextafter(top, math.inf), 1e300, -1e300, 1e308):
-        for build in (rho3, omega3):
-            with pytest.raises(OutOfChartRange, match=r"alpha\^2 overflows") as exc:
-                build(CosetChart3(0.5, 0.6, alpha, 0.3))
-            assert exc.value.coordinate == "alpha"
-    for alpha in (top, -top, 1e154):
+    for alpha in (1e154, top, -top, 1.35e154, 1e300, -1e300, 1e308):
         ch = CosetChart3(0.5, 0.6, alpha, 0.3)
-        rows = block_product_rows(ch)
-        want = coset._assemble3(rows, coset.diag_entries3(ch.theta1, ch.theta2)).mat
-        assert rho3(ch).mat.tobytes() == want.tobytes() and np.isfinite(want).all(), ch
+        state = rho3(ch)
+        assert np.isfinite(state.mat).all(), alpha
+        checked = coset.as_density(state.mat)  # a fresh, fully checked state
+        np.testing.assert_allclose(np.sort(checked.eigenvalues),
+                                   np.sort(coset.diag_entries3(0.5, 0.6)), rtol=0, atol=1e-15)
+        om = omega3(ch)
+        np.testing.assert_allclose(om @ om.conj().T, np.eye(3), rtol=0, atol=1e-15)
+        want = coset._assemble3(block_product_rows(ch), coset.diag_entries3(0.5, 0.6)).mat
+        assert state.mat.tobytes() == want.tobytes(), alpha
 
 
 @pytest.mark.filterwarnings("error")

@@ -224,26 +224,27 @@ def test_t_coeffs_match_pullback_alpha_entry():
 
 
 def test_t_coeffs_simplify_to_pair_ratio():
-    # the trace-form coefficient collapses to -(li-lj)^2/(li+lj)
+    # the trace-form coefficient -(1/2)(li-lj)^2 [1 + 3(1-li)(1-lj)(1+lk)/(1 - Tr D^3)]
+    # collapses to the -(li-lj)^2/(li+lj) that t_coeffs evaluates
     rng = make_rng(2)
     for _ in range(50):
         ch = random_chart3(rng)
         lam = coset.diag_entries3(ch.theta1, ch.theta2)
+        d = 1.0 - sum(x ** 3 for x in lam)
         t = t_coeffs(ch.theta1, ch.theta2)
-        for val, (i, j) in zip(t, ((0, 1), (0, 2), (1, 2))):
-            expected = -(lam[i] - lam[j]) ** 2 / (lam[i] + lam[j])
+        for val, (i, j, k) in zip(t, ((0, 1, 2), (0, 2, 1), (1, 2, 0))):
+            expected = -0.5 * (lam[i] - lam[j]) ** 2 * (
+                1.0 + 3.0 * (1.0 - lam[i]) * (1.0 - lam[j]) * (1.0 + lam[k]) / d)
             assert val == pytest.approx(expected, rel=1e-12)
 
 
 def loop_t_coeffs(theta1, theta2):
-    """t_coeffs as an index loop with a generator sum: the reference that the
+    """t_coeffs as an index loop over the reduced form: the reference that the
     written-out coefficients must match bit for bit."""
     lam = coset.diag_entries3(theta1, theta2)
     metric._check_spectrum3(lam)
-    t3 = sum(x ** 3 for x in lam)
-    return tuple(-0.5 * (lam[i] - lam[j]) ** 2
-                 * (1.0 + 3.0 * (1.0 - lam[i]) * (1.0 - lam[j]) * (1.0 + lam[k]) / (1.0 - t3))
-                 for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)))
+    return tuple(-(lam[i] - lam[j]) ** 2 / (lam[i] + lam[j])
+                 for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def test_t_coeffs_match_the_loop_bit_for_bit():
@@ -575,6 +576,56 @@ def test_closed_forms_stay_finite_below_the_overflow():
     assert np.isfinite(g3).all() and np.isfinite(g2).all()
 
 
+@pytest.mark.parametrize("beta1, beta2, normal", [
+    (5e-324, 5e-324, (1e-300, 1e-300)),
+    (3e-321, 3e-321, (1e-300, 1e-300)),
+    (1e-320, 1e-320, (1e-300, 1e-300)),
+    (3 * 5e-324, -7 * 5e-324, (0.3e-300, -0.7e-300)),
+    (0.0, 5e-324, (0.0, 1e-300)),
+])
+def test_closed_tensor_at_a_subnormal_beta_matches_a_tiny_normal_one(beta1, beta2, normal):
+    # hypot rounds a subnormal beta coarsely (hypot(5e-324, 5e-324) == 5e-324), so
+    # the direction comes from components scaled exactly by a power of two
+    def closed(b1, b2):
+        return closed_metric3(CosetChart3(0.5, 0.6, 0.3, 0.4, b1, b2, 0.1, 0.7)).g
+    sub, ref = closed(beta1, beta2), closed(*normal)
+    assert np.abs(sub - ref).max() <= 1e-15 * np.abs(ref).max()
+    c = aux_coeffs(beta1, beta2, 0.4, 0.1, 0.7)
+    assert [c.u1 + c.u2, c.v1 + c.v2, c.w1 + c.w2] == pytest.approx([2.0, 2.0, 4.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 0.3, 0.4, 0.1, 0.7), "beta"),
+    ((0.3, -math.inf, 0.4, 0.1, 0.7), "beta"),
+    ((math.inf, math.nan, 0.4, 0.1, 0.7), "beta"),
+    ((1e308, 1e308, 0.4, 0.1, 0.7), "beta"),     # finite, but beta^2 overflows
+    ((1e200, 0.0, 0.4, 0.1, 0.7), "beta"),
+    ((0.3, 0.4, math.nan, 0.1, 0.7), "gamma"),
+    ((0.3, 0.4, 0.4, math.inf, 0.7), "gamma"),
+    ((0.3, 0.4, 1e308, 0.1, 1e308), "gamma"),    # finite, but phi - psi1 + psi2 overflows
+])
+def test_aux_coeffs_refuses_input_without_finite_coefficients(args, name):
+    with pytest.raises(OutOfChartRange) as exc:
+        aux_coeffs(*args)
+    assert exc.value.coordinate == name
+
+
+@pytest.mark.parametrize("n, coord, value", [
+    (3, "alpha", 1e300), (3, "phi", 1e300), (3, "psi1", -1e300), (3, "psi2", 1e300),
+    (3, "phi", 2.0 ** 37),     # the smallest |x| where x + DEFAULT_STEP == x
+    (2, "alpha", 1e100), (2, "phi", -2.0 ** 37),
+])
+def test_pullback_refuses_a_coordinate_that_a_step_leaves_unchanged(n, coord, value):
+    chart = (CosetChart3(0.5, 0.6, beta1=0.4, **{coord: value}) if n == 3
+             else CosetChart2(0.3, **{coord: value}))
+    with pytest.raises(OutOfChartRange, match="a step of 1e-05 leaves it unchanged") as exc:
+        metric.FAMILIES[n].pullback(chart)
+    assert exc.value.coordinate == coord
+    if abs(value) == 2.0 ** 37:  # one ulp inside, both steps move the coordinate
+        chart = dataclasses.replace(chart, **{coord: math.nextafter(value, 0.0)})
+        assert np.isfinite(metric.FAMILIES[n].pullback(chart).g).all()
+
+
 def test_closed_metric2_refuses_alpha_whose_double_overflows():
     with pytest.raises(OutOfChartRange, match="overflows") as exc:
         closed_metric2(CosetChart2(0.3, -1e308))
@@ -839,7 +890,7 @@ VALIDATE_DIGESTS = {
     "n2": (CosetChart2(0.4, 0.9, 1.3),
            "7979c0cb862fbf6d66b691147b7db7d5a1e30acb7f37a64da6c0a4313ad3d471"),
     "n3": (CosetChart3(0.6, 0.68, 0.3, 0.4, 0.9, 0.5, 0.1, 0.7),
-           "6257e7258b70197a681533d7a6d13fbc3d7ad6eb7e6523cc232c82c2c11e2559"),
+           "059cace55582ea6900f23cac83b5d98d4ee30185a5811fa36001e5a94bca1bf0"),
 }
 
 

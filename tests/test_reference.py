@@ -45,16 +45,7 @@ CHARTS = {**{f"seed3-{k}": random_chart3(_rng3) for k in range(16)},
           **{f"edge2-{k}": c for k, c in EDGES2.items()}}
 
 
-# t_coeffs divides by 1 - Tr D^3, which cancels to about 3 theta1^2 at small
-# theta1: at theta1 = 0.01 the tensor is off by up to 2.6e-13 of max |g|, and
-# the simplified t_ij = -(li - lj)^2 / (li + lj) is exact to rounding there
-T_COEFFS_CANCEL = pytest.mark.xfail(strict=True, reason="t_coeffs loses digits to "
-                                    "1 - Tr D^3 at small theta1")
-KNOWN = {"edge3-theta1-small": T_COEFFS_CANCEL}
-
-
-@pytest.mark.parametrize("chart", [pytest.param(c, id=k, marks=KNOWN.get(k, ()))
-                                   for k, c in CHARTS.items()])
+@pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS)
 def test_closed_tensor_matches_the_40_digit_reference(chart):
     closed = metric.closed_metric3 if isinstance(chart, CosetChart3) else metric.closed_metric2
     ref = np.array(mp_reference.metric(chart.values()))
