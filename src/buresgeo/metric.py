@@ -25,7 +25,7 @@ import math
 import sys
 
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,10 +113,12 @@ def volume_element(metric: MetricTensor) -> float:
 
 def _central_diff(builder: Callable[[Sequence[float]], DensityMatrix],
                   point: Sequence[float], i: int) -> np.ndarray:
+    """d rho / d x_i by a central difference of step tol.DEFAULT_STEP, divided
+    by the step the rounded coordinates x_i +- DEFAULT_STEP actually span."""
     up, dn = list(point), list(point)
     up[i] += DEFAULT_STEP
     dn[i] -= DEFAULT_STEP
-    return (builder(up).mat - builder(dn).mat) / (2.0 * DEFAULT_STEP)
+    return (builder(up).mat - builder(dn).mat) / (up[i] - dn[i])
 
 
 def pullback_metric(point: Sequence[float],
@@ -125,11 +127,12 @@ def pullback_metric(point: Sequence[float],
     """Pull the spectral form back through an arbitrary chart map.
 
     g_ij = hubner_form(rho, d_i rho, d_j rho) with the tangents from central
-    differences of step tol.DEFAULT_STEP; OutOfChartRange for a coordinate a
-    step leaves unchanged (|x| >= 2**37). The spectrum at the centre must be
-    nondegenerate (coset.require_gap). The tangents are made read-only, so
-    rho's spectrum projects each into its eigenbasis once and the d(d+1)/2
-    Hubner calls share those d projections (SpectralDecomposition.memo_project).
+    differences of step tol.DEFAULT_STEP over the step actually taken;
+    OutOfChartRange for a coordinate a step leaves unchanged (|x| >= 2**37).
+    The spectrum at the centre must be nondegenerate (coset.require_gap).
+    The tangents are made read-only, so rho's spectrum projects each into its
+    eigenbasis once and the d(d+1)/2 Hubner calls share those d projections
+    (SpectralDecomposition.memo_project).
     """
     pt = [float(x) for x in point]
     for name, x in zip(coords, pt):
@@ -188,8 +191,7 @@ def closed_metric2(chart: CosetChart2) -> MetricTensor:
     return MetricTensor(ordering=COORDS2, g=g)
 
 
-@dataclass(frozen=True)
-class SCoeff2:
+class SCoeff2(NamedTuple):
     """Coset-sector coefficient of the 2-level trace formula."""
 
     s12: float
@@ -282,9 +284,9 @@ def t_coeffs_printed_generic(theta1: float, theta2: float) -> tuple[float, float
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False)
-class Coeffs3:
-    """Coset-sector auxiliaries of the 3-level closed form.
+class Coeffs3(NamedTuple):
+    """Coset-sector auxiliaries of the 3-level closed form, a named 9-tuple in
+    the order the closed rows unpack them.
 
     gamma = phi - psi1 + psi2 is the only combination of the three free
     angles that enters the tensor. `aux_coeffs` asserts the identities
@@ -300,19 +302,6 @@ class Coeffs3:
     w2: float
     x: float
     y: float
-
-    def __init__(self, gamma: float, u1: float, u2: float, v1: float, v2: float,
-                 w1: float, w2: float, x: float, y: float):
-        d = self.__dict__  # frozen: each value is stored once, directly
-        d["gamma"] = gamma
-        d["u1"] = u1
-        d["u2"] = u2
-        d["v1"] = v1
-        d["v2"] = v2
-        d["w1"] = w1
-        d["w2"] = w2
-        d["x"] = x
-        d["y"] = y
 
 
 def aux_coeffs(beta1: float, beta2: float, phi: float,
@@ -387,15 +376,13 @@ def _closed_rows3(chart: CosetChart3, t: tuple[float, float, float], beta: float
         raise ValueError(f"unknown entry convention {entries!r}")
     t12, t13, t23 = t
     b1, b2 = chart.beta1, chart.beta2
-    aux = aux_coeffs(b1, b2, chart.phi, chart.psi1, chart.psi2)
-    u1, u2, v1, v2 = aux.u1, aux.u2, aux.v1, aux.v2
-    w1, w2, x, y = aux.w1, aux.w2, aux.x, aux.y
+    gamma, u1, u2, v1, v2, w1, w2, x, y = aux_coeffs(b1, b2, chart.phi, chart.psi1, chart.psi2)
     if not math.isfinite(4 * chart.alpha):
         raise OutOfChartRange("alpha", chart.alpha, "4 alpha overflows")
-    if not math.isfinite(2 * aux.gamma):
-        raise OutOfChartRange("gamma", aux.gamma, "2 gamma = 2 (phi - psi1 + psi2) overflows")
-    cg, sg = math.cos(aux.gamma), math.sin(aux.gamma)
-    s2g = math.sin(2 * aux.gamma)
+    if not math.isfinite(2 * gamma):
+        raise OutOfChartRange("gamma", gamma, "2 gamma = 2 (phi - psi1 + psi2) overflows")
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    s2g = math.sin(2 * gamma)
     sa, ca = math.sin(chart.alpha), math.cos(chart.alpha)
     s2a, c2a = math.sin(2 * chart.alpha), math.cos(2 * chart.alpha)
     s4a = math.sin(4 * chart.alpha)

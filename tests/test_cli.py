@@ -427,7 +427,7 @@ OUTPUT_DIGESTS = [
      "ef32eb3d1039dde2cb3828d3e6526c976ecc4ad7a185982b104a8c986b733515"),
     (["scan", *SCAN_N3, "--alpha", "0.3", "--coord", "beta1", "--from", "0.2", "--to", "0.8",
       "--points", "2", "--method", "pullback", "--entries", "diag", "--format", "csv"],
-     "1347c5835fb027974d074f5c15c1a5f86ab488d1ae7b0389fa67dd3f98ff2269"),
+     "a75f4038dc256751dbece548c673bd30482757a86dedae2a3a5505fc951841d0"),
     (["rho", *PIN_N2, "--format", "json"],
      "6deac507db9a4385385c2affba180f03c847365a92ea1f3f597981996702c829"),
     (["rho", *PIN_N2, "--format", "csv"],
@@ -471,53 +471,53 @@ OUTPUT_DIGESTS = [
     (["metric", *PIN_N3, "--method", "closed", "--format", "pretty"],
      "5c4de8fab6617bf391047304d289e1a26a452ca13721ece3d4b93a7a769dba4c"),
     (["metric", *PIN_N2, "--method", "pullback", "--format", "json"],
-     "e69ffb9ff929988d96f562278fb68c8da89c25b7b5be16018bdb016b1f50926b"),
+     "335bc37082234f436ce2abce65d93916fd495de8476b8d7a3c12197bb3e00687"),
     (["metric", *PIN_N2, "--method", "pullback", "--format", "csv"],
-     "f17900c0507f724a54d0b169d0a0e852f5c31e4da8cdc69393b954cd7852232e"),
+     "8288a2b3dd4e64dd16bb723b65522fd892b6860e0b66b3f617ef90f666847afc"),
     (["metric", *PIN_N2, "--method", "pullback", "--format", "pretty"],
-     "f569aecef1de0cb06c858ab24c731d4b48ae24ed46601572b622397a67c81d1c"),
+     "ba0e3d3e9c89982cd9517eca22c3aa92215fab4c544b29025557eda5e0ddcfb4"),
     (["metric", *PIN_N3, "--method", "pullback", "--format", "json"],
-     "9c919304af9e47440fcc1b98fce3b52bf0cdd7f0214e7283b29a7ae5f092fc32"),
+     "7931da3ee99c68bb4b525a363ab8e6cd66ca55f3ec4b0e4c19d170d1f9d4def9"),
     (["metric", *PIN_N3, "--method", "pullback", "--format", "csv"],
-     "31666b18f61a41d46022354a3a5529c19bbe5846cac74a7fd5cdbd608a815c21"),
+     "b667a8b91cff55373f81dd1f23589d7780fd72f40bf1eec8900ad19903c54d34"),
     (["metric", *PIN_N3, "--method", "pullback", "--format", "pretty"],
-     "2978f60352ddef6c0b1cac6d9e817def96974f8b57bceeca31ae87783b0287e2"),
+     "ce8576d6dede027f9863747baa2260163c531d84ab34adccfe9bbd02981ff5f4"),
     (["metric", *PIN_N2, "--method", "both", "--format", "json"],
-     "4fd970432f0fb322a83d4bec3fbf5215c09d1e3088a857ea8e8eb08dc26a7d3e"),
+     "6dafdd932098c2910d69bc08f32cec8799b2ffe39f6f564de5a5a6be2967e5df"),
     (["metric", *PIN_N2, "--method", "both", "--format", "csv"],
-     "2b637f04bc282823966ec57c8448e82b20634cd928c0b8063a99179421788203"),
+     "2b370287b95fc25af03c41e99892c6fd23b9ea60be6ea575e473a44ee47173d3"),
     (["metric", *PIN_N2, "--method", "both", "--format", "pretty"],
-     "8f0ae245cfb954c43e17fc641752ffc6d166ded3c9fa1e31a0fa9951c97e8646"),
+     "4b668bd11789b15ddf5ded7675ef6ceac00e4fecbb30735553b828fb2e3c1d79"),
     (["metric", *PIN_N3, "--method", "both", "--format", "json"],
-     "f90571af33e27b252d2e7912f730d3915f1b9503b58d00c8155282960bf7423a"),
+     "2455c2d2124ded92f967a8508a88854c2c0eb2cf2ca6e12cf572e97c1b4bddff"),
     (["metric", *PIN_N3, "--method", "both", "--format", "csv"],
-     "cfa8a8c467eb61239b14772e33b3abe89b090c158bcc106d7425a85315a0329c"),
+     "b9672b1d9060254cc4bc794464a23dcc5818afa79af3b55defc3aba7c8911b67"),
     (["metric", *PIN_N3, "--method", "both", "--format", "pretty"],
-     "ed7e7e8ff1e0179603ea73bf9c9314f4754089fce77975ce95dd3a60cc6fca3e"),
+     "2988b18c3172058c9d9e54ea6b229435e0ccec6e1a930c176d770fe0044cb7c8"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--format", "json"],
-     "adce4338aa8cf5f9448fa48a9054270f97babd16ed64e44fe499724ed0f14724"),
+     "b4947ddb311d18180b7017165ae9fa6e763a336dd87b62f6da49cfd3e0ca771e"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--format", "csv"],
-     "3a4c3ad005bad134736bbce670b62d6081bbadaafac1a40dbc4956cf64521eec"),
+     "8cf9e4bf62ac6e7abead0dfc9aa56e61d194fca6d025b357ef08b4c951c460b6"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--format", "pretty"],
-     "3a4c3ad005bad134736bbce670b62d6081bbadaafac1a40dbc4956cf64521eec"),
+     "8cf9e4bf62ac6e7abead0dfc9aa56e61d194fca6d025b357ef08b4c951c460b6"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "json"],
-     "6a50c084708fe56818b9d8d0288ef14e7f3a059a8aeaf2c82f2d294069be5bc9"),
+     "2ae79b75c8e63fe402758c902b4ef9dee594a80fb31709e16e49b16c93efe7c8"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "csv"],
-     "0f522312485dab81d645426e9bc7629f687fc26584dabddefa2e85b11b8c6dba"),
+     "4525f5851c99d0261348abe9d661c075f3fac4ceda0dfe05871c1e639bd04e51"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
-     "0f522312485dab81d645426e9bc7629f687fc26584dabddefa2e85b11b8c6dba"),
+     "4525f5851c99d0261348abe9d661c075f3fac4ceda0dfe05871c1e639bd04e51"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "json"],
-     "b024227c773106d50b7ca5a94f70bff440a61fe1b72cdcb2e566f910511dd44d"),
+     "03768ae79e3d00cbdd66f15561c34bfdd1cc0f559f57410c567ea23f640f7945"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "csv"],
-     "34e29ab752081dbdf4a2e1ae0bef0f9b6fbf386ab06ef0c4b5a31c4bf7415998"),
+     "90644bf8136468f5c463994ba876d6bc4252237c108826b6fc4e8433ece73563"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "pretty"],
-     "34e29ab752081dbdf4a2e1ae0bef0f9b6fbf386ab06ef0c4b5a31c4bf7415998"),
+     "90644bf8136468f5c463994ba876d6bc4252237c108826b6fc4e8433ece73563"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "json"],
-     "9987384fa818f9a35a485af1144c936a81b0430cf4e6e83820ab5d07d9d8e488"),
+     "9f5068c26cc2329a5cb7b9111e3081c9fcb5b2f1bd2e406ee7ae7c682d281bf4"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "csv"],
-     "46e790299dbf7bd6b5783ed4fdad49d2cbeb15e3772817addd9014c831ea12a7"),
+     "c809291c385e32c80bb950fd3e468aa63d55076d712d1a29d0ce4757a4458897"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
-     "46e790299dbf7bd6b5783ed4fdad49d2cbeb15e3772817addd9014c831ea12a7"),
+     "c809291c385e32c80bb950fd3e468aa63d55076d712d1a29d0ce4757a4458897"),
     (["permtest", "--format", "json"],
      "fa301c9d0b68e69ffd75ef4dad8b6f3c6bc5ff26fd691e68b13143207867cc65"),
     (["permtest", "--format", "csv"],
@@ -546,7 +546,9 @@ OUTPUT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", OUTPUT_DIGESTS)
+# ids by position (pin0 ... pin62): a re-recorded digest keeps its test's name
+@pytest.mark.parametrize("argv,digest", OUTPUT_DIGESTS,
+                         ids=[f"pin{i}" for i in range(len(OUTPUT_DIGESTS))])
 def test_scan_output_bytes_pinned(argv, digest, capsys):
     code, out = run_cli(argv, capsys)
     assert code == (6 if FAIL_TOL in argv else 0)

@@ -888,9 +888,9 @@ def test_validate_report_3level():
 # every value to the last bit. Recorded with numpy 2.x on x86-64 Linux.
 VALIDATE_DIGESTS = {
     "n2": (CosetChart2(0.4, 0.9, 1.3),
-           "7979c0cb862fbf6d66b691147b7db7d5a1e30acb7f37a64da6c0a4313ad3d471"),
+           "95628d82b3374fd93c8480bf4e860c9812bf6e2296a6c5fffb67d9de39a78231"),
     "n3": (CosetChart3(0.6, 0.68, 0.3, 0.4, 0.9, 0.5, 0.1, 0.7),
-           "059cace55582ea6900f23cac83b5d98d4ee30185a5811fa36001e5a94bca1bf0"),
+           "dffe9e429aea6d96741b37278b2c1be77e4bd20c0052384cd5583c50942c67a2"),
 }
 
 

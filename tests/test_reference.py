@@ -1,6 +1,8 @@
-"""The closed tensors against the 40-digit reference of mp_reference.py."""
+"""The closed and pullback tensors against the 40-digit reference of
+mp_reference.py."""
 
 import ast
+import functools
 import math
 from pathlib import Path
 
@@ -10,15 +12,19 @@ import pytest
 import mp_reference
 from buresgeo import coset, metric
 from buresgeo.coset import THETA1_MAX, THETA2_MAX, THETA2_MIN, CosetChart2, CosetChart3
+from buresgeo.errors import BoundaryTooClose
 from buresgeo.sampling import make_rng, random_chart2, random_chart3
 from buresgeo.tol import SERIES_CUTOFF
 
 REL = 1e-14
+# the central differences err by up to 5.2e-10 of max |g_ref| (edge2-theta-small;
+# about 1.4e-10 elsewhere, huge coordinates included): a 1.9x margin
+PULLBACK_REL = 1e-9
 
 
-def chart3(theta1=0.5, theta2=0.65, beta=1.2, chi=0.7):
+def chart3(theta1=0.5, theta2=0.65, beta=1.2, chi=0.7, phi=0.4):
     """A 3-level chart whose (beta1, beta2) has length ``beta`` and direction ``chi``."""
-    return CosetChart3(theta1, theta2, alpha=0.3, phi=0.4, beta1=beta * math.cos(chi),
+    return CosetChart3(theta1, theta2, alpha=0.3, phi=phi, beta1=beta * math.cos(chi),
                        beta2=beta * math.sin(chi), psi1=0.9, psi2=-1.1)
 
 
@@ -43,13 +49,40 @@ CHARTS = {**{f"seed3-{k}": random_chart3(_rng3) for k in range(16)},
           **{f"seed2-{k}": random_chart2(_rng2) for k in range(4)},
           **{f"edge3-{k}": c for k, c in EDGES3.items()},
           **{f"edge2-{k}": c for k, c in EDGES2.items()}}
+# within two pullback steps of a range end: the pullback refuses them
+NEAR_BOUNDARY = ("edge3-theta2-min", "edge3-beta-near-pi")
+# free coordinates whose steps x +- tol.DEFAULT_STEP round to the spacing of x
+HUGE = {**{f"huge3-phi-{phi:.0e}": chart3(phi=phi) for phi in (1e9, 3e10, 1e11)},
+        **{f"huge2-alpha-{a:.0e}": CosetChart2(0.3, alpha=a, phi=0.4) for a in (1e9, 1e10)}}
+PULLBACK_CHARTS = {**{k: c for k, c in CHARTS.items() if k not in NEAR_BOUNDARY}, **HUGE}
+
+
+def family(chart) -> metric.Family:
+    return metric.FAMILIES[3 if isinstance(chart, CosetChart3) else 2]
+
+
+@functools.cache
+def reference(values: tuple) -> np.ndarray:
+    """The reference tensor at ``values``, computed once for both routes."""
+    return np.array(mp_reference.metric(values))
 
 
 @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS)
 def test_closed_tensor_matches_the_40_digit_reference(chart):
-    closed = metric.closed_metric3 if isinstance(chart, CosetChart3) else metric.closed_metric2
-    ref = np.array(mp_reference.metric(chart.values()))
-    assert np.abs(closed(chart).g - ref).max() <= REL * np.abs(ref).max()
+    ref = reference(chart.values())
+    assert np.abs(family(chart).closed(chart).g - ref).max() <= REL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("chart", PULLBACK_CHARTS.values(), ids=PULLBACK_CHARTS)
+def test_pullback_tensor_matches_the_40_digit_reference(chart):
+    ref = reference(chart.values())
+    assert np.abs(family(chart).pullback(chart).g - ref).max() <= PULLBACK_REL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", NEAR_BOUNDARY)
+def test_pullback_refuses_a_chart_near_a_range_end(name):
+    with pytest.raises(BoundaryTooClose):
+        metric.pullback_metric3(CHARTS[name])
 
 
 def test_no_package_module_imports_the_reference_or_mpmath():

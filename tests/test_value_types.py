@@ -1,9 +1,11 @@
 """The contract of the frozen value types that write their own __init__:
-CosetChart2, CosetChart3, MetricTensor and Coeffs3 keep what a generated
+CosetChart2, CosetChart3 and MetricTensor keep what a generated
 frozen-dataclass constructor gives (frozen fields, the signature the fields
 declare, repr, replace, copies and pickling), and the types that hold
 ndarrays (MetricTensor, SpectralDecomposition, PermutationIdentity) compare
-by identity."""
+by identity. The coefficient records Coeffs3 and SCoeff2 are named tuples:
+the same fields, repr and value equality, plus tuple unpacking; Coeffs3 also
+runs the frozen-value cases, through the named-tuple spelling of each."""
 
 import copy
 import dataclasses
@@ -15,7 +17,7 @@ import pytest
 
 from buresgeo.coset import CosetChart2, CosetChart3, permutation_table, rho3
 from buresgeo.errors import OutOfChartRange
-from buresgeo.metric import aux_coeffs, closed_metric3
+from buresgeo.metric import Coeffs3, SCoeff2, aux_coeffs, closed_metric3, s_coeff
 from buresgeo.sampling import make_rng, random_chart3
 
 CHART3 = random_chart3(make_rng(7))
@@ -26,41 +28,57 @@ INSTANCES = {
     "Coeffs3": aux_coeffs(CHART3.beta1, CHART3.beta2, CHART3.phi, CHART3.psi1, CHART3.psi2),
 }
 CASES = pytest.mark.parametrize("obj", INSTANCES.values(), ids=INSTANCES)
+RECORDS = {
+    "Coeffs3": INSTANCES["Coeffs3"],
+    "SCoeff2": s_coeff(np.diag([0.7, 0.3])),
+}
+
+
+def field_defaults(obj) -> dict:
+    """Field name -> declared default (inspect.Parameter.empty if none), in
+    field order, for a dataclass instance or a named tuple."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+                for f in dataclasses.fields(obj)}
+    return {name: type(obj)._field_defaults.get(name, inspect.Parameter.empty)
+            for name in type(obj)._fields}
 
 
 def field_bytes(obj) -> tuple:
     """Every field of ``obj`` in a form that tells signed zeros, dtypes and
     array bytes apart."""
     out = []
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        out.append((f.name, v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
-                   else (f.name, type(v), repr(v)))
+    for name in field_defaults(obj):
+        v = getattr(obj, name)
+        out.append((name, v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+                   else (name, type(v), repr(v)))
     return tuple(out)
 
 
 @CASES
 def test_every_field_is_frozen(obj):
-    for f in dataclasses.fields(obj):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, f.name, 0.25)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(obj, f.name)
+    # a named tuple's fields are read-only properties: AttributeError, of
+    # which FrozenInstanceError is a subclass
+    frozen = dataclasses.FrozenInstanceError if dataclasses.is_dataclass(obj) else AttributeError
+    for name in field_defaults(obj):
+        with pytest.raises(frozen):
+            setattr(obj, name, 0.25)
+        with pytest.raises(frozen):
+            delattr(obj, name)
 
 
 @CASES
 def test_fields_and_signature_agree(obj):
     params = inspect.signature(type(obj)).parameters.values()
     assert [(p.name, p.kind, p.default) for p in params] == [
-        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
-        for f in dataclasses.fields(obj)]
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default)
+        for name, default in field_defaults(obj).items()]
 
 
 @CASES
 def test_positional_and_keyword_construction_agree(obj):
-    values = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
-    names = [f.name for f in dataclasses.fields(obj)]
+    names = list(field_defaults(obj))
+    values = [getattr(obj, name) for name in names]
     positional = type(obj)(*values)
     keyword = type(obj)(**dict(zip(names, values)))
     assert field_bytes(positional) == field_bytes(keyword) == field_bytes(obj)
@@ -68,13 +86,14 @@ def test_positional_and_keyword_construction_agree(obj):
 
 @CASES
 def test_repr_names_every_field(obj):
-    fields = ", ".join(f"{f.name}={getattr(obj, f.name)!r}" for f in dataclasses.fields(obj))
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in field_defaults(obj))
     assert repr(obj) == f"{type(obj).__name__}({fields})"
 
 
 @CASES
 def test_replace_deepcopy_and_pickle_keep_every_field(obj):
-    for twin in (dataclasses.replace(obj), copy.copy(obj), copy.deepcopy(obj),
+    same = dataclasses.replace(obj) if dataclasses.is_dataclass(obj) else obj._replace()
+    for twin in (same, copy.copy(obj), copy.deepcopy(obj),
                  pickle.loads(pickle.dumps(obj))):
         assert type(twin) is type(obj) and twin is not obj
         assert field_bytes(twin) == field_bytes(obj)
@@ -93,9 +112,26 @@ def test_replace_runs_the_constructor_checks():
 
 
 def test_value_types_without_arrays_compare_by_value():
-    for obj in (INSTANCES["CosetChart2"], INSTANCES["CosetChart3"], INSTANCES["Coeffs3"]):
+    for obj in (INSTANCES["CosetChart2"], INSTANCES["CosetChart3"], *RECORDS.values()):
         twin = copy.deepcopy(obj)
         assert twin == obj and hash(twin) == hash(obj)
+
+
+@pytest.mark.parametrize("obj", RECORDS.values(), ids=RECORDS)
+def test_coefficient_records_are_named_tuples(obj):
+    names = {Coeffs3: ("gamma", "u1", "u2", "v1", "v2", "w1", "w2", "x", "y"),
+             SCoeff2: ("s12",)}[type(obj)]
+    assert type(obj)._fields == names
+    assert tuple(obj) == tuple(getattr(obj, name) for name in names)
+    assert all(type(v) is float for v in obj)
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
+    assert repr(obj) == f"{type(obj).__name__}({fields})"
+    with pytest.raises(AttributeError):
+        setattr(obj, names[0], 0.25)
+    moved = obj._replace(**{names[-1]: 0.25})
+    assert type(moved) is type(obj) and moved[:-1] == obj[:-1] and moved[-1] == 0.25
+    for twin in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and twin == obj
 
 
 def test_types_holding_arrays_compare_by_identity():
