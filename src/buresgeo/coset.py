@@ -35,6 +35,7 @@ from .errors import (
 )
 from .tol import GAP, INVARIANT, PERM_VERIFY, RANGE_EPS, SERIES_CUTOFF
 
+THETA_MAX = math.pi / 4  # n = 2: theta in [0, THETA_MAX]
 THETA1_MAX = math.acos(1.0 / math.sqrt(3.0))
 THETA2_MIN = math.pi / 6
 THETA2_MAX = math.pi / 4
@@ -81,7 +82,7 @@ class CosetChart2:
 
     def __init__(self, theta: float, alpha: float = 0.0, phi: float = 0.0):
         d = self.__dict__  # frozen: each checked value is stored once, directly
-        d["theta"] = _require_range("theta", theta, 0.0, math.pi / 4)
+        d["theta"] = _require_range("theta", theta, 0.0, THETA_MAX)
         d["alpha"] = _require_finite("alpha", alpha)
         d["phi"] = _require_finite("phi", phi)
 
@@ -349,7 +350,7 @@ def _entries2(theta: float) -> tuple[float, float]:
 
 def diag2(theta: float) -> DensityMatrix:
     """diag(cos^2 theta, sin^2 theta) for theta in [0, pi/4]."""
-    theta = _require_range("theta", theta, 0.0, math.pi / 4)
+    theta = _require_range("theta", theta, 0.0, THETA_MAX)
     return DensityMatrix._built(np.diag(_entries2(theta)).astype(np.complex128))
 
 

@@ -4,11 +4,12 @@ Both chart families take one path. ``_spectrum`` checks the state's size and
 reads its descending spectrum. A per-n step reads the theta coordinates off
 that spectrum (at n = 3 its one refusal is lambda2 > 3 lambda3, where theta2
 falls below pi/6) and the coset coordinates off the eigenvectors in closed
-form, with fixed conventions where a coordinate is undefined (psi_k = 0 when
-the k-th entry of Omega's third column is exactly 0, phi = 0 when an entry of
-the 2x2 block is exactly 0). ``_fit`` builds that chart through the family
-table and measures its residual || Omega(chart) D Omega† - rho ||_F; every
-in-chart state ends there. The closed form is the only fit: a residual above
+form, with fixed conventions where a coordinate is undefined (the phase of
+Omega's third column makes Omega_33 positive unless it is exactly 0, psi_k = 0
+when the k-th entry of that column is exactly 0, phi = 0 when an entry of the
+2x2 block is exactly 0). ``_fit`` builds that chart through the family table and
+measures its residual || Omega(chart) D Omega† - rho ||_F; every in-chart
+state ends there. The closed form is the only fit: a residual above
 FAIL_RESIDUAL raises FitFailure, any other is returned alongside the chart.
 """
 
@@ -23,7 +24,7 @@ from . import coset
 from .coset import CosetChart2, CosetChart3, DensityMatrix, THETA2_MIN, require_gap
 from .errors import FitFailure, OutOfChartRange
 from .metric import family
-from .tol import FAIL_RESIDUAL, PHASE_REF, RANGE_EPS
+from .tol import FAIL_RESIDUAL, RANGE_EPS
 
 
 def _spectral_sorted_desc(rho: DensityMatrix):
@@ -95,7 +96,7 @@ def _coset_params_from_eigvecs(v: np.ndarray):
     """Analytic coset parameters from an eigenvector matrix (column phases free)."""
     # third column of Omega is (n1 e^{i psi1} sin b, n2 e^{i psi2} sin b, cos b)
     col3 = v[:, 2].copy()
-    if abs(col3[2]) > PHASE_REF:
+    if col3[2]:
         col3 = col3 * np.exp(-1j * np.angle(col3[2]))
     c1, c2, c3 = col3.tolist()
     # sin(beta) from the small entries and atan2 keep beta exact near 0,

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from . import coset
-from .coset import BETA_MAX, CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
+from .coset import (BETA_MAX, CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN,
+                    THETA_MAX)
 from .metric import family
 from .tol import SAMPLE_GAP
 
@@ -31,7 +32,7 @@ def _shrunk(lo: float, hi: float) -> tuple[float, float]:
 
 def random_chart2(rng: np.random.Generator) -> CosetChart2:
     """Uniform interior 2-level chart: theta in the shrunk range, angles in [0, 2pi)."""
-    lo, hi = _shrunk(0.0, math.pi / 4)
+    lo, hi = _shrunk(0.0, THETA_MAX)
     return CosetChart2(
         theta=rng.uniform(lo, hi),
         alpha=rng.uniform(0.0, 2 * math.pi),

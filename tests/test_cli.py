@@ -296,13 +296,20 @@ def test_closed_form_at_an_overflowing_angle_exits_2(argv):
     assert proc.stderr.startswith("error: coordinate ") and "overflows" in proc.stderr
 
 
-def test_metric_closed_eigenvalue_floor_exit_5(capsys):
+def test_metric_closed_gap_below_gap_exit_5(capsys):
+    # theta1 = 1e-4: lambda2 - lambda3 = 5e-9, below tol.GAP
     code = main(["metric", "--n", "3", "--theta1", "1e-4", "--beta1", "0.5",
                  "--method", "closed"])
     assert code == 5
-    err = capsys.readouterr().err
-    # the eigenvalue floor refuses first, not the gap check
-    assert err.startswith("error: eigenvalue ") and "gap" not in err
+    assert capsys.readouterr().err.startswith("error: eigenvalue gap ")
+
+
+def test_metric_closed_small_eigenvalues_with_open_gaps_exit_0(capsys):
+    # lambda3 = 8.2e-7 and the smallest gap is 1.36e-6: no refusal
+    code, out = run_cli(["metric", "--n", "3", "--theta1", "0.0017320516", "--theta2", "0.55",
+                         "--beta1", "0.5", "--method", "closed", "--format", "json"], capsys)
+    assert code == 0
+    assert np.isfinite(np.array(json.loads(out)["closed"])).all()
 
 
 def test_metric_degenerate_exit_5(capsys):

@@ -232,7 +232,9 @@ def test_find_chart3_matches_the_argsort_path_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 EDGE_RES = 1e-13
-EDGE_BETAS = (0.0, 1e-12, 1e-9, 1.3e-8, 2e-8, math.pi / 2, math.pi - 1e-9, math.pi - 1.2e-8)
+# at pi/2 +- 1e-15, |Omega_33| is about 1e-15, and only an exact 0 leaves its phase unfixed
+EDGE_BETAS = (0.0, 1e-12, 1e-9, 1.3e-8, 2e-8, math.pi / 2, math.pi / 2 - 1e-15,
+              math.pi / 2 + 1e-15, math.pi - 1e-9, math.pi - 1.2e-8)
 EDGE_ALPHAS = (0.0, 1e-13, math.pi / 2)
 # (beta1, beta2) direction: all of beta in beta1, all in beta2, or split
 EDGE_CHIS = (0.0, math.pi / 2, 0.7)

@@ -55,6 +55,12 @@ NEAR_BOUNDARY = ("edge3-theta2-min", "edge3-beta-near-pi")
 HUGE = {**{f"huge3-phi-{phi:.0e}": chart3(phi=phi) for phi in (1e9, 3e10, 1e11)},
         **{f"huge2-alpha-{a:.0e}": CosetChart2(0.3, alpha=a, phi=0.4) for a in (1e9, 1e10)}}
 PULLBACK_CHARTS = {**{k: c for k, c in CHARTS.items() if k not in NEAR_BOUNDARY}, **HUGE}
+# every gap at least tol.GAP with lambda3 below 1e-6 (7.5e-7, 6.8e-7): the closed route
+# alone. The pullback raises BoundaryTooClose at the first (theta2 = pi/6) and is 2.5e-9
+# of max |g_ref| off at the second, above PULLBACK_REL
+SLIVERS = {"sliver3-theta2-min": chart3(theta1=math.asin(math.sqrt(3e-6)), theta2=THETA2_MIN),
+           "sliver3-theta2-0.55": chart3(theta1=math.asin(math.sqrt(2.5e-6)), theta2=0.55)}
+CLOSED_CHARTS = {**CHARTS, **SLIVERS}
 
 
 def family(chart) -> metric.Family:
@@ -67,7 +73,7 @@ def reference(values: tuple) -> np.ndarray:
     return np.array(mp_reference.metric(values))
 
 
-@pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS)
+@pytest.mark.parametrize("chart", CLOSED_CHARTS.values(), ids=CLOSED_CHARTS)
 def test_closed_tensor_matches_the_40_digit_reference(chart):
     ref = reference(chart.values())
     assert np.abs(family(chart).closed(chart).g - ref).max() <= REL * np.abs(ref).max()

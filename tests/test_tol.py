@@ -48,7 +48,7 @@ def test_every_name_in_the_table_is_imported():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "tol":
                 imported.update(alias.name for alias in node.names)
-    assert len(defined) == 19
+    assert len(defined) == 16
     assert sorted(defined - imported) == []
 
 
@@ -72,7 +72,7 @@ EXACT_GAP = (1.0 - 3 * GAP, 2 * GAP, GAP)
 
 
 @pytest.mark.parametrize("route", ["pullback", "closed", "recover"])
-def test_every_route_accepts_a_gap_of_exactly_gap(route):
+def test_every_route_accepts_a_gap_of_exactly_gap(route, monkeypatch):
     state = np.diag(EXACT_GAP).astype(complex)
     assert EXACT_GAP[1] - EXACT_GAP[2] == GAP
     assert sorted(DensityMatrix(state).eigenvalues.tolist()) == sorted(EXACT_GAP)
@@ -80,7 +80,12 @@ def test_every_route_accepts_a_gap_of_exactly_gap(route):
         g = metric.pullback_metric([0.0], lambda _: DensityMatrix(state), ("x",))
         assert g.g.tolist() == [[0.0]]
     elif route == "closed":
-        metric._check_spectrum3(EXACT_GAP)
+        # no chart's thetas give this spectrum exactly, so the closed route reads it
+        # in place of diag_entries3; its smallest eigenvalue, GAP, is also accepted
+        monkeypatch.setattr(metric, "diag_entries3", lambda theta1, theta2: EXACT_GAP)
+        assert metric.t_coeffs(0.5, 0.6)[2] == -GAP ** 2 / (3 * GAP)
+        g = metric.closed_metric3(coset.CosetChart3(0.5, 0.6, 0.3, 0.4, 0.5, 0.2, 0.1, 0.7))
+        assert np.isfinite(g.g).all()
     else:
         _, res = recover.find_chart3(state)
         assert res <= TARGET_RESIDUAL
