@@ -165,17 +165,17 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with cached derived data.
 
     Construction checks, in this order and to tolerance tol.INVARIANT, that
-    every entry is finite, that the matrix is Hermitian, that its trace is 1
-    and that its Hermitian part does not overflow (entries near 1e308, where
-    no spectrum exists; a state has every |rho_ij| <= 1). Positivity is
-    checked when the spectral decomposition is computed. The states that
-    rho2, rho3, diag2 and diag3 build are Hermitian with unit trace by
-    construction and skip the check. Two kinds of derived data are cached on
-    first use: the spectral decomposition and, for 3x3 states, the
-    trace-form invariants of ``bures.dittmann3_form`` (Tr rho^3, |rho|,
-    rho^{-1}). ``mat`` is private and read-only (a copy of the input, or the
-    builder's fresh array), so neither a write to it nor a later change to
-    the caller's array can leave the caches describing another matrix.
+    every entry is finite, that the matrix is Hermitian, that its trace is 1,
+    that its Hermitian part does not overflow (entries near 1e308, where no
+    spectrum exists; a state has every |rho_ij| <= 1) and that no eigenvalue
+    is below -INVARIANT, and keeps the spectral decomposition it took. The
+    states that rho2, rho3, diag2 and diag3 build are Hermitian, PSD and of
+    unit trace by construction: they skip the checks and are decomposed on
+    first use. 3x3 states cache the trace-form invariants of
+    ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}) on first use. ``mat``
+    is private and read-only (a copy of the input, or the builder's fresh
+    array), so neither a write to it nor a later change to the caller's array
+    can leave the caches describing another matrix.
     """
 
     _spectral: Optional[matcore.SpectralDecomposition] = None
@@ -206,6 +206,12 @@ class DensityMatrix:
             raise InvalidDensityMatrix(
                 "not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)"
             )
+        spec = matcore.eig_hermitian(mat)
+        if spec.eigenvalues[0] < -INVARIANT:
+            raise InvalidDensityMatrix(
+                f"not PSD: min eigenvalue {spec.eigenvalues[0]:.3e} < -{INVARIANT:.1e}"
+            )
+        self._spectral = spec
 
     @classmethod
     def _built(cls, mat: np.ndarray) -> DensityMatrix:
@@ -222,31 +228,18 @@ class DensityMatrix:
 
     @property
     def spectral(self) -> matcore.SpectralDecomposition:
-        if self._spectral is None:
-            spec = matcore.eig_hermitian(self.mat)
-            if spec.eigenvalues[0] < -INVARIANT:
-                raise InvalidDensityMatrix(
-                    f"not PSD: min eigenvalue {spec.eigenvalues[0]:.3e} < -{INVARIANT:.1e}"
-                )
-            self._spectral = spec
+        if self._spectral is None:  # a built state
+            self._spectral = matcore.eig_hermitian(self.mat)
         return self._spectral
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.spectral.eigenvalues
 
-    def validate_full(self) -> None:
-        """Force all invariant checks, including positivity."""
-        _ = self.spectral
-
 
 def as_density(rho) -> DensityMatrix:
-    """Coerce an ndarray (or pass through a DensityMatrix), validating invariants."""
-    if isinstance(rho, DensityMatrix):
-        return rho
-    dm = DensityMatrix(rho)
-    dm.validate_full()
-    return dm
+    """A DensityMatrix as it is, anything else through the checked constructor."""
+    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,9 @@ class SpectralDecomposition:
 def eig_hermitian(a) -> SpectralDecomposition:
     """Eigendecomposition of a finite Hermitian matrix whose Hermitian part
     does not overflow, as every DensityMatrix is when it is built; nothing
-    here checks that again. ``as_density(m).spectral`` is the checked route
-    for any other matrix. ConvergenceFailure if the spectrum is not finite.
+    here checks that again. ``DensityMatrix(m).spectral``, which its checks
+    take and keep, is the checked route for any other matrix.
+    ConvergenceFailure if the spectrum is not finite.
     """
     w, v = eigh(hermitize(a))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)

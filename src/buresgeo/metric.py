@@ -228,8 +228,11 @@ def t_coeffs(theta1: float, theta2: float) -> tuple[float, float, float]:
 
     which simplifies (sum of eigenvalues being 1) to -(li - lj)^2/(li + lj), the
     form evaluated: 1 - Tr D^3 cancels at small theta1. All three are <= 0;
-    the tensor entries carry the opposite sign.
+    the tensor entries carry the opposite sign. OutOfChartRange for a non-finite theta.
     """
+    for name, theta in (("theta1", theta1), ("theta2", theta2)):
+        if not math.isfinite(theta):
+            raise OutOfChartRange(name, theta, "must be finite")
     lam = diag_entries3(theta1, theta2)
     require_gap(lam)  # each l_i + l_j is then at least GAP
     l0, l1, l2 = lam

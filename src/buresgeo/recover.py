@@ -27,23 +27,17 @@ from .metric import family
 from .tol import FAIL_RESIDUAL, RANGE_EPS
 
 
-def _spectral_sorted_desc(rho: DensityMatrix):
-    """(eigenvalues as floats, eigenvector columns), both descending: the
-    eigh spectrum reversed, as it comes ascending."""
-    spec = rho.spectral
-    w = spec.eigenvalues[::-1].tolist()
-    # a degenerate spectrum leaves the chart coordinates unidentifiable
-    require_gap(w)
-    return w, spec.eigenvectors[:, ::-1]
-
-
 def _spectrum(rho, n: int):
-    """(state, descending eigenvalues, eigenvector columns) of an n x n
-    nondegenerate state; OutOfChartRange for a state of another size."""
+    """(state, eigenvalues as floats, eigenvector columns), both descending, of
+    an n x n state; OutOfChartRange for another size, DegenerateSpectrum for a
+    gap below GAP, where the chart coordinates are unidentifiable."""
     dm = coset.as_density(rho)
     if dm.dim != n:
         raise OutOfChartRange("n", dm.dim, f"find_chart{n} needs a {n}x{n} state")
-    return (dm, *_spectral_sorted_desc(dm))
+    spec = dm.spectral
+    w = spec.eigenvalues[::-1].tolist()
+    require_gap(w)
+    return dm, w, spec.eigenvectors[:, ::-1]
 
 
 def _fit(fam, dm: DensityMatrix, thetas: tuple, seed: tuple):

@@ -14,6 +14,7 @@ import numpy as np
 from . import coset
 from .coset import (BETA_MAX, CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN,
                     THETA_MAX)
+from .errors import DimensionMismatch
 from .metric import family
 from .tol import SAMPLE_GAP
 
@@ -80,7 +81,9 @@ def random_density(rng: np.random.Generator, n: int) -> coset.DensityMatrix:
 
 
 def random_tangent(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random traceless Hermitian matrix with unit Frobenius norm."""
+    """Random traceless Hermitian matrix with unit Frobenius norm (n >= 2)."""
+    if n < 2:
+        raise DimensionMismatch(f"no traceless unit-norm tangent exists at n={n}")
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = (g + g.conj().T) / 2
     h -= np.trace(h).real / n * np.eye(n)

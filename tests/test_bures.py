@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buresgeo import coset, matcore
 from buresgeo.bures import (
@@ -12,14 +14,18 @@ from buresgeo.bures import (
     fidelity,
     hubner_form,
 )
-from buresgeo.coset import CosetChart2
+from buresgeo.coset import CosetChart2, CosetChart3
 from buresgeo.errors import (
     DegenerateSupport,
     DimensionMismatch,
+    InvalidDensityMatrix,
     InvalidTangent,
     PureState,
     SingularState,
 )
+from buresgeo.metric import s_coeff
+from buresgeo.recover import find_chart
+from buresgeo.tol import INVARIANT
 from buresgeo.sampling import (
     make_rng,
     random_chart2,
@@ -528,3 +534,71 @@ def test_read_only_tangent_is_projected_once_per_state(monkeypatch):
         for _ in range(3):
             hubner_form(rho, writable, writable)
         assert projected == [id(writable)] * 3
+
+
+# ---------------------------------------------------------------------------
+# positivity is checked when a state is built, so every route refuses a
+# non-PSD matrix alike, whether given the ndarray or a DensityMatrix of it
+# ---------------------------------------------------------------------------
+
+NOT_PSD = r"^not PSD: min eigenvalue -2\.000e-01 < -1\.0e-10$"
+
+
+@pytest.mark.parametrize("route, entries", [
+    (lambda rho: dittmann3_form(rho, random_tangent(make_rng(0), 3)), (0.7, 0.5, -0.2)),
+    (lambda rho: dittmann3_form(rho, random_tangent(make_rng(0), 3)), (1.3, -0.1, -0.2)),
+    (lambda rho: dittmann2_form(rho, random_tangent(make_rng(0), 2)), (1.2, -0.2)),
+    (s_coeff, (1.2, -0.2)),
+], ids=["dittmann3-one-negative", "dittmann3-two-negative", "dittmann2", "s_coeff"])
+@pytest.mark.parametrize("wrap", [np.asarray, coset.DensityMatrix],
+                         ids=["ndarray", "DensityMatrix"])
+def test_a_non_psd_state_is_refused_as_not_psd_by_every_route(route, entries, wrap):
+    # these raised SingularState or PureState (exit 5) when the state came as a
+    # DensityMatrix, whose positivity was checked only once its spectrum was read
+    with pytest.raises(InvalidDensityMatrix, match=NOT_PSD) as exc:
+        route(wrap(diag_rho(*entries)))
+    assert exc.value.exit_code == 4
+
+
+REFERENCE_STATES = {2: coset.rho2(CosetChart2(0.4, 0.3, 0.2)),
+                    3: coset.rho3(CosetChart3(0.5, 0.6, 0.3, 0.4, 0.5, 0.2, 0.1, 0.7))}
+
+
+@st.composite
+def hermitian_unit_trace(draw):
+    """(m, tangent): m = U diag(lam) U† with lam summing to 1, PSD or not
+    (zero and just-negative eigenvalues included), U the identity or
+    Haar-random, and a random tangent of the same size."""
+    n = draw(st.sampled_from([2, 3]))
+    lam = [draw(st.one_of(st.floats(-0.3, 1.0),
+                          st.sampled_from([0.0, 0.5, -INVARIANT, -2 * INVARIANT])))
+           for _ in range(n - 1)]
+    lam.append(1.0 - sum(lam))
+    rng = make_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = np.eye(n) if draw(st.booleans()) else random_unitary(rng, n)
+    return u @ np.diag(lam) @ u.conj().T, random_tangent(rng, n)
+
+
+def _outcome(call):
+    """("ok", repr of the value) or ("raised", the exception type)."""
+    try:
+        return "ok", repr(call())
+    except Exception as exc:  # the type is what is compared
+        return "raised", type(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=hermitian_unit_trace())
+def test_every_route_treats_a_matrix_and_its_density_matrix_alike(case):
+    mat, d = case
+    n = len(mat)
+    routes = [lambda rho: hubner_form(rho, d, d),
+              lambda rho: (dittmann2_form if n == 2 else dittmann3_form)(rho, d),
+              lambda rho: fidelity(rho, REFERENCE_STATES[n]),
+              find_chart]
+    if n == 2:
+        routes.append(s_coeff)
+    for route in routes:
+        want = _outcome(lambda: route(mat))
+        assert _outcome(lambda: route(coset.DensityMatrix(mat))) == want, (route, want)

@@ -1,17 +1,24 @@
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from buresgeo import cli, coset, errors
+from buresgeo import cli, coset, errors, metric
 from buresgeo.cli import main
 from buresgeo.errors import VerificationFailure
+from buresgeo.tol import RANGE_EPS
 
 
 def run_cli(args, capsys):
@@ -140,7 +147,7 @@ def test_fidelity_commuting_value(tmp_path, capsys):
 
 
 def test_fidelity_takes_two_psd_roots(monkeypatch, capsys):
-    # each state is decomposed once, by DensityMatrix.spectral; the fidelity
+    # each state is decomposed once, when its DensityMatrix is built; the fidelity
     # reads both cached spectra, and the Bures distance reuses the fidelity
     from buresgeo import matcore
     calls = []
@@ -204,7 +211,7 @@ def test_a_huge_free_coordinate_builds_a_state_but_stops_the_pullback(argv, code
 
 @pytest.mark.parametrize("neg,code", [(-5e-11, 0), (-2e-10, 4)])
 def test_fidelity_psd_band(neg, code, tmp_path, capsys):
-    # one PSD rule, DensityMatrix.spectral's, for the state and its fidelity
+    # one PSD rule, the DensityMatrix construction check, for the state and its fidelity
     path = write_matrix(tmp_path, "rho.json", np.diag([0.6, 0.4 - neg, neg]))
     assert main(["fidelity", "--state-a", path, "--state-b", path]) == code
     if code:
@@ -933,3 +940,112 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["dim"] == 2
+
+
+# ---------------------------------------------------------------------------
+# every command at edge values: a documented exit code, and nothing escapes
+# ---------------------------------------------------------------------------
+
+def _ends(*ends):
+    return [e + k * RANGE_EPS for e in ends for k in (-1, 0, 1)]
+
+
+EDGE_VALUES = [repr(v) for v in (
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.0 ** 37, 1e308, -1e308,
+    math.inf, -math.inf, math.nan, 0.3, 0.6, -1.1,
+    *_ends(coset.THETA_MAX, coset.THETA1_MAX, coset.THETA2_MIN, coset.THETA2_MAX,
+           coset.BETA_MAX, -coset.BETA_MAX))]
+STATE_FILES = {
+    "state2": [[0.75, 0.1j], [-0.1j, 0.25]],
+    "state3": coset.rho3(coset.CosetChart3(0.5, 0.6, 0.3, 0.4, 0.5, 0.2, 0.1, 0.7)).mat,
+    "pure2": np.diag([1.0, 0.0]),
+    "mixed2": np.eye(2) / 2,
+    "mixed3": np.eye(3) / 3,
+    "not_psd2": np.diag([1.2, -0.2]),
+    "not_psd3": np.diag([0.7, 0.5, -0.2]),
+    "not_hermitian": [[0.5, 0.1], [0.3, 0.5]],
+    "trace": np.diag([0.9, 0.9]),
+    "huge": [[0.5, 1e308], [1e308, 0.5]],
+    "out_of_box3": np.diag([0.5, 0.45, 0.05]),
+    "n1": [[1.0]],
+    "n4": np.eye(4) / 4,
+    "nan": [[0.5, math.nan], [0.0, 0.5]],
+}
+RAW_FILES = {"bad_json": "{not json", "no_keys": "[]",
+             "dim_text": '{"dim": "2", "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
+             "ragged": '{"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}'}
+
+
+@st.composite
+def chart_flags(draw):
+    """--n and chart flags of its family, now and then one of the other family."""
+    n = draw(st.sampled_from([2, 3]))
+    names = metric.COORDS2 if n == 2 else metric.COORDS3
+    picked = draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    if draw(st.integers(0, 9)) == 0:
+        picked.append(draw(st.sampled_from(cli.CHART_FLAGS)))
+    argv = ["--n", str(n)]
+    for name in picked:
+        argv += [f"--{name}", draw(st.sampled_from(EDGE_VALUES))]
+    return n, names, argv
+
+
+@st.composite
+def cli_argv(draw, files):
+    command = draw(st.sampled_from(["rho", "metric", "scan", "validate", "permtest",
+                                    "fidelity", "find-chart"]))
+    argv = [command]
+    if command in ("rho", "metric", "scan"):
+        n, names, flags = draw(chart_flags())
+        argv += flags
+        if command == "metric":
+            argv += ["--method", draw(st.sampled_from(["closed", "pullback", "both"]))]
+        if command == "scan":
+            coords = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+            for coord in coords:
+                argv += ["--coord", coord, "--from", draw(st.sampled_from(EDGE_VALUES)),
+                         "--to", draw(st.sampled_from(EDGE_VALUES)),
+                         "--points", str(draw(st.integers(1, 3)))]
+            argv += ["--method", draw(st.sampled_from(["closed", "pullback"])),
+                     "--entries", draw(st.sampled_from(["diag", "all", "g_alpha_alpha", "g_x"]))]
+    elif command == "validate":
+        argv += ["--n", draw(st.sampled_from(["2", "3"])),
+                 "--samples", str(draw(st.integers(1, 2))),
+                 "--seed", str(draw(st.integers(0, 2 ** 64))),
+                 "--tol", draw(st.sampled_from(EDGE_VALUES))]
+    elif command == "fidelity":
+        for flag in ("--state-a", "--state-b"):
+            if draw(st.booleans()):
+                state = draw(st.sampled_from(files))
+            else:
+                names = draw(st.sampled_from([("theta",), ("theta1", "theta2", "beta1")]))
+                state = ",".join(f"{k}={draw(st.sampled_from(EDGE_VALUES))}" for k in names)
+            argv += [flag, state]
+    elif command == "find-chart":
+        argv.append(draw(st.sampled_from(files)))
+        if draw(st.booleans()):
+            argv += ["--n", draw(st.sampled_from(["2", "3"]))]
+    argv += ["--format", draw(st.sampled_from(["json", "csv", "pretty"]))]
+    if command in ("rho", "metric", "scan", "fidelity") and draw(st.booleans()):
+        argv.append("--degrees")
+    return argv
+
+
+def test_every_command_at_edge_values_exits_with_a_documented_code():
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [write_matrix(Path(tmp), f"{name}.json", mat) for name, mat in STATE_FILES.items()]
+        for name, text in RAW_FILES.items():
+            (Path(tmp) / f"{name}.json").write_text(text)
+            files.append(str(Path(tmp) / f"{name}.json"))
+        files.append(str(Path(tmp) / "missing.json"))
+
+        @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+        @given(argv=cli_argv(files))
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 2, 3, 4, 5, 6), (argv, code, err.getvalue())
+
+        run()

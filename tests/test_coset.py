@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from buresgeo import coset
+from buresgeo import coset, matcore
 from buresgeo.coset import (
     CosetChart2,
     CosetChart3,
@@ -22,7 +22,7 @@ from buresgeo.coset import (
     rho3,
 )
 from buresgeo.errors import InvalidDensityMatrix, OutOfChartRange
-from buresgeo.sampling import make_rng, random_chart2, random_chart3
+from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_unitary
 from buresgeo.tol import INVARIANT, RANGE_EPS, SERIES_CUTOFF
 
 
@@ -532,15 +532,19 @@ def built_states():
 
 @pytest.mark.filterwarnings("error")
 def test_built_states_pass_the_checked_constructor_unchanged():
-    # the builders skip the construction check; each state they form must pass it
+    # the builders skip the construction check; each state they form must pass it.
+    # The PSD half of tol.INVARIANT (1e-10) has a margin of about 7e6 here: the
+    # most negative eigenvalue over these states measures -1.39e-17
     count = 0
+    lam_min = math.inf
     for built in built_states():
         assert built.mat.dtype == np.complex128 and not built.mat.flags.writeable
         checked = coset.DensityMatrix(built.mat)
         assert checked.mat.tobytes() == built.mat.tobytes()
-        checked.validate_full()
+        lam_min = min(lam_min, checked.eigenvalues[0])
         count += 1
     assert count == 400 + 4 * 6 + 12 * 41
+    assert lam_min >= -1e-16
 
 
 def test_density_matrix_invariant_errors():
@@ -550,6 +554,34 @@ def test_density_matrix_invariant_errors():
         coset.as_density(np.diag([0.9, 0.9]).astype(complex))  # trace 1.8
     with pytest.raises(InvalidDensityMatrix):
         coset.as_density(np.diag([1.5, -0.5]).astype(complex))  # not PSD
+
+
+@pytest.mark.parametrize("entries, rotate, lam_min", [
+    ((1.5, -0.5), False, "-5.000e-01"), ((1.5, -0.5), True, "-5.000e-01"),
+    ((0.7, 0.5, -0.2), False, "-2.000e-01"), ((0.7, 0.5, -0.2), True, "-2.000e-01"),
+    ((0.6, 0.4 + 2 * INVARIANT, -2 * INVARIANT), False, "-2.000e-10")])
+def test_a_matrix_that_is_not_psd_is_refused_at_construction(entries, rotate, lam_min):
+    mat = np.diag(entries).astype(complex)
+    if rotate:
+        u = random_unitary(make_rng(3), len(entries))
+        mat = u @ mat @ u.conj().T
+    with pytest.raises(InvalidDensityMatrix,
+                       match=rf"^not PSD: min eigenvalue {lam_min} < -1\.0e-10$") as exc:
+        coset.DensityMatrix(mat)
+    assert exc.value.exit_code == 4
+
+
+def test_construction_keeps_the_spectrum_it_checked(monkeypatch):
+    # one eigendecomposition per checked state: at construction, for the PSD
+    # test, and none after it; an eigenvalue of exactly -INVARIANT passes
+    calls = []
+    eig = matcore.eig_hermitian
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda a: calls.append(1) or eig(a))
+    state = coset.DensityMatrix(np.diag([0.6, 0.4 + INVARIANT, -INVARIANT]).astype(complex))
+    assert len(calls) == 1
+    assert state.eigenvalues[0] == -INVARIANT and state.spectral is state.spectral
+    assert coset.as_density(state) is state
+    assert len(calls) == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -578,6 +610,9 @@ def numpy_state_check(mat):
     with np.errstate(over="ignore"):
         if not np.isfinite(mat + mat.conj().T).all():
             return "not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)"
+    lam_min = np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0]
+    if lam_min < -INVARIANT:
+        return f"not PSD: min eigenvalue {lam_min:.3e} < -{INVARIANT:.1e}"
     return None
 
 
@@ -618,8 +653,8 @@ def test_state_check_at_the_invariant_threshold():
 
 
 def test_state_check_matches_the_numpy_expressions():
-    # nan, +-inf and signed zeros at every entry, defects and trace errors
-    # around INVARIANT, and random states: the same decision and message
+    # nan, +-inf and signed zeros at every entry, defects, trace errors and
+    # eigenvalues around INVARIANT, and random states: the same decision and message
     rng = make_rng(14)
     mats = []
     for i in range(3):
@@ -644,12 +679,20 @@ def test_state_check_matches_the_numpy_expressions():
         scale = float(rng.choice([0.0, 0.5, 1.0, 2.0, 10.0])) * INVARIANT
         state = state + scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         mats.append(state)
+    # eigenvalues around -INVARIANT, and states that are not PSD, also rotated
+    for dev in (0.5, 1.0, 2.0, 1e9):
+        mats.append(np.diag([0.6, 0.4 + dev * INVARIANT, -dev * INVARIANT]).astype(complex))
+    for entries in ((1.5, -0.5), (0.7, 0.5, -0.2), (1.3, -0.1, -0.2)):
+        u = random_unitary(rng, len(entries))
+        mats.append(u @ np.diag(entries) @ u.conj().T)
+    kinds = ("matrix has", "not Hermitian", "trace", "not PSD: the spectrum",
+             "not PSD: min eigenvalue")
     decided = set()
     for mat in mats:
         want = numpy_state_check(mat)
         assert scalar_state_check(mat) == want, mat
-        decided.add(want.split(":")[0].split(" ")[0] if want else None)
-    assert decided == {None, "matrix", "not", "trace"}
+        decided.add(next(k for k in kinds if want.startswith(k)) if want else None)
+    assert decided == {None, *kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +705,14 @@ def test_permutation_table_has_six_verified_entries():
     for entry in table:
         assert entry.residual_exact <= 1e-12
         assert entry.residual_coset <= 1e-12
+
+
+def test_permutation_residuals_keep_their_margin_to_perm_verify():
+    # the six fixed identities are the whole domain of tol.PERM_VERIFY (1e-12):
+    # the worst residuals measure 1.22e-16 (exact) and 1.11e-16 (coset)
+    table = permutation_table()
+    assert max(entry.residual_exact for entry in table) <= 2.5e-16
+    assert max(entry.residual_coset for entry in table) <= 2.5e-16
 
 
 def test_permutation_identity_entry():

@@ -231,6 +231,19 @@ def test_t_coeffs_equal_eigenvalue_limit():
         t_coeffs(t1, t2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_t_coeffs_refuse_a_theta_that_is_not_finite(bad):
+    # a nan passed the gap check and came back as (nan, nan, nan); an inf
+    # raised ValueError from math.sin
+    for at, name in ((0, "theta1"), (1, "theta2")):
+        thetas = [0.5, 0.6]
+        thetas[at] = bad
+        with pytest.raises(OutOfChartRange, match=rf"^coordinate {name}=") as exc:
+            t_coeffs(*thetas)
+        assert exc.value.exit_code == 2
+
+
 def test_t_coeffs_match_pullback_alpha_entry():
     # -t12 is the alpha-alpha entry of the pullback tensor at beta ~ 0
     for (t1, t2) in [(math.pi / 4, math.pi / 5), (0.6, 0.65), (0.85, 0.78)]:

@@ -314,20 +314,20 @@ def shift_coset_values(monkeypatch, delta):
 
 def tilt_eigenvectors(monkeypatch, angle):
     """Rotate the eigenvectors find_chart2 reads (alpha, phi) off by ``angle``."""
-    exact = recover._spectral_sorted_desc
+    exact = recover._spectrum
     c, s = math.cos(angle), math.sin(angle)
     tilt = np.array([[c, -s], [s, c]], dtype=complex)
 
-    def tilted(dm):
-        w, v = exact(dm)
-        return w, tilt @ v
+    def tilted(rho, n):
+        dm, w, v = exact(rho, n)
+        return dm, w, tilt @ v
 
-    monkeypatch.setattr(recover, "_spectral_sorted_desc", tilted)
+    monkeypatch.setattr(recover, "_spectrum", tilted)
 
 
 def test_find_chart3_returns_a_slightly_spoiled_seed_unpolished(monkeypatch):
     rho = coset.rho3(random_chart3(make_rng(4)))
-    seed = recover._coset_params_from_eigvecs(recover._spectral_sorted_desc(rho)[1])
+    seed = recover._coset_params_from_eigvecs(recover._spectrum(rho, 3)[2])
     shift_coset_values(monkeypatch, 1e-7)
     rec, res = find_chart3(rho)
     assert rec.values()[2:] == tuple(p + 1e-7 for p in seed)
@@ -339,7 +339,7 @@ def test_find_chart2_returns_a_slightly_spoiled_seed_unpolished(monkeypatch):
     rho = coset.rho2(random_chart2(make_rng(5)))
     tilt_eigenvectors(monkeypatch, 1e-7)
     rec, res = find_chart2(rho)
-    _, v = recover._spectral_sorted_desc(rho)
+    _, _, v = recover._spectrum(rho, 2)
     assert (rec.alpha, rec.phi) == recover._block_angles(v)
     assert res == np.linalg.norm(coset.rho2(rec).mat - rho.mat)
     assert TARGET_RESIDUAL < res <= FAIL_RESIDUAL

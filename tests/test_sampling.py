@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from buresgeo.sampling import make_rng, random_unitary
+from buresgeo.errors import DimensionMismatch
+from buresgeo.sampling import make_rng, random_tangent, random_unitary
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -15,3 +16,12 @@ def test_random_unitary_has_haar_moments(n):
     assert abs((x ** 2).mean() - 2 / (n * (n + 1))) <= 0.01
     u = draws[-1]
     np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_tangent_refuses_a_size_without_a_unit_traceless_tangent(n):
+    # at n = 1 the traceless part is 0, and 0 / 0 warned and gave nan
+    with pytest.raises(DimensionMismatch,
+                       match=f"^no traceless unit-norm tangent exists at n={n}$"):
+        random_tangent(make_rng(0), n)
