@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import re
 import sys
 
@@ -325,7 +324,7 @@ def cmd_scan(args):
     values = [base[name] for name in fam.coords]
     slots = [fam.coords.index(coord) for coord in args.coord]
 
-    picks = get = None
+    picks = flat = None
     rows = []
     for combo in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(
             -1, len(grids)).tolist():
@@ -335,12 +334,9 @@ def cmd_scan(args):
         if picks is None:
             # read the entry names only now: a bad first chart outranks a bad name
             picks = _entry_picks(args.entries, mt)
-            # the picked entries of the flat g, then the volume element after it
             d = len(values)
-            get = operator.itemgetter(*[i * d + j for _, i, j in picks], d * d)
-        g = mt.g.ravel().tolist()
-        g.append(metric.volume_element(mt))
-        rows.append((*combo, *get(g)))
+            flat = np.array([i * d + j for _, i, j in picks])  # the picks in the flat g
+        rows.append((*combo, *mt.g.take(flat).tolist(), metric.volume_element(mt)))
     header = args.coord + [key for key, _, _ in picks] + ["sqrt_det_g"]
     # scan prints its CSV for both --format csv and pretty
     return 0, {"header": header, "rows": rows}, lambda: (header, rows), None

@@ -50,6 +50,7 @@ from .errors import (
     BoundaryTooClose,
     DimensionMismatch,
     OutOfChartRange,
+    ParseError,
     SingularState,
     VerificationFailure,
 )
@@ -72,7 +73,15 @@ _UPPER_ENTRIES = {ordering: upper_entries(ordering) for ordering in (COORDS2, CO
 class MetricTensor:
     """Symmetric real tensor together with its coordinate ordering. Equality
     and hashing are by identity, as comparing the ndarray g gives an array,
-    not a truth value."""
+    not a truth value.
+
+    The constructor checks g: a real (d, d) array over the d coordinates,
+    symmetric to tol.INVARIANT; anything else is VerificationFailure. The
+    closed tensors skip the check through `_built`, as they are symmetric
+    bytewise by construction: `closed_metric2` builds a diagonal, and
+    `_closed_rows3` writes one Python float at both (i, j) and (j, i).
+    tests/test_reference.py holds both to g.tobytes() == g.T.tobytes().
+    """
 
     ordering: tuple[str, ...]
     g: np.ndarray
@@ -80,18 +89,45 @@ class MetricTensor:
     def __init__(self, ordering: tuple[str, ...], g: np.ndarray):
         store = self.__dict__  # frozen: each value is stored once, directly
         store["ordering"] = ordering
-        arr = store["g"] = np.asarray(g, dtype=float)
+        try:
+            arr = np.asarray(g)
+            if arr.dtype.kind == "c":  # float() would drop the imaginary part
+                raise TypeError(f"complex dtype {arr.dtype}")
+            arr = store["g"] = arr.astype(float, copy=False)
+        except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+            raise VerificationFailure(f"tensor is not a real array: {exc}") from None
         d = len(ordering)
         if arr.shape != (d, d):
             raise VerificationFailure(f"tensor shape {arr.shape} does not match ordering")
-        # equal bytes (every closed form) pass at once; signed zeros and nan
-        # payloads go on to the elementwise test, unequal pairs to the subtraction
+        # equal bytes pass at once; signed zeros and nan payloads go on to
+        # the elementwise test, unequal pairs to the subtraction
         if (arr.tobytes() != arr.T.tobytes() and not (arr == arr.T).all()
                 and np.max(np.abs(arr - arr.T)) > INVARIANT):
             raise VerificationFailure(f"tensor not symmetric to {INVARIANT:.0e}")
 
+    @classmethod
+    def _built(cls, ordering: tuple[str, ...], g: np.ndarray) -> MetricTensor:
+        """A tensor this module formed symmetric as a float64 (d, d) array:
+        stored unchecked and uncopied."""
+        mt = object.__new__(cls)
+        store = mt.__dict__
+        store["ordering"] = ordering
+        store["g"] = g
+        return mt
+
     def entry(self, a: str, b: str) -> float:
+        """g_ab; ParseError if a or b is not a coordinate of the ordering."""
+        for name in (a, b):
+            if name not in self.ordering:
+                raise ParseError(f"unknown coordinate {name!r}; the ordering is {self.ordering}")
         return float(self.g[self.ordering.index(a), self.ordering.index(b)])
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _det_quiet(g: np.ndarray) -> float:
+    """matcore.det_real(g) with numpy's floating-point warnings silenced;
+    the decorator builds its errstate once, not on every call."""
+    return matcore.det_real(g)
 
 
 def volume_element(metric: MetricTensor) -> float:
@@ -99,8 +135,7 @@ def volume_element(metric: MetricTensor) -> float:
     chart coordinates. An exactly singular g is a valid input, so LAPACK's
     divide-by-zero warning on it is silenced. VerificationFailure if det g
     is not finite (g has a nan or infinite entry, or det g overflows)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = matcore.det_real(metric.g)
+    d = _det_quiet(metric.g)
     if not math.isfinite(d):
         raise VerificationFailure(f"det g = {d!r} is not finite")
     return 0.0 if d <= 0.0 else math.sqrt(d)
@@ -186,8 +221,7 @@ def closed_metric2(chart: CosetChart2) -> MetricTensor:
         raise OutOfChartRange("alpha", chart.alpha, "2 alpha overflows")
     c2t = math.cos(2 * chart.theta) ** 2
     s2a = math.sin(2 * chart.alpha) ** 2
-    g = np.diag([1.0, c2t, 0.25 * s2a * c2t])
-    return MetricTensor(ordering=COORDS2, g=g)
+    return MetricTensor._built(COORDS2, np.diag([1.0, c2t, 0.25 * s2a * c2t]))
 
 
 class SCoeff2(NamedTuple):
@@ -456,7 +490,7 @@ def closed_metric3(chart: CosetChart3, *, entries: str = "validated") -> MetricT
         raise OutOfChartRange("beta", beta, "must lie strictly in (0, pi)")
     t = t_coeffs(chart.theta1, chart.theta2)
     flat = _closed_rows3(chart, t, beta, entries=entries)
-    return MetricTensor(COORDS3, np.array(flat).reshape(8, 8))
+    return MetricTensor._built(COORDS3, np.array(flat, dtype=np.float64).reshape(8, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from buresgeo.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     OutOfChartRange,
+    ParseError,
     SingularState,
     VerificationFailure,
 )
@@ -435,9 +436,12 @@ def pair(offdiag_a, offdiag_b, diag=1.0):
     return [[diag, offdiag_a], [offdiag_b, 1.0]]
 
 
+@pytest.mark.filterwarnings("error")  # a float conversion of complex g warns and drops Im g
 @pytest.mark.parametrize("g", [np.zeros((2, 3)), [[0.0, 1.0], [0.5, 0.0]],
-                               pair(0.3, 0.3 + 2 * INVARIANT), pair(math.inf, -math.inf)],
-                         ids=["2x3", "asymmetric", "twice-invariant", "opposite-infs"])
+                               pair(0.3, 0.3 + 2 * INVARIANT), pair(math.inf, -math.inf),
+                               [[1.0, 2.0], [2.0]], np.eye(2) * (1 + 1j)],
+                         ids=["2x3", "asymmetric", "twice-invariant", "opposite-infs",
+                              "ragged", "complex"])
 def test_metric_tensor_rejects_bad_matrix(g):
     with pytest.raises(VerificationFailure):
         MetricTensor(ordering=("a", "b"), g=g)
@@ -459,6 +463,13 @@ def test_metric_tensor_symmetry_check_accepts(g):
         warnings.simplefilter("error")
         t = MetricTensor(ordering=("a", "b"), g=g)
     assert t.g.tobytes() == np.array(g).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [("x", "a"), ("a", "x")])
+def test_metric_tensor_entry_refuses_an_unknown_coordinate(a, b):
+    t = MetricTensor(ordering=("a", "b"), g=np.eye(2))
+    with pytest.raises(ParseError, match="unknown coordinate 'x'"):
+        t.entry(a, b)
 
 
 def test_metric_tensor_symmetry_check_on_a_closed_tensor():

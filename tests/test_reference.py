@@ -79,6 +79,34 @@ def test_closed_tensor_matches_the_40_digit_reference(chart):
     assert np.abs(family(chart).closed(chart).g - ref).max() <= REL * np.abs(ref).max()
 
 
+def assert_symmetric_bytewise(chart):
+    """Every closed tensor at ``chart`` (both entry conventions at n = 3) is a
+    float64 (d, d) array equal to its transpose byte for byte: the ground on
+    which MetricTensor._built stores the closed tensors unchecked."""
+    fam = family(chart)
+    d = len(fam.coords)
+    tensors = ([metric.closed_metric3(chart, entries=e) for e in ("validated", "printed")]
+               if fam.n == 3 else [metric.closed_metric2(chart)])
+    for mt in tensors:
+        assert mt.g.dtype == np.float64 and mt.g.shape == (d, d), chart
+        assert mt.g.tobytes() == mt.g.T.tobytes(), chart
+
+
+SYMMETRY_CHARTS = {**CLOSED_CHARTS, **HUGE}
+
+
+@pytest.mark.parametrize("chart", SYMMETRY_CHARTS.values(), ids=SYMMETRY_CHARTS)
+def test_closed_tensors_are_symmetric_bytewise_at_the_reference_charts(chart):
+    assert_symmetric_bytewise(chart)
+
+
+def test_closed_tensors_are_symmetric_bytewise_at_seeded_charts():
+    rng3, rng2 = make_rng(21), make_rng(22)
+    for _ in range(200):
+        assert_symmetric_bytewise(random_chart3(rng3))
+        assert_symmetric_bytewise(random_chart2(rng2))
+
+
 @pytest.mark.parametrize("chart", PULLBACK_CHARTS.values(), ids=PULLBACK_CHARTS)
 def test_pullback_tensor_matches_the_40_digit_reference(chart):
     ref = reference(chart.values())
