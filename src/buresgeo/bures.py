@@ -33,8 +33,10 @@ from .tol import DET_FLOOR, EPS_SPEC, PURE, SUPPORT_LEAK
 def fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity F = ||sqrt(rho1) sqrt(rho2)||_1^2 (Jozsa 1994).
 
-    Each state's cached spectrum V diag(lambda) V† gives H = V sqrt(lambda),
-    with eigenvalues in [-INVARIANT, 0) counted as 0, so sqrt(rho) = H V†.
+    Each state's cached spectrum V diag(lambda) V† keeps the factor
+    H = V sqrt(lambda) (SpectralDecomposition.root), with eigenvalues in
+    [-INVARIANT, 0) counted as 0, so sqrt(rho) = H V†; a state passed to
+    several fidelities, as bures_distance after fidelity, forms it once.
     The trace norm is unitarily invariant: sqrt(F) is the sum of the
     singular values of H1† H2. So F >= 0, and by Holder's inequality F is
     at most the product of the eigenvalue sums of H1† H1 and H2† H2, each
@@ -43,8 +45,7 @@ def fidelity(rho1, rho2) -> float:
     r1, r2 = as_density(rho1), as_density(rho2)
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"dimensions differ: {r1.dim} vs {r2.dim}")
-    h1, h2 = (s.eigenvectors * np.sqrt(np.maximum(s.eigenvalues, 0.0))
-              for s in (r1.spectral, r2.spectral))
+    h1, h2 = r1.spectral.root, r2.spectral.root
     return min(float(matcore.singular_values(h1.conj().T @ h2).sum()) ** 2, 1.0)
 
 

@@ -293,8 +293,10 @@ def omega2(chart: CosetChart2) -> np.ndarray:
     return np.array(_omega2_rows(chart.alpha, chart.phi), dtype=np.complex128)
 
 
-def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
-    """Rows of Omega, the k=3 block times the k=2 block, written out.
+def _omega3_rows(alpha: float, phi: float, beta1: float, beta2: float,
+                 psi1: float, psi2: float) -> list[list[complex]]:
+    """Rows of Omega at the chart's six coset coordinates, the k=3 block
+    times the k=2 block, written out.
 
     Each block is the 3 x 3 identity outside its leading k x k corner,
     where it realizes SU(k)/U(k-1) for a complex (k-1)-vector B:
@@ -313,8 +315,8 @@ def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
     keep the signed zeros of the plain block product, which the tests
     compare against bit for bit.
     """
-    (l00, l01), (l10, l11) = _omega2_rows(chart.alpha, chart.phi)
-    b1, b2 = cmath.rect(chart.beta1, chart.psi1), cmath.rect(chart.beta2, chart.psi2)
+    (l00, l01), (l10, l11) = _omega2_rows(alpha, phi)
+    b1, b2 = cmath.rect(beta1, psi1), cmath.rect(beta2, psi2)
     b1c, b2c = b1.conjugate(), b2.conjugate()
     babs = math.hypot(abs(b1), abs(b2))
     cfac, sfac = cosm1_over_sq(babs), sinc(babs)
@@ -328,7 +330,8 @@ def _omega3_rows(chart: CosetChart3) -> list[list[complex]]:
 
 def omega3(chart: CosetChart3) -> np.ndarray:
     """Full coset representative for n=3: the k=3 block times the k=2 block (any finite alpha)."""
-    return np.array(_omega3_rows(chart), dtype=np.complex128)
+    return np.array(_omega3_rows(chart.alpha, chart.phi, chart.beta1, chart.beta2,
+                                 chart.psi1, chart.psi2), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +413,9 @@ def rho2(chart: CosetChart2) -> DensityMatrix:
 
 def rho3(chart: CosetChart3) -> DensityMatrix:
     """rho = Omega D Omega† on the 3-level chart (its constructor checked the thetas)."""
-    return _assemble3(_omega3_rows(chart), diag_entries3(chart.theta1, chart.theta2))
+    return _assemble3(_omega3_rows(chart.alpha, chart.phi, chart.beta1, chart.beta2,
+                                   chart.psi1, chart.psi2),
+                      diag_entries3(chart.theta1, chart.theta2))
 
 
 # ---------------------------------------------------------------------------

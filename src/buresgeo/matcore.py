@@ -131,8 +131,9 @@ class SpectralDecomposition:
     eigenvalues are real and ascending; eigenvectors holds the orthonormal
     eigenvectors as columns, so ``V @ diag(w) @ V†`` reconstructs the input.
     Ties keep whatever order the solver produced. Built on first use and kept
-    with the spectrum: the ``pairs`` table, V† and a memo of the tangents
-    projected into the eigenbasis (``memo_project``). The memo only holds
+    with the spectrum: the ``pairs`` table, the square-root factor ``root``,
+    V† and a memo of the tangents projected into the eigenbasis
+    (``memo_project``). The memo only holds
     read-only arrays that own their data, so no entry can go stale; it keeps
     one entry per such tangent and lives and dies with the spectrum, which a
     DensityMatrix owns.
@@ -147,6 +148,14 @@ class SpectralDecomposition:
         the denominators of the Hubner pair sum (bures.hubner_form)."""
         w = self.eigenvalues.tolist()
         return [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """H = V sqrt(max(lambda, 0)): sqrt(rho) = H V† for a state's spectrum,
+        whose eigenvalues in [-INVARIANT, 0) count as 0. The factor
+        ``bures.fidelity`` reads, formed once per spectrum however many
+        fidelities take it."""
+        return self.eigenvectors * np.sqrt(np.maximum(self.eigenvalues, 0.0))
 
     @cached_property
     def _vh(self) -> np.ndarray:
@@ -183,7 +192,14 @@ def eig_hermitian(a) -> SpectralDecomposition:
     does not overflow, as every DensityMatrix is when it is built; nothing
     here checks that again. ``DensityMatrix(m).spectral``, which its checks
     take and keep, is the checked route for any other matrix.
-    ConvergenceFailure if the spectrum is not finite.
+    ConvergenceFailure if the spectrum is not finite. Both fields are stored
+    directly: the frozen dataclass's ``__init__`` sets each through
+    ``object.__setattr__``, 1.3 us a call against 0.6 us (best of 7 x
+    200,000 calls, 2 vCPUs).
     """
     w, v = eigh(hermitize(a))
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    spec = object.__new__(SpectralDecomposition)
+    store = spec.__dict__
+    store["eigenvalues"] = w
+    store["eigenvectors"] = v
+    return spec

@@ -7,7 +7,10 @@ falls below pi/6) and the coset coordinates off the eigenvectors in closed
 form, with fixed conventions where a coordinate is undefined (the phase of
 Omega's third column makes Omega_33 positive unless it is exactly 0, psi_k = 0
 when the k-th entry of that column is exactly 0, phi = 0 when an entry of the
-2x2 block is exactly 0). ``_fit`` builds that chart through the family table and
+2x2 block is exactly 0). The coset coordinates are read on the Python scalars
+of one ``v.tolist()``: at n = 3 the k = 3 block comes from coset's row formula
+and only the top-left 2x2 block of (U3† V) is formed, which at this size costs
+less than numpy's products. ``_fit`` builds that chart through the family table and
 measures its residual || Omega(chart) D Omega† - rho ||_F; every in-chart
 state ends there. The closed form is the only fit: a residual above
 FAIL_RESIDUAL raises FitFailure, any other is returned alongside the chart.
@@ -63,20 +66,22 @@ def _acos_root(lam: float) -> float:
     return math.acos(min(math.sqrt(max(lam, 0.0)), 1.0))
 
 
-def _block_angles(m: np.ndarray) -> tuple[float, float]:
-    """(alpha, phi) of the SU(2) block in the top-left 2x2 of ``m``, whose
-    first column carries (cos a, -e^{-i phi} sin a) up to a phase; phi is
-    undefined when an entry is exactly 0, and any other size fixes it."""
-    alpha = math.atan2(abs(m[1, 0]), abs(m[0, 0]))
-    a, b = m[0, 1], m[1, 1]
-    return alpha, (cmath.phase(a) - cmath.phase(b) if a and b else 0.0)
+def _block_angles(m00: complex, m01: complex, m10: complex, m11: complex) -> tuple[float, float]:
+    """(alpha, phi) of an SU(2) block [[m00, m01], [m10, m11]] whose first
+    column carries (cos a, -e^{-i phi} sin a) up to a phase; phi is undefined
+    when m01 or m11 is exactly 0, and any other size fixes it. Both families
+    pass their four Python scalars: n = 2 the eigenvectors, n = 3 the
+    top-left block of (U3† V)."""
+    alpha = math.atan2(abs(m10), abs(m00))
+    return alpha, (cmath.phase(m01) - cmath.phase(m11) if m01 and m11 else 0.0)
 
 
 def find_chart2(rho) -> tuple[CosetChart2, float]:
     """Chart coordinates of a nondegenerate 2-level state, with fit residual:
     theta from the larger eigenvalue, (alpha, phi) from the eigenvectors."""
     dm, w, v = _spectrum(rho, 2)
-    return _fit(family(2), dm, (_acos_root(w[0]),), _block_angles(v))
+    (m00, m01), (m10, m11) = v.tolist()
+    return _fit(family(2), dm, (_acos_root(w[0]),), _block_angles(m00, m01, m10, m11))
 
 
 def _theta3_from_spectrum(w_triple) -> tuple[float, float]:
@@ -87,12 +92,13 @@ def _theta3_from_spectrum(w_triple) -> tuple[float, float]:
 
 
 def _coset_params_from_eigvecs(v: np.ndarray):
-    """Analytic coset parameters from an eigenvector matrix (column phases free)."""
+    """Analytic coset parameters from an eigenvector matrix (column phases free),
+    on the Python scalars of one ``v.tolist()``."""
+    (v00, v01, c1), (v10, v11, c2), (v20, v21, c3) = v.tolist()
     # third column of Omega is (n1 e^{i psi1} sin b, n2 e^{i psi2} sin b, cos b)
-    col3 = v[:, 2].copy()
-    if col3[2]:
-        col3 = col3 * np.exp(-1j * np.angle(col3[2]))
-    c1, c2, c3 = col3.tolist()
+    if c3:
+        turn = cmath.exp(-1j * cmath.phase(c3))
+        c1, c2, c3 = c1 * turn, c2 * turn, c3 * turn
     # sin(beta) from the small entries and atan2 keep beta exact near 0,
     # where acos(cos(beta)) rounds every beta below ~1.5e-8 to 0
     sb = math.hypot(abs(c1), abs(c2))
@@ -101,10 +107,17 @@ def _coset_params_from_eigvecs(v: np.ndarray):
     b1, b2 = scale * abs(c1), scale * abs(c2)
     psi1 = cmath.phase(c1) if c1 else 0.0
     psi2 = cmath.phase(c2) if c2 else 0.0
-    # the k=3 block alone: Omega with alpha = phi = 0 (theta does not enter Omega)
-    upper = coset.omega3(CosetChart3(0.0, THETA2_MIN, 0.0, 0.0, b1, b2, psi1, psi2))
-    # upper† v should be Omega2 times a diagonal phase
-    return (*_block_angles(upper.conj().T @ v), b1, b2, psi1, psi2)
+    # the k=3 block U3 alone: Omega with alpha = phi = 0. The top-left 2x2
+    # block of U3† V should be Omega2 times a diagonal phase; only it is formed
+    (u00, u01, _), (u10, u11, _), (u20, u21, _) = coset._omega3_rows(
+        0.0, 0.0, b1, b2, psi1, psi2)
+    u00, u10, u20 = u00.conjugate(), u10.conjugate(), u20.conjugate()
+    u01, u11, u21 = u01.conjugate(), u11.conjugate(), u21.conjugate()
+    alpha, phi = _block_angles(u00 * v00 + u10 * v10 + u20 * v20,
+                               u00 * v01 + u10 * v11 + u20 * v21,
+                               u01 * v00 + u11 * v10 + u21 * v20,
+                               u01 * v01 + u11 * v11 + u21 * v21)
+    return alpha, phi, b1, b2, psi1, psi2
 
 
 def find_chart3(rho) -> tuple[CosetChart3, float]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -134,6 +135,24 @@ def test_fidelity_of_pure_states_is_the_squared_overlap():
     for psi, phi in zip(vecs, vecs[1:]):
         f = fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
         assert abs(f - abs(np.vdot(psi, phi)) ** 2) <= 1e-14
+
+
+def test_a_fidelity_and_distance_pair_forms_the_rebuilt_states_root_once(monkeypatch):
+    # the recover round trip: find_chart, rebuild, then fidelity and
+    # bures_distance of the rebuilt DensityMatrix against the input array,
+    # which each call checks afresh, so its factor is formed twice
+    calls = []
+    form = matcore.SpectralDecomposition.root.func
+    root = functools.cached_property(lambda spec: calls.append(spec) or form(spec))
+    root.__set_name__(matcore.SpectralDecomposition, "root")
+    monkeypatch.setattr(matcore.SpectralDecomposition, "root", root)
+    state = coset.rho3(random_chart3(make_rng(8))).mat
+    chart, _ = find_chart(state)
+    rebuilt = coset.rho3(chart)
+    f = fidelity(rebuilt, state)
+    assert bures_distance(rebuilt, state) == math.sqrt(max(2.0 - 2.0 * math.sqrt(f), 0.0))
+    assert sum(spec is rebuilt.spectral for spec in calls) == 1
+    assert len(calls) == 3
 
 
 def test_bures_distance_examples():

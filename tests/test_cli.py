@@ -545,11 +545,11 @@ OUTPUT_DIGESTS = [
     (["find-chart", STATE2, "--format", "pretty"],
      "c697c63c7a23b6e669d0bcca9bd50c39dd16a0a142d1ca0b74b8dd2ec2c29074"),
     (["find-chart", STATE3A, "--n", "3", "--format", "json"],
-     "47a9bf37123b512568faa0d0fe4c36904aa3ec8f0fc133ba60060288068258fe"),
+     "16f8b5b16243077698e1375b368cf2fdae71d9d818dab154a2ad813d05ddf4a4"),
     (["find-chart", STATE3A, "--n", "3", "--format", "csv"],
-     "18bdbaf0cf2fc0493947eabf89fdb531c57e6ad73a4ae40bae672b1057549662"),
+     "dad3b34b8d9f0d879ce6ecc7a3f57d77b127d0ff7f6de9fd4ef7638376de2a54"),
     (["find-chart", STATE3A, "--n", "3", "--format", "pretty"],
-     "18bdbaf0cf2fc0493947eabf89fdb531c57e6ad73a4ae40bae672b1057549662"),
+     "dad3b34b8d9f0d879ce6ecc7a3f57d77b127d0ff7f6de9fd4ef7638376de2a54"),
     # CI's closed-scan grid, where beta1 crosses +-1e-4 at beta2 = 1e-5, so beta
     # crosses tol.SERIES_CUTOFF (last, so the pins above keep their ids)
     (["scan", "--n", "3", "--theta1", "0.7", "--theta2", "0.6", "--phi", "0.4", "--beta2", "1e-5",

@@ -257,6 +257,17 @@ def test_singular_values_kernel_equals_np_linalg_byte_for_byte():
         assert _same_bytes(matcore.singular_values(m), np.linalg.svd(m, compute_uv=False)), m
 
 
+def test_root_is_the_factor_fidelity_formed_byte_for_byte():
+    # fidelity formed V sqrt(max(lambda, 0)) afresh on every call before the
+    # spectrum kept it; the states include eigenvalues rounded below 0
+    lam = np.array([1.0 + 2 * 0.99e-10, -0.99e-10, -0.99e-10])
+    for state in _states() + [np.diag(lam).astype(complex)]:
+        spec = as_density(state).spectral
+        want = spec.eigenvectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))
+        assert _same_bytes(spec.root, want), state
+        assert spec.root is spec.root
+
+
 @pytest.mark.filterwarnings("error")
 def test_det_and_inv_kernels_equal_np_linalg_byte_for_byte():
     for state in _states():

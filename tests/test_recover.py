@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from pathlib import Path
@@ -277,6 +278,101 @@ def test_find_chart2_edges_round_trip_without_fallback(theta, phi, alpha):
     assert_exact_round_trip(CosetChart2(theta, alpha=alpha, phi=phi))
 
 
+# ---------------------------------------------------------------------------
+# the scalar chart inverse against the numpy-product one it replaced
+# ---------------------------------------------------------------------------
+
+def numpy_coset_params_from_eigvecs(v):
+    """recover._coset_params_from_eigvecs as it read with numpy: the third
+    column's phase fixed with np.exp, the k=3 block built as a checked omega3
+    array, and (alpha, phi) read off the full product upper† v."""
+    col3 = v[:, 2].copy()
+    if col3[2]:
+        col3 = col3 * np.exp(-1j * np.angle(col3[2]))
+    c1, c2, c3 = col3.tolist()
+    sb = math.hypot(abs(c1), abs(c2))
+    beta = math.atan2(sb, c3.real)
+    scale = beta / sb if sb else 0.0
+    b1, b2 = scale * abs(c1), scale * abs(c2)
+    psi1 = cmath.phase(c1) if c1 else 0.0
+    psi2 = cmath.phase(c2) if c2 else 0.0
+    upper = coset.omega3(CosetChart3(0.0, THETA2_MIN, 0.0, 0.0, b1, b2, psi1, psi2))
+    m = upper.conj().T @ v
+    a, b = m[0, 1], m[1, 1]
+    return (math.atan2(abs(m[1, 0]), abs(m[0, 0])),
+            cmath.phase(a) - cmath.phase(b) if a and b else 0.0, b1, b2, psi1, psi2)
+
+
+# The two inverses round differently (cmath against np.exp, and the product's
+# summation), so their charts differ in the last bits. phi is undefined where
+# sin 2 alpha = 0 and only e^{i phi} sin alpha cos alpha reaches the state:
+# weighted by |sin 2 alpha| / 2, every coordinate agreed to 8.9e-16 (2 ulp of
+# pi) on 16,000 seeded states and the edge grid. Unweighted, phi moved by up to
+# 1.4e-13 at alpha near pi/2 and 8.7e-9 at the alpha = 0 edge.
+COSET_AGREE = 2e-15
+
+
+def assert_inverse_matches_numpy(v):
+    """The scalar inverse's coset values agree with the numpy-product ones
+    within COSET_AGREE; the angles (alpha, phi, psi1, psi2) modulo 2 pi."""
+    want = numpy_coset_params_from_eigvecs(v)
+    got = recover._coset_params_from_eigvecs(v)
+    weights = (1.0, abs(math.sin(2 * want[0])) / 2, 1.0, 1.0, 1.0, 1.0)
+    for k, (w, g, weight) in enumerate(zip(want, got, weights)):
+        gap = abs(g - w) if k in (2, 3) else abs(cmath.exp(1j * (g - w)) - 1)
+        assert gap * weight <= COSET_AGREE, (k, w, g)
+    return got
+
+
+def test_scalar_chart_inverse_matches_the_numpy_product_on_seeded_states():
+    rng = make_rng(29)
+    for _ in range(4000):
+        mat = coset.rho3(random_chart3(rng)).mat
+        phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 3))
+        assert_inverse_matches_numpy(
+            recover._spectrum(phase[:, None] * mat * phase.conj()[None, :], 3)[2])
+
+
+def test_scalar_chart_inverse_matches_the_numpy_product_on_the_edge_grid():
+    for beta, chi, alpha in itertools.product(EDGE_BETAS, EDGE_CHIS, EDGE_ALPHAS):
+        assert_inverse_matches_numpy(
+            recover._spectrum(coset.rho3(edge_chart3(beta, chi, alpha)), 3)[2])
+
+
+# column phases of the eigenvectors, which the inverse must not depend on:
+# four for the third column (one turning it by 2 rad) times three for the first two
+EIGVEC_PHASES = [(p1, p2, p3) for p3 in (1, -1, 1j, cmath.exp(2j))
+                 for p1, p2 in ((1, 1), (-1, 1j), (1j, cmath.exp(-0.5j)))]
+
+
+def test_scalar_chart_inverse_on_permuted_diagonal_states():
+    # the eigenvectors of diag(0.5, 0.3, 0.2) in each level order are unit
+    # vectors, whose exact zeros reach every convention branch of the inverse;
+    # a diagonal state is blind to diagonal-phase conjugation, so the phase
+    # patterns go on the eigenvector columns
+    lam = (0.5, 0.3, 0.2)
+    branches = set()
+    for perm in itertools.permutations(range(3)):
+        mat = np.diag([lam[k] for k in perm]).astype(complex)
+        _, w, v = recover._spectrum(mat, 3)
+        thetas = recover._theta3_from_spectrum(w)
+        for phases in EIGVEC_PHASES:
+            vp = v * np.array(phases)
+            got = assert_inverse_matches_numpy(vp)
+            chart = CosetChart3(*thetas, *got)
+            assert np.linalg.norm(coset.rho3(chart).mat - mat) <= EDGE_RES
+            c1, c2, c3 = vp[:, 2].tolist()
+            if not c3:
+                branches.add("no phase step")
+            for psi, c in zip(got[4:], (c1, c2)):
+                if not c:
+                    assert psi == 0.0
+                    branches.add("psi = 0")
+            if got[1] == 0.0 and got[0] in (0.0, math.pi / 2):
+                branches.add("phi = 0")
+    assert branches == {"no phase step", "psi = 0", "phi = 0"}
+
+
 angle = st.floats(0.0, 2 * math.pi)
 
 
@@ -340,7 +436,7 @@ def test_find_chart2_returns_a_slightly_spoiled_seed_unpolished(monkeypatch):
     tilt_eigenvectors(monkeypatch, 1e-7)
     rec, res = find_chart2(rho)
     _, _, v = recover._spectrum(rho, 2)
-    assert (rec.alpha, rec.phi) == recover._block_angles(v)
+    assert (rec.alpha, rec.phi) == recover._block_angles(*v.ravel().tolist())
     assert res == np.linalg.norm(coset.rho2(rec).mat - rho.mat)
     assert TARGET_RESIDUAL < res <= FAIL_RESIDUAL
 
