@@ -127,22 +127,46 @@ def dittmann3_form(rho, drho) -> float:
     dm = as_density(rho)
     if dm.dim != 3:
         raise DimensionMismatch(f"dittmann3_form needs a 3x3 state, got n={dm.dim}")
-    d = matcore.as_tangent(drho, 3)
-    rho_inv, detr, coef = _dittmann3_invariants(dm)
-    q1 = d - dm.mat @ d
-    q2 = d - rho_inv @ d
-    val = np.trace(d @ d + coef * (q1 @ q1 + detr * (q2 @ q2))).real
-    return 0.25 * float(val)
+    d = matcore.as_tangent(drho, 3).tolist()
+    rows, inv_rows, detr, coef = _dittmann3_invariants(dm)
+    # on Python scalars, which at n = 3 costs less than numpy; of each square
+    # only the trace is formed
+    a = _minus_left_product(d, rows)      # D - rho D
+    b = _minus_left_product(d, inv_rows)  # D - rho^{-1} D
+    return 0.25 * (_trace_square(d) + coef * (_trace_square(a) + detr * _trace_square(b)))
 
 
-def _dittmann3_invariants(dm: DensityMatrix) -> tuple[np.ndarray, float, float]:
-    """(rho^{-1}, |rho|, 3/(1 - Tr rho^3)) of a 3x3 state, computed once
-    per DensityMatrix and cached on it; a state that fails a check caches
-    nothing, so it raises again on every call. No eigendecomposition is used,
-    which keeps this route independent of the spectral one. The state is
-    singular when e3/e2 = 2|rho|/(1 - Tr rho^2) <= DET_FLOOR: that ratio lies
-    in [lambda_min/3, lambda_min], and |rho| does not once two eigenvalues are
-    small."""
+def _minus_left_product(d: list, m: list) -> tuple:
+    """The rows of D - M D, 3x3 matrices given as rows; each entry of M D
+    summed in index order."""
+    (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = d
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return ((d00 - (m00 * d00 + m01 * d10 + m02 * d20),
+             d01 - (m00 * d01 + m01 * d11 + m02 * d21),
+             d02 - (m00 * d02 + m01 * d12 + m02 * d22)),
+            (d10 - (m10 * d00 + m11 * d10 + m12 * d20),
+             d11 - (m10 * d01 + m11 * d11 + m12 * d21),
+             d12 - (m10 * d02 + m11 * d12 + m12 * d22)),
+            (d20 - (m20 * d00 + m21 * d10 + m22 * d20),
+             d21 - (m20 * d01 + m21 * d11 + m22 * d21),
+             d22 - (m20 * d02 + m21 * d12 + m22 * d22)))
+
+
+def _trace_square(x) -> float:
+    """Re Tr(X X) = Re sum_ij X_ij X_ji of a 3x3 matrix given as rows, i-major."""
+    (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = x
+    return (x00 * x00 + x01 * x10 + x02 * x20 + x10 * x01 + x11 * x11 + x12 * x21
+            + x20 * x02 + x21 * x12 + x22 * x22).real
+
+
+def _dittmann3_invariants(dm: DensityMatrix) -> tuple[list, list, float, float]:
+    """(rows of rho, rows of rho^{-1}, |rho|, 3/(1 - Tr rho^3)) of a 3x3
+    state, computed once per DensityMatrix and cached on it; a state that
+    fails a check caches nothing, so it raises again on every call. No
+    eigendecomposition is used, which keeps this route independent of the
+    spectral one. The state is singular when e3/e2 = 2|rho|/(1 - Tr rho^2)
+    <= DET_FLOOR: that ratio lies in [lambda_min/3, lambda_min], and |rho|
+    does not once two eigenvalues are small."""
     inv = dm._dittmann3
     if inv is None:
         m = dm.mat
@@ -158,5 +182,6 @@ def _dittmann3_invariants(dm: DensityMatrix) -> tuple[np.ndarray, float, float]:
         if 2.0 * detr <= DET_FLOOR * two_e2:
             raise SingularState(f"e3/e2 = 2|rho|/(1 - Tr rho^2) = 2 * {detr:.3e} / {two_e2:.3e} "
                                 f"<= {DET_FLOOR:.1e}")
-        inv = dm._dittmann3 = (matcore.inv(m), detr, 3.0 / (1.0 - tr3))
+        inv = dm._dittmann3 = (m.tolist(), matcore.inv(m).tolist(), float(detr),
+                               float(3.0 / (1.0 - tr3)))
     return inv

@@ -230,9 +230,10 @@ def cmd_metric(args):
 
 
 def _merge_max(into: dict, new: dict) -> None:
-    """Raise each entry of ``into`` to the matching entry of ``new``."""
+    """Raise each entry of ``into`` to the matching entry of ``new`` (a missing
+    one counts as 0.0); a nan on either side is kept (metric._max_or_nan)."""
     for k, v in new.items():
-        into[k] = max(into.get(k, 0.0), v)
+        into[k] = metric._max_or_nan(into.get(k, 0.0), v)
 
 
 def cmd_validate(args):
@@ -278,7 +279,9 @@ def cmd_validate(args):
     def pretty():
         yield f"validate n={args.n} samples={args.samples} seed={args.seed}"
         yield from (f"  {k}: {_fmt(v)}" for k, v in agg.items())
-        worst = max(entry_max, key=entry_max.get)
+        # a nan entry ranks above every number, as in the maxima above
+        worst = max(entry_max,
+                    key=lambda k: math.inf if math.isnan(entry_max[k]) else entry_max[k])
         yield f"  worst entry: {worst} ({_fmt(entry_max[worst])})"
         if printed_max:
             yield (f"  printed g_phi_beta1 max dev (reported only): "

@@ -172,10 +172,11 @@ class DensityMatrix:
     states that rho2, rho3, diag2 and diag3 build are Hermitian, PSD and of
     unit trace by construction: they skip the checks and are decomposed on
     first use. 3x3 states cache the trace-form invariants of
-    ``bures.dittmann3_form`` (Tr rho^3, |rho|, rho^{-1}) on first use. ``mat``
-    is private and read-only (a copy of the input, or the builder's fresh
-    array), so neither a write to it nor a later change to the caller's array
-    can leave the caches describing another matrix.
+    ``bures.dittmann3_form`` on first use: the rows of rho and of rho^{-1}
+    (``.tolist()``), |rho| and 3/(1 - Tr rho^3). ``mat`` is private and
+    read-only (a copy of the input, or the builder's fresh array), so neither
+    a write to it nor a later change to the caller's array can leave the
+    caches describing another matrix.
     """
 
     _spectral: Optional[matcore.SpectralDecomposition] = None
@@ -379,8 +380,7 @@ def _assemble2(om: list[list[complex]], lam: tuple[float, float]) -> DensityMatr
     r01 = wa0 * b0 + wa1 * b1
     r00 = complex((wa0 * a0 + wa1 * a1).real)
     r11 = complex((wb0 * b0 + wb1 * b1).real)
-    return DensityMatrix._built(np.array([[r00, r01], [r01.conjugate(), r11]],
-                                         dtype=np.complex128))
+    return _built_from_flat([r00, r01, r01.conjugate(), r11], 2)
 
 
 def _assemble3(om: list[list[complex]], lam: tuple[float, float, float]) -> DensityMatrix:
@@ -400,10 +400,17 @@ def _assemble3(om: list[list[complex]], lam: tuple[float, float, float]) -> Dens
     r00 = complex((wa0 * a0 + wa1 * a1 + wa2 * a2).real)
     r11 = complex((wb0 * b0 + wb1 * b1 + wb2 * b2).real)
     r22 = complex((wc0 * c0 + wc1 * c1 + wc2 * c2).real)
-    return DensityMatrix._built(np.array([[r00, r01, r02],
-                                          [r01.conjugate(), r11, r12],
-                                          [r02.conjugate(), r12.conjugate(), r22]],
-                                         dtype=np.complex128))
+    return _built_from_flat([r00, r01, r02, r01.conjugate(), r11, r12,
+                             r02.conjugate(), r12.conjugate(), r22], 3)
+
+
+def _built_from_flat(flat: list[complex], n: int) -> DensityMatrix:
+    """The built state whose n x n matrix has the row-major entries ``flat``:
+    a flat list converts faster than nested rows, and setting the shape in
+    place leaves the array owning its data."""
+    a = np.array(flat, dtype=np.complex128)
+    a.shape = (n, n)
+    return DensityMatrix._built(a)
 
 
 def rho2(chart: CosetChart2) -> DensityMatrix:

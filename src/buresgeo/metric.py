@@ -21,6 +21,7 @@ see ValidationReport.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -541,16 +542,24 @@ def _entry_devs(ordering, a: np.ndarray, b: np.ndarray) -> dict[str, float]:
     return {key: abs(diff[i][j]) for key, i, j in _UPPER_ENTRIES[ordering]}
 
 
+def _max_or_nan(x: float, y: float) -> float:
+    """The larger of ``x`` and ``y``, nan if either is nan: builtin max keeps
+    its first argument when a comparison with nan is False, so max(0.0, nan)
+    is 0.0 and a nan deviation would pass every gate. Keeps ``x`` on a tie,
+    as max(x, y) does."""
+    return y if y > x or y != y else x
+
+
 def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     """Max entrywise relative deviation over entries of non-negligible size.
 
     Entries below REL_DEV_FLOOR in both tensors (structural zeros plus
     finite-difference noise) are excluded; their disagreement is only
-    meaningful in absolute terms.
+    meaningful in absolute terms. A nan entry is kept, and makes the result nan.
     """
     scale = np.maximum(np.abs(a), np.abs(b))
-    mask = scale >= REL_DEV_FLOOR
-    return float(np.max(np.abs(a - b)[mask] / scale[mask]))
+    keep = ~(scale < REL_DEV_FLOOR)
+    return float(np.max(np.abs(a - b)[keep] / scale[keep]))
 
 
 def validate(chart) -> ValidationReport:
@@ -572,14 +581,14 @@ def validate(chart) -> ValidationReport:
         t = t / nrm
         hub = hubner_form(rho, t, t)
         dit = fam.dittmann(rho, t)
-        dmax = max(dmax, abs(dit - hub) / max(abs(hub), TINY))
+        dmax = _max_or_nan(dmax, abs(dit - hub) / max(abs(hub), TINY))
     vol_p, vol_c = volume_element(pull), volume_element(closed)
     dev = _entry_devs(fam.coords, pull.g, closed.g)
     extra = fam.checks(chart, pull, closed)
     return ValidationReport(
         n=fam.n, chart=dict(zip(fam.coords, chart.values())),
         ordering=fam.coords, pullback=pull.g, closed=closed.g,
-        entry_abs_dev=dev, max_abs_dev=max(dev.values()),
+        entry_abs_dev=dev, max_abs_dev=functools.reduce(_max_or_nan, dev.values()),
         max_rel_dev=_rel_dev(pull.g, closed.g),
         dittmann_max_rel_dev=dmax, dittmann_reading="printed",
         volume_pullback=vol_p, volume_closed=vol_c,
@@ -626,7 +635,7 @@ def _gamma_shift_dev(chart: CosetChart3) -> float:
         shifted = CosetChart3(
             chart.theta1, chart.theta2, chart.alpha, chart.phi + a + b,
             chart.beta1, chart.beta2, chart.psi1 + a, chart.psi2 - b)
-        dev = max(dev, float(np.max(np.abs(closed_metric3(shifted).g - base))))
+        dev = _max_or_nan(dev, float(np.max(np.abs(closed_metric3(shifted).g - base))))
     return dev
 
 

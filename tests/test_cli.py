@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -364,6 +365,59 @@ def test_validate_absurd_tol_exit_6(capsys):
     assert code == 6
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("nan_sample", [0, 1])
+def test_validate_fails_on_a_nan_deviation(n, nan_sample, monkeypatch, capsys):
+    # max(0.0, nan) is 0.0: a nan deviation used to vanish, and validate passed
+    real, reports = metric.validate, []
+
+    def validate_with_nan(chart):
+        rep = real(chart)
+        if len(reports) == nan_sample:
+            entries = dict(rep.entry_abs_dev)
+            entries[next(iter(entries))] = math.nan
+            rep = dataclasses.replace(rep, max_abs_dev=math.nan, dittmann_max_rel_dev=math.nan,
+                                      entry_abs_dev=entries)
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(metric, "validate", validate_with_nan)
+    argv = ["validate", "--n", str(n), "--samples", "2", "--seed", "1"]
+    code, out = run_cli(argv, capsys)
+    assert code == VerificationFailure.exit_code == 6
+    assert "  max_abs_dev: nan\n" in out and "  dittmann_max_rel_dev: nan\n" in out
+    first = next(iter(reports[0].entry_abs_dev))
+    assert f"  worst entry: {first} (nan)\n" in out
+    assert out.splitlines()[-1].startswith("FAIL: ")
+    reports.clear()
+    code, out = run_cli([*argv, "--format", "json"], capsys)
+    p = json.loads(out)
+    assert code == 6 and p["status"] == "FAIL"
+    assert math.isnan(p["max_abs_dev"]) and math.isnan(p["dittmann_max_rel_dev"])
+    assert math.isnan(p["per_entry_max_abs_dev"][first])
+
+
+def per_key_merge_max(into, new):
+    """cli._merge_max as it read with builtin max, for finite entries."""
+    for k, v in new.items():
+        into[k] = max(into.get(k, 0.0), v)
+
+
+def test_merge_max_matches_builtin_max_per_key():
+    rng = np.random.default_rng(33)
+    keys = [f"g_{i}" for i in range(12)]
+    for _ in range(2000):
+        into = {k: float(rng.exponential()) for k in keys if rng.random() < 0.7}
+        # shared keys, some new ones, ties and zeros of either sign
+        new = {k: float(rng.choice([rng.exponential(), into.get(k, 0.0), 0.0, -0.0]))
+               for k in keys if rng.random() < 0.7}
+        want = dict(into)
+        per_key_merge_max(want, new)
+        cli._merge_max(into, new)
+        assert list(into) == list(want)
+        assert [v.hex() for v in into.values()] == [v.hex() for v in want.values()]
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -521,17 +575,17 @@ OUTPUT_DIGESTS = [
     (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
      "4525f5851c99d0261348abe9d661c075f3fac4ceda0dfe05871c1e639bd04e51"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "json"],
-     "03768ae79e3d00cbdd66f15561c34bfdd1cc0f559f57410c567ea23f640f7945"),
+     "da42dcf632d45a8624d3953f0e7c45953d06dd137af2ac5be55728488de0442b"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "csv"],
-     "90644bf8136468f5c463994ba876d6bc4252237c108826b6fc4e8433ece73563"),
+     "098c1cb817930a48e4112b706607f5cc9d0330a2dc40e8beb2bc67508a78b884"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "pretty"],
-     "90644bf8136468f5c463994ba876d6bc4252237c108826b6fc4e8433ece73563"),
+     "098c1cb817930a48e4112b706607f5cc9d0330a2dc40e8beb2bc67508a78b884"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "json"],
-     "9f5068c26cc2329a5cb7b9111e3081c9fcb5b2f1bd2e406ee7ae7c682d281bf4"),
+     "31b9f556a3375594357531121dae7df40dab9c02df93eb2fdd8f54c1926f9797"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "csv"],
-     "c809291c385e32c80bb950fd3e468aa63d55076d712d1a29d0ce4757a4458897"),
+     "12cfaf22aa43053bc36ce2efc0147bbcda9c12ebd882db48b2c8826e844867f1"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
-     "c809291c385e32c80bb950fd3e468aa63d55076d712d1a29d0ce4757a4458897"),
+     "12cfaf22aa43053bc36ce2efc0147bbcda9c12ebd882db48b2c8826e844867f1"),
     (["permtest", "--format", "json"],
      "fa301c9d0b68e69ffd75ef4dad8b6f3c6bc5ff26fd691e68b13143207867cc65"),
     (["permtest", "--format", "csv"],

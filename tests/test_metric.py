@@ -47,7 +47,7 @@ from buresgeo.metric import (
     volume_element,
 )
 from buresgeo.sampling import make_rng, random_chart2, random_chart3
-from buresgeo.tol import INVARIANT
+from buresgeo.tol import INVARIANT, REL_DEV_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -982,6 +982,76 @@ def test_validate_skips_a_vanishing_tangent(monkeypatch):
     rep = validate(chart)
     assert len(calls) == 7
     assert rep.dittmann_max_rel_dev <= 1e-12
+
+
+def numpy_rel_dev(a, b):
+    """metric._rel_dev as it read with the mask scale >= REL_DEV_FLOOR."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    mask = scale >= REL_DEV_FLOOR
+    return float(np.max(np.abs(a - b)[mask] / scale[mask]))
+
+
+def seeded_tensor_pairs():
+    """(pullback, closed) of seeded validate points, then seeded 8 x 8 pairs
+    with entries planted exactly at REL_DEV_FLOOR, just below it and at 0."""
+    rng = make_rng(32)
+    for _ in range(40):
+        rep = validate(random_chart3(rng) if rng.random() < 0.75 else random_chart2(rng))
+        yield rep.pullback, rep.closed
+    for _ in range(500):
+        a = rng.normal(size=(8, 8))
+        b = a + 1e-9 * rng.normal(size=(8, 8))
+        for m in (a, b):
+            m[rng.random(size=(8, 8)) < 0.3] = REL_DEV_FLOOR
+            m[rng.random(size=(8, 8)) < 0.1] = math.nextafter(REL_DEV_FLOOR, 0.0)
+            m[rng.random(size=(8, 8)) < 0.1] = 0.0
+        yield a, b
+
+
+def test_rel_dev_matches_the_mask_on_seeded_pairs():
+    for a, b in seeded_tensor_pairs():
+        assert metric._rel_dev(a, b).hex() == numpy_rel_dev(a, b).hex()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("at", [(0, 1), (3, 3)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_rel_dev_carries_a_nan_entry(at, side):
+    # a nan scale failed the mask and its entry was dropped
+    pair = [np.eye(4) + 0.5, np.eye(4) + 0.5]
+    pair[side][at] = math.nan
+    assert math.isnan(metric._rel_dev(*pair))
+
+
+@pytest.mark.parametrize("x,y,want", [
+    (0.0, math.nan, math.nan), (math.nan, 0.0, math.nan), (math.nan, math.nan, math.nan),
+    (1.0, 2.0, 2.0), (2.0, 1.0, 2.0), (0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (0.0, math.inf, math.inf),
+])
+def test_max_or_nan_keeps_a_nan_and_the_first_of_a_tie(x, y, want):
+    got = metric._max_or_nan(x, y)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("chart", [CosetChart2(0.4, 0.9, 1.3),
+                                   CosetChart3(0.6, 0.68, 0.3, 0.4, 0.9, 0.5, 0.1, 0.7)],
+                         ids=["n2", "n3"])
+@pytest.mark.parametrize("at", [0, -1])
+def test_validate_carries_a_nan_dittmann_deviation(chart, at, monkeypatch):
+    # max(dmax, nan) kept dmax: a nan trace form read as agreement
+    from buresgeo import bures
+    name = "dittmann2_form" if isinstance(chart, CosetChart2) else "dittmann3_form"
+    form, calls = getattr(bures, name), []
+    nan_call = at % len(chart.values())  # the first or the last tangent
+
+    def nan_at_one_tangent(rho, t):
+        calls.append(t)
+        return math.nan if len(calls) - 1 == nan_call else form(rho, t)
+
+    monkeypatch.setattr(bures, name, nan_at_one_tangent)
+    assert math.isnan(validate(chart).dittmann_max_rel_dev)
 
 
 def test_every_family_route_names_a_public_function():

@@ -1,8 +1,51 @@
+import math
+
 import numpy as np
 import pytest
 
+from buresgeo import coset
+from buresgeo.coset import BETA_MAX, CosetChart2, CosetChart3
 from buresgeo.errors import DimensionMismatch
-from buresgeo.sampling import make_rng, random_tangent, random_unitary
+from buresgeo.sampling import (MARGIN, make_rng, random_chart2, random_chart3, random_tangent,
+                               random_unitary)
+from buresgeo.tol import SAMPLE_GAP
+
+
+def uniform_random_chart2(rng):
+    """random_chart2 as it read with one rng.uniform(lo, hi) call per draw."""
+    lo, hi = MARGIN * coset.THETA_MAX, coset.THETA_MAX - MARGIN * coset.THETA_MAX
+    return CosetChart2(theta=rng.uniform(lo, hi), alpha=rng.uniform(0.0, 2 * math.pi),
+                       phi=rng.uniform(0.0, 2 * math.pi))
+
+
+def uniform_random_chart3(rng):
+    """random_chart3 as it read with one rng.uniform(lo, hi) call per draw."""
+    width2 = coset.THETA2_MAX - coset.THETA2_MIN
+    while True:
+        t1 = rng.uniform(MARGIN * coset.THETA1_MAX, coset.THETA1_MAX - MARGIN * coset.THETA1_MAX)
+        t2 = rng.uniform(coset.THETA2_MIN + MARGIN * width2, coset.THETA2_MAX - MARGIN * width2)
+        lam = coset.diag_entries3(t1, t2)
+        gaps = (abs(lam[0] - lam[1]), abs(lam[0] - lam[2]), abs(lam[1] - lam[2]))
+        if min(gaps) >= SAMPLE_GAP and min(lam) >= SAMPLE_GAP:
+            break
+    beta = rng.uniform(MARGIN * BETA_MAX, (1.0 - MARGIN) * BETA_MAX)
+    chi = rng.uniform(0.0, 2 * math.pi)
+    return CosetChart3(theta1=t1, theta2=t2, alpha=rng.uniform(0.0, 2 * math.pi),
+                       phi=rng.uniform(0.0, 2 * math.pi),
+                       beta1=beta * math.cos(chi), beta2=beta * math.sin(chi),
+                       psi1=rng.uniform(0.0, 2 * math.pi), psi2=rng.uniform(0.0, 2 * math.pi))
+
+
+@pytest.mark.parametrize("sample,reference", [(random_chart2, uniform_random_chart2),
+                                              (random_chart3, uniform_random_chart3)],
+                         ids=["n2", "n3"])
+def test_a_chart_draws_what_rng_uniform_draws_to_the_last_bit(sample, reference):
+    # numpy computes rng.uniform(lo, hi) as lo + (hi - lo) * rng.random()
+    rng, ref = make_rng(31), make_rng(31)
+    for _ in range(10_000):
+        got, want = sample(rng), reference(ref)
+        assert all(type(v) is float for v in got.values())
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
 
 @pytest.mark.parametrize("n", [2, 3])
