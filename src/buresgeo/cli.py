@@ -9,7 +9,9 @@ failed).
 
 Matrix files are JSON objects {"dim": n, "re": [[...]], "im": [[...]]} with
 row-major arrays of decimal doubles; matrices emitted by ``rho`` parse back
-bit-identically.
+bit-identically. ``--format json`` writes strict JSON: a nan or infinite
+value (a failed deviation, say) is null there, and nan or inf in csv and
+pretty output.
 """
 
 from __future__ import annotations
@@ -141,6 +143,18 @@ def csv_text(header: Sequence[str], rows: Sequence[tuple]) -> str:
     return "\n".join([",".join(header), *[line % row for row in rows]]) + "\n"
 
 
+def _null_nonfinite(value):
+    """``value`` with every nan or infinite float, in dicts and lists at any
+    depth, replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    return value
+
+
 def render(output_format: str, payload: dict, table: Optional[Callable],
            pretty: Optional[Callable[[], Iterable[str]]]) -> str:
     """A command's result in the requested format, ending in a newline; only
@@ -148,9 +162,11 @@ def render(output_format: str, payload: dict, table: Optional[Callable],
 
     A command without a table prints its pretty lines for ``--format csv``;
     one without pretty lines (scan) prints its table for ``--format pretty``.
+    JSON output is strict (RFC 8259): a nan or infinite value is written as
+    null, while csv and pretty print it as nan or inf.
     """
     if output_format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(_null_nonfinite(payload), indent=2, allow_nan=False) + "\n"
     if table is not None and (output_format == "csv" or pretty is None):
         return csv_text(*table())
     return "\n".join(pretty()) + "\n"

@@ -12,15 +12,19 @@ ranges the pullback keeps clear of, the routes and the extra checks of
 
 The 3-level closed form is assembled from the trace-formula coefficients
 t12, t13, t23 (one per eigenvalue pair) times polynomial factors in the
-coset parameters. Two printed variants of the coefficient formulas that
-circulate with this parameterization are kept alongside
-(`t_coeffs_printed`, `t_coeffs_printed_generic`) purely so the validator
-can report how far they drift from the coefficient the oracle demands;
-see ValidationReport.
+coset parameters. Those factors keep their digits at every chart: each
+beta factor is one formula that cannot cancel (aux_coeffs), and gamma =
+phi - psi1 + psi2 enters as a unit phase, never as a float that rounds to
+the spacing of a huge phi (_closed_rows3). Two printed variants of the
+coefficient formulas that circulate with this parameterization are kept
+alongside (`t_coeffs_printed`, `t_coeffs_printed_generic`) purely so the
+validator can report how far they drift from the coefficient the oracle
+demands; see ValidationReport.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -316,15 +320,20 @@ def t_coeffs_printed_generic(theta1: float, theta2: float) -> tuple[float, float
 
 
 class Coeffs3(NamedTuple):
-    """Coset-sector auxiliaries of the 3-level closed form, a named 9-tuple in
-    the order the closed rows unpack them.
+    """Coset-sector auxiliaries of the 3-level closed form, a named 8-tuple in
+    the order the closed rows unpack them. With n_k = beta_k / beta:
 
-    gamma = phi - psi1 + psi2 is the only combination of the three free
-    angles that enters the tensor. u1+u2 = 1+cos(beta) and v1+v2 = 1+sinc(beta)
-    hold to a few ulp, because n1^2 + n2^2 = 1 does; the tests check both.
+        u1 = n1^2 + n2^2 cos(beta),      u2 = n2^2 + n1^2 cos(beta),
+        v1 = n1^2 + n2^2 sinc(beta),     v2 = n2^2 + n1^2 sinc(beta),
+        w1 = 1 + cos(beta) + 2 n1^2 (1 - cos(beta)),  w2 likewise with n2^2,
+        x = n1 n2 (1 - sinc(beta)),      y = n1 n2 (1 - cos(beta)).
+
+    u1+u2 = 1+cos(beta) and v1+v2 = 1+sinc(beta) hold to a few ulp, because
+    n1^2 + n2^2 = 1 does; the tests check both. The angles phi, psi1 and
+    psi2 enter the tensor only through gamma = phi - psi1 + psi2, which
+    `_closed_rows3` reads as a unit phase: no auxiliary carries it.
     """
 
-    gamma: float
     u1: float
     u2: float
     v1: float
@@ -335,22 +344,22 @@ class Coeffs3(NamedTuple):
     y: float
 
 
-def aux_coeffs(beta1: float, beta2: float, phi: float,
-               psi1: float, psi2: float) -> Coeffs3:
-    """Auxiliary coset quantities gamma, u1..u2, v1..v2, w1..w2, x, y.
+def aux_coeffs(beta1: float, beta2: float) -> Coeffs3:
+    """The auxiliaries u1..u2, v1..v2, w1..w2, x, y of Coeffs3 at (beta1, beta2).
 
-    For beta below tol.SERIES_CUTOFF the sinc-type factors are evaluated by series
-    (through beta^4), so the beta -> 0 limits u=v=1, w=2, x=y=0 come out
-    exactly rather than as 0/0. x and y take their limit 0 whenever beta^2
-    underflows to 0 (|x|, |y| <= |beta1 beta2| / 2 there). OutOfChartRange if
-    beta^2 or gamma is not finite (an input is nan or infinite, or overflows).
+    Each beta factor has one formula that cannot cancel: sinc(beta) is a
+    quotient, 1 - cos(beta) = 2 beta^2 sin_half_over(beta)^2 a square (the
+    factor that coset's Omega and the closed rows use), and 1 - sinc(beta)
+    (coset.one_minus_sinc) a Taylor series below beta = 1. So the beta -> 0
+    limits u=v=1, w=2, x=y=0 come out exactly rather than as 0/0, and x and
+    y keep their relative digits at every beta. x and y take their limit 0
+    whenever beta^2 underflows to 0 (|x|, |y| <= |beta1 beta2| / 2 there).
+    OutOfChartRange if beta^2 is not finite (an input is nan or infinite, or
+    overflows).
     """
     beta = math.hypot(beta1, beta2)
-    gamma = phi - psi1 + psi2
     if not beta * beta < math.inf:  # a nan fails too
         raise OutOfChartRange("beta", beta, "hypot(beta1, beta2) is nan or its square overflows")
-    if not math.isfinite(gamma):
-        raise OutOfChartRange("gamma", gamma, "phi - psi1 + psi2 is nan or overflows")
     if beta == 0.0:
         n1sq = n2sq = 0.5  # direction undefined at the origin; limits are isotropic
     elif beta >= sys.float_info.min:
@@ -362,7 +371,7 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
         n1sq, n2sq = (b1 / scaled) ** 2, (b2 / scaled) ** 2
     cb = math.cos(beta)
     sc = sinc(beta)
-    omc = -coset.cosm1_over_sq(beta) * beta * beta  # 1 - cos(beta), stable near 0
+    omc = 2.0 * beta * beta * sin_half_over(beta) ** 2  # 1 - cos(beta) = 2 sin^2(beta/2)
     oms = one_minus_sinc(beta)
     u1 = n1sq + n2sq * cb
     u2 = n2sq + n1sq * cb
@@ -375,7 +384,7 @@ def aux_coeffs(beta1: float, beta2: float, phi: float,
     else:
         x = (beta1 * beta2 / beta ** 2) * oms
         y = (beta1 * beta2 / beta ** 2) * omc
-    return Coeffs3(gamma, u1, u2, v1, v2, w1, w2, x, y)
+    return Coeffs3(u1, u2, v1, v2, w1, w2, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +400,31 @@ def _closed_rows3(chart: CosetChart3, t: tuple[float, float, float], beta: float
     closed-form expression per entry, each a linear combination of the
     eigenvalue-pair coefficients t = (t12, t13, t23) with coefficients in
     the coset parameters (aux_coeffs; shb = (sin(beta/2)/beta)^2 and
-    snb = sinc(beta) carry the beta dependence).
+    snb = sinc(beta), two quotients that cannot cancel, carry the beta
+    dependence).
+
+    phi, psi1 and psi2 enter through gamma = phi - psi1 + psi2 alone, read
+    as the unit phase e^{i gamma} = e^{i phi} e^{-i psi1} e^{i psi2}: cos
+    gamma and sin gamma are its parts, and sin 2 gamma = 2 sin gamma cos
+    gamma. gamma is never formed as a float, so it does not round to the
+    spacing of a huge phi, and every finite angle has its tensor.
 
     ``entries="validated"`` evaluates the oracle-checked formulas.
     ``entries="printed"`` evaluates the circulated list verbatim; it differs
     in exactly one place: g_phi_beta1 (and its multiple g_phi_beta2) is
     missing a sin(gamma) factor there. The validator reports the difference.
-    OutOfChartRange if 4 alpha or 2 gamma overflows, where sin is undefined.
+    OutOfChartRange if 4 alpha overflows, where sin is undefined.
     """
     if entries not in ("validated", "printed"):
         raise ValueError(f"unknown entry convention {entries!r}")
     t12, t13, t23 = t
     b1, b2 = chart.beta1, chart.beta2
-    gamma, u1, u2, v1, v2, w1, w2, x, y = aux_coeffs(b1, b2, chart.phi, chart.psi1, chart.psi2)
+    u1, u2, v1, v2, w1, w2, x, y = aux_coeffs(b1, b2)
     if not math.isfinite(4 * chart.alpha):
         raise OutOfChartRange("alpha", chart.alpha, "4 alpha overflows")
-    if not math.isfinite(2 * gamma):
-        raise OutOfChartRange("gamma", gamma, "2 gamma = 2 (phi - psi1 + psi2) overflows")
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    s2g = math.sin(2 * gamma)
+    eg = cmath.rect(1.0, chart.phi) * cmath.rect(1.0, -chart.psi1) * cmath.rect(1.0, chart.psi2)
+    cg, sg = eg.real, eg.imag             # cos(gamma), sin(gamma)
+    s2g = 2.0 * sg * cg                   # sin(2 gamma)
     sa, ca = math.sin(chart.alpha), math.cos(chart.alpha)
     s2a, c2a = math.sin(2 * chart.alpha), math.cos(2 * chart.alpha)
     s4a = math.sin(4 * chart.alpha)
@@ -628,13 +643,17 @@ GAMMA_SHIFTS = ((0.37, 0.0), (0.0, -0.61))  # the (a, b) of _gamma_shift_dev
 
 def _gamma_shift_dev(chart: CosetChart3) -> float:
     """Max entry change of the closed tensor under the gamma-preserving shifts
-    (phi, psi1, psi2) -> (phi + a + b, psi1 + a, psi2 - b), (a, b) in GAMMA_SHIFTS."""
+    (phi, psi1, psi2) -> (phi + a + b, psi1 + a, psi2 - b), (a, b) in GAMMA_SHIFTS.
+    psi2 takes up the shift that the rounded phi actually took, so gamma is
+    kept to the rounding of the small angles and a huge phi measures the
+    tensor, not the spacing of phi."""
     base = closed_metric3(chart).g
     dev = 0.0
     for a, b in GAMMA_SHIFTS:
+        phi = chart.phi + a + b
         shifted = CosetChart3(
-            chart.theta1, chart.theta2, chart.alpha, chart.phi + a + b,
-            chart.beta1, chart.beta2, chart.psi1 + a, chart.psi2 - b)
+            chart.theta1, chart.theta2, chart.alpha, phi,
+            chart.beta1, chart.beta2, chart.psi1 + a, chart.psi2 - (phi - chart.phi - a))
         dev = _max_or_nan(dev, float(np.max(np.abs(closed_metric3(shifted).g - base))))
     return dev
 

@@ -2,7 +2,9 @@
 
 A name guards one decision, and the comment says which. Modules import the
 names they use (``from .tol import GAP``). This module imports nothing, so
-any module can import it.
+any module can import it. The sinc-type factors of the coset blocks need no
+threshold: each has one formula that cannot cancel at any finite argument
+(coset.sinc, sin_half_over, one_minus_sinc).
 """
 
 # inputs that must satisfy an exact invariant
@@ -20,13 +22,7 @@ SUPPORT_LEAK = 1e-8      # a dropped pair whose term exceeds SUPPORT_LEAK**2 is 
 PURE = 1e-12             # Tr rho^3 within this of 1 is pure in dittmann3_form
 SAMPLE_GAP = 1e-4        # sampled 3-level spectra keep every gap and eigenvalue at least this
 
-# series and exact identities
-SERIES_CUTOFF = 1e-4     # below this, sinc-type factors switch to Taylor series (through x^4).
-                         # Against 50-digit mpmath, the four series err <= 2.3e-16 relative, and
-                         # sinc and sin_half_over <= 1.8e-16 everywhere; above it, cancellation in
-                         # cos(x) - 1 and 1 - sin(x)/x costs cosm1_over_sq 1.05e-8, 1.1e-10, 1e-12
-                         # and one_minus_sinc 6.8e-8, 8.5e-10, 6.9e-12 relative on [1e-4, 1e-3),
-                         # [1e-3, 1e-2), [1e-2, 1)
+# exact identities
 PERM_VERIFY = 1e-12      # max residual of a permutation identity, literal and modulo the torus; over
                          # the six identities, its whole domain, 1.22e-16 and 1.11e-16 at worst
 

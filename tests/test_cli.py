@@ -290,18 +290,28 @@ def test_metric_at_an_exactly_singular_tensor_runs_clean():
 @pytest.mark.parametrize("argv", [
     ["metric", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--beta1", "0.3",
      "--alpha", "1e308", "--method", "closed"],
-    ["metric", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--beta1", "0.3",
-     "--phi", "1e308", "--psi2", "1e308", "--method", "closed"],
     ["metric", "--n", "2", "--theta", "0.3", "--alpha", "1e308"],
     ["scan", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--beta1", "0.3",
      "--coord", "alpha", "--from", "1", "--to", "1e308", "--points", "3", "--format", "csv"],
-], ids=["alpha-n3", "gamma-n3", "alpha-n2", "scan-alpha-n3"])
+], ids=["alpha-n3", "alpha-n2", "scan-alpha-n3"])
 def test_closed_form_at_an_overflowing_angle_exits_2(argv):
-    # sin of 4 alpha, 2 alpha or 2 gamma = inf has no value
+    # sin of 4 alpha or 2 alpha = inf has no value
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "buresgeo.cli", *argv],
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: coordinate ") and "overflows" in proc.stderr
+
+
+def test_closed_form_at_a_gamma_that_overflows_as_a_float_exits_0():
+    # gamma = phi - psi1 + psi2 = 2e308 is never formed: the closed route reads
+    # e^{i phi} e^{-i psi1} e^{i psi2}, so every finite angle has its tensor
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "buresgeo.cli", "metric", "--n", "3",
+         "--theta1", "0.5", "--theta2", "0.6", "--beta1", "0.3", "--phi", "1e308",
+         "--psi2", "1e308", "--method", "closed", "--format", "json"],
+        capture_output=True, text=True, env=src_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert np.isfinite(np.array(json.loads(proc.stdout)["closed"])).all()
 
 
 def test_metric_closed_gap_below_gap_exit_5(capsys):
@@ -391,10 +401,16 @@ def test_validate_fails_on_a_nan_deviation(n, nan_sample, monkeypatch, capsys):
     assert out.splitlines()[-1].startswith("FAIL: ")
     reports.clear()
     code, out = run_cli([*argv, "--format", "json"], capsys)
-    p = json.loads(out)
+    # strict JSON: a nan is null, never the bare NaN token that RFC 8259 lacks
+    p = json.loads(out, parse_constant=strict_json_constant)
     assert code == 6 and p["status"] == "FAIL"
-    assert math.isnan(p["max_abs_dev"]) and math.isnan(p["dittmann_max_rel_dev"])
-    assert math.isnan(p["per_entry_max_abs_dev"][first])
+    assert p["max_abs_dev"] is None and p["dittmann_max_rel_dev"] is None
+    assert p["per_entry_max_abs_dev"][first] is None
+
+
+def strict_json_constant(name):
+    """json.loads' hook for NaN, Infinity and -Infinity: strict JSON has none."""
+    raise AssertionError(f"JSON output holds the non-standard constant {name}")
 
 
 def per_key_merge_max(into, new):
@@ -485,17 +501,17 @@ OUTPUT_DIGESTS = [
       "--format", "csv"],
      "ee47e2ecf12587948bdd0c52fe764c2d81a0de13534ce8cf594f28082ea21e5e"),
     (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "csv"],
-     "f5b7ce6a2f291300dd93b0bc286c0a61cc4a87ab679a624c3e6bbe3b05acbea7"),
+     "da93ce17cac1ea28d5a282fa57de796aa2c44e752ee0d2a841ac86aee14d2da2"),
     (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "json"],
-     "6daf08b5bb6bfddb1c4feee5cab678812203c04abe1b71cbcd0bc015f71f4eff"),
+     "0523bea63d7610d3c8575d8e8d199786f4df2428e7f2e87e80cab285a79fe401"),
     (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "diag", "--format", "csv"],
-     "97ee27bcedadd57dadfb251fe620c69f0c07c401802c19b342baec72a2eaad42"),
+     "3d29f0ffa280e48070cacdb75617670d8d8a99959f09823fd6f2237aa60883f4"),
     (["scan", *SCAN_N3, *SCAN_GRID3,
       "--entries", "g_phi_alpha,g_beta1_psi2,g_phi_alpha,g_theta2_theta2", "--format", "json"],
-     "ef32eb3d1039dde2cb3828d3e6526c976ecc4ad7a185982b104a8c986b733515"),
+     "c9e1a526533465f4ad7ac482e9b1620735a6f7e142edb23de324baa09dd89885"),
     (["scan", *SCAN_N3, "--alpha", "0.3", "--coord", "beta1", "--from", "0.2", "--to", "0.8",
       "--points", "2", "--method", "pullback", "--entries", "diag", "--format", "csv"],
-     "a75f4038dc256751dbece548c673bd30482757a86dedae2a3a5505fc951841d0"),
+     "b414d9d4f169332613e2555ed199e80e1f2c31c61c494d80c81fccd07d6b919e"),
     (["rho", *PIN_N2, "--format", "json"],
      "6deac507db9a4385385c2affba180f03c847365a92ea1f3f597981996702c829"),
     (["rho", *PIN_N2, "--format", "csv"],
@@ -503,11 +519,11 @@ OUTPUT_DIGESTS = [
     (["rho", *PIN_N2, "--format", "pretty"],
      "1b8e1dfaaff1a5da3a41a2319d3964a939d23dc0d1318831443a849e412cd991"),
     (["rho", *PIN_N3, "--format", "json"],
-     "e8f28591c4ba91e145fceb1dec6f997da1221511ffa0f510dc3642b10825916f"),
+     "35c41bce00c39b5050c006bfce4c3cf156441bd02237e7e2379256dbbb1f485d"),
     (["rho", *PIN_N3, "--format", "csv"],
-     "c8f4fea6a6ce799a0c3a2e5965f1741d373a8e82eba4a5099c260d9c97c7894d"),
+     "8718b384c6bb57f3d7fd87e4cfeb1580f542396023684d5a82b7fc7afe51c493"),
     (["rho", *PIN_N3, "--format", "pretty"],
-     "9f9da58d085b3ed2a4a1061d60eb786903a235a3aa2b42794271f95671e9c57d"),
+     "1626006d298c8e57cb72559cf530fcb207ca7a584bb341bbd7775277c4100ede"),
     (["rho", *PIN_DEGREES, "--format", "json"],
      "a68c0d0316d05c8c540dfe453c582c3cc2acbd923d5826c10a22e1540b8cc0f8"),
     (["rho", *PIN_DEGREES, "--format", "csv"],
@@ -533,11 +549,11 @@ OUTPUT_DIGESTS = [
     (["metric", *PIN_N2, "--method", "closed", "--format", "pretty"],
      "d98f3ac8d20730e8d5052ada0906b86e9745a1a2a7362ad4d0163427c665b0ec"),
     (["metric", *PIN_N3, "--method", "closed", "--format", "json"],
-     "91f21a4e4824bc40a8a392bb100073f3195b950ff38967589d1c931ccaaa816f"),
+     "837e50020ab4d9906da34cc47b1114bc1996bf0434cd48a5ac9f4e7a770b406e"),
     (["metric", *PIN_N3, "--method", "closed", "--format", "csv"],
-     "a27c66f0f0004ed6c18c3c661587fc96e822ccbe3a660623d1a6081c24bbbf18"),
+     "a6053bed9ceb1a13155faa646244601695dc71f2d3fef439b50ea589ad459ad9"),
     (["metric", *PIN_N3, "--method", "closed", "--format", "pretty"],
-     "5c4de8fab6617bf391047304d289e1a26a452ca13721ece3d4b93a7a769dba4c"),
+     "1829259482cc05c3061f973a1713236417dd34a1985acae7e01edb9518b28dd4"),
     (["metric", *PIN_N2, "--method", "pullback", "--format", "json"],
      "335bc37082234f436ce2abce65d93916fd495de8476b8d7a3c12197bb3e00687"),
     (["metric", *PIN_N2, "--method", "pullback", "--format", "csv"],
@@ -545,11 +561,11 @@ OUTPUT_DIGESTS = [
     (["metric", *PIN_N2, "--method", "pullback", "--format", "pretty"],
      "ba0e3d3e9c89982cd9517eca22c3aa92215fab4c544b29025557eda5e0ddcfb4"),
     (["metric", *PIN_N3, "--method", "pullback", "--format", "json"],
-     "7931da3ee99c68bb4b525a363ab8e6cd66ca55f3ec4b0e4c19d170d1f9d4def9"),
+     "d69c7bdb86816fb0aff09814f8f58203ba20faebe73a2b8ea4610b8efc9e1c72"),
     (["metric", *PIN_N3, "--method", "pullback", "--format", "csv"],
-     "b667a8b91cff55373f81dd1f23589d7780fd72f40bf1eec8900ad19903c54d34"),
+     "84926110c2194789261d2f51743fcbc494cfb9db04a55e8a4b44293f91902a5a"),
     (["metric", *PIN_N3, "--method", "pullback", "--format", "pretty"],
-     "ce8576d6dede027f9863747baa2260163c531d84ab34adccfe9bbd02981ff5f4"),
+     "2d2aa1f1957fda0c794fe3c6960582ce395c85140e49a80e798d62ffc110b39f"),
     (["metric", *PIN_N2, "--method", "both", "--format", "json"],
      "6dafdd932098c2910d69bc08f32cec8799b2ffe39f6f564de5a5a6be2967e5df"),
     (["metric", *PIN_N2, "--method", "both", "--format", "csv"],
@@ -557,11 +573,11 @@ OUTPUT_DIGESTS = [
     (["metric", *PIN_N2, "--method", "both", "--format", "pretty"],
      "4b668bd11789b15ddf5ded7675ef6ceac00e4fecbb30735553b828fb2e3c1d79"),
     (["metric", *PIN_N3, "--method", "both", "--format", "json"],
-     "2455c2d2124ded92f967a8508a88854c2c0eb2cf2ca6e12cf572e97c1b4bddff"),
+     "e0928529436105d1a61712bd42acbb0ffc3fad7a1a1cb7e691a5fd18928f2229"),
     (["metric", *PIN_N3, "--method", "both", "--format", "csv"],
-     "b9672b1d9060254cc4bc794464a23dcc5818afa79af3b55defc3aba7c8911b67"),
+     "c209cc7c3b5cbcd578588df6ab311bab97127e5866f393ddd0fa47d04a953370"),
     (["metric", *PIN_N3, "--method", "both", "--format", "pretty"],
-     "2988b18c3172058c9d9e54ea6b229435e0ccec6e1a930c176d770fe0044cb7c8"),
+     "39f91e0f56b46983367c675ff23d6673e375c9f8e76f0f1ee649668878d73cec"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--format", "json"],
      "b4947ddb311d18180b7017165ae9fa6e763a336dd87b62f6da49cfd3e0ca771e"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--format", "csv"],
@@ -575,17 +591,17 @@ OUTPUT_DIGESTS = [
     (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
      "4525f5851c99d0261348abe9d661c075f3fac4ceda0dfe05871c1e639bd04e51"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "json"],
-     "da42dcf632d45a8624d3953f0e7c45953d06dd137af2ac5be55728488de0442b"),
+     "381c18a358f7cbe6b54bcc96ab0a5e8bf66ce7705509eb3962f12ad8ffc4d238"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "csv"],
-     "098c1cb817930a48e4112b706607f5cc9d0330a2dc40e8beb2bc67508a78b884"),
+     "5e02dc986750fa9533665c568da1c861f185842d642d88e8ed1f49dc4aa3427d"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "pretty"],
-     "098c1cb817930a48e4112b706607f5cc9d0330a2dc40e8beb2bc67508a78b884"),
+     "5e02dc986750fa9533665c568da1c861f185842d642d88e8ed1f49dc4aa3427d"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "json"],
-     "31b9f556a3375594357531121dae7df40dab9c02df93eb2fdd8f54c1926f9797"),
+     "1c72614359afe171cb09ef8d9386883d2dda631efcdf49307c018a752887719f"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "csv"],
-     "12cfaf22aa43053bc36ce2efc0147bbcda9c12ebd882db48b2c8826e844867f1"),
+     "b055632b13b8b1d34df4f964c0421c06265c985227677fb8258ffee4db57ff73"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
-     "12cfaf22aa43053bc36ce2efc0147bbcda9c12ebd882db48b2c8826e844867f1"),
+     "b055632b13b8b1d34df4f964c0421c06265c985227677fb8258ffee4db57ff73"),
     (["permtest", "--format", "json"],
      "fa301c9d0b68e69ffd75ef4dad8b6f3c6bc5ff26fd691e68b13143207867cc65"),
     (["permtest", "--format", "csv"],
@@ -605,12 +621,13 @@ OUTPUT_DIGESTS = [
     (["find-chart", STATE3A, "--n", "3", "--format", "pretty"],
      "dad3b34b8d9f0d879ce6ecc7a3f57d77b127d0ff7f6de9fd4ef7638376de2a54"),
     # CI's closed-scan grid, where beta1 crosses +-1e-4 at beta2 = 1e-5, so beta
-    # crosses tol.SERIES_CUTOFF (last, so the pins above keep their ids)
+    # runs from 1e-5 to 1e-4, where 1 - cos(beta) and 1 - sinc(beta) are small
+    # (last, so the pins above keep their ids)
     (["scan", "--n", "3", "--theta1", "0.7", "--theta2", "0.6", "--phi", "0.4", "--beta2", "1e-5",
       "--psi1", "0.2", "--psi2", "-0.5", "--coord", "alpha", "--from", "-0.3", "--to", "1.2",
       "--points", "20", "--coord", "beta1", "--from", "-1e-4", "--to", "1e-4", "--points", "10",
       "--entries", "all", "--format", "csv"],
-     "aa3188157759892a1367a1e8e46cf7a6eb702af198e9ebeb50b48d7a7b40dcbb"),
+     "f78b590150b11fb1bdfe63890b526187db4012dd71ced0cfeaf7e96189cf7271"),
 ]
 
 

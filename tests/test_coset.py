@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -23,7 +24,7 @@ from buresgeo.coset import (
 )
 from buresgeo.errors import InvalidDensityMatrix, OutOfChartRange
 from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_unitary
-from buresgeo.tol import INVARIANT, RANGE_EPS, SERIES_CUTOFF
+from buresgeo.tol import INVARIANT, RANGE_EPS
 
 
 def omega3_upper_printed(b1, b2, p1, p2):
@@ -146,7 +147,8 @@ def test_omega_block_scalar_reduces_to_omega2():
 
 
 def test_omega_block_tiny_beta_series_branch():
-    # cross-check the series branch against the trig branch just above the cutoff
+    # small |B| on both sides of 1e-4, where the direct form of cos|B| - 1 would
+    # cancel: the block stays unitary and matches the printed trig form
     for scale in (1e-7, 1e-5, 9.9e-5, 1.1e-4, 1e-3):
         om = upper_block(scale * 0.6, scale * 0.8, 0.0, math.pi / 2)
         np.testing.assert_allclose(om.conj().T @ om, np.eye(3), atol=1e-14)
@@ -154,56 +156,66 @@ def test_omega_block_tiny_beta_series_branch():
             scale * 0.6, scale * 0.8, 0.0, math.pi / 2), atol=1e-13)
 
 
-# references that do not cancel at small x
-SERIES_REFERENCES = {
-    "sin_half_over": lambda x: math.sin(x / 2) / x,
-    "sinc": lambda x: math.sin(x) / x,
-    "cosm1_over_sq": lambda x: -2.0 * math.sin(x / 2) ** 2 / x ** 2,
-}
-
-
-@pytest.mark.parametrize("name", SERIES_REFERENCES)
-def test_small_argument_series_within_two_ulp(name):
-    x = 5e-5
-    assert x < SERIES_CUTOFF
-    ref = SERIES_REFERENCES[name](x)
-    assert abs(getattr(coset, name)(x) - ref) <= 2 * math.ulp(ref)
-
-
 MP = mpmath.MPContext()
 MP.dps = 50
+# each factor of the coset blocks, its direct form in mpmath and its value at 0;
+# cfac is the k = 3 block's (cos x - 1)/x^2, which _omega3_rows forms as
+# -2 sin_half_over(x)^2
 MP_SERIES = {
-    "sin_half_over": lambda x: MP.sin(x / 2) / x,
-    "sinc": lambda x: MP.sin(x) / x,
-    "cosm1_over_sq": lambda x: (MP.cos(x) - 1) / x ** 2,
-    "one_minus_sinc": lambda x: 1 - MP.sin(x) / x,
+    "sin_half_over": (coset.sin_half_over, lambda x: MP.sin(x / 2) / x, 0.5),
+    "sinc": (coset.sinc, lambda x: MP.sin(x) / x, 1.0),
+    "one_minus_sinc": (coset.one_minus_sinc, lambda x: 1 - MP.sin(x) / x, 0.0),
+    "cfac": (lambda x: -2.0 * coset.sin_half_over(x) ** 2,
+             lambda x: (MP.cos(x) - 1) / x ** 2, -0.5),
 }
+
+
+@pytest.mark.parametrize("name", ["sinc", "sin_half_over"])
+def test_small_argument_series_within_two_ulp(name):
+    # the quotients at a small argument and at the chart's end pi, against 50
+    # digits: measured at most 0.69 ulp (sinc at 5e-5), so 2 ulp is a 2.9x margin
+    fn, direct, _ = MP_SERIES[name]
+    for x in (5e-5, -5e-5, math.pi, -math.pi):
+        ref = direct(MP.mpf(x))
+        assert abs(MP.mpf(fn(x)) - ref) <= 2 * math.ulp(float(ref))
 
 
 def worst_rel_err(name, xs):
-    """Max relative error of coset.<name> against 50 digits over ``xs``."""
+    """Max relative error of the factor ``name`` against 50 digits over ``xs``.
+    The direct forms cancel to x^2 relative, so each is evaluated with that
+    many digits more; a value below the smallest normal float is held to its
+    absolute error in units of that float, as its subnormal spacing is fixed."""
+    fn, direct, at_zero = MP_SERIES[name]
     worst = 0.0
     for x in map(float, xs):
-        ref = MP_SERIES[name](MP.mpf(x))
-        worst = max(worst, float(abs((MP.mpf(getattr(coset, name)(x)) - ref) / ref)))
+        if x == 0.0:
+            assert fn(x) == at_zero
+            continue
+        with MP.workdps(50 + max(0, round(-2 * math.log10(abs(x))))):
+            ref = direct(MP.mpf(x))
+        err = abs(MP.mpf(fn(x)) - ref) / max(abs(ref), sys.float_info.min)
+        worst = max(worst, float(err))
     return worst
 
 
 @pytest.mark.parametrize("name", MP_SERIES)
 def test_series_branch_against_50_digits(name):
-    # measured: at most 2.3e-16 relative below tol.SERIES_CUTOFF, a 4x margin
-    xs = np.geomspace(1e-12, SERIES_CUTOFF, 200, endpoint=False)
-    xs = [*xs, -xs[-1], math.nextafter(SERIES_CUTOFF, 0.0)]
+    # below |x| = 1, one_minus_sinc's series branch, from the subnormals up:
+    # measured at most 2.3e-16 relative (one_minus_sinc), a 4.3x margin. The direct
+    # forms (cos x - 1)/x^2 and 1 - sin(x)/x cancel here: above 1e-4 they err up to
+    # 5.2e-9 and 5.0e-8
+    xs = np.geomspace(1e-300, 1.0, 600, endpoint=False)
+    xs = [*xs, *-xs[::7], 0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.5e-308, 5e-5,
+          math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)]
     assert worst_rel_err(name, xs) <= 1e-15
 
 
-@pytest.mark.parametrize("name", ["sinc", "sin_half_over"])
-def test_sinc_and_sin_half_over_keep_their_digits_over_the_chart_range(name):
-    # no cancellation on either side of the cutoff: measured <= 1.8e-16 on (0, pi).
-    # cosm1_over_sq and one_minus_sinc lose up to 1e-8 and 7e-8 just above the
-    # cutoff (the law in tol.py), so they are checked only on the series branch
-    xs = np.geomspace(1e-12, math.pi, 400, endpoint=False)
-    assert worst_rel_err(name, xs) <= 1e-15
+@pytest.mark.parametrize("name", MP_SERIES)
+def test_factors_at_and_above_one_against_50_digits(name):
+    # the direct forms from |x| = 1 to 100: measured at most 4.7e-16 relative
+    # (one_minus_sinc just above 1, where 1 - sin(x)/x >= 0.158 cancels), a 2.1x margin
+    xs = np.geomspace(1.0, 100.0, 300)
+    assert worst_rel_err(name, [*xs, *-xs[::7], math.nextafter(1.0, 2.0), math.pi]) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +311,7 @@ _BASE3 = CosetChart3(0.7, 0.62, 0.4, 1.3, 0.9, -0.5, 2.2, -0.8)
 RHO3_CASES = {
     "random": [random_chart3(make_rng(21)) for _ in range(300)],
     "beta=0": [replace(_BASE3, beta1=0.0, beta2=0.0)],
+    # |B| below 1e-4, where the direct form of cos|B| - 1 would cancel
     "beta<cutoff": [replace(_BASE3, beta1=3e-5, beta2=-4e-5),
                     replace(_BASE3, beta1=0.0, beta2=9.9e-5)],
     "beta=3.1": [replace(_BASE3, beta1=3.1 * 0.6, beta2=3.1 * 0.8),
@@ -423,7 +436,7 @@ def block_rows(n, k, b):
     from the generic formula of omega3's docstring."""
     m = k - 1
     babs = math.hypot(*map(abs, b))
-    cfac = coset.cosm1_over_sq(babs)    # (cos|B| - 1)/|B|^2
+    cfac = -2.0 * coset.sin_half_over(babs) ** 2  # (cos|B| - 1)/|B|^2
     sfac = coset.sinc(babs)             # sin|B|/|B|
     rows = [[0j] * n for _ in range(n)]
     for i in range(n):
@@ -452,7 +465,7 @@ def block_product_rows(ch):
 def test_rho3_equals_the_block_product_bit_for_bit():
     rng = make_rng(20261018)
     charts = [random_chart3(rng) for _ in range(500)]
-    # the series branch of the k=3 block (|B| below SERIES_CUTOFF, B = 0),
+    # a small k=3 block (|B| = 5e-5, B = 0),
     # signed zeros, and a beta whose square underflows
     for alpha in (0.0, -0.0, 1e-5):
         for b in (0.0, -0.0, 5e-5):

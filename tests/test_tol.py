@@ -48,7 +48,7 @@ def test_every_name_in_the_table_is_imported():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "tol":
                 imported.update(alias.name for alias in node.names)
-    assert len(defined) == 16
+    assert len(defined) == 15
     assert sorted(defined - imported) == []
 
 

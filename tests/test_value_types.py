@@ -25,7 +25,7 @@ INSTANCES = {
     "CosetChart2": CosetChart2(0.3, -0.0, 2.5),
     "CosetChart3": CHART3,
     "MetricTensor": closed_metric3(CHART3),
-    "Coeffs3": aux_coeffs(CHART3.beta1, CHART3.beta2, CHART3.phi, CHART3.psi1, CHART3.psi2),
+    "Coeffs3": aux_coeffs(CHART3.beta1, CHART3.beta2),
 }
 CASES = pytest.mark.parametrize("obj", INSTANCES.values(), ids=INSTANCES)
 RECORDS = {
@@ -119,7 +119,7 @@ def test_value_types_without_arrays_compare_by_value():
 
 @pytest.mark.parametrize("obj", RECORDS.values(), ids=RECORDS)
 def test_coefficient_records_are_named_tuples(obj):
-    names = {Coeffs3: ("gamma", "u1", "u2", "v1", "v2", "w1", "w2", "x", "y"),
+    names = {Coeffs3: ("u1", "u2", "v1", "v2", "w1", "w2", "x", "y"),
              SCoeff2: ("s12",)}[type(obj)]
     assert type(obj)._fields == names
     assert tuple(obj) == tuple(getattr(obj, name) for name in names)
