@@ -25,7 +25,6 @@ from .coset import (
 from .matcore import (
     SpectralDecomposition,
     det,
-    hermitize,
 )
 from .metric import (
     Coeffs3,
@@ -53,7 +52,7 @@ __all__ = [
     "SCoeff2", "SpectralDecomposition", "ValidationReport", "as_density",
     "aux_coeffs", "bures_distance", "closed_metric2", "closed_metric3", "det",
     "diag2", "diag3", "dittmann2_form", "dittmann3_form", "fidelity",
-    "find_chart", "find_chart2", "find_chart3", "hermitize", "hubner_form",
+    "find_chart", "find_chart2", "find_chart3", "hubner_form",
     "make_rng", "omega2", "omega3", "permutation_table", "pullback_metric",
     "pullback_metric2", "pullback_metric3", "random_chart2", "random_chart3",
     "random_density", "random_tangent", "random_unitary", "rho2", "rho3", "s_coeff",

@@ -139,28 +139,6 @@ class CosetChart3:
                 self.beta1, self.beta2, self.psi1, self.psi2)
 
 
-def hermiticity_defect(rows: list[list[complex]]) -> float:
-    """Max entrywise |A - A†| of a square matrix with finite entries, given as
-    Python rows (``A.tolist()``); inf if that overflows. nan if the defect is
-    within tol.INVARIANT but an entry of A + A† is not finite (entries beyond
-    2**1023), where matcore.hermitize(A) overflows. At n <= 4 a loop over the
-    upper triangle costs less than numpy; (j, i) repeats (i, j)."""
-    worst = 0.0
-    overflow = False
-    try:
-        for i, row in enumerate(rows):
-            for j in range(i, len(rows)):
-                a, c = row[j], rows[j][i].conjugate()
-                d = abs(a - c)
-                if d > worst:
-                    worst = d
-                if not cmath.isfinite(a + c):
-                    overflow = True
-    except OverflowError:  # |A_ij - conj(A_ji)| of finite parts beyond the largest float
-        return math.inf
-    return math.nan if overflow and worst <= INVARIANT else worst
-
-
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with cached derived data.
 
@@ -168,7 +146,8 @@ class DensityMatrix:
     every entry is finite, that the matrix is Hermitian, that its trace is 1,
     that its Hermitian part does not overflow (entries near 1e308, where no
     spectrum exists; a state has every |rho_ij| <= 1) and that no eigenvalue
-    is below -INVARIANT, and keeps the spectral decomposition it took. The
+    is below -INVARIANT: one pass over the entries, which also forms the
+    Hermitian part (A + A^dag)/2, and one eig_hermitian of it, kept. The
     states that rho2, rho3, diag2 and diag3 build are Hermitian, PSD and of
     unit trace by construction: they skip the checks and are decomposed on
     first use. 3x3 states cache the trace-form invariants of
@@ -185,29 +164,47 @@ class DensityMatrix:
     def __init__(self, mat):
         self.mat = mat = matcore.as_matrix(mat).copy()
         mat.setflags(write=False)
-        # one pass over Python scalars, which at n <= 4 costs less than the
-        # numpy expressions; finiteness comes first, as a nan passes every
-        # comparison below
+        # one pass over the upper-triangle pairs (A_ij, A_ji) as Python scalars,
+        # cheaper than numpy at n <= 4: the Hermiticity defect, the trace and the
+        # Hermitian part the solver reads, halved by the complex 2 as numpy
+        # halves (byte for byte its (A + A^dag) / 2). A non-finite sum is a
+        # non-finite entry or an overflow, told apart after the pass.
         rows = mat.tolist()
-        if not all(cmath.isfinite(z) for row in rows for z in row):
-            raise InvalidDensityMatrix("matrix has a non-finite entry")
-        defect = hermiticity_defect(rows)
-        if defect > INVARIANT:
-            raise InvalidDensityMatrix(
-                f"not Hermitian: max |A - A^dag| = {defect:.3e} > {INVARIANT:.1e}"
-            )
+        herm = [row[:] for row in rows]
+        worst, finite = 0.0, True
         tr = 0j  # summed from +0j in index order, as np.trace
-        for i, row in enumerate(rows):
-            tr += row[i]
+        try:
+            for i, row in enumerate(rows):
+                for j in range(i, len(rows)):
+                    a, b = row[j], rows[j][i]
+                    c = b.conjugate()
+                    d = abs(a - c)
+                    if d > worst:
+                        worst = d
+                    s = a + c
+                    if not cmath.isfinite(s):
+                        finite = False
+                    herm[i][j] = s / (2 + 0j)
+                    herm[j][i] = (b + a.conjugate()) / (2 + 0j)
+                tr += row[i]
+        except OverflowError:  # |A_ij - conj(A_ji)| of finite parts beyond the largest float
+            worst, finite = math.inf, False
+        # finiteness of every entry comes first, as a nan passes every comparison below
+        if not finite and not all(cmath.isfinite(z) for row in rows for z in row):
+            raise InvalidDensityMatrix("matrix has a non-finite entry")
+        if worst > INVARIANT:
+            raise InvalidDensityMatrix(
+                f"not Hermitian: max |A - A^dag| = {worst:.3e} > {INVARIANT:.1e}"
+            )
         if abs(tr - 1.0) > INVARIANT:
             raise InvalidDensityMatrix(
                 f"trace {tr!r} differs from 1 by more than {INVARIANT:.1e}"
             )
-        if defect != defect:  # finite entries beyond 2**1023 overflow A + A^dag
+        if not finite:  # finite entries beyond 2**1023 overflow A + A^dag
             raise InvalidDensityMatrix(
                 "not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)"
             )
-        spec = matcore.eig_hermitian(mat)
+        spec = matcore.eig_hermitian(np.array(herm))
         if spec.eigenvalues[0] < -INVARIANT:
             raise InvalidDensityMatrix(
                 f"not PSD: min eigenvalue {spec.eigenvalues[0]:.3e} < -{INVARIANT:.1e}"

@@ -21,12 +21,16 @@ class ConvergenceFailure(BuresGeoError, exit_code=5):
 
 
 class OutOfChartRange(BuresGeoError, exit_code=2):
-    """A chart coordinate lies outside its admissible range."""
+    """A chart coordinate lies outside its admissible range. ``args`` is
+    (coordinate, value, reason); the message is formatted when it is read."""
 
     def __init__(self, coordinate: str, value: float, reason: str):
+        super().__init__(coordinate, value, reason)
         self.coordinate = coordinate
         self.value = value
-        super().__init__(f"coordinate {coordinate}={value!r} out of range: {reason}")
+
+    def __str__(self) -> str:
+        return "coordinate {}={!r} out of range: {}".format(*self.args)
 
 
 class ParseError(BuresGeoError, exit_code=3):

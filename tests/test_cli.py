@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -982,6 +984,32 @@ def test_every_error_type_declares_the_exit_code_main_returns(etype, monkeypatch
     monkeypatch.setattr(coset, "permutation_table", spoiled)
     assert main(["permtest"]) == etype.exit_code
     assert "spoiled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("etype", ERROR_TYPES, ids=lambda c: c.__name__)
+def test_every_error_type_survives_pickle_and_copy(etype):
+    # a worker process hands its error back pickled; the copy keeps the
+    # message, the arguments and the exit code
+    exc = (etype("beta", 4.0, "spoiled") if etype is errors.OutOfChartRange
+           else etype("spoiled"))
+    for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+        assert type(clone) is etype
+        assert (str(clone), clone.args, clone.exit_code) == (str(exc), exc.args, exc.exit_code)
+        assert vars(clone) == vars(exc)
+
+
+def test_a_caught_chart_refusal_keeps_its_message_and_pickles():
+    # the refusal of a state outside the theta box formats its message when
+    # it is read: the same line as before, also after a pickle round trip
+    from buresgeo import recover
+    with pytest.raises(errors.OutOfChartRange) as refused:
+        recover.find_chart3(np.diag([0.8, 0.19, 0.01]).astype(complex))
+    exc = refused.value
+    assert exc.args[0] == exc.coordinate == "spectrum" and exc.args[1] is exc.value
+    want = (f"coordinate spectrum={exc.value!r} out of range: no eigenvalue ordering fits "
+            "the chart box (needs lambda1 >= 1/3 and lambda2/lambda3 in [1, 3])")
+    assert str(exc) == want
+    assert str(pickle.loads(pickle.dumps(exc))) == want
 
 
 def test_import_and_validate_leave_scipy_unloaded():

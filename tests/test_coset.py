@@ -560,6 +560,108 @@ def test_built_states_pass_the_checked_constructor_unchanged():
     assert lam_min >= -1e-16
 
 
+def numpy_hermitian_part(mat):
+    return (mat + mat.conj().T) / 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_built_state_decomposes_as_its_numpy_hermitian_part():
+    # the builders mirror conjugates and keep a real diagonal, so a built state
+    # equals its Hermitian part (A + A^dag) / 2 in value, and eig_hermitian
+    # takes its spectrum of the state itself. numpy's complex halving turns a
+    # -0.0 next to a negative part into +0.0 (-1e-300 - 0j comes back as
+    # -1e-300 + 0j), so the bytes may differ in signed zeros; the spectra do not
+    edge = [ch for case in RHO3_CASES.values() for ch in case]
+    edge += [replace(_BASE3, beta1=math.nextafter(math.pi, 0.0), beta2=0.0),
+             replace(_BASE3, beta1=-0.0, beta2=math.nextafter(math.pi, 0.0)),
+             replace(_BASE3, theta1=1e-9), replace(_BASE3, theta2=THETA2_MIN),
+             replace(_BASE3, theta1=THETA1_MAX, theta2=THETA2_MAX)]
+    states = [*built_states(), *map(rho3, edge),
+              *(rho2(CosetChart2(theta, 0.3, 1.1)) for theta in (1e-9, math.pi / 4 - 1e-9))]
+    signed_zeros_only = 0
+    for state in states:
+        herm = numpy_hermitian_part(state.mat)
+        assert np.array_equal(state.mat, herm), state.mat
+        signed_zeros_only += state.mat.tobytes() != herm.tobytes()
+        w, v = np.linalg.eigh(herm)
+        assert state.eigenvalues.tobytes() == w.tobytes(), state.mat
+        assert state.spectral.eigenvectors.tobytes() == v.tobytes(), state.mat
+    assert 0 < signed_zeros_only < len(states)
+
+
+def phased(mat, rng):
+    """U mat U^dag for a random diagonal unitary U."""
+    phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, len(mat)))
+    return phase[:, None] * mat * phase.conj()[None, :]
+
+
+def antihermitian_noise(rng, n, size):
+    """K = -K^dag with max |K - K^dag| = size and a diagonal summing to about 0,
+    so the trace test still passes."""
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    k = g - g.conj().T
+    k[np.diag_indices(n)] -= np.trace(k) / n
+    return k * (size / np.max(np.abs(k - k.conj().T)))
+
+
+def hermitian_part_cases():
+    """Chart states under random diagonal phases, Hilbert-Schmidt states at
+    n = 2, 3, 4, rank-1 and rank-2 states, signed zeros, subnormals,
+    off-diagonals next to 2**1023 whose sum stays finite, and states with
+    antihermitian noise up to INVARIANT."""
+    rng = make_rng(23)
+    out = [phased(rho2(random_chart2(rng)).mat, rng) for _ in range(50)]
+    out += [phased(rho3(random_chart3(rng)).mat, rng) for _ in range(100)]
+    for n in (2, 3, 4):
+        for rank in sorted({1, 2, n}):
+            for _ in range(20):
+                g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+                state = g @ g.conj().T
+                out.append(state / np.trace(state).real)
+    zeros = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0))
+    tiny = (5e-324, -5e-324, complex(5e-324, -5e-324), complex(-1e-310, 5e-324))
+    pairs = [(upper, lower) for values in (zeros, tiny) for upper in values for lower in values]
+    # a negative part next to a signed zero, where numpy's halving turns -0.0 into +0.0
+    pairs += [(complex(-0.25, -0.0), complex(-0.25, 0.0)), (complex(-0.25, -0.0), -0.25),
+              (complex(-0.0, -0.25), complex(0.0, 0.25)), (complex(0.0, -0.25), 0.25j)]
+    for upper, lower in pairs:
+        for diag in zeros:
+            out.append(with_entry(with_entry(with_entry(
+                BASE3, (0, 1), upper), (1, 0), lower), (2, 2), 0.2 + diag))
+    top = math.nextafter(2.0 ** 1023, 0.0)  # 2 * top is the largest float
+    for z in (top, -top, complex(top, -top), complex(0.5, top)):
+        out.append(np.array([[0.5, z], [np.conj(z), 0.5]], dtype=complex))
+    for size in (0.25, 0.5, 0.999):
+        for state in out[:150:10]:
+            out.append(state + antihermitian_noise(rng, len(state), size * INVARIANT))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_check_hands_the_solver_numpys_hermitian_part(monkeypatch):
+    # (A + A^dag) / 2, formed entry by entry in the check's one pass, is the
+    # numpy expression byte for byte, and so is the spectrum taken of it
+    solved = []
+    eig = matcore.eig_hermitian
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda h: solved.append(h) or eig(h))
+    cases = hermitian_part_cases()
+    refused = 0
+    for mat in cases:
+        try:
+            state = coset.DensityMatrix(mat)
+        except InvalidDensityMatrix as exc:  # only the states next to 2**1023
+            assert str(exc).startswith("not PSD: min eigenvalue"), mat
+            refused += 1
+            state = None
+        want = numpy_hermitian_part(mat)
+        assert solved[-1].dtype == np.complex128 and solved[-1].tobytes() == want.tobytes(), mat
+        if state is not None:
+            w, v = np.linalg.eigh(want)
+            assert state.spectral.eigenvalues.tobytes() == w.tobytes(), mat
+            assert state.spectral.eigenvectors.tobytes() == v.tobytes(), mat
+    assert len(solved) == len(cases) and 0 < refused <= 4
+
+
 def test_density_matrix_invariant_errors():
     with pytest.raises(InvalidDensityMatrix):
         coset.as_density(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))  # not Hermitian

@@ -14,23 +14,6 @@ from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_uni
 from buresgeo.tol import INVARIANT
 
 
-def test_hermitize_fixed_point():
-    h = np.array([[1.0, 2 - 1j], [2 + 1j, -3.0]])
-    np.testing.assert_allclose(matcore.hermitize(h), h)
-
-
-def test_hermitize_antihermitian_killed():
-    k = np.array([[1j, 2 + 1j], [-2 + 1j, -3j]])
-    assert np.max(np.abs(k + k.conj().T)) < 1e-15  # anti-Hermitian by construction
-    np.testing.assert_allclose(matcore.hermitize(k), np.zeros((2, 2)), atol=1e-15)
-
-
-def test_hermitize_explicit():
-    a = np.array([[1.0, 2j], [0.0, 1.0]])
-    expected = np.array([[1.0, 1j], [-1j, 1.0]])
-    np.testing.assert_allclose(matcore.hermitize(a), expected)
-
-
 def test_eig_identity():
     spec = matcore.eig_hermitian(np.eye(3, dtype=complex))
     np.testing.assert_allclose(spec.eigenvalues, [1, 1, 1])
@@ -117,12 +100,13 @@ def never_decomposed(monkeypatch):
     monkeypatch.setattr(matcore, "eig_hermitian", refuse)
 
 
-def test_hermiticity_defect_on_python_rows():
+def test_the_state_check_reports_the_largest_entry_of_a_minus_a_dag(never_decomposed):
     a = np.array([[0.5, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 0.3, 1e-3], [0.0, 0.0, 0.2 + 1e-4j]])
-    numpy_value = float(np.max(np.abs(a - a.conj().T)))
-    assert coset.hermiticity_defect(a.tolist()) == numpy_value == 1e-3
-    assert coset.hermiticity_defect(a.conj().T.tolist()) == numpy_value
-    assert coset.hermiticity_defect(matcore.hermitize(a).tolist()) == 0.0
+    assert float(np.max(np.abs(a - a.conj().T))) == 1e-3
+    for mat in (a, a.conj().T):
+        with pytest.raises(InvalidDensityMatrix,
+                           match=r"^not Hermitian: max \|A - A\^dag\| = 1\.000e-03 > 1\.0e-10$"):
+            as_density(mat)
 
 
 @pytest.mark.filterwarnings("error")
@@ -168,9 +152,8 @@ def test_eig_hermitian_refuses_a_nonfinite_entry_without_a_warning(bad, at, mirr
 @pytest.mark.filterwarnings("error")
 def test_eig_hermitian_refuses_a_hermitian_part_that_overflows(monkeypatch):
     # finite and exactly Hermitian, but A + A^dag is inf: refused when the
-    # state is built instead of overflowing in hermitize
+    # state is built instead of overflowing in the Hermitian part
     a = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
-    assert math.isnan(coset.hermiticity_defect(a.tolist()))
     with monkeypatch.context() as m:
         m.setattr(matcore, "eigh", None)  # the solver is never reached
         with pytest.raises(InvalidDensityMatrix, match="the spectrum overflows"):
@@ -180,27 +163,36 @@ def test_eig_hermitian_refuses_a_hermitian_part_that_overflows(monkeypatch):
     assert np.isfinite(matcore.eig_hermitian(a).eigenvalues).all()
 
 
-def test_hermiticity_defect_that_overflows_is_inf(never_decomposed):
+def test_a_hermiticity_defect_that_overflows_is_inf(never_decomposed):
     # |A_01 - conj(A_10)| of finite parts beyond the largest float: abs() of a
     # Python complex raises OverflowError there
     a = np.array([[0.5, 1e308 + 1e308j], [-0.5e308 + 0.5e308j, 0.5]])
-    assert coset.hermiticity_defect(a.tolist()) == math.inf
     with pytest.raises(InvalidDensityMatrix, match="= inf >"):
         as_density(a)
+    # the overflow stops the pass at the first pair; a non-finite entry
+    # after it is still reported first
+    b = np.zeros((3, 3), dtype=complex)
+    b[:2, :2] = a
+    b[2, 2] = complex(0.0, math.nan)
+    with pytest.raises(InvalidDensityMatrix, match="non-finite"):
+        as_density(b)
 
 
 def test_a_user_state_is_checked_once(monkeypatch):
-    # the Hermiticity pass runs when the state is built; the spectrum, the
-    # Hubner form and the fidelity reuse the checked state
-    calls = []
-    defect = coset.hermiticity_defect
-    monkeypatch.setattr(coset, "hermiticity_defect", lambda rows: calls.append(rows) or defect(rows))
+    # one checked construction and one eigendecomposition when the state is
+    # built; the spectrum, the Hubner form and the fidelity reuse the checked state
+    checks, eigs = [], []
+    init, eig = coset.DensityMatrix.__init__, matcore.eig_hermitian
+    monkeypatch.setattr(coset.DensityMatrix, "__init__",
+                        lambda self, mat: checks.append(mat) or init(self, mat))
+    monkeypatch.setattr(matcore, "eig_hermitian", lambda h: eigs.append(h) or eig(h))
     rho = as_density(rho3(random_chart3(make_rng(18))).mat.copy())
+    assert (len(checks), len(eigs)) == (1, 1)
     d = np.eye(3, dtype=complex)
     assert rho.spectral is rho.spectral
     assert math.isfinite(hubner_form(rho, d, d))
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-    assert len(calls) == 1
+    assert (len(checks), len(eigs)) == (1, 1)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3,), (3, 1), (1, 3, 3)])
@@ -240,7 +232,7 @@ def _same_bytes(a, b):
 @pytest.mark.filterwarnings("error")
 def test_eigh_kernel_equals_np_linalg_byte_for_byte():
     for state in _states():
-        h = matcore.hermitize(state)
+        h = (state + state.conj().T) / 2
         w, v = matcore.eigh(h)
         want = np.linalg.eigh(h)
         assert _same_bytes(w, want.eigenvalues) and _same_bytes(v, want.eigenvectors), state
