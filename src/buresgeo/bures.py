@@ -71,17 +71,17 @@ def hubner_form(rho, d1, d2) -> float:
     runs i-major over the spectrum's cached (i, j, lambda_i + lambda_j)
     table (SpectralDecomposition.pairs), so each state forms its n^2
     denominators once. Each tangent is projected into the eigenbasis by
-    SpectralDecomposition.memo_project: a read-only array that owns its data
-    (the pullback's tangents) is projected once per state however many pairs
-    it enters, anything else on every call. Each tangent is checked
+    SpectralDecomposition.project: a tangent the pullback handed over
+    (SpectralDecomposition._hand) is projected once per state however many
+    pairs it enters, anything else on every call. Each tangent is checked
     (matcore.as_tangent) before its projection: DimensionMismatch unless it
     has the state's shape, InvalidTangent if it has a NaN or infinite entry.
     """
     spec = as_density(rho).spectral
     # the products stay in numpy; the n^2 pair loop runs on Python scalars,
     # which at n <= 3 costs less than indexing numpy arrays
-    x1 = spec.memo_project(d1)
-    x2 = x1 if d2 is d1 else spec.memo_project(d2)
+    x1 = spec.project(d1)
+    x2 = x1 if d2 is d1 else spec.project(d2)
     total = 0.0
     for i, j, s in spec.pairs:
         term = x1[i][j] * x2[j][i]

@@ -8,10 +8,10 @@ input files. Exit codes: 0 success, 2 chart-range violation, 3 parse error
 failed).
 
 Matrix files are JSON objects {"dim": n, "re": [[...]], "im": [[...]]} with
-row-major arrays of decimal doubles; matrices emitted by ``rho`` parse back
-bit-identically. ``--format json`` writes strict JSON: a nan or infinite
-value (a failed deviation, say) is null there, and nan or inf in csv and
-pretty output.
+row-major arrays of JSON numbers read as doubles (a bool, a string or null is
+a parse error); matrices emitted by ``rho`` parse back bit-identically.
+``--format json`` writes strict JSON: a nan or infinite value (a failed
+deviation, say) is null there, and nan or inf in csv and pretty output.
 """
 
 from __future__ import annotations
@@ -69,11 +69,18 @@ def read_matrix(path: str) -> np.ndarray:
     try:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int beyond a double
         raise ParseError(f"{path}: re/im are not numeric arrays: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParseError(f"{path}: re/im must both be {dim}x{dim} row-major arrays")
-    return re + 1j * im
+    # numpy reads true as 1.0, "0.6" as 0.6 and null as nan
+    for row in (*payload["re"], *payload["im"]):
+        for x in row:
+            if type(x) not in (int, float):
+                raise ParseError(f"{path}: re/im are not numeric arrays: "
+                                 f"{json.dumps(x)} is not a number")
+    with np.errstate(invalid="ignore"):  # 1j * inf has a nan real part: the state check refuses it
+        return re + 1j * im
 
 
 def parse_inline_chart(spec: str, degrees: bool) -> tuple[Family, object]:

@@ -126,11 +126,9 @@ class SpectralDecomposition:
     eigenvectors as columns, so ``V @ diag(w) @ V†`` reconstructs the input.
     Ties keep whatever order the solver produced. Built on first use and kept
     with the spectrum: the ``pairs`` table, the square-root factor ``root``,
-    V† and a memo of the tangents projected into the eigenbasis
-    (``memo_project``). The memo only holds
-    read-only arrays that own their data, so no entry can go stale; it keeps
-    one entry per such tangent and lives and dies with the spectrum, which a
-    DensityMatrix owns.
+    V† and the rows of the tangents last handed over (``_hand``), which live
+    and die with the spectrum, which a DensityMatrix owns. ``project`` is the
+    one projection into the eigenbasis.
     """
 
     eigenvalues: np.ndarray
@@ -156,29 +154,29 @@ class SpectralDecomposition:
         return self.eigenvectors.conj().T
 
     @cached_property
-    def _projections(self) -> dict[int, tuple[np.ndarray, list[list[complex]]]]:
+    def _handed(self) -> dict[int, tuple[object, list[list[complex]]]]:
         return {}
 
-    def project(self, d) -> list[list[complex]]:
-        """(V† d V).tolist(), formed afresh: the tangent ``d`` in the
-        eigenbasis, as Python rows. DimensionMismatch or InvalidTangent
-        (as_tangent) before the product if ``d`` is not n x n or has a NaN or
-        infinite entry."""
-        return (self._vh @ as_tangent(d, len(self.eigenvalues)) @ self.eigenvectors).tolist()
+    def _hand(self, tangents: list) -> None:
+        """Project ``tangents`` (each checked by as_tangent) and keep each
+        one's rows under its identity for ``project``, in place of those
+        handed over before. pullback_metric is the only caller: it hands
+        over tangents that nothing else holds, so none can change, and each
+        entry keeps its tangent alive, so its id is not reused."""
+        self._handed.clear()
+        for t in tangents:
+            self._handed[id(t)] = (t, self.project(t))
 
-    def memo_project(self, d) -> list[list[complex]]:
-        """project(d), memoized by the identity of ``d`` when ``d`` is a
-        read-only ndarray that owns its data: its contents cannot change
-        while the entry lives, and the entry keeps ``d`` alive, so its id is
-        not reused. Any other input (a writable array, a view, a list) is
-        projected on every call. The rows returned are shared: read them
-        only."""
-        if type(d) is np.ndarray and d.base is None and not d.flags.writeable:
-            hit = self._projections.get(id(d))
-            if hit is None:
-                hit = self._projections[id(d)] = (d, self.project(d))
+    def project(self, d) -> list[list[complex]]:
+        """(V† d V).tolist(): the tangent ``d`` in the eigenbasis, as Python
+        rows. The kept rows of a tangent handed over (``_hand``), shared, so
+        read them only; anything else is projected afresh on every call.
+        DimensionMismatch or InvalidTangent (as_tangent) before the product
+        if ``d`` is not n x n or has a NaN or infinite entry."""
+        hit = self._handed.get(id(d))
+        if hit is not None:
             return hit[1]
-        return self.project(d)
+        return (self._vh @ as_tangent(d, len(self.eigenvalues)) @ self.eigenvectors).tolist()
 
 
 def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:

@@ -169,9 +169,9 @@ def pullback_metric(point: Sequence[float],
     differences of step tol.DEFAULT_STEP over the step actually taken;
     OutOfChartRange for a coordinate a step leaves unchanged (|x| >= 2**37).
     The spectrum at the centre must be nondegenerate (coset.require_gap).
-    The tangents are made read-only, so rho's spectrum projects each into its
-    eigenbasis once and the d(d+1)/2 Hubner calls share those d projections
-    (SpectralDecomposition.memo_project).
+    The tangents, which nothing else holds, are handed to rho's spectrum, so
+    each is projected into its eigenbasis once and the d(d+1)/2 Hubner calls
+    share those d projections (SpectralDecomposition._hand).
     """
     pt = [float(x) for x in point]
     for name, x in zip(coords, pt):
@@ -181,8 +181,7 @@ def pullback_metric(point: Sequence[float],
     require_gap(rho0.eigenvalues.tolist())
     d = len(pt)
     tangents = [_central_diff(builder, pt, i) for i in range(d)]
-    for t in tangents:
-        t.flags.writeable = False
+    rho0.spectral._hand(tangents)
     g = np.zeros((d, d))
     for i in range(d):
         for j in range(i, d):

@@ -479,8 +479,8 @@ def test_dittmann_dimension_errors():
                                       ("dittmann2", 2), ("dittmann3", 3)])
 @pytest.mark.parametrize("shape", ["other n", "1-D"])
 def test_a_tangent_of_the_wrong_shape_is_refused_by_every_form(form, n, shape):
-    # one rule (matcore.as_tangent) for all three forms: DimensionMismatch,
-    # exit 4, also for a read-only tangent and a list
+    # one rule (matcore.as_tangent) for all three forms and the pullback's
+    # hand-over: DimensionMismatch, exit 4, also for a read-only tangent and a list
     bad = np.zeros((5 - n, 5 - n) if shape == "other n" else (n,), dtype=complex)
     frozen = bad.copy()
     frozen.flags.writeable = False
@@ -488,6 +488,7 @@ def test_a_tangent_of_the_wrong_shape_is_refused_by_every_form(form, n, shape):
     if form == "hubner":
         calls = [(hubner_form, (rho, *pair))
                  for t in (bad, frozen, bad.tolist()) for pair in ((t, t), (t, good), (good, t))]
+        calls += [(rho.spectral._hand, ([good, t],)) for t in (bad, frozen, bad.tolist())]
     else:
         fn = dittmann2_form if form == "dittmann2" else dittmann3_form
         calls = [(fn, (rho, t)) for t in (bad, frozen, bad.tolist())]
@@ -529,7 +530,7 @@ def test_non_finite_tangent_is_refused_before_any_product(form, n, kind):
     # every form raises the typed error before any product, where a NaN or
     # inf entry would give nan or numpy's invalid-value warning and
     # unreadable input numpy's untyped ValueError or TypeError; also for a
-    # read-only tangent (the memoized path) and on a repeated call
+    # read-only tangent, the pullback's hand-over and on a repeated call
     rho = _state(n)
     good = random_tangent(make_rng(9), n)
     bad = _bad_tangent(kind, n)
@@ -542,6 +543,7 @@ def test_non_finite_tangent_is_refused_before_any_product(form, n, kind):
     if form == "hubner":
         calls = [(hubner_form, (rho, *pair))
                  for t in tangents for pair in ((t, t), (t, good), (good, t))]
+        calls += [(rho.spectral._hand, ([good, t],)) for t in tangents + listed]
     else:
         fn = dittmann2_form if form == "dittmann2" else dittmann3_form
         calls = [(fn, (rho, t)) for t in tangents + listed]
@@ -554,13 +556,15 @@ def test_non_finite_tangent_is_refused_before_any_product(form, n, kind):
 
 
 # ---------------------------------------------------------------------------
-# the per-spectrum projection memo
+# projections into the eigenbasis: fresh for a caller's tangent, shared only
+# for the tangents the pullback hands over
 # ---------------------------------------------------------------------------
 
 def test_hubner_sees_a_tangent_changed_in_place():
-    # only read-only arrays that own their data are memoized: a writable
-    # array, a read-only view of a writable array and a list are projected
-    # again on each call, so a change between calls is never missed
+    # a caller's tangent is projected again on each call, whatever its flags,
+    # so a change between calls is never missed: a writable array, a
+    # read-only view of a writable array, a list, and an owning array frozen,
+    # read, made writable, changed and frozen again
     rho = _state(3)
     first, second = random_tangent(make_rng(10), 3), random_tangent(make_rng(11), 3)
     want = [hubner_form(_state(3), t, t) for t in (first, second)]
@@ -571,40 +575,65 @@ def test_hubner_sees_a_tangent_changed_in_place():
     view = base[0]
     view.flags.writeable = False  # read-only, but its base is not
     rows = first.tolist()
-    for tangent in (writable, view, rows):
+    frozen = first.copy()
+    frozen.flags.writeable = False
+    for tangent in (writable, view, rows, frozen):
         assert hubner_form(rho, tangent, tangent) == want[0]
         assert hubner_form(rho, tangent, first) == want[0]
         if tangent is rows:
             rows[:] = second.tolist()
+        elif tangent is frozen:
+            frozen.flags.writeable = True
+            frozen[...] = second
+            frozen.flags.writeable = False
         else:
             np.copyto(base[0] if tangent is view else writable, second)
         assert hubner_form(rho, tangent, tangent) == want[1]
+        assert hubner_form(rho, tangent, second.copy()) == want[1]
 
 
-def test_read_only_tangent_is_projected_once_per_state(monkeypatch):
-    projected = []
-    project = matcore.SpectralDecomposition.project
+def test_the_pullback_projects_its_tangents_once_per_state(monkeypatch):
+    # every projection checks its tangent first, so as_tangent counts them
+    checked, handed = [], []
+    as_tangent, hand = matcore.as_tangent, matcore.SpectralDecomposition._hand
 
-    def counting(self, d):
-        projected.append(id(d))
-        return project(self, d)
+    def counting(d, n):
+        checked.append(id(d))
+        return as_tangent(d, n)
 
-    monkeypatch.setattr(matcore.SpectralDecomposition, "project", counting)
+    def handing(self, tangents):
+        handed.append(len(tangents))
+        return hand(self, tangents)
+
+    monkeypatch.setattr(matcore, "as_tangent", counting)
+    monkeypatch.setattr(matcore.SpectralDecomposition, "_hand", handing)
     rng = make_rng(12)
-    frozen = [random_tangent(rng, 3) for _ in range(3)]
-    for t in frozen:
-        t.flags.writeable = False
-    writable = random_tangent(rng, 3)
-    for rho in (_state(3), _state(3)):
-        projected.clear()
-        values = [hubner_form(rho, a, b) for a in frozen for b in frozen]
-        assert sorted(projected) == sorted(map(id, frozen))
-        # the memoized rows give the value a fresh projection gives
-        assert values == [hubner_form(rho, a.copy(), b.copy()) for a in frozen for b in frozen]
-        projected.clear()
-        for _ in range(3):
-            hubner_form(rho, writable, writable)
-        assert projected == [id(writable)] * 3
+    for chart, pullback in [(random_chart3, metric.pullback_metric3),
+                            (random_chart2, metric.pullback_metric2)]:
+        for _ in range(2):
+            checked.clear(), handed.clear()
+            d = len(pullback(chart(rng)).ordering)
+            # one hand-over of the d tangents, none projected again by the
+            # d(d + 1)/2 Hubner calls
+            assert handed == [d] and len(checked) == d
+    # a caller's tangent is projected on every call, frozen, writable, a
+    # view or a list
+    rho = _state(3)
+    frozen, writable = random_tangent(rng, 3), random_tangent(rng, 3)
+    frozen.flags.writeable = False
+    view = np.stack([writable, writable])[1]
+    handed.clear()
+    for t in (frozen, writable, view, writable.tolist()):
+        checked.clear()
+        values = [hubner_form(rho, t, t) for _ in range(3)]
+        assert checked == [id(t)] * 3
+        assert values == [hubner_form(rho, np.array(t), np.array(t))] * 3
+    assert handed == []
+    # a builder that returns one state: each hand-over replaces the last, so
+    # its spectrum keeps d entries however many pullbacks it serves
+    for _ in range(3):
+        metric.pullback_metric([0.1, 0.2], lambda p: rho, ("x", "y"))
+    assert handed == [2] * 3 and len(rho.spectral._handed) == 2
 
 
 # ---------------------------------------------------------------------------

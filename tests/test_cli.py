@@ -739,6 +739,17 @@ BAD_FILES = {
     "array.json": "[1, 2]",
     "text-re.json": '{"dim": 2, "re": [["a", 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
     "shape.json": '{"dim": 2, "re": [[1, 0, 0]], "im": [[0, 0, 0]]}',
+    # numpy would read these entries as 0.0, 0.6 and nan: each is not a number
+    **{f"{value}-{key}.json": json.dumps({"dim": 2, "re": [[0.6, 0], [0, 0.4]],
+                                           "im": [[0, 0], [0, 0]], key: [[0, 0], [entry, 0]]})
+       for key in ("re", "im")
+       for value, entry in (("bool", False), ("string", "0.6"), ("null", None))},
+    # an integer beyond a double
+    "huge-int-re.json": '{"dim": 2, "re": [[1%s, 0], [0, 0]], "im": [[0, 0], [0, 0]]}'
+                        % ("0" * 400),
+    # JSON's NaN and Infinity tokens are floats: read, then refused as a state
+    "nan-re.json": '{"dim": 2, "re": [[NaN, 0], [0, 0.4]], "im": [[0, 0], [0, 0]]}',
+    "infinity-im.json": '{"dim": 2, "re": [[0.6, 0], [0, 0.4]], "im": [[0, 0], [-Infinity, 0]]}',
 }
 SWEEP = ["--from", "0.1", "--to", "0.2", "--points", "2"]
 
@@ -748,6 +759,14 @@ SWEEP = ["--from", "0.1", "--to", "0.2", "--points", "2"]
     (["find-chart", "{tmp}/array.json"], 3, 'expected an object with keys "dim", "re", "im"'),
     (["find-chart", "{tmp}/text-re.json"], 3, "re/im are not numeric arrays"),
     (["find-chart", "{tmp}/shape.json"], 3, "re/im must both be 2x2 row-major arrays"),
+    *[(["find-chart", f"{{tmp}}/{value}-{key}.json"], 3,
+       f"{value}-{key}.json: re/im are not numeric arrays: {shown} is not a number")
+      for key in ("re", "im")
+      for value, shown in (("bool", "false"), ("string", '"0.6"'), ("null", "null"))],
+    (["find-chart", "{tmp}/huge-int-re.json"], 3,
+     "re/im are not numeric arrays: int too large to convert to float"),
+    (["find-chart", "{tmp}/nan-re.json"], 4, "matrix has a non-finite entry"),
+    (["find-chart", "{tmp}/infinity-im.json"], 4, "matrix has a non-finite entry"),
     (["fidelity", "--state-a", "theta=abc", "--state-b", "theta=0.2"], 3,
      "bad numeric value in 'theta=abc'"),
     (["fidelity", "--state-a", ",=", "--state-b", "theta=0.2"], 3, "bad numeric value in '='"),
@@ -760,7 +779,9 @@ SWEEP = ["--from", "0.1", "--to", "0.2", "--points", "2"]
     (["scan", "--n", "2", "--coord", "theta1", *SWEEP], 3,
      "unknown sweep coordinate 'theta1' for n=2"),
     (["find-chart", STATE2, "--n", "3"], 4, "--n 3 but the file holds a 2x2 matrix"),
-], ids=["missing-file", "json-array", "non-numeric-re", "wrong-shape", "inline-non-numeric",
+], ids=["missing-file", "json-array", "non-numeric-re", "wrong-shape",
+        *[f"{value}-{key}" for key in ("re", "im") for value in ("bool", "string", "null")],
+        "huge-int-re", "nan-re", "infinity-im", "inline-non-numeric",
         "inline-empty-key", "inline-unknown-key", "inline-term-without-value",
         "scan-count-mismatch", "scan-unknown-coord",
         "find-chart-wrong-n"])

@@ -48,7 +48,7 @@ from buresgeo.metric import (
     volume_element,
 )
 from buresgeo.sampling import make_rng, random_chart2, random_chart3
-from buresgeo.tol import INVARIANT, REL_DEV_FLOOR
+from buresgeo.tol import DEFAULT_STEP, INVARIANT, REL_DEV_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +80,16 @@ def test_pullback3_eigenvalue_block():
             assert abs(g.entry("theta2", coord)) <= 1e-8
 
 
-def pullback3_reference(chart):
-    """The pullback with every one of its 36 pairs projecting both tangents
-    into the eigenbasis afresh, then the Hubner pair sum i-major, as
-    hubner_form runs it (these full-rank states keep every pair)."""
-    fam = metric.FAMILIES[3]
+def _family(chart) -> metric.Family:
+    return metric.FAMILIES[3 if isinstance(chart, CosetChart3) else 2]
+
+
+def pullback_reference(chart):
+    """The pullback with every one of its d(d+1)/2 pairs projecting both
+    tangents into the eigenbasis afresh, one matrix at a time, then the Hubner
+    pair sum i-major, as hubner_form runs it (these full-rank states keep
+    every pair)."""
+    fam = _family(chart)
     pt = list(chart.values())
     rho0 = fam.build(pt)
     w = rho0.eigenvalues.tolist()
@@ -102,11 +107,38 @@ def pullback3_reference(chart):
     return g
 
 
+def _chart3(**values):
+    return CosetChart3(**{"theta1": 0.5, "theta2": 0.6, "alpha": 0.3, "phi": 0.4,
+                          "beta1": 0.4, "beta2": 0.2, "psi1": 0.1, "psi2": 0.2, **values})
+
+
+# three pullback steps inside each end of theta1, theta2 and beta, but for
+# theta1 -> 0, where the two small eigenvalues lie sin^2 theta1 cos 2 theta2 <
+# tol.GAP apart (DegenerateSpectrum); the sliver chart of tests/test_reference.py
+# (lambda3 = 6.8e-7); huge free angles; the 2-level theta ends
+_EDGE = 3 * DEFAULT_STEP
+PULLBACK_EDGE_CHARTS = [
+    _chart3(theta1=math.asin(math.sqrt(2.5e-6)), theta2=0.55),
+    _chart3(theta1=THETA1_MAX - _EDGE),
+    _chart3(theta2=THETA2_MIN + _EDGE),
+    _chart3(theta2=THETA2_MAX - _EDGE),
+    _chart3(beta1=_EDGE, beta2=0.0),
+    _chart3(beta1=0.0, beta2=-_EDGE),
+    _chart3(beta1=math.pi - _EDGE, beta2=0.0),
+    _chart3(phi=1e9, alpha=1e9),
+    CosetChart2(_EDGE, 0.3, 0.4),
+    CosetChart2(math.pi / 4 - _EDGE, 0.3, 0.4),
+    CosetChart2(0.3, 1e9, 1e9),
+]
+
+
 def test_pullback3_shared_projections_match_fresh_ones_bit_for_bit():
-    rng = make_rng(20)
-    for _ in range(50):
-        ch = random_chart3(rng)
-        assert pullback_metric3(ch).g.tobytes() == pullback3_reference(ch).tobytes()
+    # the d projections the pullback hands over give the bytes of fresh ones
+    # in every pair, at seeded charts of both n and at the edges
+    rng3, rng2 = make_rng(20), make_rng(21)
+    charts = [random_chart3(rng3) for _ in range(50)] + [random_chart2(rng2) for _ in range(50)]
+    for ch in charts + PULLBACK_EDGE_CHARTS:
+        assert _family(ch).pullback(ch).g.tobytes() == pullback_reference(ch).tobytes(), ch
 
 
 def test_pullback3_is_invariant_under_the_gamma_shifts():
@@ -134,6 +166,9 @@ def test_pullback_guards():
         # pullback has no boundary margin, so the centre's gap check fires
         metric.pullback_metric([math.pi / 4 - 4e-7, 0.3, 0.1],
                                lambda p: coset.rho2(CosetChart2(*p)), COORDS2)
+    # no coordinates: the (0, 0) tensor
+    empty = metric.pullback_metric([], lambda p: coset.rho2(CosetChart2(0.3)), ())
+    assert empty.ordering == () and empty.g.shape == (0, 0) and empty.g.dtype == np.float64
 
 
 # each point lies 1.5 steps (DEFAULT_STEP = 1e-5) from one end of a bounded range
