@@ -27,7 +27,7 @@ from .errors import (
     PureState,
     SingularState,
 )
-from .tol import DET_FLOOR, EPS_SPEC, PURE, SUPPORT_LEAK
+from .tol import DET_FLOOR, PURE, SUPPORT_LEAK
 
 
 def fidelity(rho1, rho2) -> float:
@@ -67,27 +67,30 @@ def hubner_form(rho, d1, d2) -> float:
 
     summing only over pairs with lambda_i + lambda_j > EPS_SPEC. If a dropped
     pair carries a non-negligible matrix element, the tangent leaves the
-    support of rho and the metric diverges there: DegenerateSupport. The sum
-    runs i-major over the spectrum's cached (i, j, lambda_i + lambda_j)
-    table (SpectralDecomposition.pairs), so each state forms its n^2
-    denominators once. Each tangent is projected into the eigenbasis by
-    SpectralDecomposition.project: a tangent the pullback handed over
-    (SpectralDecomposition._hand) is projected once per state however many
-    pairs it enters, anything else on every call. Each tangent is checked
-    (matcore.as_tangent) before its projection: DimensionMismatch unless it
-    has the state's shape, InvalidTangent if it has a NaN or infinite entry.
+    support of rho and the metric diverges there: DegenerateSupport, naming
+    the first such pair i-major. The spectrum's cached (kept, dropped) pair
+    tables (SpectralDecomposition.pairs) are formed once per state: the kept
+    pairs are summed i-major without a branch, then the dropped ones are
+    checked. Each tangent is projected into the eigenbasis by
+    SpectralDecomposition.project: a tangent handed over by the pullback or
+    by metric.validate (SpectralDecomposition._hand) is projected once per
+    state however many calls it enters, anything else on every call. Each
+    tangent is checked (matcore.as_tangent) before its projection:
+    DimensionMismatch unless it has the state's shape, InvalidTangent if it
+    has a NaN or infinite entry.
     """
     spec = as_density(rho).spectral
     # the products stay in numpy; the n^2 pair loop runs on Python scalars,
     # which at n <= 3 costs less than indexing numpy arrays
     x1 = spec.project(d1)
     x2 = x1 if d2 is d1 else spec.project(d2)
+    kept, dropped = spec.pairs
     total = 0.0
-    for i, j, s in spec.pairs:
+    for i, j, s in kept:
+        total += (x1[i][j] * x2[j][i]).real / s
+    for i, j, s in dropped:
         term = x1[i][j] * x2[j][i]
-        if s > EPS_SPEC:
-            total += term.real / s
-        elif abs(term) > SUPPORT_LEAK ** 2:
+        if abs(term) > SUPPORT_LEAK ** 2:
             raise DegenerateSupport(
                 f"eigenpair ({i},{j}) has lambda_i+lambda_j={s:.3e} but the "
                 f"tangents couple to it (|term|={abs(term):.3e})"

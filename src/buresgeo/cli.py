@@ -12,6 +12,9 @@ row-major arrays of JSON numbers read as doubles (a bool, a string or null is
 a parse error); matrices emitted by ``rho`` parse back bit-identically.
 ``--format json`` writes strict JSON: a nan or infinite value (a failed
 deviation, say) is null there, and nan or inf in csv and pretty output.
+
+``main`` hands the flags of a command straight to that command's parser
+(``_parse``); the top-level parser reads only an argv that names no command.
 """
 
 from __future__ import annotations
@@ -150,16 +153,54 @@ def csv_text(header: Sequence[str], rows: Sequence[tuple]) -> str:
     return "\n".join([",".join(header), *[line % row for row in rows]]) + "\n"
 
 
-def _null_nonfinite(value):
-    """``value`` with every nan or infinite float, in dicts and lists at any
-    depth, replaced by None (JSON null)."""
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, newline: str) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, with
+    every nan or infinite float written as null, for ``value`` nested at the
+    line break and indent ``newline`` ("\\n" and two spaces a level). The
+    type tests run in json's order (str, None, True, False, int, float, list
+    or tuple, dict), so an int or float subclass prints through int.__repr__
+    or float.__repr__, and keys convert as json converts them. What json
+    refuses raises as there: TypeError for a value or key of another type
+    (a set, bytes, np.int64), ValueError for a nan or infinite float key.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _null_nonfinite(v) for k, v in value.items()}
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = newline + "  "
     if isinstance(value, (list, tuple)):
-        return [_null_nonfinite(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_json_key(k) + ": " + _json(v, inner) for k, v in value.items()]) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or a finite float, an int, a
+    bool or None written as a value, in quotes."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, float) and not math.isfinite(key):
+        raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _json(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def render(output_format: str, payload: dict, table: Optional[Callable],
@@ -169,11 +210,12 @@ def render(output_format: str, payload: dict, table: Optional[Callable],
 
     A command without a table prints its pretty lines for ``--format csv``;
     one without pretty lines (scan) prints its table for ``--format pretty``.
-    JSON output is strict (RFC 8259): a nan or infinite value is written as
-    null, while csv and pretty print it as nan or inf.
+    JSON output is strict (RFC 8259), written in one pass by ``_json``: the
+    bytes of ``json.dumps(indent=2, allow_nan=False)`` with a nan or infinite
+    value written as null, while csv and pretty print it as nan or inf.
     """
     if output_format == "json":
-        return json.dumps(_null_nonfinite(payload), indent=2, allow_nan=False) + "\n"
+        return _json(payload, "\n") + "\n"
     if table is not None and (output_format == "csv" or pretty is None):
         return csv_text(*table())
     return "\n".join(pretty()) + "\n"
@@ -525,16 +567,35 @@ def _is_negative_float(arg: str) -> bool:
 def _join_negative_values(argv: Sequence[str]) -> list[str]:
     out: list[str] = []
     for arg in argv:
-        if out and FLAG.fullmatch(out[-1]) and _is_negative_float(arg):
+        if arg[:1] == "-" and out and FLAG.fullmatch(out[-1]) and _is_negative_float(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``: the same namespace, output and exit.
+    When argv[0] names a command, the rest goes straight to its parser, which
+    the top-level parser would hand it to after reading every token itself;
+    leftovers get the top-level "unrecognized arguments" error. Any other
+    argv (none, ``-h``, an unknown command) goes through the top-level parser.
+    """
+    parser = _parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _parse(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, and 2 is the
         # chart-range code here: a usage error is a parse error

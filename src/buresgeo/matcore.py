@@ -34,6 +34,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceFailure, DimensionMismatch, InvalidTangent
+from .tol import EPS_SPEC
 
 
 def as_matrix(a) -> np.ndarray:
@@ -125,21 +126,25 @@ class SpectralDecomposition:
     eigenvalues are real and ascending; eigenvectors holds the orthonormal
     eigenvectors as columns, so ``V @ diag(w) @ V†`` reconstructs the input.
     Ties keep whatever order the solver produced. Built on first use and kept
-    with the spectrum: the ``pairs`` table, the square-root factor ``root``,
+    with the spectrum: the ``pairs`` tables, the square-root factor ``root``,
     V† and the rows of the tangents last handed over (``_hand``), which live
-    and die with the spectrum, which a DensityMatrix owns. ``project`` is the
-    one projection into the eigenbasis.
+    and die with the spectrum, which a DensityMatrix owns. ``project`` gives
+    any tangent's rows in the eigenbasis.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @cached_property
-    def pairs(self) -> list[tuple[int, int, float]]:
-        """(i, j, lambda_i + lambda_j) for every ordered index pair, i-major:
-        the denominators of the Hubner pair sum (bures.hubner_form)."""
+    def pairs(self) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]:
+        """(kept, dropped): (i, j, lambda_i + lambda_j) for every ordered index
+        pair, i-major in each list, split at tol.EPS_SPEC. The kept pairs are
+        the terms of the Hubner pair sum (bures.hubner_form), the dropped ones
+        the pairs it checks for support leakage."""
         w = self.eigenvalues.tolist()
-        return [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
+        table = [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
+        return ([p for p in table if p[2] > EPS_SPEC],
+                [p for p in table if not p[2] > EPS_SPEC])
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -158,14 +163,23 @@ class SpectralDecomposition:
         return {}
 
     def _hand(self, tangents: list) -> None:
-        """Project ``tangents`` (each checked by as_tangent) and keep each
+        """Check each of ``tangents`` in order (as_tangent: the first bad one
+        raises), project all in one stacked product V† T V, and keep each
         one's rows under its identity for ``project``, in place of those
-        handed over before. pullback_metric is the only caller: it hands
-        over tangents that nothing else holds, so none can change, and each
-        entry keeps its tangent alive, so its id is not reused."""
-        self._handed.clear()
-        for t in tangents:
-            self._handed[id(t)] = (t, self.project(t))
+        handed over before. The two callers, pullback_metric and
+        metric.validate, hand over tangents that nothing else holds, so none
+        can change, and each entry keeps its tangent alive, so its id is not
+        reused. numpy does not promise that the stacked product equals the
+        single-matrix one; a tier-1 test and a CI step check the bytes."""
+        handed = self._handed
+        handed.clear()
+        if not tangents:
+            return
+        n = len(self.eigenvalues)
+        # np.array of the d (n, n) arrays is np.stack's array without its wrapper
+        stack = np.array([as_tangent(t, n) for t in tangents])
+        for t, rows in zip(tangents, (self._vh @ stack @ self.eigenvectors).tolist()):
+            handed[id(t)] = (t, rows)
 
     def project(self, d) -> list[list[complex]]:
         """(V† d V).tolist(): the tangent ``d`` in the eigenbasis, as Python

@@ -170,8 +170,10 @@ def pullback_metric(point: Sequence[float],
     OutOfChartRange for a coordinate a step leaves unchanged (|x| >= 2**37).
     The spectrum at the centre must be nondegenerate (coset.require_gap).
     The tangents, which nothing else holds, are handed to rho's spectrum, so
-    each is projected into its eigenbasis once and the d(d+1)/2 Hubner calls
-    share those d projections (SpectralDecomposition._hand).
+    all d are projected into its eigenbasis in one product and the d(d+1)/2
+    Hubner calls share those projections (SpectralDecomposition._hand). g is
+    filled as Python rows, one float at (i, j) and (j, i), and checked by
+    the MetricTensor constructor; no coordinates give the (0, 0) tensor.
     """
     pt = [float(x) for x in point]
     for name, x in zip(coords, pt):
@@ -182,11 +184,11 @@ def pullback_metric(point: Sequence[float],
     d = len(pt)
     tangents = [_central_diff(builder, pt, i) for i in range(d)]
     rho0.spectral._hand(tangents)
-    g = np.zeros((d, d))
-    for i in range(d):
+    rows = [[0.0] * d for _ in range(d)]
+    for i, ti in enumerate(tangents):
         for j in range(i, d):
-            g[i, j] = g[j, i] = hubner_form(rho0, tangents[i], tangents[j])
-    return MetricTensor(ordering=tuple(coords), g=g)
+            rows[i][j] = rows[j][i] = hubner_form(rho0, ti, tangents[j])
+    return MetricTensor(tuple(coords), np.array(rows).reshape(d, d))
 
 
 def _pullback(fam: Family, chart) -> MetricTensor:
@@ -587,12 +589,16 @@ def validate(chart) -> ValidationReport:
     # differenced again (bench/selftest.py pins both passes), all before the
     # first form: interleaving the rho builds with the forms ran ~8 % slower
     pt = chart.values()
-    dmax = 0.0
+    units = []
     for t in [_central_diff(fam.build, pt, i) for i in range(len(pt))]:
-        nrm = float(np.linalg.norm(t))
-        if nrm < TANGENT_FLOOR:
-            continue
-        t = t / nrm
+        x = t.ravel()  # np.linalg.norm's Frobenius formula, without its wrapper
+        nrm = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+        if not nrm < TANGENT_FLOOR:
+            units.append(t / nrm)
+    # each unit tangent is projected once, all in one product (nothing else holds them)
+    rho.spectral._hand(units)
+    dmax = 0.0
+    for t in units:
         hub = hubner_form(rho, t, t)
         dit = fam.dittmann(rho, t)
         dmax = _max_or_nan(dmax, abs(dit - hub) / max(abs(hub), TINY))
@@ -664,12 +670,13 @@ def _gamma_shift_dev(chart: CosetChart3) -> float:
 def _late(path: str) -> Callable:
     """The function at ``path`` ("module.name" in this package), looked up at
     each call: bench/spans.py rebinds module attributes, and a path needs no
-    import, so metric imports neither sampling nor recover."""
+    import, so metric imports neither sampling nor recover. Every route
+    takes positional arguments only."""
     module, name = path.split(".")
     modules, key = sys.modules, f"{__package__}.{module}"
 
-    def route(*args, **kwargs):
-        return getattr(modules[key], name)(*args, **kwargs)
+    def route(*args):
+        return getattr(modules[key], name)(*args)
 
     route.path = path
     return route

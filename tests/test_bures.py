@@ -17,6 +17,7 @@ from buresgeo.bures import (
 )
 from buresgeo.coset import CosetChart2, CosetChart3
 from buresgeo.errors import (
+    BuresGeoError,
     DegenerateSupport,
     DimensionMismatch,
     InvalidDensityMatrix,
@@ -155,6 +156,48 @@ def test_a_fidelity_and_distance_pair_forms_the_rebuilt_states_root_once(monkeyp
     assert len(calls) == 3
 
 
+@st.composite
+def state_pairs(draw):
+    """Two n x n matrices G G† / Tr G G† at one n in {2, 3}, each G n x r
+    with r = 1 ... n (so every rank), entries from subnormal to 1, some
+    columns repeated; the pair may be one state twice."""
+    n = draw(st.sampled_from([2, 3]))
+    parts = st.floats(-1.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-160, 1e-8])
+
+    def state():
+        r = draw(st.integers(1, n))
+        g = np.array([[complex(draw(parts), draw(parts)) for _ in range(r)] for _ in range(n)])
+        if r > 1 and draw(st.booleans()):
+            g[:, -1] = g[:, 0]
+        mat = g @ g.conj().T
+        return mat / np.trace(mat).real
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a zero G divides 0 by 0: a nan matrix, refused
+        a = state()
+        return a, (a if draw(st.booleans()) else state())
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(pair=state_pairs())
+def test_fidelity_over_the_accepted_domain_is_symmetric_and_one_on_the_diagonal(pair):
+    # ROADMAP item 6's library half: a finite F in [0, 1], symmetric and 1 on
+    # a state and itself to 1e-14 (3,000 random states measured 1.1e-15 and
+    # 4.0e-15), or a typed error
+    a, b = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ra, rb = coset.DensityMatrix(a), coset.DensityMatrix(b)
+            fab, fba, faa = fidelity(ra, rb), fidelity(rb, ra), fidelity(ra, ra)
+        except BuresGeoError:
+            return
+    for f in (fab, fba, faa):
+        assert math.isfinite(f) and 0.0 <= f <= 1.0
+    assert abs(fab - fba) <= 1e-14
+    assert abs(faa - 1.0) <= 1e-14
+
+
 def test_bures_distance_examples():
     rho = diag_rho(0.5, 0.5)
     assert bures_distance(rho, rho) == pytest.approx(0.0, abs=1e-9)
@@ -247,6 +290,23 @@ def test_hubner_degenerate_support_names_the_first_coupled_pair():
     leaving = diag_rho(1.0, -1.0, 0.0)
     with pytest.raises(DegenerateSupport, match=r"^eigenpair \(0,0\) has "):
         hubner_form(rho, leaving, leaving)
+
+
+@pytest.mark.parametrize("spectrum, dropped", [
+    ((0.0, 0.0, 1.0), [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    ((0.0, 0.4, 0.6), [(0, 0)]),
+    ((0.2, 0.3, 0.5), []),
+    ((0.0, 1.0), [(0, 0)]),
+])
+def test_pair_tables_split_the_i_major_table_at_eps_spec(spectrum, dropped):
+    # hubner_form sums the kept pairs and checks the dropped ones, each list
+    # i-major, so the first coupled pair it names is the one the one-pass
+    # loop named
+    kept_pairs, dropped_pairs = coset.DensityMatrix(diag_rho(*spectrum)).spectral.pairs
+    n = len(spectrum)
+    table = [(i, j, spectrum[i] + spectrum[j]) for i in range(n) for j in range(n)]
+    assert dropped_pairs == [p for p in table if p[:2] in dropped]
+    assert kept_pairs == [p for p in table if p[:2] not in dropped]
 
 
 def test_hubner_support_restriction_tolerates_silent_zero():

@@ -1063,6 +1063,165 @@ def test_console_entry_point_runs():
 
 
 # ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(indent=2, allow_nan=False) byte for byte, with
+# every nan or infinite float written as null
+# ---------------------------------------------------------------------------
+
+def ref_null(value):
+    """``value`` with every nan or infinite float, in dicts and lists at any
+    depth, replaced by None: the pass the CLI ran before json.dumps."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: ref_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref_null(v) for v in value]
+    return value
+
+
+def json_outcome(write):
+    """The text ``write`` returns, or the type and message of what it raises."""
+    try:
+        return write()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_json(payload):
+    return json_outcome(lambda: json.dumps(ref_null(payload), indent=2, allow_nan=False))
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in OUTPUT_DIGESTS],
+                         ids=[f"pin{i}" for i in range(len(OUTPUT_DIGESTS))])
+def test_json_writer_matches_json_dumps_on_every_command_payload(argv):
+    args = cli._parse(cli._join_negative_values(argv))
+    _, payload, table, pretty = args.run(args)
+    want = reference_json(payload)
+    assert isinstance(want, str)
+    assert cli._json(payload, "\n") == want
+    assert cli.render("json", payload, table, pretty) == want + "\n"
+
+
+# strings with every character json escapes, non-ASCII ones and surrogates
+JSON_TEXT = st.text(st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "a",
+                                     " ", "é", " ", "\ud800", "\U0001f600"]),
+                    max_size=5) | st.text(max_size=4)
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+     math.inf, -math.inf, math.nan, 0.1, 1e16, 1e-7])
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2 ** 64, -(2 ** 200)]),
+    # around the 4,300 digits beyond which int.__repr__ raises ValueError
+    st.integers(4295, 4305).map(lambda k: 10 ** k),
+    JSON_FLOATS, JSON_FLOATS.map(np.float64), JSON_TEXT)
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), JSON_FLOATS, JSON_FLOATS.map(np.float64),
+                      st.booleans(), st.none())
+JSON_PAYLOADS = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(payload=JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps_on_random_payloads(payload):
+    # what json refuses (a nan key, an int of more than 4,300 digits) is
+    # refused with json's error type and message
+    got = json_outcome(lambda: cli._json(payload, "\n"))
+    assert got == reference_json(payload)
+    if isinstance(got, str):
+        json.loads(got, parse_constant=strict_json_constant)
+
+
+@pytest.mark.parametrize("bad", [{1.0, 2.0}, b"bytes", np.int64(3), np.bool_(True), object()],
+                         ids=["set", "bytes", "int64", "numpy-bool", "object"])
+def test_json_writer_refuses_what_json_refuses(bad):
+    for payload in (bad, [1.0, bad], {"k": (None, bad)}):
+        want = reference_json(payload)
+        assert want[0] is TypeError
+        assert json_outcome(lambda: cli._json(payload, "\n")) == want
+    if not isinstance(bad, set):  # hashable: as a key, too
+        want = reference_json({"ok": 1, bad: 1})
+        assert want[0] is TypeError
+        assert json_outcome(lambda: cli._json({"ok": 1, bad: 1}, "\n")) == want
+
+
+# ---------------------------------------------------------------------------
+# dispatch: a command's flags go straight to its parser, with the top-level
+# parser's results
+# ---------------------------------------------------------------------------
+
+def top_level_parse(argv):
+    return cli._parser().parse_args(argv)
+
+
+def parse_outcome(parse, argv):
+    """(vars of the namespace or None, exit code or None, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ns, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            ns, code = None, exc.code
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+def main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+DISPATCH_ARGV = [
+    # every command with its flags
+    ["rho", *PIN_N3, "--format", "json"],
+    ["rho", *PIN_DEGREES, "--format", "csv"],
+    ["fidelity", *PIN_INLINE, "--degrees", "--format", "pretty"],
+    ["fidelity", "--state-a", STATE3A, "--state-b", STATE3B],
+    ["metric", *PIN_N3, "--method", "both", "--format", "json"],
+    ["validate", "--n", "3", *PIN_SAMPLES, "--tol", "1e-6", "--format", "json"],
+    ["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "all", "--method", "closed", "--format", "csv"],
+    ["permtest", "--format", "pretty"],
+    ["find-chart", STATE3A, "--n", "3", "--format", "json"],
+    # abbreviated flags, --flag=value and joined negative values
+    ["validate", "--sam", "2", "--see", "4", "--n", "2"],
+    ["validate", "--s", "2"],
+    ["metric", *PIN_N2, "--format=json", "--meth=closed"],
+    ["metric", "--n", "3", "--theta1", "0.5", "--theta2", "0.6", "--beta1", "-1e-4",
+     "--psi2", "-0.5", "--method", "closed"],
+    ["scan", "--n", "3", "--theta1", "0.7", "--theta2", "0.6", "--coord", "beta1",
+     "--from", "-1e-4", "--to=-1e-5", "--points", "3"],
+    # help
+    ["-h"], ["--help"], ["validate", "-h"], ["scan", "--he"], [],
+    # an unknown command, and arguments after a valid command
+    ["bogus"], ["bogus", "--n", "2"], ["--n", "2", "rho"], ["permtest", "extra"],
+    ["rho", "--n", "2", "stray", "--bogus", "-1"], ["validate", "--n", "2", "--", "x"],
+    # a missing required flag, a bad choice, --degrees on validate
+    ["scan", "--n", "2", "--from", "0.1", "--to", "0.2", "--points", "2"],
+    ["fidelity", "--state-a", STATE2],
+    ["rho", "--n", "4"], ["rho", "--format", "xml"], ["validate", "--samples", "x"],
+    ["validate", "--n", "2", "--samples", "1", "--degrees"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=[" ".join(a) or "[]" for a in DISPATCH_ARGV])
+def test_dispatch_gives_the_top_level_parsers_results(argv, monkeypatch):
+    joined = cli._join_negative_values(argv)
+    want = parse_outcome(top_level_parse, joined)
+    assert parse_outcome(cli._parse, joined) == want
+    got = main_outcome(argv)
+    monkeypatch.setattr(cli, "_parse", top_level_parse)
+    assert got == main_outcome(argv)
+
+
+def test_dispatch_gives_the_top_level_namespace_on_the_cli_table():
+    for argv, _ in OUTPUT_DIGESTS:
+        joined = cli._join_negative_values(argv)
+        got = parse_outcome(cli._parse, joined)
+        assert got[0] is not None and got == parse_outcome(top_level_parse, joined), argv
+
+
+# ---------------------------------------------------------------------------
 # every command at edge values: a documented exit code, and nothing escapes
 # ---------------------------------------------------------------------------
 

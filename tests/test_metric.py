@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buresgeo import coset, metric
+from buresgeo import coset, matcore, metric
 from buresgeo.coset import (
     CosetChart2,
     CosetChart3,
@@ -24,6 +24,7 @@ from buresgeo.coset import (
 )
 from buresgeo.errors import (
     BoundaryTooClose,
+    BuresGeoError,
     DegenerateSpectrum,
     DimensionMismatch,
     OutOfChartRange,
@@ -47,8 +48,8 @@ from buresgeo.metric import (
     validate,
     volume_element,
 )
-from buresgeo.sampling import make_rng, random_chart2, random_chart3
-from buresgeo.tol import DEFAULT_STEP, INVARIANT, REL_DEV_FLOOR
+from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_tangent
+from buresgeo.tol import DEFAULT_STEP, INVARIANT, REL_DEV_FLOOR, TANGENT_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,78 @@ def test_pullback3_shared_projections_match_fresh_ones_bit_for_bit():
     charts = [random_chart3(rng3) for _ in range(50)] + [random_chart2(rng2) for _ in range(50)]
     for ch in charts + PULLBACK_EDGE_CHARTS:
         assert _family(ch).pullback(ch).g.tobytes() == pullback_reference(ch).tobytes(), ch
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 8])
+def test_hand_rows_equal_per_tangent_products_bit_for_bit(d):
+    # the one stacked product of a hand-over gives each tangent the bytes of
+    # its own V† T V, at the edge charts and seeded charts of both n; the
+    # chart's differenced tangents first, then random ones
+    rng = make_rng(22)
+    charts = PULLBACK_EDGE_CHARTS + [random_chart3(rng) for _ in range(10)]
+    charts += [random_chart2(rng) for _ in range(10)]
+    for ch in charts:
+        fam = _family(ch)
+        spec = fam.rho(ch).spectral
+        pt = list(ch.values())
+        tangents = [metric._central_diff(fam.build, pt, i) for i in range(len(pt))]
+        tangents = (tangents + [random_tangent(rng, fam.n) for _ in range(d)])[:d]
+        spec._hand(tangents)
+        assert len(spec._handed) == d
+        for t in tangents:
+            rows = spec.project(t)
+            assert rows is spec._handed[id(t)][1]
+            assert np.array(rows).tobytes() == (spec._vh @ t @ spec.eigenvectors).tobytes(), ch
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hand_raises_the_error_of_its_first_bad_tangent(n):
+    # each tangent is checked in order before the product: a bad one at
+    # position k raises as matcore.as_tangent does on it alone, ahead of a
+    # later bad one, and leaves no rows of this or an earlier hand-over
+    rng = make_rng(24)
+    chart = random_chart2(rng) if n == 2 else random_chart3(rng)
+    spec = _family(chart).rho(chart).spectral
+    good = [random_tangent(rng, n) for _ in range(4)]
+    later = np.zeros((n + 1, n + 1))
+    for bad in (np.full((n, n), np.nan), np.zeros((n + 1, n + 1)), np.zeros(n), "abc"):
+        with pytest.raises(BuresGeoError) as alone:
+            matcore.as_tangent(bad, n)
+        for k in range(len(good) + 1):
+            spec._hand(good)
+            with pytest.raises(type(alone.value)) as handed:
+                spec._hand([*good[:k], bad, *good[k:], later])
+            assert str(handed.value) == str(alone.value)
+            assert spec._handed == {}
+
+
+def test_validate_hands_over_its_unit_tangents(monkeypatch):
+    # validate normalizes each differenced tangent by numpy's Frobenius norm
+    # (np.linalg.norm's bytes), skips one below tol.TANGENT_FLOOR and hands
+    # the rest to its state's spectrum; their kept rows are fresh projections
+    handed = []
+    hand = matcore.SpectralDecomposition._hand
+
+    def recording(spec, tangents):
+        hand(spec, tangents)
+        handed.append((spec, list(tangents), dict(spec._handed)))
+
+    monkeypatch.setattr(matcore.SpectralDecomposition, "_hand", recording)
+    rng3, rng2 = make_rng(25), make_rng(26)
+    for ch in [random_chart3(rng3) for _ in range(10)] + [random_chart2(rng2) for _ in range(10)]:
+        fam = _family(ch)
+        handed.clear()
+        validate(ch)
+        (pull_spec, _, _), (spec, units, rows) = handed
+        pt = list(ch.values())
+        want = [t / float(np.linalg.norm(t))
+                for t in (metric._central_diff(fam.build, pt, i) for i in range(len(pt)))
+                if not float(np.linalg.norm(t)) < TANGENT_FLOOR]
+        assert spec is not pull_spec and len(units) == len(rows) == len(want)
+        for unit, w in zip(units, want):
+            assert unit.tobytes() == w.tobytes()
+            assert (np.array(rows[id(unit)][1]).tobytes()
+                    == (spec._vh @ unit @ spec.eigenvectors).tobytes())
 
 
 def test_pullback3_is_invariant_under_the_gamma_shifts():
