@@ -41,12 +41,20 @@ def fidelity(rho1, rho2) -> float:
     singular values of H1† H2. So F >= 0, and by Holder's inequality F is
     at most the product of the eigenvalue sums of H1† H1 and H2† H2, each
     at most 1 + n INVARIANT for an accepted state: F is clamped to at most 1.
+    The singular values are summed left to right on Python floats, as
+    numpy's ``add.reduce`` sums fewer than 8 values, without its wrapper:
+    byte for byte ``float(s.sum())`` at n < 8; at n >= 8 numpy sums pairwise
+    and the last bit is not pinned. A loop, not ``sum``, which compensates
+    its float sums from Python 3.12 on.
     """
     r1, r2 = as_density(rho1), as_density(rho2)
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"dimensions differ: {r1.dim} vs {r2.dim}")
     h1, h2 = r1.spectral.root, r2.spectral.root
-    return min(float(matcore.singular_values(h1.conj().T @ h2).sum()) ** 2, 1.0)
+    trace_norm = 0.0
+    for s in matcore.singular_values(h1.conj().T @ h2).tolist():
+        trace_norm += s
+    return min(trace_norm ** 2, 1.0)
 
 
 def bures_distance(rho1, rho2) -> float:

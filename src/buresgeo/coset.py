@@ -81,10 +81,17 @@ class CosetChart2:
     phi: float = 0.0
 
     def __init__(self, theta: float, alpha: float = 0.0, phi: float = 0.0):
+        # one test passes an in-range float theta (clamping keeps it) and two finite
+        # floats; anything else, or a sum that overflows, goes one coordinate at a time
+        if not (type(theta) is type(alpha) is type(phi) is float
+                and 0.0 <= theta <= THETA_MAX and math.isfinite(alpha + phi)):
+            theta = _require_range("theta", theta, 0.0, THETA_MAX)
+            alpha = _require_finite("alpha", alpha)
+            phi = _require_finite("phi", phi)
         d = self.__dict__  # frozen: each checked value is stored once, directly
-        d["theta"] = _require_range("theta", theta, 0.0, THETA_MAX)
-        d["alpha"] = _require_finite("alpha", alpha)
-        d["phi"] = _require_finite("phi", phi)
+        d["theta"] = theta
+        d["alpha"] = alpha
+        d["phi"] = phi
 
     def values(self) -> tuple[float, float, float]:
         return (self.theta, self.alpha, self.phi)
@@ -147,7 +154,8 @@ class DensityMatrix:
     that its Hermitian part does not overflow (entries near 1e308, where no
     spectrum exists; a state has every |rho_ij| <= 1) and that no eigenvalue
     is below -INVARIANT: one pass over the entries, which also forms the
-    Hermitian part (A + A^dag)/2, and one eig_hermitian of it, kept. The
+    Hermitian part (A + A^dag)/2 as one flat row-major list, shaped in place
+    (numpy's bytes), and one eig_hermitian of it, kept. The
     states that rho2, rho3, diag2 and diag3 build are Hermitian, PSD and of
     unit trace by construction: they skip the checks and are decomposed on
     first use. 3x3 states cache the trace-form invariants of
@@ -170,12 +178,13 @@ class DensityMatrix:
         # halves (byte for byte its (A + A^dag) / 2). A non-finite sum is a
         # non-finite entry or an overflow, told apart after the pass.
         rows = mat.tolist()
-        herm = [row[:] for row in rows]
+        n = len(rows)
+        herm = [0j] * (n * n)
         worst, finite = 0.0, True
         tr = 0j  # summed from +0j in index order, as np.trace
         try:
             for i, row in enumerate(rows):
-                for j in range(i, len(rows)):
+                for j in range(i, n):
                     a, b = row[j], rows[j][i]
                     c = b.conjugate()
                     d = abs(a - c)
@@ -184,8 +193,8 @@ class DensityMatrix:
                     s = a + c
                     if not cmath.isfinite(s):
                         finite = False
-                    herm[i][j] = s / (2 + 0j)
-                    herm[j][i] = (b + a.conjugate()) / (2 + 0j)
+                    herm[i * n + j] = s / (2 + 0j)
+                    herm[j * n + i] = (b + a.conjugate()) / (2 + 0j)
                 tr += row[i]
         except OverflowError:  # |A_ij - conj(A_ji)| of finite parts beyond the largest float
             worst, finite = math.inf, False
@@ -204,7 +213,11 @@ class DensityMatrix:
             raise InvalidDensityMatrix(
                 "not PSD: the spectrum overflows (a state has every |rho_ij| <= 1)"
             )
-        spec = matcore.eig_hermitian(np.array(herm))
+        # a flat list converts faster than nested rows; set in place, the shape
+        # leaves the array owning its data, as in _built_from_flat
+        part = np.array(herm, dtype=np.complex128)
+        part.shape = (n, n)
+        spec = matcore.eig_hermitian(part)
         if spec.eigenvalues[0] < -INVARIANT:
             raise InvalidDensityMatrix(
                 f"not PSD: min eigenvalue {spec.eigenvalues[0]:.3e} < -{INVARIANT:.1e}"

@@ -27,7 +27,7 @@ import cmath
 import math
 
 from dataclasses import dataclass
-from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -128,39 +128,57 @@ class SpectralDecomposition:
     Ties keep whatever order the solver produced. Built on first use and kept
     with the spectrum: the ``pairs`` tables, the square-root factor ``root``,
     V† and the rows of the tangents last handed over (``_hand``), which live
-    and die with the spectrum, which a DensityMatrix owns. ``project`` gives
-    any tangent's rows in the eigenbasis.
+    and die with the spectrum, which a DensityMatrix owns. Each is a
+    class-level placeholder until then, filled through ``__dict__`` (the
+    dataclass is frozen), as DensityMatrix keeps its spectrum:
+    ``functools.cached_property`` takes a lock on its first read on Python
+    3.11, about 0.6 of the 3.4 us a first ``root`` read cost with it (timeit,
+    best of 15, 2 vCPUs). ``project`` gives any tangent's rows in the
+    eigenbasis.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @cached_property
+    _pairs = None
+    _root = None
+    _vh = None
+    _handed = MappingProxyType({})  # each hand-over stores a fresh dict of its own
+
+    @property
     def pairs(self) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]:
         """(kept, dropped): (i, j, lambda_i + lambda_j) for every ordered index
         pair, i-major in each list, split at tol.EPS_SPEC. The kept pairs are
         the terms of the Hubner pair sum (bures.hubner_form), the dropped ones
         the pairs it checks for support leakage."""
-        w = self.eigenvalues.tolist()
-        table = [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
-        return ([p for p in table if p[2] > EPS_SPEC],
-                [p for p in table if not p[2] > EPS_SPEC])
+        pairs = self._pairs
+        if pairs is None:
+            w = self.eigenvalues.tolist()
+            table = [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
+            pairs = self.__dict__["_pairs"] = ([p for p in table if p[2] > EPS_SPEC],
+                                               [p for p in table if not p[2] > EPS_SPEC])
+        return pairs
 
-    @cached_property
+    @property
     def root(self) -> np.ndarray:
         """H = V sqrt(max(lambda, 0)): sqrt(rho) = H V† for a state's spectrum,
         whose eigenvalues in [-INVARIANT, 0) count as 0. The factor
         ``bures.fidelity`` reads, formed once per spectrum however many
-        fidelities take it."""
-        return self.eigenvectors * np.sqrt(np.maximum(self.eigenvalues, 0.0))
+        fidelities take it. The clamp is taken only when lambda_min <= 0: above
+        it changes nothing, so both branches give the clamped bytes."""
+        root = self._root
+        if root is None:
+            w = self.eigenvalues
+            root = self.__dict__["_root"] = self.eigenvectors * np.sqrt(
+                w if w[0] > 0.0 else np.maximum(w, 0.0))
+        return root
 
-    @cached_property
-    def _vh(self) -> np.ndarray:
-        return self.eigenvectors.conj().T
-
-    @cached_property
-    def _handed(self) -> dict[int, tuple[object, list[list[complex]]]]:
-        return {}
+    def _adjoint(self) -> np.ndarray:
+        """V†, formed on first use."""
+        vh = self._vh
+        if vh is None:
+            vh = self.__dict__["_vh"] = self.eigenvectors.conj().T
+        return vh
 
     def _hand(self, tangents: list) -> None:
         """Check each of ``tangents`` in order (as_tangent: the first bad one
@@ -171,14 +189,13 @@ class SpectralDecomposition:
         can change, and each entry keeps its tangent alive, so its id is not
         reused. numpy does not promise that the stacked product equals the
         single-matrix one; a tier-1 test and a CI step check the bytes."""
-        handed = self._handed
-        handed.clear()
+        handed = self.__dict__["_handed"] = {}
         if not tangents:
             return
         n = len(self.eigenvalues)
         # np.array of the d (n, n) arrays is np.stack's array without its wrapper
         stack = np.array([as_tangent(t, n) for t in tangents])
-        for t, rows in zip(tangents, (self._vh @ stack @ self.eigenvectors).tolist()):
+        for t, rows in zip(tangents, (self._adjoint() @ stack @ self.eigenvectors).tolist()):
             handed[id(t)] = (t, rows)
 
     def project(self, d) -> list[list[complex]]:
@@ -190,7 +207,8 @@ class SpectralDecomposition:
         hit = self._handed.get(id(d))
         if hit is not None:
             return hit[1]
-        return (self._vh @ as_tangent(d, len(self.eigenvalues)) @ self.eigenvectors).tolist()
+        return (self._adjoint() @ as_tangent(d, len(self.eigenvalues))
+                @ self.eigenvectors).tolist()
 
 
 def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:

@@ -40,4 +40,7 @@ TANGENT_FLOOR = 1e-12    # a coordinate tangent with smaller norm is skipped by 
 TINY = 1e-300            # floor of a denominator in a relative deviation
 
 # chart recovery
-FAIL_RESIDUAL = 1e-6     # Frobenius residual above which the recovery fails
+FAIL_RESIDUAL = 1e-6     # Frobenius residual above which the recovery fails. The closed-form
+                         # inverse leaves rounding error alone: at most 1.44e-15 (6.5 ulps of 1)
+                         # over the 3,434 recovered states of the 6,000-state seeded round-trip
+                         # corpus, 7e8 below this; a tier-1 test holds a 1e8 margin

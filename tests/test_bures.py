@@ -1,4 +1,3 @@
-import functools
 import math
 import warnings
 
@@ -141,12 +140,17 @@ def test_fidelity_of_pure_states_is_the_squared_overlap():
 def test_a_fidelity_and_distance_pair_forms_the_rebuilt_states_root_once(monkeypatch):
     # the recover round trip: find_chart, rebuild, then fidelity and
     # bures_distance of the rebuilt DensityMatrix against the input array,
-    # which each call checks afresh, so its factor is formed twice
+    # which each call checks afresh, so its factor is formed twice. A read
+    # forms the factor when the spectrum has not kept one yet
     calls = []
-    form = matcore.SpectralDecomposition.root.func
-    root = functools.cached_property(lambda spec: calls.append(spec) or form(spec))
-    root.__set_name__(matcore.SpectralDecomposition, "root")
-    monkeypatch.setattr(matcore.SpectralDecomposition, "root", root)
+    read = matcore.SpectralDecomposition.root.fget
+
+    def counting(spec):
+        if spec._root is None:
+            calls.append(spec)
+        return read(spec)
+
+    monkeypatch.setattr(matcore.SpectralDecomposition, "root", property(counting))
     state = coset.rho3(random_chart3(make_rng(8))).mat
     chart, _ = find_chart(state)
     rebuilt = coset.rho3(chart)
@@ -156,26 +160,31 @@ def test_a_fidelity_and_distance_pair_forms_the_rebuilt_states_root_once(monkeyp
     assert len(calls) == 3
 
 
-@st.composite
-def state_pairs(draw):
-    """Two n x n matrices G G† / Tr G G† at one n in {2, 3}, each G n x r
-    with r = 1 ... n (so every rank), entries from subnormal to 1, some
-    columns repeated; the pair may be one state twice."""
-    n = draw(st.sampled_from([2, 3]))
-    parts = st.floats(-1.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-160, 1e-8])
+PARTS = st.floats(-1.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-160, 1e-8])
 
-    def state():
-        r = draw(st.integers(1, n))
-        g = np.array([[complex(draw(parts), draw(parts)) for _ in range(r)] for _ in range(n)])
-        if r > 1 and draw(st.booleans()):
-            g[:, -1] = g[:, 0]
+
+def draw_state(draw, n: int) -> np.ndarray:
+    """An n x n matrix G G† / Tr G G†, G n x r with r = 1 ... n (so every
+    rank), entries from subnormal to 1, the last column sometimes a copy of
+    the first. A zero G divides 0 by 0: a nan matrix, which the state check
+    refuses."""
+    r = draw(st.integers(1, n))
+    g = np.array([[complex(draw(PARTS), draw(PARTS)) for _ in range(r)] for _ in range(n)])
+    if r > 1 and draw(st.booleans()):
+        g[:, -1] = g[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         mat = g @ g.conj().T
         return mat / np.trace(mat).real
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a zero G divides 0 by 0: a nan matrix, refused
-        a = state()
-        return a, (a if draw(st.booleans()) else state())
+
+@st.composite
+def state_pairs(draw):
+    """Two states of draw_state at one n in {2, 3}; the pair may be one
+    state twice."""
+    n = draw(st.sampled_from([2, 3]))
+    a = draw_state(draw, n)
+    return a, (a if draw(st.booleans()) else draw_state(draw, n))
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)

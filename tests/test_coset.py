@@ -14,6 +14,7 @@ from buresgeo.coset import (
     THETA1_MAX,
     THETA2_MAX,
     THETA2_MIN,
+    THETA_MAX,
     diag2,
     diag3,
     omega2,
@@ -395,6 +396,22 @@ def test_chart3_coordinates_whose_sum_overflows_are_kept():
     with pytest.raises(OutOfChartRange) as exc:
         CosetChart3(0.5, 0.6, alpha=1e308, phi=1e308, psi2=math.inf)
     assert exc.value.coordinate == "psi2"
+
+
+def test_chart2_fast_path_matches_the_per_coordinate_checks():
+    # the one-test path for an in-range float theta and two floats with a
+    # finite sum stores what the per-coordinate checks return, and every other
+    # input raises their first error, in the order theta, alpha, phi
+    frees = [0.3, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf, 0, True,
+             np.float64(0.25), "0.5", "abc", None]
+    for theta in _theta_inputs(0.0, THETA_MAX):
+        for alpha in frees:
+            for phi in frees:
+                want = _outcome(lambda: (
+                    coset._require_range("theta", theta, 0.0, THETA_MAX),
+                    coset._require_finite("alpha", alpha), coset._require_finite("phi", phi)))
+                assert _outcome(lambda: CosetChart2(theta, alpha, phi).values()) == want, (
+                    theta, alpha, phi)
 
 
 def _outcome(build):

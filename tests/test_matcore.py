@@ -249,15 +249,52 @@ def test_singular_values_kernel_equals_np_linalg_byte_for_byte():
         assert _same_bytes(matcore.singular_values(m), np.linalg.svd(m, compute_uv=False)), m
 
 
+def _states_to_4():
+    """_states(), a diagonal state whose smallest eigenvalue is exactly 0.0,
+    eigenvalues rounded below 0, and 4x4 Hilbert-Schmidt states of every rank."""
+    rng = make_rng(18)
+    out = _states() + [np.diag([0.7, 0.3, 0.0]).astype(complex),
+                       np.diag([1.0 + 2 * 0.99e-10, -0.99e-10, -0.99e-10]).astype(complex)]
+    for rank in range(1, 5):
+        for _ in range(5):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            s = g @ g.conj().T
+            out.append(s / np.trace(s).real)
+    return out
+
+
+@pytest.mark.filterwarnings("error")
 def test_root_is_the_factor_fidelity_formed_byte_for_byte():
     # fidelity formed V sqrt(max(lambda, 0)) afresh on every call before the
-    # spectrum kept it; the states include eigenvalues rounded below 0
-    lam = np.array([1.0 + 2 * 0.99e-10, -0.99e-10, -0.99e-10])
-    for state in _states() + [np.diag(lam).astype(complex)]:
+    # spectrum kept it; the clamp is skipped when lambda_min > 0, and the
+    # states take both branches: lambda_min exactly 0.0 and rounded below 0
+    branches = set()
+    for state in _states_to_4():
         spec = as_density(state).spectral
         want = spec.eigenvectors * np.sqrt(np.maximum(spec.eigenvalues, 0.0))
         assert _same_bytes(spec.root, want), state
         assert spec.root is spec.root
+        branches.add(bool(spec.eigenvalues[0] > 0.0))
+    assert branches == {False, True}
+    assert as_density(np.diag([0.7, 0.3, 0.0]).astype(complex)).eigenvalues[0] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_fidelity_sums_its_singular_values_as_numpy_does():
+    # fidelity sums the singular values left to right on Python floats, as
+    # numpy's add.reduce sums fewer than 8 values: every ordered pair of
+    # same-size states, each state with itself included, at n = 2, 3 and 4
+    states = [as_density(s) for s in _states_to_4()]
+    sizes = set()
+    for a in states:
+        for b in states:
+            if a.dim != b.dim:
+                continue
+            s = matcore.singular_values(a.spectral.root.conj().T @ b.spectral.root)
+            want = min(float(s.sum()) ** 2, 1.0)
+            assert fidelity(a, b).hex() == want.hex(), (a.mat, b.mat)
+            sizes.add(a.dim)
+    assert sizes == {2, 3, 4}
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,8 @@
 import cmath
+import functools
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from buresgeo import coset, metric, recover
+from buresgeo.bures import bures_distance, fidelity
 from buresgeo.coset import CosetChart2, CosetChart3, THETA1_MAX, THETA2_MAX, THETA2_MIN
 from buresgeo.cli import main
-from buresgeo.errors import DegenerateSpectrum, FitFailure, OutOfChartRange
+from buresgeo.errors import BuresGeoError, DegenerateSpectrum, FitFailure, OutOfChartRange
 from buresgeo.recover import find_chart, find_chart2, find_chart3
 from buresgeo.sampling import (make_rng, random_chart2, random_chart3, random_density,
                                random_unitary)
 from buresgeo.tol import FAIL_RESIDUAL, RANGE_EPS
+from test_bures import draw_state
+from test_matcore import _states_to_4
 
 # a bound the closed-form inverse keeps on in-chart states with about seven
 # orders to spare; a spoiled seed lies between it and FAIL_RESIDUAL
@@ -458,3 +463,86 @@ def test_a_tilted_two_level_seed_raises_fit_failure(monkeypatch):
     tilt_eigenvectors(monkeypatch, 0.5)
     with pytest.raises(FitFailure, match=r"^residual \S+ > 1\.0e-06$"):
         find_chart2(coset.rho2(random_chart2(make_rng(5))))
+
+
+@functools.lru_cache(maxsize=None)
+def round_trip_corpus():
+    """(matrix, is a chart state) of 6,000 seeded states, built as CI's round
+    trip builds them and in alternation: rho2 (every fourth) and rho3 states
+    of random charts under random diagonal phases, and Hilbert-Schmidt 3x3
+    states G G† / Tr, most of which lie outside the theta box."""
+    rng = make_rng(0)
+    out = []
+    for i in range(6000):
+        if i % 2 == 0:
+            state = (coset.rho2(random_chart2(rng)) if i // 2 % 4 == 0
+                     else coset.rho3(random_chart3(rng)))
+            phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, state.dim))
+            out.append((phase[:, None] * state.mat * phase.conj()[None, :], True))
+        else:
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            mat = g @ g.conj().T
+            out.append((mat / np.trace(mat).real, False))
+    return tuple(out)
+
+
+def test_the_fit_residual_is_numpys_frobenius_norm_byte_for_byte():
+    # _fit takes np.linalg.norm's own formula without its wrapper: the same
+    # bytes on the round-trip corpus and on test_matcore's states
+    states = [mat for mat, _ in round_trip_corpus()] + _states_to_4()
+    recovered = 0
+    for mat in states:
+        dm = coset.as_density(mat)
+        try:
+            chart, res = find_chart(dm)
+        except BuresGeoError:
+            continue
+        recovered += 1
+        want = float(np.linalg.norm(metric.family(dm.dim).rho(chart).mat - dm.mat))
+        assert res.hex() == want.hex(), mat
+    assert recovered > 3400
+
+
+def test_fail_residual_keeps_its_margin_on_the_round_trip_corpus():
+    # tol.FAIL_RESIDUAL's measured law: a recovered state's residual is
+    # rounding error, at worst 1.44e-15 over the 3,434 recovered states of the
+    # corpus, about 7e8 below FAIL_RESIDUAL. Every chart state is recovered;
+    # each refusal is a Hilbert-Schmidt state outside the theta box
+    worst, recovered = 0.0, 0
+    for mat, charted in round_trip_corpus():
+        try:
+            _, res = find_chart(mat)
+        except OutOfChartRange:
+            assert not charted
+            continue
+        worst, recovered = max(worst, res), recovered + 1
+    assert recovered > 3400
+    assert worst * 1e8 <= FAIL_RESIDUAL
+
+
+@st.composite
+def states_to_4(draw):
+    """A state of test_bures.draw_state at n = 1 ... 4."""
+    return draw_state(draw, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(mat=states_to_4())
+def test_find_chart_gives_a_checked_chart_or_a_typed_error(mat):
+    # ROADMAP item 6's library half for the chart inverse: at every n and
+    # rank, a chart whose rebuild lies within FAIL_RESIDUAL, 1 - F <= 1e-8
+    # and a finite Bures distance, or a typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            chart, res = find_chart(mat)
+        except BuresGeoError:
+            return
+        fam = metric.family(len(mat))
+        rebuilt = fam.rho(chart)
+        f, d = fidelity(rebuilt, mat), bures_distance(rebuilt, mat)
+    assert isinstance(chart, fam.chart)
+    assert res <= FAIL_RESIDUAL
+    assert float(np.linalg.norm(rebuilt.mat - mat)) <= FAIL_RESIDUAL
+    assert 1.0 - f <= 1e-8
+    assert math.isfinite(d)
