@@ -10,8 +10,9 @@ failed).
 Matrix files are JSON objects {"dim": n, "re": [[...]], "im": [[...]]} with
 row-major arrays of JSON numbers read as doubles (a bool, a string or null is
 a parse error); matrices emitted by ``rho`` parse back bit-identically.
-``--format json`` writes strict JSON: a nan or infinite value (a failed
-deviation, say) is null there, and nan or inf in csv and pretty output.
+``--format json`` writes strict JSON through ``json.dumps`` (``render``): a
+nan or infinite value (a failed deviation, say) is null there, and nan or inf
+in csv and pretty output.
 
 ``main`` hands the flags of a command straight to that command's parser
 (``_parse``); the top-level parser reads only an argv that names no command.
@@ -153,54 +154,16 @@ def csv_text(header: Sequence[str], rows: Sequence[tuple]) -> str:
     return "\n".join([",".join(header), *[line % row for row in rows]]) + "\n"
 
 
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json(value, newline: str) -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, with
-    every nan or infinite float written as null, for ``value`` nested at the
-    line break and indent ``newline`` ("\\n" and two spaces a level). The
-    type tests run in json's order (str, None, True, False, int, float, list
-    or tuple, dict), so an int or float subclass prints through int.__repr__
-    or float.__repr__, and keys convert as json converts them. What json
-    refuses raises as there: TypeError for a value or key of another type
-    (a set, bytes, np.int64), ValueError for a nan or infinite float key.
-    """
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+def _null_nonfinite(value):
+    """``value`` with every nan or infinite float, in dicts, lists and tuples
+    at any depth, replaced by None (JSON null); a tuple becomes a list."""
     if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [_json_key(k) + ": " + _json(v, inner) for k, v in value.items()]) + newline + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a string, or a finite float, an int, a
-    bool or None written as a value, in quotes."""
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, float) and not math.isfinite(key):
-        raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
-    if isinstance(key, (int, float)) or key is None:
-        return '"' + _json(key, "") + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    return value
 
 
 def render(output_format: str, payload: dict, table: Optional[Callable],
@@ -210,12 +173,12 @@ def render(output_format: str, payload: dict, table: Optional[Callable],
 
     A command without a table prints its pretty lines for ``--format csv``;
     one without pretty lines (scan) prints its table for ``--format pretty``.
-    JSON output is strict (RFC 8259), written in one pass by ``_json``: the
-    bytes of ``json.dumps(indent=2, allow_nan=False)`` with a nan or infinite
-    value written as null, while csv and pretty print it as nan or inf.
+    JSON output is strict (RFC 8259): ``json.dumps(indent=2,
+    allow_nan=False)`` of the payload with a nan or infinite value written as
+    null, while csv and pretty print it as nan or inf.
     """
     if output_format == "json":
-        return _json(payload, "\n") + "\n"
+        return json.dumps(_null_nonfinite(payload), indent=2, allow_nan=False) + "\n"
     if table is not None and (output_format == "csv" or pretty is None):
         return csv_text(*table())
     return "\n".join(pretty()) + "\n"

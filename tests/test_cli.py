@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import traceback
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -1063,44 +1064,8 @@ def test_console_entry_point_runs():
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer: json.dumps(indent=2, allow_nan=False) byte for byte, with
-# every nan or infinite float written as null
+# JSON output: the non-finite pass, then json.dumps(indent=2, allow_nan=False)
 # ---------------------------------------------------------------------------
-
-def ref_null(value):
-    """``value`` with every nan or infinite float, in dicts and lists at any
-    depth, replaced by None: the pass the CLI ran before json.dumps."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: ref_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [ref_null(v) for v in value]
-    return value
-
-
-def json_outcome(write):
-    """The text ``write`` returns, or the type and message of what it raises."""
-    try:
-        return write()
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def reference_json(payload):
-    return json_outcome(lambda: json.dumps(ref_null(payload), indent=2, allow_nan=False))
-
-
-@pytest.mark.parametrize("argv", [argv for argv, _ in OUTPUT_DIGESTS],
-                         ids=[f"pin{i}" for i in range(len(OUTPUT_DIGESTS))])
-def test_json_writer_matches_json_dumps_on_every_command_payload(argv):
-    args = cli._parse(cli._join_negative_values(argv))
-    _, payload, table, pretty = args.run(args)
-    want = reference_json(payload)
-    assert isinstance(want, str)
-    assert cli._json(payload, "\n") == want
-    assert cli.render("json", payload, table, pretty) == want + "\n"
-
 
 # strings with every character json escapes, non-ASCII ones and surrogates
 JSON_TEXT = st.text(st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "a",
@@ -1121,28 +1086,73 @@ JSON_PAYLOADS = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
     st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=24)
 
 
+def check_nulled(got, value):
+    """``got`` is ``value`` with exactly its nan and infinite floats, at any
+    depth, made None and its tuples made lists; every key and other value is
+    the same object."""
+    if isinstance(value, float) and not math.isfinite(value):
+        assert got is None
+    elif isinstance(value, dict):
+        assert type(got) is dict and len(got) == len(value)
+        for (key, item), (got_key, got_item) in zip(value.items(), got.items()):
+            assert got_key is key
+            check_nulled(got_item, item)
+    elif isinstance(value, (list, tuple)):
+        assert type(got) is list and len(got) == len(value)
+        for got_item, item in zip(got, value):
+            check_nulled(got_item, item)
+    else:
+        assert got is value
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(payload=JSON_PAYLOADS)
-def test_json_writer_matches_json_dumps_on_random_payloads(payload):
-    # what json refuses (a nan key, an int of more than 4,300 digits) is
-    # refused with json's error type and message
-    got = json_outcome(lambda: cli._json(payload, "\n"))
-    assert got == reference_json(payload)
-    if isinstance(got, str):
-        json.loads(got, parse_constant=strict_json_constant)
+def test_the_nonfinite_pass_nulls_exactly_the_nonfinite_floats(payload):
+    before = pickle.dumps(payload)
+    check_nulled(cli._null_nonfinite(payload), payload)
+    assert pickle.dumps(payload) == before  # the input is left as it was
+    # what json refuses (a nan key, an int of more than 4,300 digits) raises
+    # json's own error; anything else is strict JSON
+    try:
+        text = cli.render("json", payload, None, None)
+    except (TypeError, ValueError) as exc:
+        assert Path(traceback.extract_tb(exc.__traceback__)[-1].filename).parts[-2:] == (
+            "json", "encoder.py")
+    else:
+        assert text.endswith("\n")
+        json.loads(text, parse_constant=strict_json_constant)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in OUTPUT_DIGESTS],
+                         ids=[f"pin{i}" for i in range(len(OUTPUT_DIGESTS))])
+def test_every_command_payload_renders_as_strict_json_that_reads_back(argv):
+    # each pinned command's payload, whatever format its pin prints: the
+    # non-finite pass nulls only its nan and infinite floats, and the JSON
+    # parses strictly back to the nulled payload, floats bit for bit
+    args = cli._parse(cli._join_negative_values(argv))
+    _, payload, table, pretty = args.run(args)
+    before = pickle.dumps(payload)
+    nulled = cli._null_nonfinite(payload)
+    check_nulled(nulled, payload)
+    text = cli.render("json", payload, table, pretty)
+    assert pickle.dumps(payload) == before
+    assert text.endswith("\n")
+    assert json.loads(text, parse_constant=strict_json_constant) == nulled
 
 
 @pytest.mark.parametrize("bad", [{1.0, 2.0}, b"bytes", np.int64(3), np.bool_(True), object()],
                          ids=["set", "bytes", "int64", "numpy-bool", "object"])
-def test_json_writer_refuses_what_json_refuses(bad):
-    for payload in (bad, [1.0, bad], {"k": (None, bad)}):
-        want = reference_json(payload)
-        assert want[0] is TypeError
-        assert json_outcome(lambda: cli._json(payload, "\n")) == want
+def test_render_refuses_what_json_refuses(bad):
+    # the non-finite pass hands a value json cannot write through untouched,
+    # so json refuses it with its own TypeError, at any depth and as a key
+    payloads = [bad, [1.0, bad], {"k": (None, bad)}]
     if not isinstance(bad, set):  # hashable: as a key, too
-        want = reference_json({"ok": 1, bad: 1})
-        assert want[0] is TypeError
-        assert json_outcome(lambda: cli._json({"ok": 1, bad: 1}, "\n")) == want
+        payloads.append({"ok": 1, bad: 1})
+    for payload in payloads:
+        with pytest.raises(TypeError) as caught:
+            cli.render("json", payload, None, None)
+        assert Path(caught.traceback[-1].path).parts[-2:] == ("json", "encoder.py")
+    assert cli._null_nonfinite(bad) is bad
 
 
 # ---------------------------------------------------------------------------

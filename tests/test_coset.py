@@ -6,6 +6,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buresgeo import coset, matcore
 from buresgeo.coset import (
@@ -513,6 +515,75 @@ def test_rho3_builds_a_finite_state_at_every_finite_alpha():
         np.testing.assert_allclose(om @ om.conj().T, np.eye(3), rtol=0, atol=1e-15)
         want = coset._assemble3(block_product_rows(ch), coset.diag_entries3(0.5, 0.6)).mat
         assert state.mat.tobytes() == want.tobytes(), alpha
+
+
+def chart_box(lo, hi):
+    """A theta across [lo, hi], ends included, and at and beyond the RANGE_EPS slack."""
+    return st.floats(lo, hi) | st.sampled_from(
+        [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo), lo - RANGE_EPS, hi + RANGE_EPS,
+         lo - 2 * RANGE_EPS, hi + 2 * RANGE_EPS, lo - 1.0, hi + 1.0])
+
+
+FREE_ANGLES = st.floats(-1e11, 1e11) | st.sampled_from([1e11, -1e11, 0.0, -0.0, 5e-324])
+BELOW_PI = math.nextafter(math.pi, 0.0)
+BETA_PARTS = st.floats(-math.pi, math.pi) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1e-8,
+     BELOW_PI, -BELOW_PI, math.pi])
+
+
+@st.composite
+def accepted_domain_charts(draw):
+    """(chart class, coordinates): thetas across their boxes, free angles up
+    to 1e11 in size, and (beta1, beta2) drawn apart, down to subnormals, or
+    at a radius up to pi, just below it included."""
+    if draw(st.booleans()):
+        return CosetChart2, (draw(chart_box(0.0, THETA_MAX)), draw(FREE_ANGLES),
+                             draw(FREE_ANGLES))
+    if draw(st.booleans()):
+        beta1, beta2 = draw(BETA_PARTS), draw(BETA_PARTS)
+    else:
+        r = draw(st.floats(0.0, math.pi) | st.sampled_from([BELOW_PI, math.pi - 1e-9]))
+        a = draw(st.floats(-math.pi, math.pi))
+        beta1, beta2 = r * math.cos(a), r * math.sin(a)
+    return CosetChart3, (draw(chart_box(0.0, THETA1_MAX)), draw(chart_box(THETA2_MIN, THETA2_MAX)),
+                         draw(FREE_ANGLES), draw(FREE_ANGLES), beta1, beta2,
+                         draw(FREE_ANGLES), draw(FREE_ANGLES))
+
+
+def outside_box(theta, lo, hi):
+    return not lo - RANGE_EPS <= theta <= hi + RANGE_EPS
+
+
+# the largest |eigenvalue - expected| over 20,000 such charts (13,315 accepted)
+# measures 8.9e-16 (n = 2) and 1.4e-15 (n = 3)
+RHO_SPECTRUM_ABS = 4e-15
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(case=accepted_domain_charts())
+def test_rho_over_the_accepted_domain_is_a_state_with_the_charts_spectrum(case):
+    cls, coords = case
+    if cls is CosetChart2:
+        refused = outside_box(coords[0], 0.0, THETA_MAX)
+    else:
+        refused = (outside_box(coords[0], 0.0, THETA1_MAX)
+                   or outside_box(coords[1], THETA2_MIN, THETA2_MAX)
+                   or math.hypot(coords[4], coords[5]) >= math.pi)
+    if refused:
+        with pytest.raises(OutOfChartRange):
+            cls(*coords)
+        return
+    chart = cls(*coords)
+    if cls is CosetChart2:
+        state = rho2(chart)
+        want = sorted([math.cos(chart.theta) ** 2, math.sin(chart.theta) ** 2])
+    else:
+        state = rho3(chart)
+        want = sorted(coset.diag_entries3(chart.theta1, chart.theta2))
+    checked = coset.DensityMatrix(state.mat)  # the full construction check
+    got = checked.eigenvalues.tolist()
+    assert max(abs(g - w) for g, w in zip(got, want)) <= RHO_SPECTRUM_ABS, (coords, got, want)
 
 
 @pytest.mark.filterwarnings("error")
