@@ -364,6 +364,18 @@ def test_validate_3level_passes_and_reports_printed_dev(capsys):
     assert p["t_coeff_max_dev_vs_trace_form"]["printed_theta_dev"] > 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_validate_200_samples_keep_the_trace_forms_within_1e_11_of_hubner(n, capsys):
+    # dittmann_max_rel_dev reads 4.8e-14 (n = 2) and 1.6e-13 (n = 3) at seed 0:
+    # a trace-form accuracy loss far inside the 1e-6 --tol fails here
+    code, out = run_cli(["validate", "--n", n, "--samples", "200", "--seed", "0",
+                         "--format", "json"], capsys)
+    p = json.loads(out)
+    assert code == 0 and p["status"] == "PASS"
+    assert p["dittmann_max_rel_dev"] <= 1e-11
+
+
 def test_validate_deterministic_given_seed(capsys):
     _, out1 = run_cli(["validate", "--n", "2", "--samples", "5", "--seed", "3",
                        "--format", "json"], capsys)
@@ -623,7 +635,7 @@ OUTPUT_DIGESTS = [
      "dad3b34b8d9f0d879ce6ecc7a3f57d77b127d0ff7f6de9fd4ef7638376de2a54"),
     (["find-chart", STATE3A, "--n", "3", "--format", "pretty"],
      "dad3b34b8d9f0d879ce6ecc7a3f57d77b127d0ff7f6de9fd4ef7638376de2a54"),
-    # CI's closed-scan grid, where beta1 crosses +-1e-4 at beta2 = 1e-5, so beta
+    # the 200-point closed-scan grid, where beta1 crosses +-1e-4 at beta2 = 1e-5, so beta
     # runs from 1e-5 to 1e-4, where 1 - cos(beta) and 1 - sinc(beta) are small
     # (last, so the pins above keep their ids)
     (["scan", "--n", "3", "--theta1", "0.7", "--theta2", "0.6", "--phi", "0.4", "--beta2", "1e-5",
@@ -1050,6 +1062,28 @@ def test_import_and_validate_leave_scipy_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=src_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_command_and_a_library_round_trip_run_with_scipy_blocked():
+    # with sys.modules["scipy"] = None any import of scipy raises ImportError,
+    # so a package path that imports it fails here, even behind a try
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import buresgeo as bg\n"
+        "from buresgeo.cli import main\n"
+        "for argv in (['validate', '--n', '3', '--samples', '2', '--seed', '1'],\n"
+        "             ['scan', *sys.argv[1:]],\n"
+        "             ['fidelity', '--state-a', 'theta=0.3', '--state-b', 'theta=0.2,phi=1.1'],\n"
+        f"             ['find-chart', {STATE3A!r}, '--n', '3']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "state = bg.rho3(bg.random_chart3(bg.make_rng(0)))\n"
+        "chart, _ = bg.find_chart(state.mat)\n"
+        "assert 1.0 - bg.fidelity(bg.rho3(chart), state) <= 1e-8\n"
+    )
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script, *SCAN_N3, *SCAN_GRID3],
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
 
 

@@ -297,6 +297,54 @@ def test_fidelity_sums_its_singular_values_as_numpy_does():
     assert sizes == {2, 3, 4}
 
 
+def _checked_corpus():
+    """3,000 seeded matrices: rho2 (every fourth) and rho3 states of random
+    charts under random diagonal phases, Hilbert-Schmidt states G G† / Tr at
+    n = 2, 3, 4, and the first thousand again with antihermitian noise of
+    0.5 INVARIANT, the trace kept at 1."""
+    rng = make_rng(0)
+    mats = []
+    for i in range(1000):
+        state = rho2(random_chart2(rng)) if i % 4 == 0 else rho3(random_chart3(rng))
+        phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, state.dim))
+        mats.append(phase[:, None] * state.mat * phase.conj()[None, :])
+    for i in range(1000):
+        n = 2 + i % 3
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mat = g @ g.conj().T
+        mats.append(mat / np.trace(mat).real)
+    for state in mats[:1000]:
+        g = rng.normal(size=state.shape) + 1j * rng.normal(size=state.shape)
+        k = g - g.conj().T
+        k[np.diag_indices(len(k))] -= np.trace(k) / len(k)
+        mats.append(state + k * (0.5 * INVARIANT / np.max(np.abs(k - k.conj().T))))
+    return mats
+
+
+@pytest.mark.filterwarnings("error")
+def test_checked_states_keep_numpys_spectra_roots_and_fidelities_byte_for_byte():
+    # the state check hands the solver (A + A†) / 2 formed in its one pass; the
+    # square-root factor is clamped only when lambda_min <= 0; fidelity sums
+    # its singular values on Python floats. Each must give numpy's bytes, and
+    # so must the fidelity of each consecutive same-size pair
+    mats = _checked_corpus()
+    states = [as_density(mat) for mat in mats]
+    for mat, state in zip(mats, states):
+        spec = state.spectral
+        want = np.linalg.eigh((mat + mat.conj().T) / 2)
+        assert _same_bytes(spec.eigenvalues, want.eigenvalues), mat
+        assert _same_bytes(spec.eigenvectors, want.eigenvectors), mat
+        w, v = want
+        assert _same_bytes(spec.root, v * np.sqrt(np.maximum(w, 0.0))), mat
+    pairs = 0
+    for a, b in zip(states, states[1:]):
+        if a.dim == b.dim:
+            pairs += 1
+            s = np.linalg.svd(a.spectral.root.conj().T @ b.spectral.root, compute_uv=False)
+            assert fidelity(a, b).hex() == min(float(s.sum()) ** 2, 1.0).hex(), (a.mat, b.mat)
+    assert len(states) == 3000 and pairs == 1001
+
+
 @pytest.mark.filterwarnings("error")
 def test_det_and_inv_kernels_equal_np_linalg_byte_for_byte():
     for state in _states():

@@ -164,6 +164,28 @@ def test_hand_rows_equal_per_tangent_products_bit_for_bit(d):
             assert np.array(rows).tobytes() == (spec._vh @ t @ spec.eigenvectors).tobytes(), ch
 
 
+@pytest.mark.filterwarnings("error")
+def test_hand_rows_of_2000_seeded_charts_equal_per_tangent_products_bit_for_bit():
+    # numpy does not promise that the stacked product equals the single-matrix
+    # one: every differenced tangent of 2,000 seeded charts (n = 2 every
+    # fourth), and its unit version, each set handed to a fresh spectrum
+    rng = make_rng(0)
+    handed = 0
+    for i in range(2000):
+        fam = metric.FAMILIES[2 if i % 4 == 0 else 3]
+        chart = fam.sample(rng)
+        pt = list(chart.values())
+        tangents = [metric._central_diff(fam.build, pt, k) for k in range(len(pt))]
+        for ts in (tangents, [t / np.linalg.norm(t) for t in tangents]):
+            spec = fam.rho(chart).spectral
+            spec._hand(ts)
+            for t in ts:
+                rows = np.array(spec._handed[id(t)][1])
+                assert rows.tobytes() == (spec._vh @ t @ spec.eigenvectors).tobytes(), chart
+            handed += len(ts)
+    assert handed == 2 * (500 * 3 + 1500 * 8)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_hand_raises_the_error_of_its_first_bad_tangent(n):
     # each tangent is checked in order before the product: a bad one at

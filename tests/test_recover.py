@@ -467,10 +467,10 @@ def test_a_tilted_two_level_seed_raises_fit_failure(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def round_trip_corpus():
-    """(matrix, is a chart state) of 6,000 seeded states, built as CI's round
-    trip builds them and in alternation: rho2 (every fourth) and rho3 states
-    of random charts under random diagonal phases, and Hilbert-Schmidt 3x3
-    states G G† / Tr, most of which lie outside the theta box."""
+    """(matrix, is a chart state) of 6,000 seeded states in alternation: rho2
+    (every fourth) and rho3 states of random charts under random diagonal
+    phases, and Hilbert-Schmidt 3x3 states G G† / Tr, most of which lie
+    outside the theta box."""
     rng = make_rng(0)
     out = []
     for i in range(6000):
@@ -506,18 +506,23 @@ def test_the_fit_residual_is_numpys_frobenius_norm_byte_for_byte():
 def test_fail_residual_keeps_its_margin_on_the_round_trip_corpus():
     # tol.FAIL_RESIDUAL's measured law: a recovered state's residual is
     # rounding error, at worst 1.44e-15 over the 3,434 recovered states of the
-    # corpus, about 7e8 below FAIL_RESIDUAL. Every chart state is recovered;
-    # each refusal is a Hilbert-Schmidt state outside the theta box
-    worst, recovered = 0.0, 0
+    # corpus, about 7e8 below FAIL_RESIDUAL; 1 - F of each rebuild against its
+    # state is at worst 3.6e-15. Every chart state is recovered; each refusal
+    # is a Hilbert-Schmidt state outside the theta box
+    worst = worst_infidelity = 0.0
+    recovered = 0
     for mat, charted in round_trip_corpus():
         try:
-            _, res = find_chart(mat)
+            chart, res = find_chart(mat)
         except OutOfChartRange:
             assert not charted
             continue
         worst, recovered = max(worst, res), recovered + 1
+        rebuilt = metric.family(len(mat)).rho(chart)
+        worst_infidelity = max(worst_infidelity, 1.0 - fidelity(rebuilt, mat))
     assert recovered > 3400
     assert worst * 1e8 <= FAIL_RESIDUAL
+    assert worst_infidelity <= 1e-8
 
 
 @st.composite
