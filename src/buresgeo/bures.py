@@ -112,14 +112,15 @@ def dittmann2_form(rho, drho) -> float:
         (1/4) Tr[ drho drho + (1/|rho|)(drho - rho drho)(drho - rho drho) ]
 
     DimensionMismatch unless drho is 2x2, InvalidTangent if it has a NaN or
-    infinite entry (matcore.as_tangent).
+    infinite entry (matcore.as_tangent). SingularState unless |rho| is above
+    tol.DET_FLOOR, also where the LU meets a subnormal pivot and |rho| is nan.
     """
     dm = as_density(rho)
     if dm.dim != 2:
         raise DimensionMismatch(f"dittmann2_form needs a 2x2 state, got n={dm.dim}")
     d = matcore.as_tangent(drho, 2)
     detr = matcore.det(dm.mat).real
-    if detr <= DET_FLOOR:
+    if not detr > DET_FLOOR:
         raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.1e}")
     q = d - dm.mat @ d
     val = np.trace(d @ d + (q @ q) / detr).real
@@ -133,7 +134,8 @@ def dittmann3_form(rho, drho) -> float:
                   + |rho| (drho - rho^{-1} drho)^2 ) ]
 
     DimensionMismatch unless drho is 3x3, InvalidTangent if it has a NaN or
-    infinite entry (matcore.as_tangent).
+    infinite entry (matcore.as_tangent). PureState and SingularState as
+    _dittmann3_invariants decides, a nan |rho| being singular.
     """
     dm = as_density(rho)
     if dm.dim != 3:
@@ -175,9 +177,9 @@ def _dittmann3_invariants(dm: DensityMatrix) -> tuple[list, list, float, float]:
     state, computed once per DensityMatrix and cached on it; a state that
     fails a check caches nothing, so it raises again on every call. No
     eigendecomposition is used, which keeps this route independent of the
-    spectral one. The state is singular when e3/e2 = 2|rho|/(1 - Tr rho^2)
-    <= DET_FLOOR: that ratio lies in [lambda_min/3, lambda_min], and |rho|
-    does not once two eigenvalues are small."""
+    spectral one. The state is singular unless e3/e2 = 2|rho|/(1 - Tr rho^2)
+    > DET_FLOOR (a nan |rho| is not): that ratio lies in [lambda_min/3,
+    lambda_min], and |rho| does not once two eigenvalues are small."""
     inv = dm._dittmann3
     if inv is None:
         m = dm.mat
@@ -190,7 +192,7 @@ def _dittmann3_invariants(dm: DensityMatrix) -> tuple[list, list, float, float]:
         detr = matcore.det(m).real
         two_e2 = 1.0 - np.trace(m2).real
         # multiplied out: e2 = 0 divides nothing
-        if 2.0 * detr <= DET_FLOOR * two_e2:
+        if not 2.0 * detr > DET_FLOOR * two_e2:
             raise SingularState(f"e3/e2 = 2|rho|/(1 - Tr rho^2) = 2 * {detr:.3e} / {two_e2:.3e} "
                                 f"<= {DET_FLOOR:.1e}")
         inv = dm._dittmann3 = (m.tolist(), matcore.inv(m).tolist(), float(detr),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -349,7 +350,7 @@ def cmd_scan(args):
         a, b = _convert(a, args.degrees), _convert(b, args.degrees)
         if not math.isfinite(b - a):  # nor is an end; np.linspace would warn, fill in nan
             raise OutOfChartRange(coord, b - a, f"--to - --from = {b!r} - {a!r} must be finite")
-        grids.append(np.linspace(a, b, k))
+        grids.append(np.linspace(a, b, k).tolist())
     tensor = fam.tensor(args.method)
     # the chart's values in positional order; each point overwrites the swept slots
     values = [base[name] for name in fam.coords]
@@ -357,8 +358,7 @@ def cmd_scan(args):
 
     picks = flat = None
     rows = []
-    for combo in np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(
-            -1, len(grids)).tolist():
+    for combo in itertools.product(*grids):  # the first coordinate slowest
         for k, v in zip(slots, combo):
             values[k] = v
         mt = tensor(fam.chart(*values))

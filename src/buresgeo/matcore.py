@@ -16,9 +16,9 @@ block) is about half of a call (best of 7 x 20,000 calls, 2 vCPUs): 3 x 3
 9.2-11.0 against 5.5-6.4 us, 8 x 8 ``det`` 4.1-5.1 against 1.7-2.8 us.
 Without the wrapper no ``LinAlgError`` is raised, so each kernel decides
 its own failures: its callers refuse non-finite input before LAPACK sees
-it, and a non-finite result raises ConvergenceFailure. LAPACK failing on
-finite input is the one way left to set numpy's invalid flag; it is not
-known to happen at these sizes.
+it, and a non-finite result raises ConvergenceFailure. The LU of a finite
+matrix can divide by a zero or subnormal pivot, so ``det`` and ``det_real``
+never warn: they return its value, nan included, and the caller judges it.
 """
 
 from __future__ import annotations
@@ -92,15 +92,21 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     return s
 
 
+# one errstate for both LU kernels; as a decorator it is built once, not per call
+_quiet_lu = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+@_quiet_lu
 def det(a) -> complex:
-    """Determinant by LU (LAPACK zgetrf), as ``np.linalg.det``."""
+    """Determinant by LU (LAPACK zgetrf), as ``np.linalg.det``, without a
+    warning: nan where the LU meets a subnormal pivot, for the caller to refuse."""
     return complex(_umath_linalg.det(as_matrix(a), signature="D->D"))
 
 
+@_quiet_lu
 def det_real(g: np.ndarray) -> float:
     """Determinant of a real matrix by LU (LAPACK dgetrf), as
-    ``np.linalg.det``. On an exactly singular g LAPACK divides by zero on
-    the way to 0.0; the caller decides whether numpy warns."""
+    ``np.linalg.det``, without a warning: 0.0 on an exactly singular g."""
     return float(_umath_linalg.det(g, signature="d->d"))
 
 
@@ -188,7 +194,7 @@ class SpectralDecomposition:
         metric.validate, hand over tangents that nothing else holds, so none
         can change, and each entry keeps its tangent alive, so its id is not
         reused. numpy does not promise that the stacked product equals the
-        single-matrix one; a tier-1 test and a CI step check the bytes."""
+        single-matrix one; a tier-1 test checks the bytes."""
         handed = self.__dict__["_handed"] = {}
         if not tangents:
             return

@@ -128,19 +128,11 @@ class MetricTensor:
         return float(self.g[self.ordering.index(a), self.ordering.index(b)])
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _det_quiet(g: np.ndarray) -> float:
-    """matcore.det_real(g) with numpy's floating-point warnings silenced;
-    the decorator builds its errstate once, not on every call."""
-    return matcore.det_real(g)
-
-
 def volume_element(metric: MetricTensor) -> float:
-    """sqrt(det g), or +0.0 where det g <= 0: the Bures measure density in
-    chart coordinates. An exactly singular g is a valid input, so LAPACK's
-    divide-by-zero warning on it is silenced. VerificationFailure if det g
-    is not finite (g has a nan or infinite entry, or det g overflows)."""
-    d = _det_quiet(metric.g)
+    """sqrt(det g), or +0.0 where det g <= 0, exactly singular g included: the
+    Bures measure density in chart coordinates. VerificationFailure if det g is
+    not finite (g has a nan or infinite entry, or det g overflows)."""
+    d = matcore.det_real(metric.g)
     if not math.isfinite(d):
         raise VerificationFailure(f"det g = {d!r} is not finite")
     return 0.0 if d <= 0.0 else math.sqrt(d)

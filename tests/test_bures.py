@@ -1,4 +1,3 @@
-import cmath
 import math
 import warnings
 
@@ -786,8 +785,7 @@ TANGENT_SCALES = [0.0, 1.0, 1e100, 1e-100, 1e-160]
 # both routes returned of 40,000 drawn cases
 TRACE_FORM_C = 8.0
 TRACE_FORMS = {2: dittmann2_form, 3: dittmann3_form}
-# accepted states whose LU in matcore.det meets a subnormal pivot: numpy warns
-# "divide by zero", and det is nan
+# accepted states whose LU in matcore.det meets a subnormal pivot, where det is nan
 SUBNORMAL_PIVOT = {2: np.array([[0.0, 5e-324j], [-5e-324j, 1.0]]),
                    3: np.array([[0.0, 5e-324j, 0.0], [-5e-324j, 0.5, 0.0], [0.0, 0.0, 0.5]])}
 
@@ -827,26 +825,17 @@ def test_trace_form_over_the_accepted_domain_agrees_with_hubner_or_raises_a_type
         value = TRACE_FORMS[n](mat, t)
     except BuresGeoError:
         return
-    except RuntimeWarning as exc:
-        # the one known breach, pinned by the xfail test below: a subnormal
-        # LU pivot, where det is nan
-        with np.errstate(all="ignore"):
-            assert str(exc) == "divide by zero encountered in det" and cmath.isnan(matcore.det(mat))
-        return
     hub = hubner_form(mat, t, t)
     lam_min = float(coset.DensityMatrix(mat).eigenvalues[0])
     assert math.isfinite(value)
     assert abs(value - hub) <= TRACE_FORM_C * (2.2e-16 * abs(hub) + 5e-324) / lam_min
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="matcore.det warns on a subnormal LU pivot before the floor is read")
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_trace_form_refuses_a_state_whose_lu_meets_a_subnormal_pivot(n):
     # accepted states with an exact zero on the diagonal and a coherence of one
-    # subnormal spacing: numpy's det warns and gives nan. Without -W error
-    # dittmann2_form returns nan and dittmann3_form raises ConvergenceFailure
-    # from the inverse; each should be SingularState, as at the floor
+    # subnormal spacing: matcore.det gives nan without a warning, and the
+    # floor refuses it as SingularState, as at |rho| = 0
     with pytest.raises(SingularState):
         TRACE_FORMS[n](SUBNORMAL_PIVOT[n], np.diag([1.0, -1.0, 0.0][:n]))

@@ -1,3 +1,5 @@
+import cmath
+import inspect
 import math
 import re
 from pathlib import Path
@@ -5,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buresgeo import coset, matcore
+from buresgeo import cli, coset, matcore
 from buresgeo.bures import dittmann3_form, fidelity, hubner_form
 from buresgeo.coset import CosetChart3, as_density, rho2, rho3
 from buresgeo.errors import ConvergenceFailure, DimensionMismatch, InvalidDensityMatrix
 from buresgeo.metric import closed_metric3, s_coeff, volume_element
 from buresgeo.sampling import make_rng, random_chart2, random_chart3, random_unitary
 from buresgeo.tol import INVARIANT
+from test_bures import SUBNORMAL_PIVOT
 
 
 def test_eig_identity():
@@ -395,3 +398,24 @@ def test_only_matcore_calls_lapack():
     calls = re.compile(r"linalg\.(eigh|eigvalsh|svd|det|slogdet|inv|solve)\b|_umath_linalg")
     users = sorted(p.name for p in src.glob("*.py") if calls.search(p.read_text()))
     assert users == ["matcore.py"]
+
+
+def test_only_matcore_and_read_matrix_set_a_floating_point_policy():
+    # matcore's LU kernels never warn, and their callers judge the values;
+    # read_matrix lets 1j * inf give a nan for the state check to refuse
+    src = Path(matcore.__file__).parent
+    sets = re.compile(r"\berrstate\(")
+    found = {p.name: len(sets.findall(p.read_text())) for p in src.glob("*.py")}
+    assert {name: k for name, k in found.items() if k} == {"matcore.py": 1, "cli.py": 1}
+    assert sets.search(inspect.getsource(cli.read_matrix))
+
+
+@pytest.mark.filterwarnings("error")
+def test_lu_kernels_return_their_value_without_a_warning():
+    for mat in SUBNORMAL_PIVOT.values():
+        assert cmath.isnan(matcore.det(mat))
+    # an exactly singular closed tensor: LAPACK divides by zero on the way to 0.0
+    g = closed_metric3(CosetChart3(0.6, 0.68, 1e-05, 1.1, 1e-300, 5e-05, 1.1, -1.1)).g
+    with np.errstate(all="ignore"):
+        want = float(np.linalg.det(g))
+    assert _same_bytes(matcore.det_real(g), want) and want == 0.0
