@@ -84,8 +84,8 @@ def hubner_form(rho, d1, d2) -> float:
     by metric.validate (SpectralDecomposition._hand) is projected once per
     state however many calls it enters, anything else on every call. Each
     tangent is checked (matcore.as_tangent) before its projection:
-    DimensionMismatch unless it has the state's shape, InvalidTangent if it
-    has a NaN or infinite entry.
+    DimensionMismatch unless it has the state's shape, InvalidTangent if a
+    part is NaN or beyond tol.TANGENT_MAX, infinite included.
     """
     spec = as_density(rho).spectral
     # the products stay in numpy; the n^2 pair loop runs on Python scalars,
@@ -111,8 +111,8 @@ def dittmann2_form(rho, drho) -> float:
 
         (1/4) Tr[ drho drho + (1/|rho|)(drho - rho drho)(drho - rho drho) ]
 
-    DimensionMismatch unless drho is 2x2, InvalidTangent if it has a NaN or
-    infinite entry (matcore.as_tangent). SingularState unless |rho| is above
+    DimensionMismatch unless drho is 2x2, InvalidTangent if a part is NaN or
+    beyond tol.TANGENT_MAX (matcore.as_tangent). SingularState unless |rho| is above
     tol.DET_FLOOR, also where the LU meets a subnormal pivot and |rho| is nan.
     """
     dm = as_density(rho)
@@ -121,7 +121,7 @@ def dittmann2_form(rho, drho) -> float:
     d = matcore.as_tangent(drho, 2)
     detr = matcore.det(dm.mat).real
     if not detr > DET_FLOOR:
-        raise SingularState(f"|rho| = {detr:.3e} <= {DET_FLOOR:.1e}")
+        raise SingularState(f"|rho| = {detr:.3e} is not above {DET_FLOOR:.1e}")
     q = d - dm.mat @ d
     val = np.trace(d @ d + (q @ q) / detr).real
     return 0.25 * float(val)
@@ -133,8 +133,8 @@ def dittmann3_form(rho, drho) -> float:
         (1/4) Tr[ drho drho + 3/(1 - Tr rho^3) ( (drho - rho drho)^2
                   + |rho| (drho - rho^{-1} drho)^2 ) ]
 
-    DimensionMismatch unless drho is 3x3, InvalidTangent if it has a NaN or
-    infinite entry (matcore.as_tangent). PureState and SingularState as
+    DimensionMismatch unless drho is 3x3, InvalidTangent if a part is NaN or
+    beyond tol.TANGENT_MAX (matcore.as_tangent). PureState and SingularState as
     _dittmann3_invariants decides, a nan |rho| being singular.
     """
     dm = as_density(rho)
@@ -194,7 +194,7 @@ def _dittmann3_invariants(dm: DensityMatrix) -> tuple[list, list, float, float]:
         # multiplied out: e2 = 0 divides nothing
         if not 2.0 * detr > DET_FLOOR * two_e2:
             raise SingularState(f"e3/e2 = 2|rho|/(1 - Tr rho^2) = 2 * {detr:.3e} / {two_e2:.3e} "
-                                f"<= {DET_FLOOR:.1e}")
+                                f"is not above {DET_FLOOR:.1e}")
         inv = dm._dittmann3 = (m.tolist(), matcore.inv(m).tolist(), float(detr),
                                float(3.0 / (1.0 - tr3)))
     return inv

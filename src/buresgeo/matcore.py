@@ -23,7 +23,6 @@ never warn: they return its value, nan included, and the caller judges it.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceFailure, DimensionMismatch, InvalidTangent
-from .tol import EPS_SPEC
+from .tol import EPS_SPEC, TANGENT_MAX
 
 
 def as_matrix(a) -> np.ndarray:
@@ -52,18 +51,20 @@ def as_matrix(a) -> np.ndarray:
 def as_tangent(d, n: int) -> np.ndarray:
     """Coerce a tangent at an n x n state to complex128: InvalidTangent
     unless numpy reads it as a complex array, DimensionMismatch unless it is
-    n x n, then InvalidTangent if an entry is NaN or infinite. The metric
-    forms call this before any product, where such an entry would give NaN
-    or numpy's invalid-value warning. A loop over ``.tolist()`` costs less
-    than ``np.isfinite`` at n <= 4."""
+    n x n, then InvalidTangent if a real or imaginary part is NaN or beyond
+    tol.TANGENT_MAX, infinite included: the metric forms call this before any
+    product, which would give NaN, inf or a numpy warning. One pass over the
+    parts as Python floats (whose abs, unlike a complex abs, cannot overflow)
+    costs less than numpy's ufuncs at n <= 4."""
     try:
         t = np.asarray(d, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InvalidTangent(f"not a complex matrix: {exc}") from None
     if t.shape != (n, n):
         raise DimensionMismatch(f"tangent of shape {t.shape} at a {n}x{n} state")
-    if not all(map(cmath.isfinite, t.ravel().tolist())):
-        raise InvalidTangent("tangent has a non-finite entry")
+    # TANGENT_MAX >= |x| is False for a nan as well as an inf
+    if not all(map(TANGENT_MAX.__ge__, map(abs, t.ravel().view(np.float64).tolist()))):
+        raise InvalidTangent(f"tangent has a part that is nan or beyond {TANGENT_MAX:.1e}")
     return t
 
 

@@ -15,11 +15,11 @@ t12, t13, t23 (one per eigenvalue pair) times polynomial factors in the
 coset parameters. Those factors keep their digits at every chart: each
 beta factor is one formula that cannot cancel (aux_coeffs), and gamma =
 phi - psi1 + psi2 enters as a unit phase, never as a float that rounds to
-the spacing of a huge phi (_closed_rows3). Two printed variants of the
-coefficient formulas that circulate with this parameterization are kept
-alongside (`t_coeffs_printed`, `t_coeffs_printed_generic`) purely so the
-validator can report how far they drift from the coefficient the oracle
-demands; see ValidationReport.
+the spacing of a huge phi (_closed_rows3). Of the printed entry list,
+only g_phi_beta1 and g_phi_beta2 are misprinted (a missing sin gamma):
+`closed_metric3(chart, entries="printed")` evaluates it, and `validate`
+reports those two entries. The printed t-coefficient displays are errata of
+the paper, recorded in the tests (README, "Validation notes").
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def s_coeff(d2) -> SCoeff2:
     d22 = float(dm.mat[1, 1].real)
     detd = d11 * d22
     if detd <= DET_FLOOR:
-        raise SingularState(f"|D| = {detd:.3e} <= {DET_FLOOR:.1e}")
+        raise SingularState(f"|D| = {detd:.3e} is not above {DET_FLOOR:.1e}")
     s12 = (d11 - d22) ** 2 * (d11 + d22 - d11 * d22 - detd - 1.0) / detd
     return SCoeff2(s12=s12)
 
@@ -270,46 +270,6 @@ def t_coeffs(theta1: float, theta2: float) -> tuple[float, float, float]:
     l0, l1, l2 = lam
     return (-(l0 - l1) ** 2 / (l0 + l1), -(l0 - l2) ** 2 / (l0 + l2),
             -(l1 - l2) ** 2 / (l1 + l2))
-
-
-def t_coeffs_printed(theta1: float, theta2: float) -> tuple[float, float, float]:
-    """The explicit theta-space coefficient formulas as printed.
-
-    Kept only for the validator: these disagree with `t_coeffs` (and with the
-    pullback oracle); the validation report carries the residuals.
-    """
-    c1s, s1s = math.cos(theta1) ** 2, math.sin(theta1) ** 2
-    c2s, s2s = math.cos(theta2) ** 2, math.sin(theta2) ** 2
-    t12 = -0.5 * (c1s - s1s * c2s) ** 2 * (
-        3.0 + (1.0 - s1s * c2s) * (1.0 + c1s ** 2 * c2s ** 2)
-        / (c1s ** 2 * c2s ** 2 * (c1s + s1s ** 2 * s2s * c2s))
-    )
-    t13 = -0.5 * (c1s - s1s * s2s) ** 2 * (
-        3.0 + (1.0 - s1s * s2s) * (c2s + s1s * c1s ** 2 * s2s ** 2)
-        / (s1s * c1s ** 2 * c2s ** 2 * (c1s + s1s ** 2 * s2s * c2s))
-    )
-    t23 = -0.5 * (
-        s1s * c2s * (1.0 + 3.0 * s1s)
-        + c1s / (s1s ** 3 * s2s ** 2 * c2s)
-    )
-    return (t12, t13, t23)
-
-
-def t_coeffs_printed_generic(theta1: float, theta2: float) -> tuple[float, float, float]:
-    """The printed eigenvalue-space coefficient display. Validator-only; see
-    `t_coeffs_printed`."""
-    lam = diag_entries3(theta1, theta2)
-    t3 = sum(x ** 3 for x in lam)
-    q = lam[0] * lam[1] * lam[2]
-    out = []
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        li, lj = lam[i], lam[j]
-        mi, mj = 1.0 / li, 1.0 / lj
-        out.append(3.0 / (2.0 * (1.0 - t3)) * (
-            (li - lj) ** 2 * (li + lj - li * lj - t3 - 2.0)
-            + q * (mi - mj) ** 2 * (mi + mj - mi * mj - 1.0)
-        ))
-    return tuple(out)
 
 
 class Coeffs3(NamedTuple):
@@ -511,9 +471,10 @@ class ValidationReport:
     """Cross-validation of the metric routes at one chart point.
 
     Carries the pullback and closed tensors, their entrywise deviations,
-    Dittmann-vs-Hubner residuals along the coordinate tangents, the
-    gamma-shift invariance residual, and (n=3) the residuals of the printed
-    coefficient/entry variants against the oracle-backed values.
+    Dittmann-vs-Hubner residuals along the coordinate tangents, the volume
+    deviation over Hadamard's bound sqrt(prod g_aa) of the closed tensor, and
+    the S12 relation (n = 2) or the gamma-shift residual and the deviation of
+    the two misprinted entries from the pullback (n = 3).
     """
 
     n: int
@@ -531,7 +492,6 @@ class ValidationReport:
     volume_rel_dev: float
     gamma_shift_dev: float | None = None
     printed_entry_dev: dict[str, float] | None = None
-    t_coeff_table: dict[str, dict[str, float]] | None = None
     s_coeff_relation_dev: float | None = None
 
     def to_dict(self) -> dict:
@@ -545,9 +505,10 @@ class ValidationReport:
         return out
 
 
-def _entry_devs(ordering, a: np.ndarray, b: np.ndarray) -> dict[str, float]:
+def _entry_devs(entries, a: np.ndarray, b: np.ndarray) -> dict[str, float]:
+    """|a_ij - b_ij| for each (key, i, j) of ``entries``."""
     diff = (a - b).tolist()
-    return {key: abs(diff[i][j]) for key, i, j in _UPPER_ENTRIES[ordering]}
+    return {key: abs(diff[i][j]) for key, i, j in entries}
 
 
 def _max_or_nan(x: float, y: float) -> float:
@@ -595,7 +556,10 @@ def validate(chart) -> ValidationReport:
         dit = fam.dittmann(rho, t)
         dmax = _max_or_nan(dmax, abs(dit - hub) / max(abs(hub), TINY))
     vol_p, vol_c = volume_element(pull), volume_element(closed)
-    dev = _entry_devs(fam.coords, pull.g, closed.g)
+    # Hadamard's bound sqrt(prod g_aa) >= sqrt(det g): a scale that stays
+    # positive across the beta = pi/2 fold, where the closed volume is 0
+    hadamard = math.sqrt(math.prod(closed.g.diagonal().tolist()))
+    dev = _entry_devs(_UPPER_ENTRIES[fam.coords], pull.g, closed.g)
     extra = fam.checks(chart, pull, closed)
     return ValidationReport(
         n=fam.n, chart=dict(zip(fam.coords, chart.values())),
@@ -604,7 +568,7 @@ def validate(chart) -> ValidationReport:
         max_rel_dev=_rel_dev(pull.g, closed.g),
         dittmann_max_rel_dev=dmax, dittmann_reading="printed",
         volume_pullback=vol_p, volume_closed=vol_c,
-        volume_rel_dev=abs(vol_p - vol_c) / max(vol_c, TINY),
+        volume_rel_dev=abs(vol_p - vol_c) / max(hadamard, TINY),
         **extra,
     )
 
@@ -615,23 +579,17 @@ def _s_relation(chart: CosetChart2, pull: MetricTensor, closed: MetricTensor) ->
     return {"s_coeff_relation_dev": abs(-s12 - 2.0 * closed.entry("alpha", "alpha"))}
 
 
+# the entries the printed list gets wrong; it equals the validated one elsewhere
+_MISPRINTED = [e for e in _UPPER_ENTRIES[COORDS3] if e[0] in ("g_phi_beta1", "g_phi_beta2")]
+
+
 def _printed_checks(chart: CosetChart3, pull: MetricTensor, closed: MetricTensor) -> dict:
-    """n = 3: the printed entries and t-coefficients against the oracle-backed
-    ones, and the gamma-shift invariance of the closed tensor."""
+    """n = 3: the gamma-shift invariance of the closed tensor, and the
+    misprinted entries against the pullback."""
     printed = closed_metric3(chart, entries="printed")
-    tt = t_coeffs(chart.theta1, chart.theta2)
-    tp = t_coeffs_printed(chart.theta1, chart.theta2)
-    tg = t_coeffs_printed_generic(chart.theta1, chart.theta2)
     return {
         "gamma_shift_dev": _gamma_shift_dev(chart),
-        "printed_entry_dev": _entry_devs(COORDS3, pull.g, printed.g),
-        "t_coeff_table": {
-            name: {"trace_form": tt[k], "printed_theta_form": tp[k],
-                   "printed_eigenvalue_form": tg[k],
-                   "printed_theta_dev": abs(tp[k] - tt[k]),
-                   "printed_eigenvalue_dev": abs(tg[k] - tt[k])}
-            for k, name in enumerate(("t12", "t13", "t23"))
-        },
+        "printed_entry_dev": _entry_devs(_MISPRINTED, pull.g, printed.g),
     }
 
 

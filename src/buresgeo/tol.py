@@ -35,6 +35,12 @@ DET_FLOOR = 100 * 2.2e-16 / DEFAULT_TOL  # = 2.2e-8; a state is singular at or b
                          # lambda_min, and the trace forms err up to ~2.2e-16/lambda_min relative
                          # to Hubner, so above the floor they stay 100x inside DEFAULT_TOL
                          # (6.5e-9 worst at 1.05x the floor, 1.3e-6 at 1.05x the old 1e-10)
+TANGENT_MAX = (1e308 * PURE * DET_FLOOR / 54) ** 0.5  # = 2.0e143; a tangent part (real or
+                         # imaginary) beyond this or nan is refused (matcore.as_tangent). With
+                         # parts <= M at n <= 3, ||D||_F <= 3 sqrt(2) M, and the largest term of
+                         # the forms, dittmann3's coef |rho| Tr (D - rho^-1 D)^2, is below
+                         # (3/PURE) (lambda_min/4) (2 ||D||_F/lambda_min)^2 < 54 M^2/(PURE DET_FLOOR)
+                         # <= 1e308, as lambda_min > DET_FLOOR; Hubner's sum is <= 18 M^2/EPS_SPEC
 REL_DEV_FLOOR = 1e-8     # entries below this in both tensors are left out of the relative deviation
 TANGENT_FLOOR = 1e-12    # a coordinate tangent with smaller norm is skipped by the Dittmann check
 TINY = 1e-300            # floor of a denominator in a relative deviation

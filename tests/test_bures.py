@@ -26,7 +26,7 @@ from buresgeo.errors import (
 )
 from buresgeo.metric import s_coeff
 from buresgeo.recover import find_chart
-from buresgeo.tol import INVARIANT
+from buresgeo.tol import INVARIANT, TANGENT_MAX
 from buresgeo.sampling import (
     make_rng,
     random_chart2,
@@ -778,7 +778,9 @@ def test_every_route_treats_a_matrix_and_its_density_matrix_alike(case):
 # its partner route, or a typed error
 # ---------------------------------------------------------------------------
 
-TANGENT_SCALES = [0.0, 1.0, 1e100, 1e-100, 1e-160]
+# a unit tangent has a part of at least 1/(3 sqrt 2): scaled by 1e155 or 1e300 it
+# lies beyond tol.TANGENT_MAX, and every form refuses it (InvalidTangent, exit 4)
+TANGENT_SCALES = [0.0, 1.0, 1e100, 1e-100, 1e-160, 1e155, 1e300]
 # the trace forms err up to about 2.2e-16/lambda_min relative to Hubner
 # (tol.DET_FLOOR's law), and below the normal range by subnormal spacings over
 # lambda_min: measured at most 2.6 and 2.0 times each, over the 3,785 values
@@ -799,12 +801,31 @@ def states_and_tangents(draw, n: int):
     return mat, t * draw(st.sampled_from(TANGENT_SCALES))
 
 
+def refuses_if_beyond_the_bound(form, mat, t) -> bool:
+    """True, once ``form(mat, t)`` has raised its typed refusal, if a part of
+    ``t`` lies beyond tol.TANGENT_MAX; False, calling nothing, otherwise. The
+    refusal is InvalidTangent (exit 4) unless the state is refused first."""
+    if np.abs(t.view(np.float64)).max() <= TANGENT_MAX:
+        return False
+    with pytest.raises(BuresGeoError) as exc:
+        form(mat, t)
+    try:
+        coset.DensityMatrix(mat)
+    except BuresGeoError as state_exc:
+        assert type(exc.value) is type(state_exc)
+        return True
+    assert type(exc.value) is InvalidTangent and exc.value.exit_code == 4
+    return True
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(case=st.sampled_from([2, 3]).flatmap(states_and_tangents))
 def test_hubner_form_over_the_accepted_domain_is_finite_or_a_typed_error(case):
     # ROADMAP item 6's library half for the oracle, at every rank
     mat, t = case
+    if refuses_if_beyond_the_bound(lambda m, d: hubner_form(m, d, d), mat, t):
+        return
     try:
         value = hubner_form(mat, t, t)
     except BuresGeoError:
@@ -821,6 +842,8 @@ def test_trace_form_over_the_accepted_domain_agrees_with_hubner_or_raises_a_type
     # finite and within TRACE_FORM_C (2.2e-16 |g| + 5e-324) / lambda_min of
     # Hubner's, whose pairs are all kept wherever a trace form accepts a state
     mat, t = data.draw(states_and_tangents(n))
+    if refuses_if_beyond_the_bound(TRACE_FORMS[n], mat, t):
+        return
     try:
         value = TRACE_FORMS[n](mat, t)
     except BuresGeoError:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from buresgeo import cli, coset, errors, metric
 from buresgeo.cli import main
 from buresgeo.errors import VerificationFailure
+from buresgeo.sampling import make_rng
 from buresgeo.tol import RANGE_EPS
 
 
@@ -361,7 +362,37 @@ def test_validate_3level_passes_and_reports_printed_dev(capsys):
     assert p["max_abs_dev"] < 1e-6
     assert p["gamma_shift_max_dev"] <= 1e-12
     assert p["printed_entry_max_abs_dev"]["g_phi_beta1"] > 0
-    assert p["t_coeff_max_dev_vs_trace_form"]["printed_theta_dev"] > 0
+    assert p["printed_entry_max_abs_dev"]["g_phi_beta2"] > 0
+
+
+# the keys of the validate payload and of the per-point report, in order: a
+# digest shows that bytes moved, this says which key did
+VALIDATE_KEYS = ["n", "samples", "seed", "step", "tol", "max_abs_dev", "max_rel_dev",
+                 "dittmann_max_rel_dev", "gamma_shift_max_dev", "volume_max_rel_dev",
+                 "s_relation_max_dev", "per_entry_max_abs_dev", "dittmann_reading", "status"]
+REPORT_KEYS = ["n", "chart", "ordering", "pullback", "closed", "entry_abs_dev", "max_abs_dev",
+               "max_rel_dev", "dittmann_max_rel_dev", "dittmann_reading", "volume_pullback",
+               "volume_closed", "volume_rel_dev"]
+MISPRINTED = ["g_phi_beta1", "g_phi_beta2"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_validate_payload_schema(n, capsys):
+    fam = metric.FAMILIES[n]
+    entries = [key for key, _, _ in metric.upper_entries(fam.coords)]
+    code, out = run_cli(["validate", "--n", str(n), *PIN_SAMPLES, "--format", "json"], capsys)
+    assert code == 0
+    p = json.loads(out)
+    assert list(p) == VALIDATE_KEYS + (["printed_entry_max_abs_dev", "note"] if n == 3 else [])
+    assert list(p["per_entry_max_abs_dev"]) == entries
+    report = metric.validate(fam.sample(make_rng(5))).to_dict()
+    assert list(report) == REPORT_KEYS + (["gamma_shift_dev", "printed_entry_dev"] if n == 3
+                                          else ["s_coeff_relation_dev"])
+    assert list(report["chart"]) == list(fam.coords)
+    assert list(report["entry_abs_dev"]) == entries
+    if n == 3:
+        assert list(p["printed_entry_max_abs_dev"]) == MISPRINTED
+        assert list(report["printed_entry_dev"]) == MISPRINTED
 
 
 @pytest.mark.filterwarnings("error")
@@ -606,17 +637,17 @@ OUTPUT_DIGESTS = [
     (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
      "4525f5851c99d0261348abe9d661c075f3fac4ceda0dfe05871c1e639bd04e51"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "json"],
-     "381c18a358f7cbe6b54bcc96ab0a5e8bf66ce7705509eb3962f12ad8ffc4d238"),
+     "0df3dfffd5bf206c28eb58b8d0a179f39e122127a4913b56190a38912c0f2e29"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "csv"],
-     "5e02dc986750fa9533665c568da1c861f185842d642d88e8ed1f49dc4aa3427d"),
+     "ef2d6c70a2cc257ad831d99c37bd908235788bc91bdb651c74ad8ab54d40f0a9"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "pretty"],
-     "5e02dc986750fa9533665c568da1c861f185842d642d88e8ed1f49dc4aa3427d"),
+     "ef2d6c70a2cc257ad831d99c37bd908235788bc91bdb651c74ad8ab54d40f0a9"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "json"],
-     "1c72614359afe171cb09ef8d9386883d2dda631efcdf49307c018a752887719f"),
+     "a2ae0a7add586285878f5e23838a61b91cf554d158afefd9db8dd865facd89ac"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "csv"],
-     "b055632b13b8b1d34df4f964c0421c06265c985227677fb8258ffee4db57ff73"),
+     "f9535cafb9360621b1a7eb770406bbce99d52297f44d4525ab46230a88c47a1c"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
-     "b055632b13b8b1d34df4f964c0421c06265c985227677fb8258ffee4db57ff73"),
+     "f9535cafb9360621b1a7eb770406bbce99d52297f44d4525ab46230a88c47a1c"),
     (["permtest", "--format", "json"],
      "fa301c9d0b68e69ffd75ef4dad8b6f3c6bc5ff26fd691e68b13143207867cc65"),
     (["permtest", "--format", "csv"],

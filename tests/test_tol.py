@@ -12,9 +12,9 @@ import pytest
 
 from buresgeo import bures, coset, matcore, metric, recover
 from buresgeo.coset import DensityMatrix, as_density, require_gap
-from buresgeo.errors import DegenerateSpectrum, InvalidDensityMatrix, SingularState
+from buresgeo.errors import DegenerateSpectrum, InvalidDensityMatrix, InvalidTangent, SingularState
 from buresgeo.sampling import make_rng, random_tangent, random_unitary
-from buresgeo.tol import DEFAULT_TOL, DET_FLOOR, GAP, INVARIANT
+from buresgeo.tol import DEFAULT_TOL, DET_FLOOR, GAP, INVARIANT, TANGENT_MAX
 from test_recover import TARGET_RESIDUAL
 
 SRC = Path(coset.__file__).resolve().parent
@@ -48,7 +48,7 @@ def test_every_name_in_the_table_is_imported():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "tol":
                 imported.update(alias.name for alias in node.names)
-    assert len(defined) == 15
+    assert len(defined) == 16
     assert sorted(defined - imported) == []
 
 
@@ -136,7 +136,7 @@ def test_one_determinant_floor(route, factor):
     state = np.diag(_spectrum_at_floor(n, DET_FLOOR * factor)).astype(complex)
     assert (_floor_quantity(state) <= DET_FLOOR) == (factor < 1)
     if factor < 1:
-        with pytest.raises(SingularState, match=r"<= 2\.2e-08$"):
+        with pytest.raises(SingularState, match=r"is not above 2\.2e-08$"):
             call(state)
     else:
         assert math.isfinite(call(state))
@@ -181,3 +181,29 @@ def test_dittmann3_accepts_two_small_eigenvalues_above_the_floor():
         d = random_tangent(rng, 3)
         hub = bures.hubner_form(state, d, d)
         assert abs(bures.dittmann3_form(state, d) - hub) <= 1e-9 * abs(hub)
+
+
+# every part 0 or +-1: scaled by TANGENT_MAX, the nonzero parts lie exactly at the bound
+BOUND_TANGENT = {2: np.array([[1, 1 + 1j], [1 - 1j, -1]]),
+                 3: np.array([[1, 1j, 1 - 1j], [-1j, -1, 1 + 1j], [1 + 1j, 1 - 1j, 0]])}
+BOUND_ROUTES = {
+    "hubner_form 2": (2, lambda state, d: bures.hubner_form(state, d, d)),
+    "hubner_form 3": (3, lambda state, d: bures.hubner_form(state, d, d)),
+    "dittmann2_form": (2, bures.dittmann2_form),
+    "dittmann3_form": (3, bures.dittmann3_form),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", BOUND_ROUTES)
+def test_one_tangent_bound(route):
+    # tol.TANGENT_MAX's law: on a state just above the determinant floor, a
+    # tangent with every part at the bound gives a finite value, without an
+    # overflow warning; one part at the next float beyond is refused
+    n, call = BOUND_ROUTES[route]
+    state = np.diag(_spectrum_at_floor(n, DET_FLOOR * (1 + 1e-12))).astype(complex)
+    d = TANGENT_MAX * BOUND_TANGENT[n]
+    assert math.isfinite(call(state, d))
+    d[1, 1] = complex(-1.0, 0.0) * np.nextafter(TANGENT_MAX, math.inf)
+    with pytest.raises(InvalidTangent, match=r"beyond 2\.0e\+143$"):
+        call(state, d)
