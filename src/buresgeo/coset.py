@@ -161,9 +161,9 @@ class DensityMatrix:
     first use. 3x3 states cache the trace-form invariants of
     ``bures.dittmann3_form`` on first use: the rows of rho and of rho^{-1}
     (``.tolist()``), |rho| and 3/(1 - Tr rho^3). ``mat`` is private and
-    read-only (a copy of the input, or the builder's fresh array), so neither
-    a write to it nor a later change to the caller's array can leave the
-    caches describing another matrix.
+    read-only (a copy of the input, or the builder's fresh array), as are its
+    spectrum's arrays, so no write and no later change to the caller's array
+    can leave the caches describing another matrix.
     """
 
     _spectral: Optional[matcore.SpectralDecomposition] = None

@@ -19,13 +19,14 @@ its own failures: its callers refuse non-finite input before LAPACK sees
 it, and a non-finite result raises ConvergenceFailure. The LU of a finite
 matrix can divide by a zero or subnormal pivot, so ``det`` and ``det_real``
 never warn: they return its value, nan included, and the caller judges it.
+A spectrum's arrays (``SpectralDecomposition``) are read-only, like a
+state's matrix, so the data cached with them cannot go stale.
 """
 
 from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -125,32 +126,32 @@ def inv(a: np.ndarray) -> np.ndarray:
 # Hermitian eigendecomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigen-data of a Hermitian matrix. Equality and hashing are by identity,
-    as comparing the ndarray fields gives an array, not a truth value.
+    """Eigen-data of a Hermitian matrix, compared and hashed by identity.
 
     eigenvalues are real and ascending; eigenvectors holds the orthonormal
     eigenvectors as columns, so ``V @ diag(w) @ V†`` reconstructs the input.
-    Ties keep whatever order the solver produced. Built on first use and kept
-    with the spectrum: the ``pairs`` tables, the square-root factor ``root``,
-    V† and the rows of the tangents last handed over (``_hand``), which live
-    and die with the spectrum, which a DensityMatrix owns. Each is a
-    class-level placeholder until then, filled through ``__dict__`` (the
-    dataclass is frozen), as DensityMatrix keeps its spectrum:
-    ``functools.cached_property`` takes a lock on its first read on Python
-    3.11, about 0.6 of the 3.4 us a first ``root`` read cost with it (timeit,
-    best of 15, 2 vCPUs). ``project`` gives any tangent's rows in the
-    eigenbasis.
+    Ties keep whatever order the solver produced. Both arrays are taken over
+    uncopied and made read-only, like a DensityMatrix's matrix, and so is
+    ``root``. Built on first use and kept with the spectrum, which a
+    DensityMatrix owns: the ``pairs`` tables, the square-root factor ``root``,
+    V† and the rows of the tangents last handed over (``_hand``). Each is a
+    class-level placeholder until then: ``functools.cached_property`` takes a
+    lock on its first read on Python 3.11, about 0.6 of the 3.4 us a first
+    ``root`` read cost with it (timeit, best of 15, 2 vCPUs). ``project``
+    gives any tangent's rows in the eigenbasis.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     _pairs = None
     _root = None
     _vh = None
     _handed = MappingProxyType({})  # each hand-over stores a fresh dict of its own
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        eigenvalues.setflags(write=False)
+        eigenvectors.setflags(write=False)
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = eigenvectors
 
     @property
     def pairs(self) -> tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]:
@@ -162,8 +163,8 @@ class SpectralDecomposition:
         if pairs is None:
             w = self.eigenvalues.tolist()
             table = [(i, j, wi + wj) for i, wi in enumerate(w) for j, wj in enumerate(w)]
-            pairs = self.__dict__["_pairs"] = ([p for p in table if p[2] > EPS_SPEC],
-                                               [p for p in table if not p[2] > EPS_SPEC])
+            pairs = self._pairs = ([p for p in table if p[2] > EPS_SPEC],
+                                   [p for p in table if not p[2] > EPS_SPEC])
         return pairs
 
     @property
@@ -176,15 +177,16 @@ class SpectralDecomposition:
         root = self._root
         if root is None:
             w = self.eigenvalues
-            root = self.__dict__["_root"] = self.eigenvectors * np.sqrt(
+            root = self._root = self.eigenvectors * np.sqrt(
                 w if w[0] > 0.0 else np.maximum(w, 0.0))
+            root.setflags(write=False)
         return root
 
     def _adjoint(self) -> np.ndarray:
         """V†, formed on first use."""
         vh = self._vh
         if vh is None:
-            vh = self.__dict__["_vh"] = self.eigenvectors.conj().T
+            vh = self._vh = self.eigenvectors.conj().T
         return vh
 
     def _hand(self, tangents: list) -> None:
@@ -196,7 +198,7 @@ class SpectralDecomposition:
         can change, and each entry keeps its tangent alive, so its id is not
         reused. numpy does not promise that the stacked product equals the
         single-matrix one; a tier-1 test checks the bytes."""
-        handed = self.__dict__["_handed"] = {}
+        handed = self._handed = {}
         if not tangents:
             return
         n = len(self.eigenvalues)
@@ -224,15 +226,7 @@ def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
     diag2 or diag3 built, whose mirrored entries make it its own Hermitian
     part (up to the sign of a zero, which leaves the spectrum unchanged).
     Nothing here checks or symmetrizes it; ``DensityMatrix(m).spectral`` is
-    the checked route for any other matrix.
-    ConvergenceFailure if the spectrum is not finite. Both fields are stored
-    directly: the frozen dataclass's ``__init__`` sets each through
-    ``object.__setattr__``, 1.3 us a call against 0.6 us (best of 7 x
-    200,000 calls, 2 vCPUs).
+    the checked route for any other matrix. The record holds the kernel's own
+    arrays, read-only. ConvergenceFailure if the spectrum is not finite.
     """
-    w, v = eigh(h)
-    spec = object.__new__(SpectralDecomposition)
-    store = spec.__dict__
-    store["eigenvalues"] = w
-    store["eigenvectors"] = v
-    return spec
+    return SpectralDecomposition(*eigh(h))

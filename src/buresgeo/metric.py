@@ -259,8 +259,10 @@ def t_coeffs(theta1: float, theta2: float) -> tuple[float, float, float]:
         t_ij = -(1/2) (li - lj)^2 [ 1 + 3 (1-li)(1-lj)(1+lk) / (1 - Tr D^3) ]
 
     which simplifies (sum of eigenvalues being 1) to -(li - lj)^2/(li + lj), the
-    form evaluated: 1 - Tr D^3 cancels at small theta1. All three are <= 0;
-    the tensor entries carry the opposite sign. OutOfChartRange for a non-finite theta.
+    form evaluated: 1 - Tr D^3 cancels at small theta1. t23 is the closed form
+    -sin^2(theta1) cos^2(2 theta2), as l2 - l3 of the rounded eigenvalues loses
+    digits while their gap closes. All three are <= 0; the tensor entries carry
+    the opposite sign. OutOfChartRange for a non-finite theta.
     """
     for name, theta in (("theta1", theta1), ("theta2", theta2)):
         if not math.isfinite(theta):
@@ -269,7 +271,7 @@ def t_coeffs(theta1: float, theta2: float) -> tuple[float, float, float]:
     require_gap(lam)  # each l_i + l_j is then at least GAP
     l0, l1, l2 = lam
     return (-(l0 - l1) ** 2 / (l0 + l1), -(l0 - l2) ** 2 / (l0 + l2),
-            -(l1 - l2) ** 2 / (l1 + l2))
+            -math.sin(theta1) ** 2 * math.cos(2.0 * theta2) ** 2)
 
 
 class Coeffs3(NamedTuple):

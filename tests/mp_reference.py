@@ -10,7 +10,8 @@ as its float values (ordering metric.COORDS2 or COORDS3, read exactly):
   * each tangent d_a rho is a central difference of step 1e-15, whose
     truncation error is about 1e-30 at 40 digits;
   * g_ab = (1/2) sum_ij Re[(d_a rho)_ij (d_b rho)_ji] / (lambda_i + lambda_j)
-    in the eigenbasis from the context's ``eighe``.
+    in the eigenbasis from the context's ``eighe`` (``tensor``; ``metric``
+    rounds it to floats).
 
 Test-only: nothing under src/ imports it. It runs in a private mpmath
 context, so the global ``mpmath.mp`` precision is left alone.
@@ -43,21 +44,28 @@ def coset_block(b: list) -> mpmath.matrix:
     return block
 
 
+def spectrum(values) -> list:
+    """The diagonal of D at the chart ``values``, in chart order: (cos^2 theta,
+    sin^2 theta) at n = 2; (cos^2 theta1, sin^2 theta1 cos^2 theta2,
+    sin^2 theta1 sin^2 theta2) at n = 3."""
+    if len(values) == 3:
+        return [MP.cos(values[0]) ** 2, MP.sin(values[0]) ** 2]
+    s1sq = MP.sin(values[0]) ** 2
+    return [MP.cos(values[0]) ** 2, s1sq * MP.cos(values[1]) ** 2, s1sq * MP.sin(values[1]) ** 2]
+
+
 def rho(values) -> mpmath.matrix:
     """rho = Omega D Omega† at the chart ``values``: (theta, alpha, phi) at
     n = 2, (theta1, theta2, alpha, phi, beta1, beta2, psi1, psi2) at n = 3."""
     if len(values) == 3:
-        theta, alpha, phi = values
+        _, alpha, phi = values
         omega = coset_block([alpha * MP.expj(phi)])
-        lam = [MP.cos(theta) ** 2, MP.sin(theta) ** 2]
     else:
-        theta1, theta2, alpha, phi, beta1, beta2, psi1, psi2 = values
+        _, _, alpha, phi, beta1, beta2, psi1, psi2 = values
         lower = MP.eye(3)
         lower[:2, :2] = coset_block([alpha * MP.expj(phi)])
         omega = coset_block([beta1 * MP.expj(psi1), beta2 * MP.expj(psi2)]) * lower
-        s1sq = MP.sin(theta1) ** 2
-        lam = [MP.cos(theta1) ** 2, s1sq * MP.cos(theta2) ** 2, s1sq * MP.sin(theta2) ** 2]
-    return omega * MP.diag(lam) * omega.H
+    return omega * MP.diag(spectrum(values)) * omega.H
 
 
 def tangents(values) -> list:
@@ -72,16 +80,21 @@ def tangents(values) -> list:
     return out
 
 
-def metric(values) -> list[list[float]]:
-    """The Hubner tensor of the chart at ``values``, rounded to floats."""
+def tensor(values) -> mpmath.matrix:
+    """The Hubner tensor of the chart at ``values``, at 40 digits."""
     lam, vecs = MP.eighe(rho([MP.mpf(x) for x in values]))
     n = len(lam)
     proj = [vecs.H * t * vecs for t in tangents(values)]
-    g = [[0.0] * len(proj) for _ in proj]
+    g = MP.zeros(len(proj))
     for a, pa in enumerate(proj):
         for b in range(a, len(proj)):
             pb = proj[b]
             total = MP.fsum(MP.re(pa[i, j] * pb[j, i]) / (lam[i] + lam[j])
                             for i in range(n) for j in range(n))
-            g[a][b] = g[b][a] = float(total / 2)
+            g[a, b] = g[b, a] = total / 2
     return g
+
+
+def metric(values) -> list[list[float]]:
+    """The Hubner tensor of the chart at ``values``, rounded to floats."""
+    return [[float(x) for x in row] for row in tensor(values).tolist()]

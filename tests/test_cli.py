@@ -547,11 +547,11 @@ OUTPUT_DIGESTS = [
       "--format", "csv"],
      "ee47e2ecf12587948bdd0c52fe764c2d81a0de13534ce8cf594f28082ea21e5e"),
     (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "csv"],
-     "da93ce17cac1ea28d5a282fa57de796aa2c44e752ee0d2a841ac86aee14d2da2"),
+     "55f16bb6746efc7be304cb447ab97a28d3e3ef86757ad114ac90988d0e6d9d1c"),
     (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "all", "--format", "json"],
-     "0523bea63d7610d3c8575d8e8d199786f4df2428e7f2e87e80cab285a79fe401"),
+     "3f88b7a87fac530835dfe7f92be3698672b932d03f57d43895d435ddc37a33f4"),
     (["scan", *SCAN_N3, *SCAN_GRID3, "--entries", "diag", "--format", "csv"],
-     "3d29f0ffa280e48070cacdb75617670d8d8a99959f09823fd6f2237aa60883f4"),
+     "b0a4d360396a2f413d320d0c3198e555ab08e76ea4f01f04a56d41aef3346737"),
     (["scan", *SCAN_N3, *SCAN_GRID3,
       "--entries", "g_phi_alpha,g_beta1_psi2,g_phi_alpha,g_theta2_theta2", "--format", "json"],
      "c9e1a526533465f4ad7ac482e9b1620735a6f7e142edb23de324baa09dd89885"),
@@ -595,9 +595,9 @@ OUTPUT_DIGESTS = [
     (["metric", *PIN_N2, "--method", "closed", "--format", "pretty"],
      "d98f3ac8d20730e8d5052ada0906b86e9745a1a2a7362ad4d0163427c665b0ec"),
     (["metric", *PIN_N3, "--method", "closed", "--format", "json"],
-     "837e50020ab4d9906da34cc47b1114bc1996bf0434cd48a5ac9f4e7a770b406e"),
+     "f5475632ed1798129e90898fde2dfe7f51a0476847579fcc6044cf63f8b2e6dd"),
     (["metric", *PIN_N3, "--method", "closed", "--format", "csv"],
-     "a6053bed9ceb1a13155faa646244601695dc71f2d3fef439b50ea589ad459ad9"),
+     "6a4dd3541638e96afee1ec906f3f5e2c6d35c98f9c4d63824b645f238e5d3255"),
     (["metric", *PIN_N3, "--method", "closed", "--format", "pretty"],
      "1829259482cc05c3061f973a1713236417dd34a1985acae7e01edb9518b28dd4"),
     (["metric", *PIN_N2, "--method", "pullback", "--format", "json"],
@@ -619,9 +619,9 @@ OUTPUT_DIGESTS = [
     (["metric", *PIN_N2, "--method", "both", "--format", "pretty"],
      "4b668bd11789b15ddf5ded7675ef6ceac00e4fecbb30735553b828fb2e3c1d79"),
     (["metric", *PIN_N3, "--method", "both", "--format", "json"],
-     "e0928529436105d1a61712bd42acbb0ffc3fad7a1a1cb7e691a5fd18928f2229"),
+     "fdce3ad6e9354bc52b46c2d9b6ac7f2a3fdbb8d2018911cff5f9c07147e92027"),
     (["metric", *PIN_N3, "--method", "both", "--format", "csv"],
-     "c209cc7c3b5cbcd578588df6ab311bab97127e5866f393ddd0fa47d04a953370"),
+     "f2747b5001110ec3e1ee5da1e319182d8d67d8d2cb44c58fef6981b12219f940"),
     (["metric", *PIN_N3, "--method", "both", "--format", "pretty"],
      "39f91e0f56b46983367c675ff23d6673e375c9f8e76f0f1ee649668878d73cec"),
     (["validate", "--n", "2", *PIN_SAMPLES, "--format", "json"],
@@ -637,17 +637,17 @@ OUTPUT_DIGESTS = [
     (["validate", "--n", "2", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
      "4525f5851c99d0261348abe9d661c075f3fac4ceda0dfe05871c1e639bd04e51"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "json"],
-     "0df3dfffd5bf206c28eb58b8d0a179f39e122127a4913b56190a38912c0f2e29"),
+     "f24d25ef54fb7476d33c62d9c3ab0c827d4e174170d698fb2f3f88c18e8d27c6"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "csv"],
-     "ef2d6c70a2cc257ad831d99c37bd908235788bc91bdb651c74ad8ab54d40f0a9"),
+     "097f0b9ea940fcfef62b3cc90c196184e5dd84b35f75e1d9128bc6f791cd6e77"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--format", "pretty"],
-     "ef2d6c70a2cc257ad831d99c37bd908235788bc91bdb651c74ad8ab54d40f0a9"),
+     "097f0b9ea940fcfef62b3cc90c196184e5dd84b35f75e1d9128bc6f791cd6e77"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "json"],
-     "a2ae0a7add586285878f5e23838a61b91cf554d158afefd9db8dd865facd89ac"),
+     "3ee8cf9bccbeef70d8715447340eac15b95a6251e0c7db5efaa07892ca28fe11"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "csv"],
-     "f9535cafb9360621b1a7eb770406bbce99d52297f44d4525ab46230a88c47a1c"),
+     "5b49b8d0abedab06a4ecb6be2b9497d0126e280aba3cbc511a613968f1113367"),
     (["validate", "--n", "3", *PIN_SAMPLES, "--tol", FAIL_TOL, "--format", "pretty"],
-     "f9535cafb9360621b1a7eb770406bbce99d52297f44d4525ab46230a88c47a1c"),
+     "5b49b8d0abedab06a4ecb6be2b9497d0126e280aba3cbc511a613968f1113367"),
     (["permtest", "--format", "json"],
      "fa301c9d0b68e69ffd75ef4dad8b6f3c6bc5ff26fd691e68b13143207867cc65"),
     (["permtest", "--format", "csv"],
@@ -673,7 +673,7 @@ OUTPUT_DIGESTS = [
       "--psi1", "0.2", "--psi2", "-0.5", "--coord", "alpha", "--from", "-0.3", "--to", "1.2",
       "--points", "20", "--coord", "beta1", "--from", "-1e-4", "--to", "1e-4", "--points", "10",
       "--entries", "all", "--format", "csv"],
-     "f78b590150b11fb1bdfe63890b526187db4012dd71ced0cfeaf7e96189cf7271"),
+     "61d0b73686fb812a77cf820f0164652cf8e4020a38bfa2fa46b0557c7f4ad7de"),
 ]
 
 

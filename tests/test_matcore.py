@@ -282,6 +282,31 @@ def test_root_is_the_factor_fidelity_formed_byte_for_byte():
     assert as_density(np.diag([0.7, 0.3, 0.0]).astype(complex)).eigenvalues[0] == 0.0
 
 
+def test_a_spectrum_is_read_only_and_holds_the_kernels_own_arrays(monkeypatch):
+    # the pairs, root and hand-over rows cached with a spectrum describe its
+    # arrays: a write into one must fail, as one into a state's matrix does
+    kernel, formed = matcore.eigh, []
+
+    def recording(h):
+        formed.append(kernel(h))
+        return formed[-1]
+
+    monkeypatch.setattr(matcore, "eigh", recording)
+    records = {
+        "rho2": rho2(random_chart2(make_rng(1))).spectral,
+        "rho3": rho3(random_chart3(make_rng(2))).spectral,
+        "checked": coset.DensityMatrix(np.array([[0.6, 0.1j], [-0.1j, 0.4]])).spectral,
+        "bare": matcore.eig_hermitian(np.diag([0.3, 0.7]).astype(complex)),
+    }
+    assert len(formed) == len(records)
+    for (name, spec), (w, v) in zip(records.items(), formed):
+        assert spec.eigenvalues is w and spec.eigenvectors is v, name
+        for array in (spec.eigenvalues, spec.eigenvectors, spec.root):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        assert spec.root is spec.root
+
+
 @pytest.mark.filterwarnings("error")
 def test_fidelity_sums_its_singular_values_as_numpy_does():
     # fidelity sums the singular values left to right on Python floats, as

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 from buresgeo import coset, matcore, metric
 from buresgeo.coset import (
     CosetChart2,
@@ -399,12 +400,13 @@ def test_t_coeffs_simplify_to_pair_ratio():
 
 
 def loop_t_coeffs(theta1, theta2):
-    """t_coeffs as an index loop over the reduced form: the reference that the
-    written-out coefficients must match bit for bit."""
+    """t_coeffs as an index loop over the reduced form for the pairs with
+    lambda1, then t23 = -sin^2(theta1) cos^2(2 theta2) in closed form: the
+    reference that the written-out coefficients must match bit for bit."""
     lam = coset.diag_entries3(theta1, theta2)
     coset.require_gap(lam)
-    return tuple(-(lam[i] - lam[j]) ** 2 / (lam[i] + lam[j])
-                 for i, j in ((0, 1), (0, 2), (1, 2)))
+    return (*(-(lam[0] - lam[j]) ** 2 / (lam[0] + lam[j]) for j in (1, 2)),
+            -math.sin(theta1) ** 2 * math.cos(2 * theta2) ** 2)
 
 
 def test_t_coeffs_match_the_loop_bit_for_bit():
@@ -426,6 +428,18 @@ def test_t_coeffs_match_the_loop_bit_for_bit():
         assert np.array(t_coeffs(t1, t2)).tobytes() == np.array(want).tobytes(), (t1, t2)
         checked += 1
     assert checked >= 2000
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-5, 2e-6])
+def test_t23_keeps_its_digits_as_its_gap_closes(gap):
+    # lambda2 - lambda3 = sin^2(theta1) cos(2 theta2) = gap at theta1 = 0.9. The
+    # difference of the rounded eigenvalues was off by 4.8e-14, 9.5e-13 and
+    # 5.1e-11 relative; the closed form measured 1.9e-16 at worst
+    theta1 = 0.9
+    theta2 = math.acos(gap / math.sin(theta1) ** 2) / 2
+    lam = mp_reference.spectrum([theta1, theta2, *[0.0] * 6])
+    want = -(lam[1] - lam[2]) ** 2 / (lam[1] + lam[2])
+    assert float(abs(t_coeffs(theta1, theta2)[2] - want) / -want) <= 2.5e-16
 
 
 def test_t_coeffs_all_nonpositive():
@@ -1156,7 +1170,7 @@ VALIDATE_DIGESTS = {
     "n2": (CosetChart2(0.4, 0.9, 1.3),
            "efc3be6e1f1c0ac2324f26908c74a46215bba901f3e3435a0dfaf4ded30d971f"),
     "n3": (CosetChart3(0.6, 0.68, 0.3, 0.4, 0.9, 0.5, 0.1, 0.7),
-           "4d27647d8130007b0c968fc63899bdf00a1caf1d93b6696d1d0225c47859c21a"),
+           "e4cb32518563b12fcf98665210385b9aa12d18368601a1a8c631d697f03b28c5"),
 }
 
 

@@ -81,9 +81,14 @@ def test_every_route_accepts_a_gap_of_exactly_gap(route, monkeypatch):
         assert g.g.tolist() == [[0.0]]
     elif route == "closed":
         # no chart's thetas give this spectrum exactly, so the closed route reads it
-        # in place of diag_entries3; its smallest eigenvalue, GAP, is also accepted
+        # in place of diag_entries3 and passes its gap check; its smallest
+        # eigenvalue, GAP, is also accepted. t12 and t13 are its pair ratios, and
+        # t23 is taken in closed form from the thetas
         monkeypatch.setattr(metric, "diag_entries3", lambda theta1, theta2: EXACT_GAP)
-        assert metric.t_coeffs(0.5, 0.6)[2] == -GAP ** 2 / (3 * GAP)
+        l1, l2, l3 = EXACT_GAP
+        assert metric.t_coeffs(0.5, 0.6) == (
+            -(l1 - l2) ** 2 / (l1 + l2), -(l1 - l3) ** 2 / (l1 + l3),
+            -math.sin(0.5) ** 2 * math.cos(2 * 0.6) ** 2)
         g = metric.closed_metric3(coset.CosetChart3(0.5, 0.6, 0.3, 0.4, 0.5, 0.2, 0.1, 0.7))
         assert np.isfinite(g.g).all()
     else:
